@@ -10,7 +10,7 @@ lower threshold. No pruning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -51,9 +51,36 @@ class TreeNode:
 
 @dataclass
 class TreeModel:
+    """A fitted tree. The node graph under `root` is what serializes;
+    prediction walks flat per-node arrays compiled from it once, at
+    construction, so edit a tree by building a new TreeModel."""
+
     root: TreeNode
     n_features: int
     config: TreeConfig
+    # node i splits on feature[i] at threshold[i], or is a leaf when
+    # feature[i] < 0; left/right are child indices (meaningless on
+    # leaves); value[i] is the leaf mean (zeros on split nodes)
+    feature: np.ndarray = field(init=False, repr=False, compare=False)
+    threshold: np.ndarray = field(init=False, repr=False, compare=False)
+    left: np.ndarray = field(init=False, repr=False, compare=False)
+    right: np.ndarray = field(init=False, repr=False, compare=False)
+    value: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # breadth-first: the list grows as it is read, and a split node's
+        # children land at the two positions it appends
+        nodes = [self.root]
+        left = []
+        for node in nodes:
+            left.append(len(nodes))
+            if not node.is_leaf:
+                nodes.extend((node.left, node.right))
+        self.feature = np.array([-1 if n.is_leaf else n.feature for n in nodes], dtype=np.intp)
+        self.threshold = np.array([0.0 if n.is_leaf else n.threshold for n in nodes])
+        self.left = np.array(left, dtype=np.intp)
+        self.right = self.left + 1
+        self.value = np.array([n.value if n.is_leaf else (0.0, 0.0) for n in nodes])
 
 
 def node_impurity(labels: np.ndarray) -> float:
@@ -154,17 +181,17 @@ def predict_tree(model: TreeModel, values: np.ndarray) -> np.ndarray:
         raise DataError(
             f"feature width {values.shape[-1]} does not match tree width {model.n_features}"
         )
-    out = np.empty((values.shape[0], 2))
-
-    def fill(node: TreeNode, idx: np.ndarray) -> None:
-        if node.is_leaf:
-            out[idx] = node.value
-            return
-        go_left = values[idx, node.feature] <= node.threshold
-        fill(node.left, idx[go_left])
-        fill(node.right, idx[~go_left])
-
-    fill(model.root, np.arange(values.shape[0]))
+    # every row starts at the root; each pass moves the rows still on a
+    # split node one level down, so a batch costs one pass per level
+    node = np.zeros(values.shape[0], dtype=np.intp)
+    rows = np.arange(values.shape[0])
+    while rows.size:
+        at = node[rows]
+        split = model.feature[at] >= 0
+        rows, at = rows[split], at[split]
+        go_left = values[rows, model.feature[at]] <= model.threshold[at]
+        node[rows] = np.where(go_left, model.left[at], model.right[at])
+    out = model.value[node]
     return out[0] if single else out
 
 
@@ -201,9 +228,12 @@ def _node_to_dict(node: TreeNode) -> dict:
 def _node_from_dict(d: dict) -> TreeNode:
     if "value" in d:
         return TreeNode(n_samples=int(d["n"]), value=np.asarray(d["value"], dtype=np.float64))
+    feature = int(d["feature"])
+    if feature < 0:
+        raise ValueError(f"negative split feature {feature}")
     return TreeNode(
         n_samples=int(d["n"]),
-        feature=int(d["feature"]),
+        feature=feature,
         threshold=float(d["threshold"]),
         left=_node_from_dict(d["left"]),
         right=_node_from_dict(d["right"]),
@@ -234,13 +264,22 @@ def tree_from_dict(d: dict) -> TreeModel:
     )
     validate_tree_config(config)
     try:
-        return TreeModel(
+        model = TreeModel(
             root=_node_from_dict(d["root"]),
             n_features=int(d["n_features"]),
             config=config,
         )
     except KeyError as e:
         raise ConfigurationError(f"tree blob is missing key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigurationError(f"malformed tree blob: {e}") from e
+    if model.feature.max() >= model.n_features:
+        raise ConfigurationError(
+            f"tree splits on feature {model.feature.max()}, past its width {model.n_features}"
+        )
+    if model.value.shape[1:] != (2,):
+        raise ConfigurationError("tree leaf values must be (x, y) pairs")
+    return model
 
 
 def tree_config_from_dict(d: dict) -> TreeConfig:

@@ -117,6 +117,8 @@ def extract(record: FingerprintRecord, config: FeatureConfig) -> FeatureVector:
             seen_neighbors.add(cell)
             if len(neighbor_best) < n:
                 neighbor_best.append((cell, beam, rsrp))
+        if len(serving_beams) == k and len(neighbor_best) == n:
+            break  # the rest of the sweep cannot change the vector
 
     if len(serving_beams) < k:
         raise FeatureExtractionError(

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -263,6 +264,54 @@ def save_dataset(dataset: Dataset, path) -> None:
             fh.write("\n")
 
 
+def parse_measurements(
+    meas,
+    path,
+    line: int,
+    cells: Optional[AbstractSet[int]] = None,
+    n_beams: Optional[int] = None,
+) -> Tuple[List[int], List[int], np.ndarray]:
+    """Check one decoded JSON measurement list and return its columns.
+
+    Returns (cell ids, beam ids, rsrp) in input order: the ids as lists
+    of ints, rsrp as a float64 array. Each item must be a [cell, beam,
+    rsrp] list with integer ids (true/false are not ids) and a finite
+    rsrp. When given, every cell id must be in `cells` and every beam id
+    in [0, n_beams). Any violation is a DatasetParseError on field
+    'meas'.
+    """
+
+    def fail(message: str) -> DatasetParseError:
+        return DatasetParseError(message, path=path, line=line, field="meas")
+
+    if not isinstance(meas, list) or not meas:
+        raise fail("meas must be a non-empty list")
+    # type() rather than isinstance: bool is a subclass of int
+    if set(map(type, meas)) != {list} or set(map(len, meas)) != {3}:
+        raise fail("each measurement must be [cell, beam, rsrp]")
+    # slicing one flat list is far cheaper than zip(*meas), which holds
+    # an iterator per item
+    flat = list(chain.from_iterable(meas))
+    cell_ids, beam_ids, rsrp_col = flat[0::3], flat[1::3], flat[2::3]
+    if set(map(type, cell_ids)) != {int} or set(map(type, beam_ids)) != {int}:
+        raise fail("cell and beam ids must be integers")
+    if not set(map(type, rsrp_col)) <= {int, float}:
+        raise fail("rsrp must be a number")
+    try:
+        rsrp = np.array(rsrp_col, dtype=np.float64)
+    except OverflowError:  # an int past the float range
+        raise fail("rsrp must be finite") from None
+    if not np.isfinite(rsrp).all():
+        raise fail("rsrp must be finite")
+    if cells is not None and not cells.issuperset(cell_ids):
+        raise fail(f"measurement references unknown cell {min(set(cell_ids) - cells)}")
+    if n_beams is not None:
+        lowest, highest = min(beam_ids), max(beam_ids)
+        if lowest < 0 or highest >= n_beams:
+            raise fail(f"beam id {lowest if lowest < 0 else highest} outside [0, {n_beams})")
+    return cell_ids, beam_ids, rsrp
+
+
 def _require(obj: dict, key: str, path, line: int):
     if key not in obj:
         raise DatasetParseError("missing required field", path=path, line=line, field=key)
@@ -297,17 +346,21 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
         n_beams = _require(header, "beams_per_cell", path, 1)
         scenario_hash_value = _require(header, "scenario_hash", path, 1)
         seed = _require(header, "seed", path, 1)
-        if not isinstance(cells, list) or not all(isinstance(c, int) for c in cells):
+        if not isinstance(cells, list) or set(map(type, cells)) - {int}:
             raise DatasetParseError("cells must be a list of ints", path=path, line=1, field="cells")
+        if type(n_beams) is not int or n_beams < 1:
+            raise DatasetParseError(
+                "beams_per_cell must be a positive int", path=path, line=1, field="beams_per_cell"
+            )
         cell_set = set(cells)
 
         xs: List[float] = []
         ys: List[float] = []
         serving: List[int] = []
         los: List[bool] = []
-        meas_cells: List[List[int]] = []
-        meas_beams: List[List[int]] = []
-        meas_rsrp: List[List[float]] = []
+        meas_cells: List[np.ndarray] = []
+        meas_beams: List[np.ndarray] = []
+        meas_rsrp: List[np.ndarray] = []
         expected_m: Optional[int] = None
 
         for lineno, raw in enumerate(fh, start=2):
@@ -332,52 +385,20 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
                 raise DatasetParseError("serving must be an int", path=path, line=lineno, field="serving")
             if not isinstance(lo, bool):
                 raise DatasetParseError("los must be a bool", path=path, line=lineno, field="los")
-            if not isinstance(meas, list) or not meas:
-                raise DatasetParseError("meas must be a non-empty list", path=path, line=lineno, field="meas")
+            mc, mb, mr = parse_measurements(meas, path, lineno, cells=cell_set, n_beams=n_beams)
             if expected_m is None:
-                expected_m = len(meas)
-            elif len(meas) != expected_m:
+                expected_m = len(mr)
+            elif len(mr) != expected_m:
                 raise DatasetParseError(
                     "records disagree on measurement count", path=path, line=lineno, field="meas"
                 )
-            mc: List[int] = []
-            mb: List[int] = []
-            mr: List[float] = []
-            prev = None
-            for item in meas:
-                if (
-                    not isinstance(item, list)
-                    or len(item) != 3
-                    or not isinstance(item[0], int)
-                    or not isinstance(item[1], int)
-                    or isinstance(item[2], bool)
-                    or not isinstance(item[2], (int, float))
-                ):
-                    raise DatasetParseError(
-                        "each measurement must be [cell, beam, rsrp]",
-                        path=path,
-                        line=lineno,
-                        field="meas",
-                    )
-                if item[0] not in cell_set:
-                    raise DatasetParseError(
-                        f"measurement references unknown cell {item[0]}",
-                        path=path,
-                        line=lineno,
-                        field="meas",
-                    )
-                r = float(item[2])
-                if prev is not None and r > prev:
-                    raise DatasetParseError(
-                        "measurements are not sorted by descending rsrp",
-                        path=path,
-                        line=lineno,
-                        field="meas",
-                    )
-                prev = r
-                mc.append(item[0])
-                mb.append(item[1])
-                mr.append(r)
+            if (mr[1:] > mr[:-1]).any():
+                raise DatasetParseError(
+                    "measurements are not sorted by descending rsrp",
+                    path=path,
+                    line=lineno,
+                    field="meas",
+                )
             if sv not in cell_set:
                 raise DatasetParseError(
                     f"serving references unknown cell {sv}", path=path, line=lineno, field="serving"
@@ -393,8 +414,8 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
             ys.append(float(y))
             serving.append(sv)
             los.append(lo)
-            meas_cells.append(mc)
-            meas_beams.append(mb)
+            meas_cells.append(np.array(mc, dtype=np.int32))
+            meas_beams.append(np.array(mb, dtype=np.int32))
             meas_rsrp.append(mr)
 
     if expected_scenario_hash is not None and scenario_hash_value != expected_scenario_hash:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -34,7 +35,14 @@ from .features import (
     feature_length,
     fit_normalizer,
 )
-from .fingerprint import Dataset, FingerprintRecord, build_dataset, los_filter, partition_by_cell
+from .fingerprint import (
+    Dataset,
+    FingerprintRecord,
+    build_dataset,
+    los_filter,
+    parse_measurements,
+    partition_by_cell,
+)
 from .scenario import (
     Scenario,
     ScenarioConfig,
@@ -51,6 +59,8 @@ _MODEL_FORMAT = "beamprint-model"
 _MODEL_VERSION = 1
 _MANIFEST_FORMAT = "beamprint-manifest"
 _MANIFEST_VERSION = 1
+
+_MAX_FLOAT = sys.float_info.max
 
 MODEL_MLP = "mlp"
 MODEL_TREE = "tree"
@@ -160,12 +170,28 @@ def load_model_bundle(path) -> ModelBundle:
     kind = blob.get("model_type")
     if kind not in (MODEL_MLP, MODEL_TREE):
         raise ConfigurationError(f"unknown model type {kind!r} in {path}")
-    return ModelBundle(
+    if not isinstance(blob.get("feature_config"), dict):
+        raise ConfigurationError(f"{path} has no feature_config object")
+    if not isinstance(blob.get(kind), dict):
+        raise ConfigurationError(f"{path} has no {kind} model")
+    bundle = ModelBundle(
         model_type=kind,
         feature_config=feature_config_from_dict(blob["feature_config"]),
         mlp_model=None if blob.get("mlp") is None else mlp.mlp_from_dict(blob["mlp"]),
         tree_model=None if blob.get("tree") is None else dtree.tree_from_dict(blob["tree"]),
     )
+    # a width mismatch would otherwise surface only at predict time
+    width = feature_length(bundle.feature_config)
+    if kind == MODEL_MLP:
+        weights = bundle.mlp_model.weights
+        got = weights[0].shape[0] if weights and weights[0].ndim == 2 else None
+    else:
+        got = bundle.tree_model.n_features
+    if got != width:
+        raise ConfigurationError(
+            f"{path}: the {kind} model takes {got} features, its feature config gives {width}"
+        )
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -580,24 +606,17 @@ def parse_measurement_line(raw: str, lineno: int, path=None) -> Optional[Fingerp
         raise DatasetParseError("measurement line is not an object", path=path, line=lineno)
     if d.get("format"):
         return None  # dataset header line
-    meas = d.get("meas")
-    if not isinstance(meas, list) or not meas:
-        raise DatasetParseError("missing or empty 'meas' list", path=path, line=lineno, field="meas")
-    triples = []
-    for item in meas:
-        if (
-            not isinstance(item, list)
-            or len(item) != 3
-            or not isinstance(item[0], int)
-            or not isinstance(item[1], int)
-            or isinstance(item[2], bool)
-            or not isinstance(item[2], (int, float))
-        ):
-            raise DatasetParseError(
-                "each measurement must be [cell, beam, rsrp]", path=path, line=lineno, field="meas"
-            )
-        triples.append((item[0], item[1], float(item[2])))
-    triples.sort(key=lambda t: (-t[2], t[0], t[1]))
+    cells, beams, rsrp = parse_measurements(d.get("meas"), path, lineno)
+    columns = (cells, beams, rsrp.tolist())
+    # order: strongest first, ties by ascending (cell, beam). Dataset
+    # lines already come in it (with many ties), so sort only otherwise.
+    c, b = np.array((cells, beams))
+    tie = rsrp[:-1] == rsrp[1:]
+    in_order = (rsrp[:-1] > rsrp[1:]) | tie & ((c[:-1] < c[1:]) | (c[:-1] == c[1:]) & (b[:-1] < b[1:]))
+    if not in_order.all():
+        order = np.lexsort((b, c, -rsrp))
+        columns = (c[order].tolist(), b[order].tolist(), rsrp[order].tolist())
+    triples = tuple(zip(*columns))
     serving = d.get("serving")
     if serving is None:
         serving = triples[0][0]
@@ -607,14 +626,22 @@ def parse_measurement_line(raw: str, lineno: int, path=None) -> Optional[Fingerp
         raise DatasetParseError(
             "serving cell is not the strongest measurement", path=path, line=lineno, field="serving"
         )
-    x = d.get("x", float("nan"))
-    y = d.get("y", float("nan"))
+    position = [float("nan"), float("nan")]  # unlabelled unless given
+    for i, key in enumerate(("x", "y")):
+        if key in d:
+            value = d[key]
+            if not isinstance(value, (int, float)) or isinstance(value, bool) or not abs(value) <= _MAX_FLOAT:
+                raise DatasetParseError(f"{key} must be a finite number", path=path, line=lineno, field=key)
+            position[i] = float(value)
+    los = d.get("los", True)
+    if not isinstance(los, bool):
+        raise DatasetParseError("los must be a bool", path=path, line=lineno, field="los")
     return FingerprintRecord(
-        x=float(x),
-        y=float(y),
+        x=position[0],
+        y=position[1],
         serving_cell_id=serving,
-        los_to_serving=bool(d.get("los", True)),
-        measurements=tuple(triples),
+        los_to_serving=los,
+        measurements=triples,
     )
 
 
@@ -626,8 +653,13 @@ def infer_record(bundle: ModelBundle, record: FingerprintRecord) -> Tuple[float,
 
 
 def infer_file(bundle: ModelBundle, in_path, out_path=None) -> List[dict]:
-    """Predict for every record in a line-delimited measurement file."""
-    results = []
+    """Predict for every record in a line-delimited measurement file.
+
+    Every line is parsed and extracted first; the model then predicts
+    the whole file in one batch, so a bad line anywhere fails the file
+    before any prediction is made.
+    """
+    rows = []
     try:
         fh = open(in_path, "r", encoding="ascii")
     except OSError as e:
@@ -639,8 +671,9 @@ def infer_file(bundle: ModelBundle, in_path, out_path=None) -> List[dict]:
             record = parse_measurement_line(raw, lineno, path=in_path)
             if record is None:
                 continue
-            x_pred, y_pred = infer_record(bundle, record)
-            results.append({"x_pred": x_pred, "y_pred": y_pred})
+            rows.append(extract(record, bundle.feature_config).values)
+    pred = bundle.predict(np.vstack(rows)).tolist() if rows else []
+    results = [{"x_pred": x, "y_pred": y} for x, y in pred]
     if out_path is not None:
         with open(out_path, "w", encoding="ascii") as fh:
             for row in results:

@@ -275,6 +275,21 @@ def test_missing_infer_input_exits_2(ws, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value", [("x", "abc"), ("y", "abc"), ("los", "yes"), ("meas", [[0, 1, float("nan")]])]
+)
+def test_malformed_infer_line_exits_2(ws, tmp_path, capsys, field, value):
+    record = json.loads(ws.dataset.read_text(encoding="ascii").splitlines()[1])
+    record[field] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(record) + "\n", encoding="ascii")
+    rc = main(["infer", "--model", str(ws.tree), "--input", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert f"field '{field}'" in err
+
+
 def test_divergent_training_exits_3(ws, tmp_path, capsys):
     with np.errstate(all="ignore"):
         rc = main(

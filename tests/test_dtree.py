@@ -37,6 +37,23 @@ def brute_force_split(values, labels, min_samples_leaf):
     return best
 
 
+def recursive_predict(model, values):
+    """Reference: walk the node graph one row at a time."""
+    out = np.empty((values.shape[0], 2))
+    for i, row in enumerate(values):
+        node = model.root
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        out[i] = node.value
+    return out
+
+
+def split_nodes(node):
+    if node.is_leaf:
+        return []
+    return [node, *split_nodes(node.left), *split_nodes(node.right)]
+
+
 def test_impurity_oracle():
     # labels (0,0),(0,0),(5,5),(5,5): mean (2.5,2.5), sse = 4*6.25*2 = 50
     labels = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [5.0, 5.0]])
@@ -221,3 +238,62 @@ def test_tree_config_round_trip():
     cfg = TreeConfig(max_depth=12, min_samples_leaf=4, min_impurity_decrease=0.5)
     d = tree_to_dict(fit(np.arange(16.0).reshape(8, 2), np.zeros((8, 2)), cfg))
     assert tree_config_from_dict(d["config"]) == cfg
+
+
+def test_flat_descent_matches_recursive_reference(rng):
+    for min_leaf in (1, 2, 5):
+        # quantized features: many rows sit on a split value's neighbours
+        values = np.round(rng.normal(size=(300, 3)) * 3.0) / 2.0
+        labels = rng.normal(size=(300, 2)) * 10.0
+        model = fit(values, labels, TreeConfig(min_samples_leaf=min_leaf))
+        probe = np.vstack([values, rng.normal(size=(200, 3)) * 2.0])
+        assert np.array_equal(predict_tree(model, probe), recursive_predict(model, probe))
+
+
+def test_flat_descent_at_exact_thresholds(rng):
+    values = rng.uniform(size=(120, 2))
+    labels = rng.normal(size=(120, 2))
+    model = fit(values, labels, TreeConfig(max_depth=6))
+    # for every split, rows carrying exactly its threshold (which must go
+    # left) and the next float above it (which must go right)
+    rows = []
+    for node in split_nodes(model.root):
+        for v in (node.threshold, np.nextafter(node.threshold, np.inf)):
+            row = rng.uniform(size=2)
+            row[node.feature] = v
+            rows.append(row)
+    probe = np.array(rows)
+    assert np.array_equal(predict_tree(model, probe), recursive_predict(model, probe))
+
+
+def test_flat_descent_single_leaf_tree():
+    model = fit(np.zeros((6, 2)), np.arange(12.0).reshape(6, 2))
+    assert model.root.is_leaf
+    probe = np.array([[0.0, 0.0], [-5.0, 7.0], [np.inf, -np.inf]])
+    assert predict_tree(model, probe).tolist() == [[5.0, 6.0]] * 3
+    assert predict_tree(model, probe[0]).tolist() == [5.0, 6.0]
+
+
+def test_single_row_predicts_as_in_a_batch(rng):
+    values = rng.uniform(size=(80, 4))
+    model = fit(values, rng.normal(size=(80, 2)), TreeConfig(min_samples_leaf=1))
+    probe = rng.uniform(size=(25, 4))
+    batch = predict_tree(model, probe)
+    for i, row in enumerate(probe):
+        single = predict_tree(model, row)
+        assert single.shape == (2,)
+        assert np.array_equal(single, batch[i])
+    assert predict_tree(model, probe[:0]).shape == (0, 2)
+
+
+def test_tree_dict_rejects_out_of_range_features():
+    model = fit(np.arange(8.0).reshape(4, 2), np.arange(8.0).reshape(4, 2), TreeConfig(min_samples_leaf=1))
+    for feature in (2, -1):
+        blob = tree_to_dict(model)
+        blob["root"]["feature"] = feature
+        with pytest.raises(ConfigurationError):
+            tree_from_dict(blob)
+    blob = tree_to_dict(model)
+    blob["root"]["left"] = {"n": 1, "value": [1.0, 2.0, 3.0]}
+    with pytest.raises(ConfigurationError):
+        tree_from_dict(blob)

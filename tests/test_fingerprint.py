@@ -258,3 +258,37 @@ def test_load_rejects_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(DatasetParseError):
         load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda meas: meas[5].__setitem__(2, float("nan")),
+        lambda meas: meas[0].__setitem__(2, float("inf")),
+        lambda meas: meas[-1].__setitem__(2, float("-inf")),
+        lambda meas: meas[3].__setitem__(0, True),
+        lambda meas: meas[3].__setitem__(1, False),
+        lambda meas: meas[3].__setitem__(1, 999),
+        lambda meas: meas[3].__setitem__(1, -1),
+    ],
+    ids=["nan", "inf", "-inf", "bool-cell", "bool-beam", "beam-999", "beam-negative"],
+)
+def test_load_rejects_bad_measurement_values(tmp_path, small_dataset, edit):
+    path, lines = _lines(tmp_path, small_dataset)
+    row = json.loads(lines[2])
+    edit(row["meas"])
+    lines[2] = json.dumps(row)  # json writes NaN / Infinity literals
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(_write(path, lines))
+    assert e.value.line == 3
+    assert e.value.field == "meas"
+
+
+def test_load_rejects_bad_beams_per_cell(tmp_path, small_dataset):
+    path, lines = _lines(tmp_path, small_dataset)
+    header = json.loads(lines[0])
+    header["beams_per_cell"] = "32"
+    lines[0] = json.dumps(header)
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(_write(path, lines))
+    assert e.value.field == "beams_per_cell"

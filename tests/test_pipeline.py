@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from beamprint import dtree, mlp
 from beamprint.dtree import TreeConfig
 from beamprint.errors import ConfigurationError, DataError, DatasetParseError
 from beamprint.evaluate import load_report
@@ -13,10 +14,11 @@ from beamprint.features import (
     TOPOLOGY_NETWORK,
     FeatureConfig,
     FeatureSet,
+    NormalizationStats,
     extract,
     extract_features,
 )
-from beamprint.fingerprint import los_filter, partition_by_cell
+from beamprint.fingerprint import los_filter, partition_by_cell, save_dataset
 from beamprint.mlp import MlpConfig
 from beamprint.pipeline import (
     MODEL_MLP,
@@ -222,6 +224,78 @@ def test_load_bundle_rejects_bad_version_and_type(tmp_path, tree_bundle):
     bad.write_text(json.dumps(blob))
     with pytest.raises(ConfigurationError):
         load_model_bundle(bad)
+
+
+@pytest.fixture(scope="module")
+def mlp_bundle(small_splits):
+    train_ds, _ = small_splits
+    fc = FeatureConfig()
+    spec = ModelSpec(MODEL_MLP, mlp_config=MlpConfig(hidden_layers=(4,), max_epochs=2))
+    return train_model(extract_features(train_ds, fc), spec, fc)
+
+
+def _rewrite(tmp_path, bundle, edit):
+    path = tmp_path / "model.json"
+    save_model_bundle(bundle, path)
+    blob = json.loads(path.read_text())
+    edit(blob)
+    path.write_text(json.dumps(blob))
+    return path
+
+
+def test_load_bundle_rejects_missing_feature_config_or_model(tmp_path, tree_bundle):
+    path = _rewrite(tmp_path, tree_bundle, lambda blob: blob.pop("feature_config"))
+    with pytest.raises(ConfigurationError, match="feature_config"):
+        load_model_bundle(path)
+    path = _rewrite(tmp_path, tree_bundle, lambda blob: blob.pop("tree"))
+    with pytest.raises(ConfigurationError):
+        load_model_bundle(path)
+
+
+def test_load_bundle_rejects_width_mismatch(tmp_path, tree_bundle, mlp_bundle):
+    # the bundles take 7 features (3 serving beams + cell id); 2 serving
+    # beams would make 5
+    def narrow(blob):
+        blob["feature_config"]["serving_beams"] = 2
+
+    for bundle in (tree_bundle, mlp_bundle):
+        with pytest.raises(ConfigurationError, match="features"):
+            load_model_bundle(_rewrite(tmp_path, bundle, narrow))
+
+
+def _pinned_bundles():
+    """A fixed small tree and MLP whose saved bytes are pinned below."""
+    fc = FeatureConfig(n_serving_beams=1, include_serving_cell_id=False)
+    i = np.arange(20.0)
+    values = np.column_stack([i % 5, (i * 7) % 11])
+    labels = np.column_stack([i, (i * 3) % 8])
+    tree = dtree.fit(values, labels, TreeConfig(max_depth=4))
+    net = mlp.init_model(MlpConfig(hidden_layers=(3,), rng_seed=5), 2)
+    net.normalizer = NormalizationStats(
+        feature_mean=np.array([2.0, 5.0]),
+        feature_std=np.array([1.5, 3.0]),
+        label_mean=np.array([9.5, 3.5]),
+        label_std=np.array([5.5, 2.25]),
+    )
+    return {
+        MODEL_TREE: ModelBundle(MODEL_TREE, fc, tree_model=tree),
+        MODEL_MLP: ModelBundle(MODEL_MLP, fc, mlp_model=net),
+    }
+
+
+def test_bundle_bytes_are_pinned(tmp_path):
+    want = {
+        MODEL_TREE: "074ed0a5917232f7e4320f72f56c3ad4a513297f623f1d7de1a6abec092ca950",
+        MODEL_MLP: "8e8181265fefa7d49205bde98886d3f4a2b359ccfe2f820de00da55d70ebe35d",
+    }
+    for kind, bundle in _pinned_bundles().items():
+        path = tmp_path / f"{kind}.json"
+        save_model_bundle(bundle, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want[kind], kind
+        # and a loaded bundle saves back to the same bytes
+        again = tmp_path / f"{kind}_again.json"
+        save_model_bundle(load_model_bundle(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +601,18 @@ def test_parse_measurement_sorts_with_tie_break():
     assert record.serving_cell_id == 1
 
 
+def test_parse_measurement_reorders_shuffled_lines(small_dataset, rng):
+    # dataset records hold many exact rsrp ties, so the (cell, beam)
+    # tie-break decides much of the order
+    for i in (0, 7, 42):
+        want = small_dataset.record(i).measurements
+        meas = [list(m) for m in want]
+        assert parse_measurement_line(json.dumps({"meas": meas}), 1).measurements == want
+        shuffled = [meas[j] for j in rng.permutation(len(meas))]
+        assert parse_measurement_line(json.dumps({"meas": shuffled}), 1).measurements == want
+        assert parse_measurement_line(json.dumps({"meas": meas[::-1]}), 1).measurements == want
+
+
 def test_parse_measurement_header_is_skipped():
     assert parse_measurement_line('{"format": "beamprint-dataset", "version": 1}', 1) is None
 
@@ -543,6 +629,22 @@ def test_parse_measurement_rejections():
         ('{"meas": [[1, 2, true]]}', "meas"),
         ('{"meas": [[1, 2, -50.0]], "serving": true}', "serving"),
         ('{"meas": [[1, 2, -50.0], [0, 2, -40.0]], "serving": 1}', "serving"),
+        ('{"meas": [[1, 2, NaN]]}', "meas"),
+        ('{"meas": [[1, 2, -50.0], [1, 3, Infinity]]}', "meas"),
+        ('{"meas": [[1, 2, -Infinity]]}', "meas"),
+        ('{"meas": [[true, 2, -50.0]]}', "meas"),
+        ('{"meas": [[1, false, -50.0]]}', "meas"),
+        ('{"meas": [[1, 2, -50.0], 7]}', "meas"),
+        ('{"meas": [[1, 2, -50.0, 0]]}', "meas"),
+        ('{"meas": [[1, 2, 1%s]]}' % ("0" * 400), "meas"),
+        ('{"meas": [[1, 2, -50.0]], "x": "abc"}', "x"),
+        ('{"meas": [[1, 2, -50.0]], "x": null}', "x"),
+        ('{"meas": [[1, 2, -50.0]], "x": 1e400}', "x"),
+        ('{"meas": [[1, 2, -50.0]], "x": NaN}', "x"),
+        ('{"meas": [[1, 2, -50.0]], "y": true}', "y"),
+        ('{"meas": [[1, 2, -50.0]], "y": 1%s}' % ("0" * 400), "y"),
+        ('{"meas": [[1, 2, -50.0]], "los": 1}', "los"),
+        ('{"meas": [[1, 2, -50.0]], "los": "yes"}', "los"),
     ]
     for raw, field in cases:
         with pytest.raises(DatasetParseError) as err:
@@ -581,3 +683,25 @@ def test_infer_file_round_trip(tree_bundle, small_splits, tmp_path):
     assert [(r["x_pred"], r["y_pred"]) for r in rows] == expected
     written = [json.loads(l) for l in out_path.read_text(encoding="ascii").splitlines()]
     assert written == rows
+
+
+def test_infer_file_equals_batch_predict(tree_bundle, mlp_bundle, small_splits, tmp_path):
+    _, test_ds = small_splits
+    in_path = tmp_path / "test.jsonl"
+    save_dataset(test_ds, in_path)  # a dataset file is a valid measurement file
+    for bundle in (tree_bundle, mlp_bundle):
+        want = bundle.predict(extract_features(test_ds, bundle.feature_config).values)
+        got = np.array([[r["x_pred"], r["y_pred"]] for r in infer_file(bundle, in_path)])
+        assert got.shape == want.shape == (len(test_ds), 2)
+        if bundle.model_type == MODEL_TREE:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-9
+
+
+def test_infer_file_without_records(tree_bundle, tmp_path):
+    in_path = tmp_path / "empty.jsonl"
+    in_path.write_text('{"format": "header-line"}\n\n', encoding="ascii")
+    out_path = tmp_path / "pred.jsonl"
+    assert infer_file(tree_bundle, in_path, out_path) == []
+    assert out_path.read_text(encoding="ascii") == ""
