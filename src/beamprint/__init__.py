@@ -51,7 +51,6 @@ from .fingerprint import (
 from .features import (
     FeatureConfig,
     FeatureSet,
-    FeatureVector,
     NormalizationStats,
     extract,
     extract_features,

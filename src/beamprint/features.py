@@ -1,21 +1,30 @@
 """Feature extraction and normalization for position regression.
 
-A feature vector is assembled from one fingerprint record as:
+A feature vector is assembled from one measurement report as:
 
     [beam_id_1, rsrp_1, ..., beam_id_K, rsrp_K,      K strongest serving beams
      serving_cell_id,                                 optional
      cell_id, beam_id, rsrp, ...]                     strongest beam of each of
                                                       the N strongest neighbors
 
-Neighbor cells are ranked by their strongest beam, strongest first.
+One ranking rule picks the entries: the order of the measurement row,
+which is descending RSRP with ties broken by ascending cell id, then
+ascending beam id. The serving beams are the first K entries of the
+serving cell; the neighbors are the first N cells other than the
+serving cell, each at its first (strongest) entry. Whole datasets,
+single records and `infer` files all go through one kernel over the
+sorted measurement columns.
+
 Identifiers ride along as raw numerics and get z-scored with everything
-else; a one-hot encoding can be switched on for experiments.
+else. A one-hot encoding can be switched on for experiments; it is an
+expansion of the same vector, each id becoming an indicator block the
+size of its vocabulary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,27 +63,25 @@ def validate_feature_config(config: FeatureConfig) -> None:
         raise ConfigurationError("one-hot encoding needs cell_id_vocab and beam_id_vocab")
 
 
-def feature_length(config: FeatureConfig) -> int:
-    validate_feature_config(config)
-    if not config.one_hot_ids:
-        return (
-            2 * config.n_serving_beams
-            + (1 if config.include_serving_cell_id else 0)
-            + 3 * config.n_neighbor_beams
-        )
-    vb = config.beam_id_vocab
-    vc = config.cell_id_vocab
+def _layout(config: FeatureConfig) -> Tuple[str, ...]:
+    """What each entry of the numeric vector holds: 'beam', 'cell' or 'rsrp'."""
     return (
-        config.n_serving_beams * (vb + 1)
-        + (vc if config.include_serving_cell_id else 0)
-        + config.n_neighbor_beams * (vc + vb + 1)
+        ("beam", "rsrp") * config.n_serving_beams
+        + ("cell",) * int(config.include_serving_cell_id)
+        + ("cell", "beam", "rsrp") * config.n_neighbor_beams
     )
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-    label: Optional[Tuple[float, float]]
+def _widths(config: FeatureConfig) -> List[int]:
+    """Output width of each numeric entry: its vocabulary size for a
+    one-hot id, else 1."""
+    vocab = {"beam": config.beam_id_vocab, "cell": config.cell_id_vocab} if config.one_hot_ids else {}
+    return [vocab.get(kind, 1) for kind in _layout(config)]
+
+
+def feature_length(config: FeatureConfig) -> int:
+    validate_feature_config(config)
+    return sum(_widths(config))
 
 
 @dataclass
@@ -91,210 +98,135 @@ class FeatureSet:
         return self.values.shape[0]
 
 
-def _one_hot(index: int, size: int, what: str) -> List[float]:
-    if not 0 <= index < size:
-        raise ConfigurationError(f"{what} {index} outside one-hot vocabulary of size {size}")
-    out = [0.0] * size
-    out[index] = 1.0
+def _expand_one_hot(values: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """Replace each id entry of numeric vectors by its indicator block."""
+    layout = _layout(config)
+    widths = _widths(config)
+    is_id = np.array([kind != "rsrp" for kind in layout])
+    ids = values[:, is_id]
+    sizes = np.array(widths)[is_id]
+    bad = (ids < 0) | (ids >= sizes)
+    if bad.any():
+        row, col = np.unravel_index(np.argmax(bad), bad.shape)  # the first in row order
+        kind = [k for k in layout if k != "rsrp"][col]
+        raise ConfigurationError(
+            f"{kind} id {int(ids[row, col])} outside one-hot vocabulary of size {sizes[col]}"
+        )
+    out = np.zeros((len(values), sum(widths)))
+    rows = np.arange(len(values))
+    start = 0
+    for j, (kind, width) in enumerate(zip(layout, widths)):
+        if kind == "rsrp":
+            out[:, start] = values[:, j]
+        else:
+            out[rows, start + values[:, j].astype(np.intp)] = 1.0
+        start += width
     return out
 
 
-def extract(record: FingerprintRecord, config: FeatureConfig) -> FeatureVector:
-    """Build one feature vector; raises FeatureExtractionError when the
-    record cannot satisfy the configured beam counts."""
-    validate_feature_config(config)
+def _select(
+    serving: np.ndarray,
+    cells: np.ndarray,
+    beams: np.ndarray,
+    rsrp: np.ndarray,
+    config: FeatureConfig,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The feature kernel over sorted measurement columns.
+
+    serving is (n,); cells, beams and rsrp are (n, m) rows in ranking
+    order. A NaN rsrp marks padding (not measured), so reports of
+    different lengths can share one call. Returns the feature vectors of
+    the rows that fill the config, those rows' indices, and per row the
+    serving beams and neighbor cells found, capped at the configured
+    counts.
+    """
     k = config.n_serving_beams
-    n = config.n_neighbor_beams
+    nb = config.n_neighbor_beams
+    n = len(serving)
+    rows = np.arange(n)
+    measured = ~np.isnan(rsrp)
+    other_cell = cells != serving[:, None]
+    is_serving = measured & ~other_cell
+    n_serving = np.minimum(np.count_nonzero(is_serving, axis=1), k)
 
-    serving_beams: List[Tuple[int, float]] = []
-    neighbor_best: List[Tuple[int, int, float]] = []
-    seen_neighbors = set()
-    for cell, beam, rsrp in record.measurements:
-        if cell == record.serving_cell_id:
-            if len(serving_beams) < k:
-                serving_beams.append((beam, rsrp))
-        elif cell not in seen_neighbors:
-            seen_neighbors.add(cell)
-            if len(neighbor_best) < n:
-                neighbor_best.append((cell, beam, rsrp))
-        if len(serving_beams) == k and len(neighbor_best) == n:
-            break  # the rest of the sweep cannot change the vector
+    # one pass per neighbor slot: the first entry of a cell not yet taken
+    candidates = measured & other_cell
+    nb_pos = np.zeros((n, nb), dtype=np.intp)
+    n_neighbors = np.zeros(n, dtype=np.intp)
+    for j in range(nb if rsrp.size else 0):  # argmax needs non-empty rows
+        pos = np.argmax(candidates, axis=1)
+        n_neighbors += candidates[rows, pos]
+        nb_pos[:, j] = pos
+        candidates &= cells != cells[rows, pos][:, None]
 
-    if len(serving_beams) < k:
+    kept = np.flatnonzero((n_serving == k) & (n_neighbors == nb))
+    take = is_serving[kept]
+    take &= np.cumsum(take, axis=1, dtype=np.int32) <= k
+    serv_pos = np.nonzero(take)[1].reshape(len(kept), k)
+    nb_pos = nb_pos[kept]
+    r = kept[:, None]
+
+    values = np.empty((len(kept), len(_layout(config))))
+    values[:, 0 : 2 * k : 2] = beams[r, serv_pos]
+    values[:, 1 : 2 * k : 2] = rsrp[r, serv_pos]
+    col = 2 * k
+    if config.include_serving_cell_id:
+        values[:, col] = serving[kept]
+        col += 1
+    values[:, col::3] = cells[r, nb_pos]
+    values[:, col + 1 :: 3] = beams[r, nb_pos]
+    values[:, col + 2 :: 3] = rsrp[r, nb_pos]
+    if config.one_hot_ids:
+        values = _expand_one_hot(values, config)
+    return values, kept, n_serving, n_neighbors
+
+
+def extract(record: FingerprintRecord, config: FeatureConfig) -> np.ndarray:
+    """One record's feature vector; raises FeatureExtractionError when
+    the record cannot satisfy the configured beam counts."""
+    validate_feature_config(config)
+    values, kept, n_serving, n_neighbors = _select(
+        np.array([record.serving_cell_id]),
+        record.cells[None],
+        record.beams[None],
+        record.rsrp[None],
+        config,
+    )
+    k = config.n_serving_beams
+    if n_serving[0] < k:
         raise FeatureExtractionError(
-            SKIP_SERVING,
-            f"record has {len(serving_beams)} serving-cell measurements, need {k}",
+            SKIP_SERVING, f"record has {n_serving[0]} serving-cell measurements, need {k}"
         )
-    if len(neighbor_best) < n:
+    if not len(kept):
         raise FeatureExtractionError(
             SKIP_NEIGHBORS,
-            f"record has {len(neighbor_best)} distinct neighbor cells, need {n}",
+            f"record has {n_neighbors[0]} distinct neighbor cells, need {config.n_neighbor_beams}",
         )
-
-    values: List[float] = []
-    if config.one_hot_ids:
-        for beam, rsrp in serving_beams:
-            values.extend(_one_hot(beam, config.beam_id_vocab, "beam id"))
-            values.append(rsrp)
-        if config.include_serving_cell_id:
-            values.extend(_one_hot(record.serving_cell_id, config.cell_id_vocab, "cell id"))
-        for cell, beam, rsrp in neighbor_best:
-            values.extend(_one_hot(cell, config.cell_id_vocab, "cell id"))
-            values.extend(_one_hot(beam, config.beam_id_vocab, "beam id"))
-            values.append(rsrp)
-    else:
-        for beam, rsrp in serving_beams:
-            values.append(float(beam))
-            values.append(rsrp)
-        if config.include_serving_cell_id:
-            values.append(float(record.serving_cell_id))
-        for cell, beam, rsrp in neighbor_best:
-            values.append(float(cell))
-            values.append(float(beam))
-            values.append(rsrp)
-
-    return FeatureVector(values=np.asarray(values, dtype=np.float64), label=(record.x, record.y))
-
-
-# ---------------------------------------------------------------------------
-# Batch extraction
-
-
-def _regular_structure(dataset: Dataset) -> bool:
-    # fast path requires every row to hold each cell exactly n_beams times
-    n_cells = len(dataset.cells)
-    m = dataset.meas_cells.shape[1] if len(dataset) else 0
-    if m != n_cells * dataset.n_beams:
-        return False
-    order = np.argsort(dataset.meas_cells, axis=1, kind="stable")
-    sorted_cells = np.take_along_axis(dataset.meas_cells, order, axis=1)
-    expected = np.repeat(np.asarray(dataset.cells, dtype=dataset.meas_cells.dtype), dataset.n_beams)
-    return bool(np.all(sorted_cells == expected))
+    return values[0]
 
 
 def extract_features(dataset: Dataset, config: FeatureConfig) -> FeatureSet:
-    """Vectorised extract() over a whole dataset.
+    """extract() over a whole dataset in one kernel call.
 
     Records that cannot satisfy the config are skipped and counted by
-    reason, never padded. Falls back to the per-record path when the
-    measurement matrix is not the regular full sweep.
+    reason (a missing serving beam before a missing neighbor), never
+    padded.
     """
     validate_feature_config(config)
-    if len(dataset) == 0:
-        return FeatureSet(
-            values=np.empty((0, feature_length(config))),
-            labels=np.empty((0, 2)),
-            config=config,
-            skipped={},
-            indices=np.empty(0, dtype=np.int64),
-        )
-    if config.one_hot_ids or not _regular_structure(dataset):
-        return _extract_features_slow(dataset, config)
-
-    k = config.n_serving_beams
-    nb = config.n_neighbor_beams
-    n = len(dataset)
-    n_cells = len(dataset.cells)
-    skipped: Dict[str, int] = {}
-
-    if dataset.n_beams < k:
-        skipped[SKIP_SERVING] = n
-        return FeatureSet(
-            values=np.empty((0, feature_length(config))),
-            labels=np.empty((0, 2)),
-            config=config,
-            skipped=skipped,
-            indices=np.empty(0, dtype=np.int64),
-        )
-    if n_cells - 1 < nb:
-        skipped[SKIP_NEIGHBORS] = n
-        return FeatureSet(
-            values=np.empty((0, feature_length(config))),
-            labels=np.empty((0, 2)),
-            config=config,
-            skipped=skipped,
-            indices=np.empty(0, dtype=np.int64),
-        )
-
-    cells = dataset.meas_cells
-    beams = dataset.meas_beams
-    rsrp = dataset.meas_rsrp
-
-    # serving beams: first k row positions whose cell matches the serving
-    # cell; row order is already strongest-first
-    serving_mask = cells == dataset.serving[:, None]
-    serv_pos = np.argsort(~serving_mask, axis=1, kind="stable")[:, :k]
-    serv_beams = np.take_along_axis(beams, serv_pos, axis=1).astype(np.float64)
-    serv_rsrp = np.take_along_axis(rsrp, serv_pos, axis=1)
-
-    parts = [np.empty((n, 2 * k))]
-    parts[0][:, 0::2] = serv_beams
-    parts[0][:, 1::2] = serv_rsrp
-    if config.include_serving_cell_id:
-        parts.append(dataset.serving.astype(np.float64)[:, None])
-
-    if nb:
-        # strongest entry of each cell group: group rows by cell (stable,
-        # so strongest-first order survives inside each group) and take
-        # the group heads
-        order = np.argsort(cells, axis=1, kind="stable")
-        best_pos = order[:, :: dataset.n_beams]
-        universe = np.asarray(dataset.cells, dtype=np.float64)
-        best_rsrp = np.take_along_axis(rsrp, best_pos, axis=1)
-        best_beam = np.take_along_axis(beams, best_pos, axis=1).astype(np.float64)
-
-        serving_col = np.searchsorted(np.asarray(dataset.cells), dataset.serving)
-        rank_key = best_rsrp.copy()
-        rank_key[np.arange(n), serving_col] = -np.inf
-        cell_key = np.broadcast_to(universe, (n, n_cells))
-        neighbor_order = np.lexsort((cell_key, -rank_key))[:, :nb]
-
-        nb_cells = np.take_along_axis(cell_key, neighbor_order, axis=1)
-        nb_beams = np.take_along_axis(best_beam, neighbor_order, axis=1)
-        nb_rsrp = np.take_along_axis(best_rsrp, neighbor_order, axis=1)
-        nb_part = np.empty((n, 3 * nb))
-        nb_part[:, 0::3] = nb_cells
-        nb_part[:, 1::3] = nb_beams
-        nb_part[:, 2::3] = nb_rsrp
-        parts.append(nb_part)
-
-    values = np.concatenate(parts, axis=1)
-    labels = np.column_stack([dataset.xs, dataset.ys])
-    return FeatureSet(
-        values=values,
-        labels=labels,
-        config=config,
-        skipped=skipped,
-        indices=np.arange(n, dtype=np.int64),
+    values, kept, n_serving, n_neighbors = _select(
+        dataset.serving, dataset.meas_cells, dataset.meas_beams, dataset.meas_rsrp, config
     )
-
-
-def _extract_features_slow(dataset: Dataset, config: FeatureConfig) -> FeatureSet:
-    rows: List[np.ndarray] = []
-    labels: List[Tuple[float, float]] = []
-    indices: List[int] = []
-    skipped: Dict[str, int] = {}
-    for i in range(len(dataset)):
-        try:
-            fv = extract(dataset.record(i), config)
-        except FeatureExtractionError as e:
-            skipped[e.reason] = skipped.get(e.reason, 0) + 1
-            continue
-        rows.append(fv.values)
-        labels.append(fv.label)
-        indices.append(i)
-    if rows:
-        values = np.vstack(rows)
-        label_arr = np.asarray(labels, dtype=np.float64)
-    else:
-        values = np.empty((0, feature_length(config)))
-        label_arr = np.empty((0, 2))
+    short_serving = n_serving < config.n_serving_beams
+    counts = {
+        SKIP_SERVING: np.count_nonzero(short_serving),
+        SKIP_NEIGHBORS: np.count_nonzero(~short_serving & (n_neighbors < config.n_neighbor_beams)),
+    }
     return FeatureSet(
         values=values,
-        labels=label_arr,
+        labels=np.column_stack([dataset.xs, dataset.ys])[kept],
         config=config,
-        skipped=skipped,
-        indices=np.asarray(indices, dtype=np.int64),
+        skipped={reason: int(c) for reason, c in counts.items() if c},
+        indices=kept.astype(np.int64),
     )
 
 

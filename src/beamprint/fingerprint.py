@@ -1,18 +1,20 @@
 """Fingerprint dataset generation and persistence.
 
-One record per grid location: the full (cell, beam) RSRP sweep sorted
-strongest first, the serving cell (network-wide argmax), and whether the
-serving site is line of sight. Records are kept in column form (numpy
-arrays) so the full default scenario stays cheap to slice; the record
-view is materialised on demand.
+One record per grid location: the full (cell, beam) RSRP sweep in
+ranking order, the serving cell (network-wide argmax), and whether the
+serving site is line of sight. Ranking order is descending RSRP, ties by
+ascending cell id, then ascending beam id. Records are kept in column
+form (numpy arrays) so the full default scenario stays cheap to slice; a
+record is one row of those columns.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import chain
-from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,21 +24,25 @@ from .scenario import Scenario, UE_HEIGHT_M, grid_xy, los_mask
 
 _FORMAT_NAME = "beamprint-dataset"
 _FORMAT_VERSION = 1
+_MAX_FLOAT = sys.float_info.max
+_INT32 = np.iinfo(np.int32)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FingerprintRecord:
-    """Measurement snapshot at one location.
+    """Measurement snapshot at one location: one row of a Dataset.
 
-    measurements holds (cell_id, beam_id, rsrp_dbm) triples sorted by
-    descending RSRP; ties fall back to ascending (cell_id, beam_id).
+    cells, beams and rsrp are the measurement columns (cell id, beam id,
+    RSRP in dBm) in ranking order.
     """
 
     x: float
     y: float
     serving_cell_id: int
     los_to_serving: bool
-    measurements: Tuple[Tuple[int, int, float], ...]
+    cells: np.ndarray
+    beams: np.ndarray
+    rsrp: np.ndarray
 
 
 class Dataset:
@@ -83,27 +89,15 @@ class Dataset:
         return self.meas_rsrp.shape[1] if len(self) else len(self.cells) * self.n_beams
 
     def record(self, i: int) -> FingerprintRecord:
-        meas = tuple(
-            (int(c), int(b), float(r))
-            for c, b, r in zip(self.meas_cells[i], self.meas_beams[i], self.meas_rsrp[i])
-        )
         return FingerprintRecord(
             x=float(self.xs[i]),
             y=float(self.ys[i]),
             serving_cell_id=int(self.serving[i]),
             los_to_serving=bool(self.los[i]),
-            measurements=meas,
+            cells=self.meas_cells[i],
+            beams=self.meas_beams[i],
+            rsrp=self.meas_rsrp[i],
         )
-
-    def __iter__(self) -> Iterator[FingerprintRecord]:
-        for i in range(len(self)):
-            yield self.record(i)
-
-    @property
-    def records(self) -> List[FingerprintRecord]:
-        # materialises every record; fine for small datasets, avoid on
-        # the full default scenario (use the column arrays instead)
-        return [self.record(i) for i in range(len(self))]
 
     def subset(self, index: np.ndarray) -> "Dataset":
         return Dataset(
@@ -270,15 +264,15 @@ def parse_measurements(
     line: int,
     cells: Optional[AbstractSet[int]] = None,
     n_beams: Optional[int] = None,
-) -> Tuple[List[int], List[int], np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check one decoded JSON measurement list and return its columns.
 
-    Returns (cell ids, beam ids, rsrp) in input order: the ids as lists
-    of ints, rsrp as a float64 array. Each item must be a [cell, beam,
-    rsrp] list with integer ids (true/false are not ids) and a finite
-    rsrp. When given, every cell id must be in `cells` and every beam id
-    in [0, n_beams). Any violation is a DatasetParseError on field
-    'meas'.
+    Returns (cell ids, beam ids, rsrp) in input order as int64, int64
+    and float64 arrays. Each item must be a [cell, beam, rsrp] list with
+    integer ids that fit in 64 bits (true/false are not ids) and a
+    finite rsrp. When given, every cell id must be in `cells` and every
+    beam id in [0, n_beams). Any violation is a DatasetParseError on
+    field 'meas'.
     """
 
     def fail(message: str) -> DatasetParseError:
@@ -309,7 +303,28 @@ def parse_measurements(
         lowest, highest = min(beam_ids), max(beam_ids)
         if lowest < 0 or highest >= n_beams:
             raise fail(f"beam id {lowest if lowest < 0 else highest} outside [0, {n_beams})")
-    return cell_ids, beam_ids, rsrp
+    try:
+        ids = np.array((cell_ids, beam_ids), dtype=np.int64)
+    except OverflowError:
+        raise fail("cell and beam ids must fit in 64 bits") from None
+    return ids[0], ids[1], rsrp
+
+
+def in_ranking_order(cells: np.ndarray, beams: np.ndarray, rsrp: np.ndarray) -> bool:
+    """Whether measurement columns are in ranking order: descending
+    rsrp, ties by ascending cell id, then ascending beam id."""
+    r0, r1 = rsrp[:-1], rsrp[1:]
+    c0, c1 = cells[:-1], cells[1:]
+    tie_ok = (c0 < c1) | (c0 == c1) & (beams[:-1] < beams[1:])
+    return bool(((r0 > r1) | (r0 == r1) & tie_ok).all())
+
+
+def parse_coordinate(value, key: str, path, line: int) -> float:
+    """A finite JSON number (true/false are not numbers) as a float;
+    otherwise a DatasetParseError on field `key`."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not abs(value) <= _MAX_FLOAT:
+        raise DatasetParseError(f"{key} must be a finite number", path=path, line=line, field=key)
+    return float(value)
 
 
 def _require(obj: dict, key: str, path, line: int):
@@ -346,11 +361,14 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
         n_beams = _require(header, "beams_per_cell", path, 1)
         scenario_hash_value = _require(header, "scenario_hash", path, 1)
         seed = _require(header, "seed", path, 1)
-        if not isinstance(cells, list) or set(map(type, cells)) - {int}:
-            raise DatasetParseError("cells must be a list of ints", path=path, line=1, field="cells")
-        if type(n_beams) is not int or n_beams < 1:
+        # ids are stored as int32
+        if not isinstance(cells, list) or set(map(type, cells)) - {int} or not all(
+            _INT32.min <= c <= _INT32.max for c in cells
+        ):
+            raise DatasetParseError("cells must be a list of 32-bit ints", path=path, line=1, field="cells")
+        if type(n_beams) is not int or not 1 <= n_beams <= _INT32.max:
             raise DatasetParseError(
-                "beams_per_cell must be a positive int", path=path, line=1, field="beams_per_cell"
+                "beams_per_cell must be a positive 32-bit int", path=path, line=1, field="beams_per_cell"
             )
         cell_set = set(cells)
 
@@ -377,10 +395,8 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
             sv = _require(row, "serving", path, lineno)
             lo = _require(row, "los", path, lineno)
             meas = _require(row, "meas", path, lineno)
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
-                raise DatasetParseError("x must be a number", path=path, line=lineno, field="x")
-            if not isinstance(y, (int, float)) or isinstance(y, bool):
-                raise DatasetParseError("y must be a number", path=path, line=lineno, field="y")
+            x = parse_coordinate(x, "x", path, lineno)
+            y = parse_coordinate(y, "y", path, lineno)
             if not isinstance(sv, int) or isinstance(sv, bool):
                 raise DatasetParseError("serving must be an int", path=path, line=lineno, field="serving")
             if not isinstance(lo, bool):
@@ -392,9 +408,9 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
                 raise DatasetParseError(
                     "records disagree on measurement count", path=path, line=lineno, field="meas"
                 )
-            if (mr[1:] > mr[:-1]).any():
+            if not in_ranking_order(mc, mb, mr):
                 raise DatasetParseError(
-                    "measurements are not sorted by descending rsrp",
+                    "measurements are not sorted by descending rsrp, then ascending cell and beam",
                     path=path,
                     line=lineno,
                     field="meas",
@@ -410,12 +426,12 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
                     line=lineno,
                     field="serving",
                 )
-            xs.append(float(x))
-            ys.append(float(y))
+            xs.append(x)
+            ys.append(y)
             serving.append(sv)
             los.append(lo)
-            meas_cells.append(np.array(mc, dtype=np.int32))
-            meas_beams.append(np.array(mb, dtype=np.int32))
+            meas_cells.append(mc.astype(np.int32))
+            meas_beams.append(mb.astype(np.int32))
             meas_rsrp.append(mr)
 
     if expected_scenario_hash is not None and scenario_hash_value != expected_scenario_hash:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,13 +20,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import dtree, mlp
-from .errors import BeamprintError, ConfigurationError, DataError, DatasetParseError
+from .errors import ConfigurationError, DataError, DatasetParseError, FeatureExtractionError
 from .evaluate import Comparison, EvalReport, compare, euclidean_errors, summarize, write_cdf_csv, write_report
 from .features import (
     TOPOLOGY_CELL,
     TOPOLOGY_NETWORK,
     FeatureConfig,
     FeatureSet,
+    _select,
     extract,
     extract_features,
     feature_config_from_dict,
@@ -39,7 +39,9 @@ from .fingerprint import (
     Dataset,
     FingerprintRecord,
     build_dataset,
+    in_ranking_order,
     los_filter,
+    parse_coordinate,
     parse_measurements,
     partition_by_cell,
 )
@@ -59,8 +61,6 @@ _MODEL_FORMAT = "beamprint-model"
 _MODEL_VERSION = 1
 _MANIFEST_FORMAT = "beamprint-manifest"
 _MANIFEST_VERSION = 1
-
-_MAX_FLOAT = sys.float_info.max
 
 MODEL_MLP = "mlp"
 MODEL_TREE = "tree"
@@ -594,9 +594,9 @@ def replay(manifest_path, output_dir) -> RunResult:
 def parse_measurement_line(raw: str, lineno: int, path=None) -> Optional[FingerprintRecord]:
     """One JSON measurement report -> record; None for header lines.
 
-    The measurement list is sorted strongest-first locally, so callers
-    may pass unsorted reports. A 'serving' field, when present, must
-    agree with the strongest measurement.
+    The measurements are put in ranking order locally, so callers may
+    pass unsorted reports. A 'serving' field, when present, must agree
+    with the strongest measurement.
     """
     try:
         d = json.loads(raw)
@@ -607,59 +607,48 @@ def parse_measurement_line(raw: str, lineno: int, path=None) -> Optional[Fingerp
     if d.get("format"):
         return None  # dataset header line
     cells, beams, rsrp = parse_measurements(d.get("meas"), path, lineno)
-    columns = (cells, beams, rsrp.tolist())
-    # order: strongest first, ties by ascending (cell, beam). Dataset
-    # lines already come in it (with many ties), so sort only otherwise.
-    c, b = np.array((cells, beams))
-    tie = rsrp[:-1] == rsrp[1:]
-    in_order = (rsrp[:-1] > rsrp[1:]) | tie & ((c[:-1] < c[1:]) | (c[:-1] == c[1:]) & (b[:-1] < b[1:]))
-    if not in_order.all():
-        order = np.lexsort((b, c, -rsrp))
-        columns = (c[order].tolist(), b[order].tolist(), rsrp[order].tolist())
-    triples = tuple(zip(*columns))
+    # dataset lines already come in ranking order (with many ties), so
+    # sort only otherwise
+    if not in_ranking_order(cells, beams, rsrp):
+        order = np.lexsort((beams, cells, -rsrp))
+        cells, beams, rsrp = cells[order], beams[order], rsrp[order]
     serving = d.get("serving")
     if serving is None:
-        serving = triples[0][0]
+        serving = int(cells[0])
     elif not isinstance(serving, int) or isinstance(serving, bool):
         raise DatasetParseError("serving must be an int", path=path, line=lineno, field="serving")
-    elif serving != triples[0][0]:
+    elif serving != cells[0]:
         raise DatasetParseError(
             "serving cell is not the strongest measurement", path=path, line=lineno, field="serving"
         )
-    position = [float("nan"), float("nan")]  # unlabelled unless given
-    for i, key in enumerate(("x", "y")):
-        if key in d:
-            value = d[key]
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or not abs(value) <= _MAX_FLOAT:
-                raise DatasetParseError(f"{key} must be a finite number", path=path, line=lineno, field=key)
-            position[i] = float(value)
+    # unlabelled unless given
+    x = parse_coordinate(d["x"], "x", path, lineno) if "x" in d else float("nan")
+    y = parse_coordinate(d["y"], "y", path, lineno) if "y" in d else float("nan")
     los = d.get("los", True)
     if not isinstance(los, bool):
         raise DatasetParseError("los must be a bool", path=path, line=lineno, field="los")
     return FingerprintRecord(
-        x=position[0],
-        y=position[1],
-        serving_cell_id=serving,
-        los_to_serving=los,
-        measurements=triples,
+        x=x, y=y, serving_cell_id=serving, los_to_serving=los, cells=cells, beams=beams, rsrp=rsrp
     )
 
 
 def infer_record(bundle: ModelBundle, record: FingerprintRecord) -> Tuple[float, float]:
     """Position estimate in metres for one measurement record."""
-    fv = extract(record, bundle.feature_config)
-    pred = bundle.predict(fv.values)
+    pred = bundle.predict(extract(record, bundle.feature_config))
     return float(pred[0]), float(pred[1])
 
 
 def infer_file(bundle: ModelBundle, in_path, out_path=None) -> List[dict]:
     """Predict for every record in a line-delimited measurement file.
 
-    Every line is parsed and extracted first; the model then predicts
-    the whole file in one batch, so a bad line anywhere fails the file
-    before any prediction is made.
+    Every line is parsed first; the reports are then stacked (NaN-padded
+    to the longest), extracted in one kernel call and predicted in one
+    batch, so a bad line anywhere fails the file before any prediction
+    is made. A report that cannot fill the feature config is a
+    DatasetParseError naming its line.
     """
-    rows = []
+    records: List[FingerprintRecord] = []
+    linenos: List[int] = []
     try:
         fh = open(in_path, "r", encoding="ascii")
     except OSError as e:
@@ -669,10 +658,28 @@ def infer_file(bundle: ModelBundle, in_path, out_path=None) -> List[dict]:
             if not raw.strip():
                 continue
             record = parse_measurement_line(raw, lineno, path=in_path)
-            if record is None:
-                continue
-            rows.append(extract(record, bundle.feature_config).values)
-    pred = bundle.predict(np.vstack(rows)).tolist() if rows else []
+            if record is not None:
+                records.append(record)
+                linenos.append(lineno)
+    pred = []
+    if records:
+        n, m = len(records), max(len(r.rsrp) for r in records)
+        cells = np.zeros((n, m), dtype=np.int64)
+        beams = np.zeros((n, m), dtype=np.int64)
+        rsrp = np.full((n, m), np.nan)
+        for i, r in enumerate(records):
+            cells[i, : len(r.rsrp)] = r.cells
+            beams[i, : len(r.rsrp)] = r.beams
+            rsrp[i, : len(r.rsrp)] = r.rsrp
+        serving = np.array([r.serving_cell_id for r in records])
+        values, kept, _, _ = _select(serving, cells, beams, rsrp, bundle.feature_config)
+        if len(kept) < n:
+            i = int(np.setdiff1d(np.arange(n), kept)[0])
+            try:
+                extract(records[i], bundle.feature_config)
+            except FeatureExtractionError as e:
+                raise DatasetParseError(str(e), path=in_path, line=linenos[i]) from e
+        pred = bundle.predict(values).tolist()
     results = [{"x_pred": x, "y_pred": y} for x, y in pred]
     if out_path is not None:
         with open(out_path, "w", encoding="ascii") as fh:

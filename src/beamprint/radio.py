@@ -78,10 +78,6 @@ class BeamCodebook:
     sidelobe_floor_db: float
     element: AntennaElementParams
 
-    @property
-    def beams_per_sector(self) -> int:
-        return len(self.beams)
-
 
 def default_array_gain_db() -> float:
     # 16x16 panel, 256 elements

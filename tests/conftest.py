@@ -89,3 +89,25 @@ def default_los_dataset(default_dataset):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+def triples(record):
+    """A record's measurements as (cell, beam, rsrp) tuples, in row order."""
+    return tuple(zip(record.cells.tolist(), record.beams.tolist(), record.rsrp.tolist()))
+
+
+def record_of(triple_seq, serving=None, x=float("nan"), y=float("nan"), los=True):
+    """A FingerprintRecord holding (cell, beam, rsrp) triples as columns;
+    serving defaults to the first triple's cell."""
+    from beamprint.fingerprint import FingerprintRecord
+
+    cells, beams, rsrp = zip(*triple_seq)
+    return FingerprintRecord(
+        x=x,
+        y=y,
+        serving_cell_id=cells[0] if serving is None else serving,
+        los_to_serving=los,
+        cells=np.array(cells, dtype=np.int64),
+        beams=np.array(beams, dtype=np.int64),
+        rsrp=np.array(rsrp, dtype=np.float64),
+    )

@@ -290,6 +290,54 @@ def test_malformed_infer_line_exits_2(ws, tmp_path, capsys, field, value):
     assert f"field '{field}'" in err
 
 
+@pytest.mark.parametrize("field", ["x", "y"])
+def test_train_on_non_finite_label_exits_2(ws, tmp_path, capsys, field):
+    lines = ws.dataset.read_text(encoding="ascii").splitlines()
+    record = json.loads(lines[3])
+    record[field] = float("nan")
+    lines[3] = json.dumps(record)  # json writes a NaN literal
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="ascii")
+    rc = main(
+        [
+            "train",
+            "--model",
+            "mlp",
+            "--dataset",
+            str(bad),
+            "--features",
+            str(ws.features),
+            "--out",
+            str(tmp_path / "x.json"),
+            "--max-epochs",
+            "2",
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert "line 4" in err and f"field '{field}'" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_infer_names_the_line_that_cannot_fill_the_features(ws, tmp_path, capsys):
+    # header, two full reports, then one that keeps 2 serving beams
+    # where the model needs 3
+    lines = ws.dataset.read_text(encoding="ascii").splitlines()[:4]
+    record = json.loads(lines[3])
+    serving = record["meas"][0][0]
+    record["meas"] = [m for m in record["meas"] if m[0] == serving][:2]
+    lines[3] = json.dumps(record)
+    bad = tmp_path / "short.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="ascii")
+    rc = main(["infer", "--model", str(ws.tree), "--input", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert "record has 2 serving-cell measurements, need 3" in err
+    assert str(bad) in err and "line 4" in err
+
+
 def test_divergent_training_exits_3(ws, tmp_path, capsys):
     with np.errstate(all="ignore"):
         rc = main(

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,11 @@ from beamprint.features import (
     invert_labels,
     normalizer_from_dict,
     normalizer_to_dict,
+    validate_feature_config,
 )
-from beamprint.fingerprint import Dataset, FingerprintRecord
+from beamprint.fingerprint import Dataset
+
+from conftest import record_of, triples
 
 
 def make_record(serving=5, x=1.0, y=2.0, los=True, measurements=None):
@@ -34,9 +39,105 @@ def make_record(serving=5, x=1.0, y=2.0, los=True, measurements=None):
             (3, 6, -61.0),
             (9, 8, -70.0),
         )
-    return FingerprintRecord(
-        x=x, y=y, serving_cell_id=serving, los_to_serving=los, measurements=measurements
+    return record_of(measurements, serving=serving, x=x, y=y, los=los)
+
+
+def dataset_of(records):
+    """A Dataset whose rows are the given records, NaN-padded to the
+    longest."""
+    n, m = len(records), max(len(r.rsrp) for r in records)
+    cells = np.zeros((n, m), dtype=np.int32)
+    beams = np.zeros((n, m), dtype=np.int32)
+    rsrp = np.full((n, m), np.nan)
+    for i, r in enumerate(records):
+        cells[i, : len(r.rsrp)] = r.cells
+        beams[i, : len(r.rsrp)] = r.beams
+        rsrp[i, : len(r.rsrp)] = r.rsrp
+    return Dataset(
+        xs=np.array([r.x for r in records]),
+        ys=np.array([r.y for r in records]),
+        serving=np.array([r.serving_cell_id for r in records], dtype=np.int32),
+        los=np.array([r.los_to_serving for r in records]),
+        meas_cells=cells,
+        meas_beams=beams,
+        meas_rsrp=rsrp,
+        cells=sorted(set(cells.ravel().tolist())),
+        n_beams=int(beams.max()) + 1,
+        scenario_hash="r" * 64,
+        seed=0,
     )
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-record extractor the column kernel replaced
+
+
+def _oracle_one_hot(index, size, what):
+    if not 0 <= index < size:
+        raise ConfigurationError(f"{what} {index} outside one-hot vocabulary of size {size}")
+    out = [0.0] * size
+    out[index] = 1.0
+    return out
+
+
+def oracle_extract(serving, measurements, config):
+    """Walk (cell, beam, rsrp) triples in ranking order and build one
+    feature vector; FeatureExtractionError when the config is not met."""
+    validate_feature_config(config)
+    k = config.n_serving_beams
+    n = config.n_neighbor_beams
+
+    serving_beams = []
+    neighbor_best = []
+    seen_neighbors = set()
+    for cell, beam, rsrp in measurements:
+        if cell == serving:
+            if len(serving_beams) < k:
+                serving_beams.append((beam, rsrp))
+        elif cell not in seen_neighbors:
+            seen_neighbors.add(cell)
+            if len(neighbor_best) < n:
+                neighbor_best.append((cell, beam, rsrp))
+        if len(serving_beams) == k and len(neighbor_best) == n:
+            break
+
+    if len(serving_beams) < k:
+        raise FeatureExtractionError(
+            SKIP_SERVING,
+            f"record has {len(serving_beams)} serving-cell measurements, need {k}",
+        )
+    if len(neighbor_best) < n:
+        raise FeatureExtractionError(
+            SKIP_NEIGHBORS,
+            f"record has {len(neighbor_best)} distinct neighbor cells, need {n}",
+        )
+
+    values = []
+    if config.one_hot_ids:
+        for beam, rsrp in serving_beams:
+            values.extend(_oracle_one_hot(beam, config.beam_id_vocab, "beam id"))
+            values.append(rsrp)
+        if config.include_serving_cell_id:
+            values.extend(_oracle_one_hot(serving, config.cell_id_vocab, "cell id"))
+        for cell, beam, rsrp in neighbor_best:
+            values.extend(_oracle_one_hot(cell, config.cell_id_vocab, "cell id"))
+            values.extend(_oracle_one_hot(beam, config.beam_id_vocab, "beam id"))
+            values.append(rsrp)
+    else:
+        for beam, rsrp in serving_beams:
+            values.append(float(beam))
+            values.append(rsrp)
+        if config.include_serving_cell_id:
+            values.append(float(serving))
+        for cell, beam, rsrp in neighbor_best:
+            values.append(float(cell))
+            values.append(float(beam))
+            values.append(rsrp)
+    return np.asarray(values, dtype=np.float64)
+
+
+def oracle_record(record, config):
+    return oracle_extract(record.serving_cell_id, triples(record), config)
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +176,12 @@ def test_feature_length_one_hot():
 
 def test_extract_layout():
     cfg = FeatureConfig(n_serving_beams=2, n_neighbor_beams=2)
-    fv = extract(make_record(), cfg)
+    values = extract(make_record(), cfg)
     expect = [2.0, -50.0, 7.0, -55.0, 5.0, 3.0, 4.0, -52.0, 9.0, 0.0, -58.0]
-    assert fv.values.tolist() == expect
-    assert fv.label == (1.0, 2.0)
+    assert values.tolist() == expect
+    fs = extract_features(dataset_of([make_record()]), cfg)
+    assert fs.values.tolist() == [expect]
+    assert tuple(fs.labels[0]) == (1.0, 2.0)
 
 
 def test_extract_without_cell_id():
@@ -88,16 +191,16 @@ def test_extract_without_cell_id():
         include_serving_cell_id=False,
         topology=TOPOLOGY_CELL,
     )
-    fv = extract(make_record(), cfg)
-    assert fv.values.tolist() == [2.0, -50.0, 7.0, -55.0, 3.0, 4.0, -52.0]
+    values = extract(make_record(), cfg)
+    assert values.tolist() == [2.0, -50.0, 7.0, -55.0, 3.0, 4.0, -52.0]
 
 
 def test_extract_neighbor_order_is_strongest_first():
     # neighbors ranked by their best beam, strongest first
     cfg = FeatureConfig(n_serving_beams=1, n_neighbor_beams=2)
-    fv = extract(make_record(), cfg)
+    values = extract(make_record(), cfg)
     # cell 3 best -52 comes before cell 9 best -58
-    assert fv.values.tolist()[3:] == [3.0, 4.0, -52.0, 9.0, 0.0, -58.0]
+    assert values.tolist()[3:] == [3.0, 4.0, -52.0, 9.0, 0.0, -58.0]
 
 
 def test_extract_one_neighbor_entry_per_cell():
@@ -109,8 +212,8 @@ def test_extract_one_neighbor_entry_per_cell():
         (3, 6, -53.0),
         (9, 0, -58.0),
     )
-    fv = extract(make_record(measurements=measurements), cfg)
-    assert fv.values.tolist()[3:] == [3.0, 4.0, -52.0, 9.0, 0.0, -58.0]
+    values = extract(make_record(measurements=measurements), cfg)
+    assert values.tolist()[3:] == [3.0, 4.0, -52.0, 9.0, 0.0, -58.0]
 
 
 def test_extract_skip_reasons():
@@ -133,14 +236,15 @@ def test_extract_one_hot():
         cell_id_vocab=10,
         beam_id_vocab=8,
     )
-    fv = extract(make_record(), cfg)
-    assert fv.values.shape == (feature_length(cfg),)
+    values = extract(make_record(), cfg)
+    assert values.shape == (feature_length(cfg),)
     # serving beam 2 one-hot, then rsrp
-    assert fv.values[2] == 1.0
-    assert fv.values[:8].sum() == 1.0
-    assert fv.values[8] == -50.0
+    assert values[2] == 1.0
+    assert values[:8].sum() == 1.0
+    assert values[8] == -50.0
     # serving cell 5 one-hot
-    assert fv.values[9 + 5] == 1.0
+    assert values[9 + 5] == 1.0
+    assert np.array_equal(values, oracle_record(make_record(), cfg))
 
 
 def test_extract_one_hot_rejects_out_of_vocab():
@@ -187,22 +291,25 @@ def test_extract_features_matches_per_record(small_dataset):
         fs = extract_features(small_dataset, cfg)
         kept = 0
         for i in range(len(small_dataset)):
+            record = small_dataset.record(i)
             try:
-                fv = extract(small_dataset.record(i), cfg)
+                want = oracle_record(record, cfg)
             except FeatureExtractionError:
+                with pytest.raises(FeatureExtractionError):
+                    extract(record, cfg)
                 continue
             row = np.searchsorted(fs.indices, i)
             assert fs.indices[row] == i
-            assert np.allclose(fs.values[row], fv.values, atol=1e-12)
-            assert tuple(fs.labels[row]) == fv.label
+            assert np.array_equal(fs.values[row], want)
+            assert np.array_equal(extract(record, cfg), want)
+            assert tuple(fs.labels[row]) == (record.x, record.y)
             kept += 1
         assert kept == len(fs)
         assert len(fs) + sum(fs.skipped.values()) == len(small_dataset)
 
 
 def irregular_dataset():
-    # hand-rolled rows without the full per-cell sweep, forcing the
-    # record-by-record fallback
+    # hand-rolled rows without the full per-cell sweep
     xs = np.array([0.0, 1.0, 2.0])
     ys = np.array([0.0, 0.0, 0.0])
     serving = np.array([0, 1, 0], dtype=np.int32)
@@ -237,6 +344,149 @@ def test_extract_features_irregular_rows():
     fs3 = extract_features(ds, cfg3)
     assert len(fs3) == 0
     assert fs3.skipped == {SKIP_SERVING: 3}
+
+
+# Golden digests of extract_features output, taken before the feature
+# kernel was rewritten: the same rows, values, labels and skip counts,
+# byte for byte.
+GOLDEN_CONFIGS = {
+    "s3n0": FeatureConfig(n_serving_beams=3, n_neighbor_beams=0),
+    "s3n2": FeatureConfig(n_serving_beams=3, n_neighbor_beams=2),
+    "s1n3": FeatureConfig(n_serving_beams=1, n_neighbor_beams=3),
+    "cell_s2n1": FeatureConfig(
+        n_serving_beams=2, n_neighbor_beams=1, include_serving_cell_id=False, topology=TOPOLOGY_CELL
+    ),
+    "onehot_s3n2": FeatureConfig(
+        n_serving_beams=3, n_neighbor_beams=2, one_hot_ids=True, cell_id_vocab=24, beam_id_vocab=32
+    ),
+    "onehot_cell_s2n1": FeatureConfig(
+        n_serving_beams=2,
+        n_neighbor_beams=1,
+        include_serving_cell_id=False,
+        topology=TOPOLOGY_CELL,
+        one_hot_ids=True,
+        cell_id_vocab=4,
+        beam_id_vocab=32,
+    ),
+}
+
+GOLDEN_FEATURE_SHA256 = {
+    "small/s3n0": "8cf16b9ed41ae88a5a09e31d700ddd050262367fb7b79e1226f151d4ea4faf94",
+    "small/s3n2": "6a1769320235b40d9ee95595385af373aef684816e228d2c3bd8db7c9f879463",
+    "small/s1n3": "300105214df9a063411a4dd7cd4691e44635eb6e3d95ad254b3f71a99cb2284f",
+    "small/cell_s2n1": "c6eb7c255cf40d895fc727a1de202bb9ab640003bd9f4411338625a117b68695",
+    "small/onehot_s3n2": "bb13a810152645fe9e46f77defd0b0dec12ebf0065ae8e89d055753a8d749080",
+    "small/onehot_cell_s2n1": "2b4e72770d9eafb167dd7dd0b336615f766ee3fad7482fa8c96f07d38ee90189",
+    "single_site/s3n0": "7d615befcd4598e02eabb6e72fa14cceec5122f3e9edb15fbc9055ff5642c84a",
+    "single_site/s3n2": "2bed299a9831f96b5992e8c329aaf9316b3c7d0c225da4821083a9ef33038c74",
+    "single_site/s1n3": "e1e0192b6fdcc1a4776ec3899a4c58e52877d982a629c8cc1ca8cec24f31c6a1",
+    "single_site/cell_s2n1": "bd0448c9f89288470e3a87f28ff75aa092a7fae8ca76619d5d17392f00e3cc13",
+    "single_site/onehot_s3n2": "5f58bd4089f71a083aeb8906f65d6e966130f8d1a577eeb84f92feaf772c040e",
+    "single_site/onehot_cell_s2n1": "d41c0f9d657bbabef6850524eb0b10e425689e49179fdecaee6d25e8d0e212e1",
+    "irregular/s3n0": "d0d8c98c0493d1828cffb3273c48224593e5c34a3de7dbe2f17570c56a26682c",
+    "irregular/s3n2": "09e192d7a4d5d41dcae975c320a6855ceb32ffef84c63462ed09e6ef0d556972",
+    "irregular/s1n3": "9c29561024069ea558f638acafcac25adf362ffbe61cd3899fc982217c94b42b",
+    "irregular/cell_s2n1": "215d868067d00aa436419fa7a226254f2f14845595aa579db3a771edc0497728",
+    "irregular/onehot_s3n2": "54ca4b3a8f6a8cd3405404f474de6e4ff28bd352020a4330c22944f5b49bfd42",
+    "irregular/onehot_cell_s2n1": "cc7a53f17c292c609f0c57d72ab855f87b053c50c56c8df236465dba641f2483",
+    "default_los/s3n2": "c1b758fa113444eb7b660a0fef74b51d490b4c9e9cf30fbdeb8568068abf88f9",
+}
+
+
+def feature_digest(fs) -> str:
+    h = hashlib.sha256()
+    for arr in (fs.values, fs.labels, fs.indices):
+        h.update(repr((arr.dtype.str, arr.shape)).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(repr(sorted(fs.skipped.items())).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_FEATURE_SHA256))
+def test_extract_features_golden_digest(key, request):
+    ds_name, cfg_name = key.split("/")
+    ds = irregular_dataset() if ds_name == "irregular" else request.getfixturevalue(f"{ds_name}_dataset")
+    assert feature_digest(extract_features(ds, GOLDEN_CONFIGS[cfg_name])) == GOLDEN_FEATURE_SHA256[key]
+
+
+def random_records(rng, n):
+    """Ragged reports in ranking order: a random subset of a random
+    (cell, beam) sweep, RSRP on a coarse 0.5 dB grid so exact ties are
+    common, shuffled and then re-sorted. The serving cell is usually
+    the strongest cell, sometimes any measured cell."""
+    records = []
+    for _ in range(n):
+        cell_ids = rng.choice(12, size=rng.integers(1, 6), replace=False)
+        beam_ids = rng.choice(16, size=rng.integers(1, 6), replace=False)
+        pairs = [(int(c), int(b)) for c in cell_ids for b in beam_ids]
+        keep = rng.random(len(pairs)) < rng.uniform(0.3, 1.0)
+        keep[rng.integers(len(pairs))] = True
+        meas = [(c, b, -50.0 - 0.5 * int(rng.integers(0, 8))) for (c, b), k in zip(pairs, keep) if k]
+        meas = [meas[j] for j in rng.permutation(len(meas))]
+        meas.sort(key=lambda t: (-t[2], t[0], t[1]))
+        serving = meas[0][0] if rng.random() < 0.8 else meas[rng.integers(len(meas))][0]
+        records.append(record_of(meas, serving=serving, x=float(rng.normal()), y=float(rng.normal())))
+    return records
+
+
+RANDOM_CONFIGS = [
+    FeatureConfig(n_serving_beams=3, n_neighbor_beams=0),
+    FeatureConfig(n_serving_beams=3, n_neighbor_beams=2),
+    FeatureConfig(n_serving_beams=1, n_neighbor_beams=3),
+    FeatureConfig(n_serving_beams=2, n_neighbor_beams=1, include_serving_cell_id=False, topology=TOPOLOGY_CELL),
+    FeatureConfig(n_serving_beams=2, n_neighbor_beams=2, one_hot_ids=True, cell_id_vocab=12, beam_id_vocab=16),
+    FeatureConfig(
+        n_serving_beams=1,
+        n_neighbor_beams=1,
+        include_serving_cell_id=False,
+        topology=TOPOLOGY_CELL,
+        one_hot_ids=True,
+        cell_id_vocab=12,
+        beam_id_vocab=16,
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg", RANDOM_CONFIGS, ids=lambda c: f"s{c.n_serving_beams}n{c.n_neighbor_beams}")
+def test_kernel_matches_oracle_on_ragged_rows(cfg):
+    records = random_records(np.random.default_rng(99), 400)
+    fs = extract_features(dataset_of(records), cfg)
+    want_rows, want_index, want_skipped = [], [], {}
+    for i, record in enumerate(records):
+        try:
+            want = oracle_record(record, cfg)
+        except FeatureExtractionError as e:
+            want_skipped[e.reason] = want_skipped.get(e.reason, 0) + 1
+            with pytest.raises(FeatureExtractionError) as got:
+                extract(record, cfg)
+            assert (got.value.reason, str(got.value)) == (e.reason, str(e))
+            continue
+        assert np.array_equal(extract(record, cfg), want)
+        want_rows.append(want)
+        want_index.append(i)
+    assert fs.indices.tolist() == want_index
+    assert np.array_equal(fs.values, np.array(want_rows).reshape(len(want_index), feature_length(cfg)))
+    assert np.array_equal(fs.labels, np.array([[records[i].x, records[i].y] for i in want_index]).reshape(-1, 2))
+    assert fs.skipped == want_skipped
+    assert want_index  # the sample exercises kept rows ...
+    if cfg.n_serving_beams > 1:
+        assert want_skipped.get(SKIP_SERVING)  # ... and both skip reasons
+    if cfg.n_neighbor_beams > 1:
+        assert want_skipped.get(SKIP_NEIGHBORS)
+
+
+def test_kernel_one_hot_vocabulary_error_matches_oracle():
+    records = random_records(np.random.default_rng(5), 200)
+    cfg = FeatureConfig(n_serving_beams=1, n_neighbor_beams=1, one_hot_ids=True, cell_id_vocab=8, beam_id_vocab=16)
+    with pytest.raises(ConfigurationError) as want:
+        for record in records:
+            try:
+                oracle_record(record, cfg)
+            except FeatureExtractionError:
+                pass
+    with pytest.raises(ConfigurationError) as got:
+        extract_features(dataset_of(records), cfg)
+    assert str(got.value) == str(want.value)
 
 
 def test_extract_features_counts_skips(single_site_dataset):

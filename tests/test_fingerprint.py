@@ -14,7 +14,7 @@ from beamprint.fingerprint import (
 from beamprint.radio import rsrp_dbm
 from beamprint.scenario import UE_HEIGHT_M, build_scenario, grid_xy, line_of_sight
 
-from conftest import small_scenario_config
+from conftest import small_scenario_config, triples
 
 
 def test_record_count_matches_grid(small_scenario, small_dataset):
@@ -54,7 +54,7 @@ def test_serving_is_global_argmax(small_scenario, small_dataset):
             ),
         )
         assert rec.serving_cell_id == -best[1]
-        top = rec.measurements[0]
+        top = triples(rec)[0]
         assert top[0] == -best[1] and top[1] == -best[2]
         assert top[2] == pytest.approx(best[0], abs=1e-9)
 
@@ -77,7 +77,7 @@ def test_serving_tie_breaks_to_lower_cell():
     i = int(np.nonzero((ds.xs == 30.0) & (ds.ys == 20.0))[0][0])
     rec = ds.record(i)
     by_cell = {}
-    for c, b, r in rec.measurements:
+    for c, b, r in triples(rec):
         by_cell.setdefault(c, r)  # strongest beam per cell comes first
     assert by_cell[0] == pytest.approx(by_cell[1], abs=1e-9)
     assert rec.serving_cell_id == 0
@@ -137,7 +137,7 @@ def test_partition_by_cell(small_dataset):
 def test_record_round_trip(small_dataset):
     rec = small_dataset.record(5)
     assert rec.x == small_dataset.xs[5]
-    assert len(rec.measurements) == small_dataset.meas_rsrp.shape[1]
+    assert len(triples(rec)) == small_dataset.meas_rsrp.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +216,36 @@ def test_load_rejects_unsorted_measurements(tmp_path, small_dataset):
     assert "sorted" in str(e.value) or "serving" in str(e.value)
 
 
+def test_load_rejects_ties_out_of_cell_beam_order(tmp_path, small_dataset):
+    # record 60's two strongest serving beams tie exactly; swapped, they
+    # are still sorted by rsrp but not in (cell, beam) tie order
+    i = 60
+    path, lines = _lines(tmp_path, small_dataset)
+    row = json.loads(lines[1 + i])
+    first, second = row["meas"][0], row["meas"][1]
+    assert first[0] == second[0] and first[1] < second[1] and first[2] == second[2]
+    row["meas"][0], row["meas"][1] = second, first
+    lines[1 + i] = json.dumps(row)
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(_write(path, lines))
+    assert e.value.line == 2 + i
+    assert e.value.field == "meas"
+    assert "sorted" in str(e.value)
+
+
+@pytest.mark.parametrize("field", ["x", "y"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, "1.0"])
+def test_load_rejects_bad_position(tmp_path, small_dataset, field, value):
+    path, lines = _lines(tmp_path, small_dataset)
+    row = json.loads(lines[2])
+    row[field] = value
+    lines[2] = json.dumps(row)  # json writes NaN / Infinity literals
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(_write(path, lines))
+    assert e.value.line == 3
+    assert e.value.field == field
+
+
 def test_load_rejects_unknown_cell(tmp_path, small_dataset):
     path, lines = _lines(tmp_path, small_dataset)
     row = json.loads(lines[1])
@@ -292,3 +322,17 @@ def test_load_rejects_bad_beams_per_cell(tmp_path, small_dataset):
     with pytest.raises(DatasetParseError) as e:
         load_dataset(_write(path, lines))
     assert e.value.field == "beams_per_cell"
+
+
+@pytest.mark.parametrize(
+    "field, value", [("cells", [0, 1, 2, 2**40]), ("beams_per_cell", 2**31)], ids=["cell", "beams"]
+)
+def test_load_rejects_header_ids_past_32_bits(tmp_path, small_dataset, field, value):
+    # ids are stored as int32; a wider one must not wrap silently
+    path, lines = _lines(tmp_path, small_dataset)
+    header = json.loads(lines[0])
+    header[field] = value
+    lines[0] = json.dumps(header)
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(_write(path, lines))
+    assert e.value.field == field

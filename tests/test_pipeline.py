@@ -43,7 +43,8 @@ from beamprint.pipeline import (
 )
 from beamprint.scenario import save_scenario_config, scenario_config_to_dict
 
-from conftest import small_scenario_config
+from conftest import small_scenario_config, triples
+from test_features import oracle_record
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +580,7 @@ def test_cell_run_rejects_unknown_or_thin_cells(tmp_path):
 def test_parse_measurement_minimal():
     record = parse_measurement_line('{"meas": [[0, 1, -50.0], [1, 0, -48.0]]}', 1)
     assert record.serving_cell_id == 1  # strongest wins
-    assert record.measurements == ((1, 0, -48.0), (0, 1, -50.0))
+    assert triples(record) == ((1, 0, -48.0), (0, 1, -50.0))
     assert math.isnan(record.x) and math.isnan(record.y)
     assert record.los_to_serving is True
 
@@ -597,7 +598,7 @@ def test_parse_measurement_full():
 def test_parse_measurement_sorts_with_tie_break():
     raw = json.dumps({"meas": [[2, 1, -50.0], [1, 3, -50.0], [1, 2, -50.0]]})
     record = parse_measurement_line(raw, 1)
-    assert record.measurements == ((1, 2, -50.0), (1, 3, -50.0), (2, 1, -50.0))
+    assert triples(record) == ((1, 2, -50.0), (1, 3, -50.0), (2, 1, -50.0))
     assert record.serving_cell_id == 1
 
 
@@ -605,12 +606,12 @@ def test_parse_measurement_reorders_shuffled_lines(small_dataset, rng):
     # dataset records hold many exact rsrp ties, so the (cell, beam)
     # tie-break decides much of the order
     for i in (0, 7, 42):
-        want = small_dataset.record(i).measurements
+        want = triples(small_dataset.record(i))
         meas = [list(m) for m in want]
-        assert parse_measurement_line(json.dumps({"meas": meas}), 1).measurements == want
+        assert triples(parse_measurement_line(json.dumps({"meas": meas}), 1)) == want
         shuffled = [meas[j] for j in rng.permutation(len(meas))]
-        assert parse_measurement_line(json.dumps({"meas": shuffled}), 1).measurements == want
-        assert parse_measurement_line(json.dumps({"meas": meas[::-1]}), 1).measurements == want
+        assert triples(parse_measurement_line(json.dumps({"meas": shuffled}), 1)) == want
+        assert triples(parse_measurement_line(json.dumps({"meas": meas[::-1]}), 1)) == want
 
 
 def test_parse_measurement_header_is_skipped():
@@ -637,6 +638,8 @@ def test_parse_measurement_rejections():
         ('{"meas": [[1, 2, -50.0], 7]}', "meas"),
         ('{"meas": [[1, 2, -50.0, 0]]}', "meas"),
         ('{"meas": [[1, 2, 1%s]]}' % ("0" * 400), "meas"),
+        ('{"meas": [[1, 2, -50.0], [%d, 2, -60.0]]}' % 2**70, "meas"),
+        ('{"meas": [[1, %d, -50.0]]}' % -(2**70), "meas"),
         ('{"meas": [[1, 2, -50.0]], "x": "abc"}', "x"),
         ('{"meas": [[1, 2, -50.0]], "x": null}', "x"),
         ('{"meas": [[1, 2, -50.0]], "x": 1e400}', "x"),
@@ -662,8 +665,7 @@ def test_infer_record_matches_predict(tree_bundle, small_splits):
     _, test_ds = small_splits
     record = test_ds.record(0)
     x_pred, y_pred = infer_record(tree_bundle, record)
-    fv = extract(record, tree_bundle.feature_config)
-    expect = tree_bundle.predict(fv.values)
+    expect = tree_bundle.predict(extract(record, tree_bundle.feature_config))
     assert (x_pred, y_pred) == (float(expect[0]), float(expect[1]))
 
 
@@ -673,7 +675,7 @@ def test_infer_file_round_trip(tree_bundle, small_splits, tmp_path):
     expected = []
     for i in range(3):
         record = test_ds.record(i)
-        meas = [[int(c), int(b), float(r)] for c, b, r in record.measurements]
+        meas = [list(t) for t in triples(record)]
         lines.append(json.dumps({"meas": meas}))
         expected.append(infer_record(tree_bundle, record))
     in_path = tmp_path / "meas.jsonl"
@@ -693,6 +695,34 @@ def test_infer_file_equals_batch_predict(tree_bundle, mlp_bundle, small_splits, 
         want = bundle.predict(extract_features(test_ds, bundle.feature_config).values)
         got = np.array([[r["x_pred"], r["y_pred"]] for r in infer_file(bundle, in_path)])
         assert got.shape == want.shape == (len(test_ds), 2)
+        if bundle.model_type == MODEL_TREE:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-9
+
+
+def test_infer_file_mixed_reports_equal_oracle(tree_bundle, mlp_bundle, small_splits, tmp_path):
+    # a header, a blank line, a full dataset line, a short report and an
+    # unsorted one: one kernel call over NaN-padded rows must give what
+    # the per-record oracle gives line by line
+    _, test_ds = small_splits
+    full = [list(t) for t in triples(test_ds.record(0))]
+    short = [list(t) for t in triples(test_ds.record(1))][:40]
+    unsorted = [list(t) for t in triples(test_ds.record(2))][::-1]
+    lines = [
+        '{"format": "beamprint-dataset", "version": 1}',
+        "",
+        json.dumps({"x": 1.0, "y": 2.0, "serving": full[0][0], "los": True, "meas": full}),
+        json.dumps({"meas": short}),
+        json.dumps({"meas": unsorted}),
+    ]
+    in_path = tmp_path / "mixed.jsonl"
+    in_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    records = [parse_measurement_line(l, 1) for l in lines[2:]]
+    assert len(records[1].rsrp) == 40
+    for bundle in (tree_bundle, mlp_bundle):
+        want = bundle.predict(np.vstack([oracle_record(r, bundle.feature_config) for r in records]))
+        got = np.array([[r["x_pred"], r["y_pred"]] for r in infer_file(bundle, in_path)])
         if bundle.model_type == MODEL_TREE:
             assert np.array_equal(got, want)
         else:
