@@ -26,6 +26,7 @@ _FORMAT_NAME = "beamprint-dataset"
 _FORMAT_VERSION = 1
 _MAX_FLOAT = sys.float_info.max
 _INT32 = np.iinfo(np.int32)
+_CHECK_ROWS = 16  # rows per vectorised check in save_dataset
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +230,53 @@ def partition_by_cell(dataset: Dataset) -> Dict[int, Dataset]:
 # Persistence: line-delimited JSON, header first
 
 
+def _check_savable(dataset: Dataset, cell_ids: np.ndarray) -> None:
+    """Refuse what load_dataset would refuse: a non-finite x, y or rsrp,
+    a measurement cell not in `cell_ids` (the header's, sorted) or a beam
+    id outside [0, n_beams). Raises DataError naming the first bad record.
+
+    Works through a few rows at a time: a temporary the size of the
+    measurement matrix raises malloc's mmap threshold, and the heap that
+    later temporaries grow then stays with the process."""
+    n_beams = dataset.n_beams
+    for start in range(0, len(dataset), _CHECK_ROWS):
+        rows = slice(start, start + _CHECK_ROWS)
+        cells, beams = dataset.meas_cells[rows], dataset.meas_beams[rows]
+        unknown = cell_ids.take(np.searchsorted(cell_ids, cells), mode="clip") != cells
+        outside = (beams < 0) | (beams >= n_beams)
+        faults = np.column_stack(
+            (
+                ~np.isfinite(dataset.xs[rows]),
+                ~np.isfinite(dataset.ys[rows]),
+                ~np.isfinite(dataset.meas_rsrp[rows]).all(axis=1),
+                unknown.any(axis=1),
+                outside.any(axis=1),
+            )
+        )
+        if faults.any():
+            i, k = np.argwhere(faults)[0]  # first bad row, then its first fault
+            if k == 3:
+                what = f"measurement references cell {cells[i][unknown[i]][0]}, not in the dataset's cells"
+            elif k == 4:
+                what = f"measurement references beam {beams[i][outside[i]][0]}, outside [0, {n_beams})"
+            else:
+                what = f"field {('x', 'y', 'rsrp')[k]!r} is not finite"
+            raise DataError(f"record {start + i}: {what}; load_dataset would refuse the file")
+
+
 def save_dataset(dataset: Dataset, path) -> None:
+    """Write `dataset` as JSONL: the header line, then one record per
+    line with keys in sorted order and floats as their shortest repr
+    (the bytes json.dumps(..., sort_keys=True, separators=(",", ":"))
+    gives). A dataset load_dataset would refuse raises DataError before
+    the file is opened.
+
+    Beams tie exactly, so a row of hundreds of measurements holds only
+    about a hundred distinct rsrp values: each is formatted once per row
+    and the "[cell,beam," prefixes come from a table built once.
+    """
+    cell_ids = np.array(sorted(set(dataset.cells)), dtype=np.int64)
+    _check_savable(dataset, cell_ids)
     header = {
         "format": _FORMAT_NAME,
         "version": _FORMAT_VERSION,
@@ -238,24 +285,35 @@ def save_dataset(dataset: Dataset, path) -> None:
         "cells": list(dataset.cells),
         "beams_per_cell": dataset.n_beams,
     }
+    width = int(dataset.meas_beams.max()) + 1 if dataset.meas_beams.size else 0
+    # "[cell,beam," at position index(cell in cell_ids) * width + beam
+    prefixes = np.array([f"[{c},{b}," for c in cell_ids.tolist() for b in range(width)], dtype=object)
+    pieces = np.empty(2 * dataset.meas_rsrp.shape[1], dtype=object)
+    # float64 (no copy when it is already): the formatting below reads
+    # float64 bit patterns and Python floats
+    rows = zip(
+        np.asarray(dataset.xs, dtype=np.float64).tolist(),
+        np.asarray(dataset.ys, dtype=np.float64).tolist(),
+        dataset.serving.tolist(),
+        dataset.los.tolist(),
+        dataset.meas_cells,
+        dataset.meas_beams,
+        np.asarray(dataset.meas_rsrp, dtype=np.float64),
+    )
     with open(path, "w", encoding="ascii") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
-        for i in range(len(dataset)):
-            row = {
-                "x": float(dataset.xs[i]),
-                "y": float(dataset.ys[i]),
-                "serving": int(dataset.serving[i]),
-                "los": bool(dataset.los[i]),
-                "meas": [
-                    [int(c), int(b), float(r)]
-                    for c, b, r in zip(
-                        dataset.meas_cells[i], dataset.meas_beams[i], dataset.meas_rsrp[i]
-                    )
-                ],
-            }
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+        for x, y, serving, los, row_cells, row_beams, row_rsrp in rows:
+            # bit patterns, so that -0.0 and 0.0 stay apart
+            distinct, inverse = np.unique(row_rsrp.view(np.uint64), return_inverse=True)
+            values = np.array([repr(v) + "]," for v in distinct.view(np.float64).tolist()], dtype=object)
+            pieces[0::2] = prefixes[np.searchsorted(cell_ids, row_cells) * width + row_beams]
+            pieces[1::2] = values[inverse]
+            meas = "".join(pieces.tolist())[:-1]  # no comma after the last item
+            fh.write(
+                f'{{"los":{"true" if los else "false"},"meas":[{meas}],'
+                f'"serving":{serving},"x":{x!r},"y":{y!r}}}\n'
+            )
 
 
 def parse_measurements(
@@ -337,7 +395,8 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
     """Read a dataset file back; the round trip is exact.
 
     Raises DatasetParseError on malformed lines or fields, DataError on a
-    scenario hash mismatch when expected_scenario_hash is given.
+    scenario hash mismatch when expected_scenario_hash is given; the hash
+    is compared right after the header, before any record line is read.
     """
     try:
         fh = open(path, "r", encoding="ascii")
@@ -369,6 +428,16 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
         if type(n_beams) is not int or not 1 <= n_beams <= _INT32.max:
             raise DatasetParseError(
                 "beams_per_cell must be a positive 32-bit int", path=path, line=1, field="beams_per_cell"
+            )
+        if type(scenario_hash_value) is not str:
+            raise DatasetParseError("scenario_hash must be a string", path=path, line=1, field="scenario_hash")
+        if type(seed) is not int:
+            raise DatasetParseError("seed must be an int", path=path, line=1, field="seed")
+        # before any record is parsed: refusing a file costs one line
+        if expected_scenario_hash is not None and scenario_hash_value != expected_scenario_hash:
+            raise DataError(
+                f"dataset was generated from scenario {scenario_hash_value[:12]}, "
+                f"expected {expected_scenario_hash[:12]}"
             )
         cell_set = set(cells)
 
@@ -433,12 +502,6 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
             meas_cells.append(mc.astype(np.int32))
             meas_beams.append(mb.astype(np.int32))
             meas_rsrp.append(mr)
-
-    if expected_scenario_hash is not None and scenario_hash_value != expected_scenario_hash:
-        raise DataError(
-            f"dataset was generated from scenario {scenario_hash_value[:12]}, "
-            f"expected {expected_scenario_hash[:12]}"
-        )
 
     n = len(xs)
     m = expected_m or 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from beamprint.errors import DataError, DatasetParseError
 from beamprint.fingerprint import (
+    Dataset,
     build_dataset,
     load_dataset,
     los_filter,
@@ -165,6 +167,20 @@ def test_load_checks_scenario_hash(tmp_path, small_dataset):
     load_dataset(path, expected_scenario_hash=small_dataset.scenario_hash)
     with pytest.raises(DataError):
         load_dataset(path, expected_scenario_hash="0" * 64)
+
+
+def test_load_checks_scenario_hash_before_records(tmp_path, small_dataset):
+    # the hash is compared right after the header, so a corrupt record
+    # line further down does not hide the mismatch
+    path, lines = _lines(tmp_path, small_dataset)
+    lines[2] = lines[2][:-5]
+    with pytest.raises(DataError) as e:
+        load_dataset(_write(path, lines), expected_scenario_hash="0" * 64)
+    assert not isinstance(e.value, DatasetParseError)
+    assert "expected 000000000000" in str(e.value)
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(path, expected_scenario_hash=small_dataset.scenario_hash)
+    assert e.value.line == 3
 
 
 def _lines(tmp_path, small_dataset):
@@ -336,3 +352,178 @@ def test_load_rejects_header_ids_past_32_bits(tmp_path, small_dataset, field, va
     with pytest.raises(DatasetParseError) as e:
         load_dataset(_write(path, lines))
     assert e.value.field == field
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("scenario_hash", 5), ("seed", "x"), ("seed", True), ("seed", 1.5)],
+    ids=["hash-int", "seed-str", "seed-bool", "seed-float"],
+)
+def test_load_rejects_bad_header_types(tmp_path, small_dataset, field, value):
+    # these used to end in a raw TypeError (the hash check slices the
+    # hash) or ValueError (int("x")), or to load a float seed truncated
+    path, lines = _lines(tmp_path, small_dataset)
+    header = json.loads(lines[0])
+    header[field] = value
+    lines[0] = json.dumps(header)
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(_write(path, lines), expected_scenario_hash=small_dataset.scenario_hash)
+    assert e.value.field == field
+
+
+# ---------------------------------------------------------------------------
+# save_dataset bytes: pinned by hash and checked against the json.dumps writer
+
+
+def oracle_save_dataset(dataset, path) -> None:
+    """The per-record json.dumps writer save_dataset replaced, kept as
+    the reference for its bytes."""
+    header = {
+        "format": "beamprint-dataset",
+        "version": 1,
+        "scenario_hash": dataset.scenario_hash,
+        "seed": dataset.seed,
+        "cells": list(dataset.cells),
+        "beams_per_cell": dataset.n_beams,
+    }
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")))
+        fh.write("\n")
+        for i in range(len(dataset)):
+            row = {
+                "x": float(dataset.xs[i]),
+                "y": float(dataset.ys[i]),
+                "serving": int(dataset.serving[i]),
+                "los": bool(dataset.los[i]),
+                "meas": [
+                    [int(c), int(b), float(r)]
+                    for c, b, r in zip(
+                        dataset.meas_cells[i], dataset.meas_beams[i], dataset.meas_rsrp[i]
+                    )
+                ],
+            }
+            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")))
+            fh.write("\n")
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def shadowed_small_dataset():
+    return build_dataset(build_scenario(small_scenario_config(shadowing_sigma_db=4.0)), seed=3)
+
+
+# Digests of files written by the json.dumps writer above.
+GOLDEN_SAVE_SHA256 = {
+    "small": ("small_dataset", None, "7a9b78a9cbef1ce9ae41a99f7ccc27e32868146affe8beada6e64b55dad23fa4"),
+    "single_site": ("single_site_dataset", None, "76135ddd7b96b1bcf7fe5c96c6fbff5d76509ee8aa8e22cca50c7a1f81a8a746"),
+    "shadowed": ("shadowed_small_dataset", None, "9d0ad3cfa3628511d1b01e27748afd9cd512eed5f4322f2b06c27ac9d0704e90"),
+    "subset7": ("small_dataset", (0, 1, 60, 123, 250, 401, -1), "806a191f31351a0ef2cc8f8944abc41839b2df42baf6f313ccd6f5cc359b57ca"),
+    "empty": ("small_dataset", (), "a7a7cc38a3171df67e7275069403df758f37249ea93718ea323e5ce6b296ae42"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SAVE_SHA256))
+def test_save_dataset_golden_bytes(tmp_path, request, case):
+    fixture, rows, digest = GOLDEN_SAVE_SHA256[case]
+    ds = request.getfixturevalue(fixture)
+    if rows is not None:
+        ds = ds.subset(np.array(rows, dtype=np.int64) % len(ds))
+    save_dataset(ds, tmp_path / "new.jsonl")
+    oracle_save_dataset(ds, tmp_path / "oracle.jsonl")
+    assert _sha256(tmp_path / "new.jsonl") == digest
+    assert _sha256(tmp_path / "oracle.jsonl") == digest
+
+
+# RSRP values whose shortest repr is unusual, integer-valued or signed zero
+_AWKWARD_RSRP = (-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e22, -1e22, -80.0, -80.5, -1e16, 123.456, -97.12345678901234)
+
+
+def _hand_built(rng, cells, n_beams, n, pool):
+    """A full-sweep dataset in ranking order whose rsrp values are drawn
+    from `pool`, so rows hold many exact ties."""
+    cells = np.asarray(cells, dtype=np.int32)
+    m = len(cells) * n_beams
+    col_cells = np.repeat(cells, n_beams)
+    col_beams = np.tile(np.arange(n_beams, dtype=np.int32), len(cells))
+    rsrp = rng.choice(np.asarray(pool, dtype=np.float64), size=(n, m))
+    # ranking order: descending rsrp (-0.0 ties 0.0), then cell, then beam
+    order = np.array([np.lexsort((col_beams, col_cells, -row)) for row in rsrp]).reshape(n, m)
+    meas_cells = col_cells[order]
+    return Dataset(
+        xs=rng.choice(np.asarray(pool), size=n),
+        ys=rng.uniform(-1e3, 1e3, size=n),
+        serving=meas_cells[:, 0].copy(),
+        los=rng.random(n) < 0.5,
+        meas_cells=meas_cells,
+        meas_beams=col_beams[order],
+        meas_rsrp=np.take_along_axis(rsrp, order, axis=1),
+        cells=cells.tolist(),
+        n_beams=n_beams,
+        scenario_hash="ab" * 32,
+        seed=11,
+    )
+
+
+@pytest.mark.parametrize(
+    "cells, n_beams, pool",
+    [
+        ((0, 2**31 - 1), 3, _AWKWARD_RSRP),
+        ((2**31 - 1, 5, 0), 4, (-80.0, -0.0, 0.0)),  # header cells out of order
+        ((0,), 1, _AWKWARD_RSRP),  # one measurement per row
+        (tuple(range(24)), 32, (-80.0, -80.25, -81.0)),  # 768 measurements, 3 distinct values
+        ((3, 9), 8, tuple(np.random.default_rng(5).uniform(-140.0, -40.0, 200))),
+    ],
+    ids=["extreme-ids", "unsorted-header", "one-measurement", "many-ties", "mostly-distinct"],
+)
+def test_save_dataset_matches_json_writer(tmp_path, cells, n_beams, pool):
+    ds = _hand_built(np.random.default_rng(len(cells) * 100 + n_beams), cells, n_beams, 40, pool)
+    save_dataset(ds, tmp_path / "new.jsonl")
+    oracle_save_dataset(ds, tmp_path / "oracle.jsonl")
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+    back = load_dataset(tmp_path / "new.jsonl")
+    assert back == ds
+    # bit for bit: -0.0 and 0.0 compare equal but must stay apart
+    assert back.meas_rsrp.view(np.uint64).tolist() == ds.meas_rsrp.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["x", "y", "rsrp"])
+def test_save_rejects_non_finite_values(tmp_path, small_dataset, field, value):
+    ds = small_dataset.subset(np.arange(10))
+    column = {"x": ds.xs, "y": ds.ys, "rsrp": ds.meas_rsrp[:, 7]}[field]
+    column[6] = value
+    column[8] = value  # the first bad record is the one named
+    path = tmp_path / "ds.jsonl"
+    with pytest.raises(DataError) as e:
+        save_dataset(ds, path)
+    assert "record 6" in str(e.value) and repr(field) in str(e.value)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "column, value, needle",
+    [("meas_cells", 99, "cell 99"), ("meas_beams", -1, "beam -1"), ("meas_beams", 32, "beam 32")],
+    ids=["unknown-cell", "negative-beam", "beam-past-header"],
+)
+def test_save_rejects_what_load_refuses(tmp_path, small_dataset, column, value, needle):
+    ds = small_dataset.subset(np.arange(10))
+    getattr(ds, column)[4, 100] = value
+    path = tmp_path / "ds.jsonl"
+    with pytest.raises(DataError) as e:
+        save_dataset(ds, path)
+    assert "record 4" in str(e.value) and needle in str(e.value)
+    assert not path.exists()
+
+
+def test_save_dataset_coerces_columns_like_json_writer(tmp_path):
+    # float32 rsrp and integer positions print as the float64 values the
+    # json writer's float() gave
+    ds = _hand_built(np.random.default_rng(1), (0, 4), 2, 10, (-80.0, -80.1, 1e-30))
+    ds.meas_rsrp = ds.meas_rsrp.astype(np.float32)
+    ds.xs = np.arange(10)
+    save_dataset(ds, tmp_path / "new.jsonl")
+    oracle_save_dataset(ds, tmp_path / "oracle.jsonl")
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
