@@ -82,6 +82,22 @@ class TreeModel:
         self.right = self.left + 1
         self.value = np.array([n.value if n.is_leaf else (0.0, 0.0) for n in nodes])
 
+    @property
+    def leaf_count(self) -> int:
+        return int(np.count_nonzero(self.feature < 0))
+
+    @property
+    def depth(self) -> int:
+        """Split levels on the longest root-to-leaf path, one pass per level."""
+        depth = 0
+        level = np.zeros(1, dtype=np.intp)
+        while True:
+            split = level[self.feature[level] >= 0]
+            if not split.size:
+                return depth
+            level = np.concatenate((self.left[split], self.right[split]))
+            depth += 1
+
 
 def node_impurity(labels: np.ndarray) -> float:
     """Summed squared distance to the label mean, both outputs."""
@@ -95,38 +111,42 @@ def best_split(
 ) -> Optional[Tuple[float, int, float]]:
     """Exhaustive best (child impurity sum, feature, threshold), or None.
 
-    Uses centred prefix sums per feature, so each candidate threshold is
-    scored in O(1) after one sort.
+    Scores every candidate of every feature at once: one stable sort of
+    each column, then centred prefix sums per label column, so each
+    candidate threshold costs O(1). The (n - 1, d) score matrix is
+    searched feature-major, and argmin returns the first minimum, so ties
+    go to the lower feature, then the lower threshold.
     """
     n, d = values.shape
+    if n < 2 or d == 0:
+        return None
     centred = labels - labels.mean(axis=0)
-    best: Optional[Tuple[float, int, float]] = None
-    sizes_left = np.arange(1, n, dtype=np.float64)
+    order = np.argsort(values, axis=0, kind="stable")
+    v = np.take_along_axis(values, order, axis=0)
+    sizes_left = np.arange(1, n, dtype=np.float64)[:, None]
     sizes_right = n - sizes_left
-    for j in range(d):
-        order = np.argsort(values[:, j], kind="stable")
-        v = values[order, j]
-        y = centred[order]
+    # per candidate: sum over outputs of the left SSE, likewise right
+    for k in range(labels.shape[1]):
+        y = centred[:, k][order]
         cs = np.cumsum(y, axis=0)
         cs2 = np.cumsum(y * y, axis=0)
-        valid = (v[1:] > v[:-1]) & (sizes_left >= min_samples_leaf) & (sizes_right >= min_samples_leaf)
-        if not valid.any():
-            continue
         left_sum = cs[:-1]
         left_sq = cs2[:-1]
-        right_sum = cs[-1] - left_sum
-        right_sq = cs2[-1] - left_sq
-        sse = (left_sq - left_sum**2 / sizes_left[:, None]).sum(axis=1)
-        sse = sse + (right_sq - right_sum**2 / sizes_right[:, None]).sum(axis=1)
-        sse = np.maximum(sse, 0.0)
-        sse[~valid] = np.inf
-        idx = int(np.argmin(sse))  # thresholds ascend, so ties pick the lowest
-        score = float(sse[idx])
-        if not np.isfinite(score):
-            continue
-        if best is None or score < best[0]:
-            best = (score, j, float((v[idx] + v[idx + 1]) / 2.0))
-    return best
+        left = left_sq - left_sum**2 / sizes_left
+        right = (cs2[-1] - left_sq) - (cs[-1] - left_sum) ** 2 / sizes_right
+        if k == 0:
+            sse_left, sse_right = left, right
+        else:
+            sse_left += left
+            sse_right += right
+    sse = np.maximum(sse_left + sse_right, 0.0)
+    valid = (v[1:] > v[:-1]) & (sizes_left >= min_samples_leaf) & (sizes_right >= min_samples_leaf)
+    sse[~valid] = np.inf
+    j, i = divmod(int(np.argmin(sse.T)), n - 1)
+    score = float(sse[i, j])
+    if not np.isfinite(score):
+        return None
+    return score, j, float((v[i, j] + v[i + 1, j]) / 2.0)
 
 
 def _build(values: np.ndarray, labels: np.ndarray, depth: int, config: TreeConfig) -> TreeNode:

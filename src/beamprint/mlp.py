@@ -65,13 +65,39 @@ def validate_mlp_config(config: MlpConfig) -> None:
         raise ConfigurationError("early-stopping min delta must be non-negative")
 
 
+def _views(flat: np.ndarray, shapes) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Per-layer weight and bias views of a flat buffer laid out as
+    W0, b0, W1, b1, ... for weight shapes (fan_in, fan_out)."""
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in shapes:
+        weights.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
 @dataclass
 class MlpModel:
+    """Weights and biases live in one flat float64 buffer, `params`;
+    construction copies the given layers into it, and `weights` and
+    `biases` are then per-layer views, so an in-place update of either
+    side is seen by the other."""
+
     weights: List[np.ndarray]  # layer l maps (fan_in,) -> (fan_out,), stored (fan_in, fan_out)
     biases: List[np.ndarray]
     config: MlpConfig
     normalizer: Optional[NormalizationStats] = None
     loss_history: List[float] = field(default_factory=list)
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        layers = [*self.weights, *self.biases]
+        self.params = np.empty(sum(a.size for a in layers))
+        self.weights, self.biases = _views(self.params, [w.shape for w in self.weights])
+        for view, layer in zip([*self.weights, *self.biases], layers):
+            view[...] = layer
 
     @property
     def input_width(self) -> int:
@@ -84,6 +110,10 @@ class TrainReport:
     final_loss: float
     loss_history: Tuple[float, ...]
     stopped_early: bool
+
+    @property
+    def stop_reason(self) -> str:
+        return "patience" if self.stopped_early else "max_epochs"
 
 
 def init_model(config: MlpConfig, input_width: int) -> MlpModel:
@@ -108,20 +138,14 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return (z > 0.0).astype(np.float64)
-
-
 def _forward_cached(model: MlpModel, x: np.ndarray):
     acts = [x]
     pre = []
     last = len(model.weights) - 1
     a = x
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
+        z = a @ w
+        z += b
         pre.append(z)
         a = z if l == last else _activate(z, model.config.activation)
         acts.append(a)
@@ -149,7 +173,8 @@ def loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
     """MSE over the batch and both output dims, with exact gradients.
 
     Returns (loss, weight_grads, bias_grads) where the gradient lists
-    line up with model.weights and model.biases.
+    line up with model.weights and model.biases; they are views into one
+    flat buffer laid out like model.params.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -158,54 +183,88 @@ def loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
     n = x.shape[0]
     acts, pre = _forward_cached(model, x)
     diff = acts[-1] - y
-    loss = float(np.mean(diff * diff))
+    loss = float((diff * diff).sum()) / diff.size  # np.mean, bit for bit, without its wrapper
 
-    grads_w = [np.empty_like(w) for w in model.weights]
-    grads_b = [np.empty_like(b) for b in model.biases]
+    grads_w, grads_b = _views(np.empty_like(model.params), [w.shape for w in model.weights])
+    tanh = model.config.activation == "tanh"
     delta = 2.0 * diff / (n * OUTPUT_WIDTH)
     for l in range(len(model.weights) - 1, -1, -1):
-        grads_w[l] = acts[l].T @ delta
-        grads_b[l] = delta.sum(axis=0)
+        np.matmul(acts[l].T, delta, out=grads_w[l])
+        delta.sum(axis=0, out=grads_b[l])
         if l > 0:
-            delta = (delta @ model.weights[l].T) * _activate_grad(pre[l - 1], model.config.activation)
+            delta = delta @ model.weights[l].T
+            if tanh:
+                # acts[l] is tanh(pre[l - 1]): its derivative without a second tanh
+                a = acts[l]
+                delta *= 1.0 - a * a
+            else:
+                delta *= pre[l - 1] > 0.0
     return loss, grads_w, grads_b
 
 
 @dataclass
 class AdamState:
-    m_w: List[np.ndarray]
-    v_w: List[np.ndarray]
-    m_b: List[np.ndarray]
-    v_b: List[np.ndarray]
+    """First and second moment estimates, flat in the layout of model.params."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
 def init_adam(model: MlpModel) -> AdamState:
-    return AdamState(
-        m_w=[np.zeros_like(w) for w in model.weights],
-        v_w=[np.zeros_like(w) for w in model.weights],
-        m_b=[np.zeros_like(b) for b in model.biases],
-        v_b=[np.zeros_like(b) for b in model.biases],
-    )
+    return AdamState(m=np.zeros_like(model.params), v=np.zeros_like(model.params))
+
+
+def _flat_base(arrays: Sequence[np.ndarray], size: int) -> Optional[np.ndarray]:
+    """The 1-d float64 buffer of `size` that every array views, or None."""
+    base = arrays[0].base
+    if not isinstance(base, np.ndarray) or base.shape != (size,) or base.dtype != np.float64:
+        return None
+    return base if all(a.base is base for a in arrays) else None
 
 
 def adam_step(model: MlpModel, grads_w, grads_b, state: AdamState, config: MlpConfig) -> None:
+    """One adam update of every parameter, element-wise over flat buffers.
+
+    Gradients that view one flat buffer in the layout of model.params, as
+    loss_and_gradients returns them, are read in place; any other arrays
+    are gathered into one first. Every expression keeps the order of the
+    per-layer update m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
+    w -= (lr * (m / corr1)) / (sqrt(v / corr2) + eps), so results match
+    it bit for bit.
+    """
+    layers = [*grads_w, *grads_b]
+    g = _flat_base(layers, state.m.size)
+    if g is None:
+        g = np.empty_like(state.m)
+        flat_w, flat_b = _views(g, [w.shape for w in model.weights])
+        for view, layer in zip([*flat_w, *flat_b], layers):
+            view[...] = layer
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     corr1 = 1.0 - b1**state.t
     corr2 = 1.0 - b2**state.t
-    for l in range(len(model.weights)):
-        state.m_w[l] = b1 * state.m_w[l] + (1 - b1) * grads_w[l]
-        state.v_w[l] = b2 * state.v_w[l] + (1 - b2) * grads_w[l] ** 2
-        m_hat = state.m_w[l] / corr1
-        v_hat = state.v_w[l] / corr2
-        model.weights[l] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
-
-        state.m_b[l] = b1 * state.m_b[l] + (1 - b1) * grads_b[l]
-        state.v_b[l] = b2 * state.v_b[l] + (1 - b2) * grads_b[l] ** 2
-        m_hat = state.m_b[l] / corr1
-        v_hat = state.v_b[l] / corr2
-        model.biases[l] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    m, v = state.m, state.v
+    step = np.multiply(g, 1 - b1)
+    m *= b1
+    m += step
+    np.square(g, out=step)
+    step *= 1 - b2
+    v *= b2
+    v += step
+    np.divide(m, corr1, out=step)
+    step *= config.learning_rate
+    denom = np.divide(v, corr2)
+    np.sqrt(denom, out=denom)
+    denom += config.epsilon
+    step /= denom
+    if _flat_base([*model.weights, *model.biases], model.params.size) is model.params:
+        model.params -= step
+    else:
+        # a caller swapped in its own layer arrays: update those
+        step_w, step_b = _views(step, [w.shape for w in model.weights])
+        for layer, delta in zip([*model.weights, *model.biases], [*step_w, *step_b]):
+            layer -= delta
 
 
 def train(model: MlpModel, train_set: FeatureSet, config: Optional[MlpConfig] = None) -> TrainReport:
@@ -236,12 +295,14 @@ def train(model: MlpModel, train_set: FeatureSet, config: Optional[MlpConfig] = 
     stopped_early = False
     for _ in range(config.max_epochs):
         perm = rng.permutation(n)
+        x_epoch = x[perm]
+        y_epoch = y[perm]
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            loss, gw, gb = loss_and_gradients(model, x[idx], y[idx])
+            xb = x_epoch[start : start + config.batch_size]
+            loss, gw, gb = loss_and_gradients(model, xb, y_epoch[start : start + config.batch_size])
             adam_step(model, gw, gb, state, config)
-            epoch_loss += loss * len(idx)
+            epoch_loss += loss * len(xb)
         epoch_loss /= n
         if not np.isfinite(epoch_loss):
             raise TrainingDivergenceError(
@@ -327,18 +388,60 @@ def mlp_to_dict(model: MlpModel) -> dict:
     }
 
 
-def mlp_from_dict(d: dict) -> MlpModel:
+def _layer_array(raw, shape: Tuple[int, ...], name: str) -> np.ndarray:
+    """One serialized layer as float64, refused unless it is a nested
+    list of `shape` holding only finite JSON numbers."""
     try:
-        weights = [np.asarray(w, dtype=np.float64) for w in d["weights"]]
-        biases = [np.asarray(b, dtype=np.float64) for b in d["biases"]]
+        cells = np.array(raw, dtype=object)
+    except ValueError as e:  # ragged below the first level
+        raise ConfigurationError(f"mlp {name} is not a regular array: {e}") from e
+    if cells.shape != shape:
+        raise ConfigurationError(f"mlp {name} has shape {cells.shape}, its layer chain needs {shape}")
+    # bool is an int subclass; a JSON true is no weight
+    if not set(map(type, cells.flat)) <= {int, float}:
+        raise ConfigurationError(f"mlp {name} holds a non-numeric entry")
+    try:
+        out = cells.astype(np.float64)
+    except OverflowError as e:  # a JSON integer past float range
+        raise ConfigurationError(f"mlp {name} holds a number past float range") from e
+    if not np.isfinite(out).all():
+        raise ConfigurationError(f"mlp {name} holds a non-finite entry")
+    return out
+
+
+def mlp_from_dict(d: dict) -> MlpModel:
+    """Rebuild a model, checking that its layers chain input -> hidden
+    layers of the config -> 2 outputs."""
+    try:
+        raw_w, raw_b = d["weights"], d["biases"]
         config = mlp_config_from_dict(d["config"])
+        norm = d.get("normalizer")
+        normalizer = None if norm is None else normalizer_from_dict(norm)
+        loss_history = [float(v) for v in d.get("loss_history", [])]
     except KeyError as e:
         raise ConfigurationError(f"mlp blob is missing key {e}") from e
-    norm = d.get("normalizer")
+    except (TypeError, ValueError) as e:
+        raise ConfigurationError(f"malformed mlp blob: {e}") from e
+    if not isinstance(raw_w, list) or not isinstance(raw_b, list):
+        raise ConfigurationError("mlp weights and biases must be lists of layers")
+    widths = [
+        len(raw_w[0]) if raw_w and isinstance(raw_w[0], list) else 0,
+        *config.hidden_layers,
+        OUTPUT_WIDTH,
+    ]
+    if len(raw_w) != len(widths) - 1 or len(raw_b) != len(widths) - 1:
+        raise ConfigurationError(
+            f"mlp blob has {len(raw_w)} weight and {len(raw_b)} bias layers, "
+            f"hidden layers {list(config.hidden_layers)} need {len(widths) - 1}"
+        )
+    weights = [
+        _layer_array(raw, (widths[l], widths[l + 1]), f"weights[{l}]") for l, raw in enumerate(raw_w)
+    ]
+    biases = [_layer_array(raw, (widths[l + 1],), f"biases[{l}]") for l, raw in enumerate(raw_b)]
     return MlpModel(
         weights=weights,
         biases=biases,
         config=config,
-        normalizer=None if norm is None else normalizer_from_dict(norm),
-        loss_history=[float(v) for v in d.get("loss_history", [])],
+        normalizer=normalizer,
+        loss_history=loss_history,
     )

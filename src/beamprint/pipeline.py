@@ -135,6 +135,8 @@ class ModelBundle:
     feature_config: FeatureConfig
     mlp_model: Optional[mlp.MlpModel] = None
     tree_model: Optional[dtree.TreeModel] = None
+    # how training went; set by train_model, never saved
+    train_report: Optional[mlp.TrainReport] = field(default=None, compare=False)
 
     def predict(self, values: np.ndarray) -> np.ndarray:
         if self.model_type == MODEL_MLP:
@@ -182,11 +184,7 @@ def load_model_bundle(path) -> ModelBundle:
     )
     # a width mismatch would otherwise surface only at predict time
     width = feature_length(bundle.feature_config)
-    if kind == MODEL_MLP:
-        weights = bundle.mlp_model.weights
-        got = weights[0].shape[0] if weights and weights[0].ndim == 2 else None
-    else:
-        got = bundle.tree_model.n_features
+    got = bundle.mlp_model.input_width if kind == MODEL_MLP else bundle.tree_model.n_features
     if got != width:
         raise ConfigurationError(
             f"{path}: the {kind} model takes {got} features, its feature config gives {width}"
@@ -326,8 +324,10 @@ def train_model(
         stats = fit_normalizer(train_set)
         model = mlp.init_model(model_spec.mlp_config, feature_length(feature_config))
         model.normalizer = stats
-        mlp.train(model, train_set)
-        return ModelBundle(model_type=MODEL_MLP, feature_config=feature_config, mlp_model=model)
+        report = mlp.train(model, train_set)
+        return ModelBundle(
+            model_type=MODEL_MLP, feature_config=feature_config, mlp_model=model, train_report=report
+        )
     tree = dtree.fit(train_set.values, train_set.labels, model_spec.tree_config)
     return ModelBundle(model_type=MODEL_TREE, feature_config=feature_config, tree_model=tree)
 
@@ -341,6 +341,9 @@ class RunOutput:
     test_errors: np.ndarray
     train_errors: np.ndarray
     duration_s: float
+    # how the fit went (MLP epochs and stop reason, tree depth and leaf
+    # count); goes to the manifest, never into a hashed report
+    fit_stats: dict
 
 
 def _descriptor(
@@ -390,6 +393,12 @@ def run_single(
     }
     if bundle.model_type == MODEL_MLP:
         extras["epochs_run"] = len(bundle.mlp_model.loss_history)
+        fit_stats = {
+            "epochs_run": bundle.train_report.epochs_run,
+            "stop_reason": bundle.train_report.stop_reason,
+        }
+    else:
+        fit_stats = {"tree_depth": bundle.tree_model.depth, "leaf_count": bundle.tree_model.leaf_count}
     desc = _descriptor(label, fc, model_spec, spec, cell, extras)
     return RunOutput(
         label=label,
@@ -399,6 +408,7 @@ def run_single(
         test_errors=test_err,
         train_errors=train_err,
         duration_s=time.perf_counter() - t0,
+        fit_stats=fit_stats,
     )
 
 
@@ -516,6 +526,7 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
                 "model": str(model_path.relative_to(out)),
                 "artifacts": paths,
                 "duration_s": run.duration_s,
+                **run.fit_stats,
             }
         )
     for rep in pooled_reports:

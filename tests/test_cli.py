@@ -269,6 +269,26 @@ def test_garbage_model_file_exits_1(ws, tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_infer_with_one_output_mlp_exits_1(ws, tmp_path, capsys):
+    # a last layer of width 1 used to broadcast into both coordinates
+    model = tmp_path / "mlp.json"
+    args = ["--dataset", str(ws.dataset), "--features", str(ws.features), "--out", str(model)]
+    assert main(["train", "--model", "mlp", *args, "--hidden", "4", "--max-epochs", "1"]) == 0
+    blob = json.loads(model.read_text(encoding="ascii"))
+    blob["mlp"]["weights"][-1] = [row[:1] for row in blob["mlp"]["weights"][-1]]
+    blob["mlp"]["biases"][-1] = blob["mlp"]["biases"][-1][:1]
+    model.write_text(json.dumps(blob), encoding="ascii")
+    head = tmp_path / "head.jsonl"
+    head.write_text("".join(ws.dataset.read_text(encoding="ascii").splitlines(keepends=True)[1:4]))
+    capsys.readouterr()
+    rc = main(["infer", "--model", str(model), "--input", str(head)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "weights[1]" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_infer_input_exits_2(ws, tmp_path, capsys):
     rc = main(["infer", "--model", str(ws.tree), "--input", str(tmp_path / "nope.jsonl")])
     assert rc == 2

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -34,6 +35,40 @@ def brute_force_split(values, labels, min_samples_leaf):
             key = (score, j, thr)
             if best is None or key < best:
                 best = key
+    return best
+
+
+def oracle_best_split(values, labels, min_samples_leaf):
+    """Reference: the per-feature split search, one sort and one prefix
+    sum per feature, as it was before the search was vectorised."""
+    n, d = values.shape
+    centred = labels - labels.mean(axis=0)
+    best = None
+    sizes_left = np.arange(1, n, dtype=np.float64)
+    sizes_right = n - sizes_left
+    for j in range(d):
+        order = np.argsort(values[:, j], kind="stable")
+        v = values[order, j]
+        y = centred[order]
+        cs = np.cumsum(y, axis=0)
+        cs2 = np.cumsum(y * y, axis=0)
+        valid = (v[1:] > v[:-1]) & (sizes_left >= min_samples_leaf) & (sizes_right >= min_samples_leaf)
+        if not valid.any():
+            continue
+        left_sum = cs[:-1]
+        left_sq = cs2[:-1]
+        right_sum = cs[-1] - left_sum
+        right_sq = cs2[-1] - left_sq
+        sse = (left_sq - left_sum**2 / sizes_left[:, None]).sum(axis=1)
+        sse = sse + (right_sq - right_sum**2 / sizes_right[:, None]).sum(axis=1)
+        sse = np.maximum(sse, 0.0)
+        sse[~valid] = np.inf
+        idx = int(np.argmin(sse))
+        score = float(sse[idx])
+        if not np.isfinite(score):
+            continue
+        if best is None or score < best[0]:
+            best = (score, j, float((v[idx] + v[idx + 1]) / 2.0))
     return best
 
 
@@ -297,3 +332,95 @@ def test_tree_dict_rejects_out_of_range_features():
     blob["root"]["left"] = {"n": 1, "value": [1.0, 2.0, 3.0]}
     with pytest.raises(ConfigurationError):
         tree_from_dict(blob)
+
+
+# ---------------------------------------------------------------------------
+# golden digests of the flat node arrays, taken before the split search was
+# vectorised across features
+
+
+def tie_heavy_set(seed, n=500):
+    """Small-integer features, one column a copy of another, integer labels:
+    most candidate splits tie with another one."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 6, size=(n, 6)).astype(np.float64)
+    values[:, 4] = values[:, 1]
+    labels = np.column_stack(
+        [10 * values[:, 0] + rng.integers(0, 4, n), 5 * values[:, 2] - 3 * values[:, 1] + rng.integers(0, 3, n)]
+    )
+    return values, labels.astype(np.float64)
+
+
+def tree_digest(model):
+    h = hashlib.sha256()
+    h.update(np.asarray(model.feature, dtype="<i8").tobytes())
+    h.update(np.asarray(model.threshold, dtype="<f8").tobytes())
+    h.update(np.asarray(model.value, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+GOLDEN_TREES = {
+    # min_samples_leaf: digest
+    1: "ecff9b8ad50f13fddf78bd1c1f712e402ecdc22140f162192d8972a7d520dc68",
+    2: "d9651bba93414965c35acdbd8f96f0aac2b053c9bcbde170b022dd8f5a3a728c",
+    5: "ec6e04092f4382ca32059f7ff5f10473af1d8ff7c7a081f5bcf21726927d292c",
+}
+
+
+@pytest.mark.parametrize("min_leaf", sorted(GOLDEN_TREES))
+def test_fit_matches_golden_digest(min_leaf):
+    values, labels = tie_heavy_set(seed=min_leaf)
+    model = fit(values, labels, TreeConfig(min_samples_leaf=min_leaf))
+    assert tree_digest(model) == GOLDEN_TREES[min_leaf]
+
+
+def test_best_split_matches_per_feature_oracle(rng):
+    cases = 0
+    for trial in range(120):
+        n = int(rng.integers(2, 60))
+        d = int(rng.integers(1, 6))
+        values = rng.integers(0, 4, size=(n, d)).astype(np.float64)
+        if trial % 2:
+            values += rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.5)
+        if d > 1:
+            # a duplicated column ties every candidate across features
+            values[:, -1] = values[:, 0]
+        if trial % 3 == 0:
+            values[:, int(rng.integers(d))] = 2.5  # a constant column
+        labels = np.round(rng.normal(size=(n, 2)) * 3.0)
+        for min_leaf in (1, 2, n // 2, n // 2 + 1):
+            if min_leaf < 1:
+                continue
+            got = best_split(values, labels, min_leaf)
+            assert got == oracle_best_split(values, labels, min_leaf), (trial, min_leaf)
+            cases += got is not None
+    assert cases > 100
+
+
+def test_best_split_cross_feature_tie_goes_to_lower_feature():
+    values = np.array([[3.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 5.0, 5.0], [0.0, 6.0, 6.0]])
+    labels = np.array([[0.0, 0.0], [0.0, 1.0], [4.0, 4.0], [4.0, 5.0]])
+    got = best_split(values, labels, 1)
+    assert got == oracle_best_split(values, labels, 1)
+    assert got[1] == 1 and got[2] == 3.0
+
+
+def test_best_split_edge_shapes():
+    two = np.array([[0.0], [1.0]])
+    labels = np.array([[0.0, 0.0], [2.0, 2.0]])
+    assert best_split(two, labels, 1) == oracle_best_split(two, labels, 1) == (0.0, 0, 0.5)
+    # no legal split: a leaf needs more rows than either side can hold
+    assert best_split(two, labels, 2) is None
+    assert best_split(np.full((6, 3), 1.0), np.arange(12.0).reshape(6, 2), 1) is None
+    assert best_split(np.zeros((1, 2)), np.zeros((1, 2)), 1) is None
+    assert best_split(np.zeros((4, 0)), np.arange(8.0).reshape(4, 2), 1) is None
+
+
+def test_depth_and_leaf_count_from_flat_arrays(rng):
+    for min_leaf, max_depth in ((1, 30), (2, 5), (5, 30), (1, 1)):
+        values = np.round(rng.normal(size=(200, 3)) * 3.0)
+        model = fit(values, rng.normal(size=(200, 2)), TreeConfig(min_samples_leaf=min_leaf, max_depth=max_depth))
+        assert model.depth == tree_depth(model.root)
+        assert model.leaf_count == leaf_count(model.root)
+    single = fit(np.zeros((4, 2)), np.arange(8.0).reshape(4, 2))
+    assert (single.depth, single.leaf_count) == (0, 1)

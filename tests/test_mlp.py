@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from beamprint.errors import ConfigurationError, DataError, TrainingDivergenceError
-from beamprint.features import FeatureConfig, FeatureSet, fit_normalizer
+from beamprint.features import FeatureConfig, FeatureSet, apply, apply_labels, fit_normalizer
 from beamprint.mlp import (
     AdamState,
     MlpConfig,
@@ -218,6 +219,148 @@ def test_adam_zero_gradient_keeps_weights():
     assert all(np.array_equal(a, b) for a, b in zip(w0, model.weights))
 
 
+def oracle_adam_step(weights, biases, grads_w, grads_b, moments, t, config):
+    """Reference: the per-layer adam update on separate arrays, as it was
+    before parameters moved into one flat buffer. `moments` holds m_w,
+    v_w, m_b, v_b lists; arrays are replaced or updated in place."""
+    m_w, v_w, m_b, v_b = moments
+    b1, b2 = config.beta1, config.beta2
+    corr1 = 1.0 - b1**t
+    corr2 = 1.0 - b2**t
+    for l in range(len(weights)):
+        m_w[l] = b1 * m_w[l] + (1 - b1) * grads_w[l]
+        v_w[l] = b2 * v_w[l] + (1 - b2) * grads_w[l] ** 2
+        m_hat = m_w[l] / corr1
+        v_hat = v_w[l] / corr2
+        weights[l] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+
+        m_b[l] = b1 * m_b[l] + (1 - b1) * grads_b[l]
+        v_b[l] = b2 * v_b[l] + (1 - b2) * grads_b[l] ** 2
+        m_hat = m_b[l] / corr1
+        v_hat = v_b[l] / corr2
+        biases[l] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+
+
+def oracle_loss_and_gradients(model, x, y):
+    """Reference: the backward pass with separately allocated gradients and
+    the activation derivative recomputed from the pre-activations."""
+    acts, pre = [x], []
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = acts[-1] @ w + b
+        pre.append(z)
+        last = l == len(model.weights) - 1
+        acts.append(z if last else (np.tanh(z) if model.config.activation == "tanh" else np.maximum(z, 0.0)))
+    diff = acts[-1] - y
+    loss = float(np.mean(diff * diff))
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
+    delta = 2.0 * diff / (x.shape[0] * 2)
+    for l in range(len(model.weights) - 1, -1, -1):
+        grads_w[l] = acts[l].T @ delta
+        grads_b[l] = delta.sum(axis=0)
+        if l > 0:
+            if model.config.activation == "tanh":
+                t = np.tanh(pre[l - 1])
+                grad = 1.0 - t * t
+            else:
+                grad = (pre[l - 1] > 0.0).astype(np.float64)
+            delta = (delta @ model.weights[l].T) * grad
+    return loss, grads_w, grads_b
+
+
+@pytest.mark.parametrize("hidden", [(5,), (6, 4)])
+def test_adam_step_matches_per_layer_oracle(hidden):
+    config = MlpConfig(hidden_layers=hidden, learning_rate=3e-3, beta1=0.8, beta2=0.99)
+    model = init_model(config, input_width=3)
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    moments = tuple([np.zeros_like(a) for a in arrays] for arrays in (weights, weights, biases, biases))
+    state = init_adam(model)
+    rng = np.random.default_rng(31)
+    for t in range(1, 51):
+        # gradients of every scale, some exactly zero
+        gw = [rng.normal(size=w.shape) * 10.0 ** rng.integers(-6, 3) for w in weights]
+        gb = [rng.normal(size=b.shape) * (rng.random(b.shape) < 0.7) for b in biases]
+        oracle_adam_step(weights, biases, gw, gb, moments, t, config)
+        adam_step(model, gw, gb, state, config)
+        assert state.t == t
+        for got, want in zip(model.weights + model.biases, weights + biases):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_loss_and_gradients_match_oracle(activation, rng):
+    model = init_model(MlpConfig(hidden_layers=(9, 5), activation=activation, rng_seed=2), input_width=4)
+    for batch in (1, 7, 32):
+        x = rng.normal(size=(batch, 4))
+        y = rng.normal(size=(batch, 2))
+        loss, gw, gb = loss_and_gradients(model, x, y)
+        want_loss, want_w, want_b = oracle_loss_and_gradients(model, x, y)
+        assert loss == want_loss
+        for got, want in zip(gw + gb, want_w + want_b):
+            assert np.array_equal(got, want)
+
+
+def test_train_steps_match_oracle_loop():
+    # the training loop (batch gather per epoch, flat adam) against the
+    # oracle backward pass and per-layer adam on x[idx] batches
+    ts = toy_training_set(n=53, seed=4)
+    config = MlpConfig(hidden_layers=(6,), batch_size=8, max_epochs=4, patience=10**9, rng_seed=9)
+    model = init_model(config, input_width=3)
+    model.normalizer = fit_normalizer(ts)
+    ref = init_model(config, input_width=3)
+    weights, biases = ref.weights, ref.biases
+    moments = tuple([np.zeros_like(a) for a in arrays] for arrays in (weights, weights, biases, biases))
+    train(model, ts)
+
+    x = apply(model.normalizer, ts.values)
+    y = apply_labels(model.normalizer, ts.labels)
+    rng = np.random.default_rng(config.rng_seed)
+    t = 0
+    history = []
+    for _ in range(config.max_epochs):
+        perm = rng.permutation(len(x))
+        epoch_loss = 0.0
+        for start in range(0, len(x), config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            loss, gw, gb = oracle_loss_and_gradients(ref, x[idx], y[idx])
+            t += 1
+            oracle_adam_step(weights, biases, gw, gb, moments, t, config)
+            epoch_loss += loss * len(idx)
+        history.append(epoch_loss / len(x))
+    assert model.loss_history == history
+    for got, want in zip(model.weights + model.biases, weights + biases):
+        assert np.array_equal(got, want)
+
+
+def test_parameters_share_one_flat_buffer():
+    model = init_model(MlpConfig(hidden_layers=(4, 3)), input_width=5)
+    assert model.params.shape == (5 * 4 + 4 + 4 * 3 + 3 + 3 * 2 + 2,)
+    for layer in model.weights + model.biases:
+        assert layer.base is model.params
+    _, gw, gb = loss_and_gradients(model, np.ones((3, 5)), np.zeros((3, 2)))
+    assert all(g.base is gw[0].base for g in gw + gb)
+    assert gw[0].base.shape == model.params.shape
+
+
+def test_adam_updates_swapped_in_layers():
+    # hand_model replaces list entries with its own arrays; adam must
+    # still update the arrays the model holds, as the per-layer form did
+    model = hand_model()
+    held = model.weights[0]
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    moments = tuple([np.zeros_like(a) for a in arrays] for arrays in (weights, weights, biases, biases))
+    state = init_adam(model)
+    gw = [np.full_like(w, 0.25) for w in weights]
+    gb = [np.full_like(b, -1.5) for b in biases]
+    adam_step(model, gw, gb, state, model.config)
+    oracle_adam_step(weights, biases, gw, gb, moments, 1, model.config)
+    assert model.weights[0] is held
+    for got, want in zip(model.weights + model.biases, weights + biases):
+        assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -361,3 +504,90 @@ def test_model_round_trip():
     assert all(np.array_equal(a, b) for a, b in zip(back.weights, model.weights))
     assert back.loss_history == model.loss_history
     assert np.allclose(predict(back, ts.values), predict(model, ts.values))
+
+
+# ---------------------------------------------------------------------------
+# golden digests of trained weights, biases and loss history, taken before
+# training moved to one flat parameter buffer; a change in the order of
+# any floating-point operation shows here. tanh and matmul have per-CPU
+# and per-release kernels in numpy and BLAS, so the digests (taken with
+# numpy 2.4.6 and OpenBLAS 0.3.31 on an x86-64 AVX-512 host) are checked
+# only where those kernels give the same bits; the oracle tests above
+# compare the arithmetic exactly on any platform.
+
+
+def float_kernels_digest():
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(24, 7))
+    w1 = rng.normal(size=(7, 64))
+    w2 = rng.normal(size=(64, 2))
+    h = np.tanh(x @ w1)
+    d = rng.normal(size=(24, 2))
+    parts = [np.tanh(np.linspace(-5.0, 5.0, 2001)), h, h @ w2, h.T @ d, d @ w2.T, x.T @ (d @ w2.T)]
+    return hashlib.sha256(b"".join(np.ascontiguousarray(p).tobytes() for p in parts)).hexdigest()
+
+
+GOLDEN_FLOAT_KERNELS = "b981e2f930a41235745a4d3fa617f47b2d7a23892a6999514338706e41fd0354"
+
+
+def golden_set(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 7))
+    x[:, 5:] = rng.integers(0, 4, size=(n, 2))  # id-like integer columns
+    y = np.column_stack([np.tanh(x[:, 0]) + 0.3 * x[:, 5], x[:, 1] * x[:, 2] - 0.2 * x[:, 6]])
+    return feature_set(x, 100.0 * y)
+
+
+def model_digest(model):
+    h = hashlib.sha256()
+    for a in [*model.weights, *model.biases, np.array(model.loss_history)]:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+GOLDEN_TRAINING = {
+    # name: (config, rows, data seed, stops on patience, digest)
+    "tanh-h64": (
+        MlpConfig(hidden_layers=(64,), max_epochs=80, patience=2, min_delta=1e-3),
+        256,
+        11,
+        True,
+        "32b1ab459b138ea907e69e4b7bee620caeec33de0119838f544cf7510f17dedc",
+    ),
+    "relu-h64x32": (
+        MlpConfig(hidden_layers=(64, 32), activation="relu", max_epochs=80, patience=2, min_delta=1e-3, rng_seed=4),
+        256,
+        12,
+        True,
+        "7547259babbb489ab227050adfa3d8a5e04091fc65fb187a7613e0acb3776c2f",
+    ),
+    "batch-remainder": (
+        MlpConfig(hidden_layers=(16,), batch_size=24, max_epochs=80, patience=2, min_delta=1e-2, rng_seed=5),
+        203,
+        13,
+        True,
+        "e586c9a6086b6a45e35dd8e5a0e290f505817cca481d5db5877d4f2d218d1f05",
+    ),
+    "max-epochs": (
+        MlpConfig(hidden_layers=(8,), max_epochs=15, patience=10**9, rng_seed=6),
+        100,
+        14,
+        False,
+        "9bffd48c423701300d3149e962a2942b15d475fc74529924f4539fa0ffb516ac",
+    ),
+}
+
+
+@pytest.mark.skipif(
+    float_kernels_digest() != GOLDEN_FLOAT_KERNELS,
+    reason="numpy/BLAS float kernels differ from those the digests were taken with",
+)
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRAINING))
+def test_training_matches_golden_digest(name):
+    config, n, seed, stops_early, digest = GOLDEN_TRAINING[name]
+    ts = golden_set(n, seed)
+    model = init_model(config, input_width=7)
+    model.normalizer = fit_normalizer(ts)
+    report = train(model, ts)
+    assert report.stopped_early == stops_early
+    assert model_digest(model) == digest

@@ -264,6 +264,61 @@ def test_load_bundle_rejects_width_mismatch(tmp_path, tree_bundle, mlp_bundle):
             load_model_bundle(_rewrite(tmp_path, bundle, narrow))
 
 
+def _set(path, value):
+    """An edit that replaces blob["mlp"][path[0]][path[1]]...[path[-1]]."""
+
+    def edit(blob):
+        node = blob["mlp"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value(node[path[-1]]) if callable(value) else value
+
+    return edit
+
+
+# the mlp bundle chains 7 inputs -> 4 hidden -> 2 outputs
+_BAD_MLP_BLOBS = {
+    "output width 1": lambda blob: (
+        _set(["weights", 1], lambda w: [row[:1] for row in w])(blob),
+        _set(["biases", 1], lambda b: b[:1])(blob),
+    ),
+    "short bias": _set(["biases", 0], lambda b: b[:-1]),
+    "long bias": _set(["biases", 1], lambda b: b + [0.0]),
+    "layer shapes do not chain": _set(["weights", 1], lambda w: w[:-1]),
+    "string weight": _set(["weights", 0, 2, 1], "0.5"),
+    "bool weight": _set(["weights", 1, 0, 0], True),
+    "null bias": _set(["biases", 0, 0], None),
+    "nan weight": _set(["weights", 0, 0, 0], float("nan")),
+    "weight past float range": _set(["weights", 0, 0, 0], 10**400),
+    "ragged rows": _set(["weights", 0, 3], lambda row: row[:-1]),
+    "scalar layer": _set(["biases", 1], 1.0),
+    "hidden layers disagree": _set(["config", "hidden_layers"], [5]),
+    "extra hidden layer in config": _set(["config", "hidden_layers"], [4, 4]),
+    "missing layer": _set(["weights"], lambda w: w[:1]),
+    "weights not a list": _set(["weights"], {"0": []}),
+    "empty weights": (lambda blob: (_set(["weights"], [])(blob), _set(["biases"], [])(blob))),
+    "hidden layers not a list": _set(["config", "hidden_layers"], 4),
+    "normalizer missing a key": _set(["normalizer"], lambda norm: {k: v for k, v in norm.items() if k != "feature_mean"}),
+    "non-numeric loss history": _set(["loss_history"], ["low"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MLP_BLOBS))
+def test_load_bundle_rejects_broken_mlp_layers(tmp_path, mlp_bundle, case):
+    path = _rewrite(tmp_path, mlp_bundle, _BAD_MLP_BLOBS[case])
+    with pytest.raises(ConfigurationError, match="mlp"):
+        load_model_bundle(path)
+
+
+def test_load_bundle_keeps_mlp_weights_exact(tmp_path, mlp_bundle):
+    loaded = load_model_bundle(_rewrite(tmp_path, mlp_bundle, lambda blob: None))
+    for got, want in zip(loaded.mlp_model.weights + loaded.mlp_model.biases,
+                         mlp_bundle.mlp_model.weights + mlp_bundle.mlp_model.biases):
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+    for layer in loaded.mlp_model.weights + loaded.mlp_model.biases:
+        assert layer.base is loaded.mlp_model.params
+
+
 def _pinned_bundles():
     """A fixed small tree and MLP whose saved bytes are pinned below."""
     fc = FeatureConfig(n_serving_beams=1, include_serving_cell_id=False)
@@ -397,6 +452,16 @@ def test_run_single_output(small_splits):
     assert desc["epochs_run"] == 3
     assert run.test_errors.shape == (len(test_ds),)
     assert run.duration_s > 0
+    assert run.fit_stats == {"epochs_run": 3, "stop_reason": "max_epochs"}
+    assert "stop_reason" not in desc
+
+
+def test_run_single_records_a_patience_stop(small_splits):
+    train_ds, test_ds = small_splits
+    spec = experiment_spec_from_dict(_spec_dict())
+    config = MlpConfig(hidden_layers=(4,), max_epochs=50, patience=1, min_delta=float("inf"))
+    run = run_single(train_ds, test_ds, FeatureConfig(), ModelSpec(MODEL_MLP, mlp_config=config), spec, "p")
+    assert run.fit_stats == {"epochs_run": 2, "stop_reason": "patience"}
 
 
 def test_run_single_tree_has_no_epoch_count(small_splits):
@@ -448,6 +513,24 @@ def test_experiment_manifest_contents(net_run):
     assert m["spec"] == experiment_spec_to_dict(spec)
     # manifest on disk matches the in-memory copy
     assert json.loads(net_run.manifest_path.read_text(encoding="ascii")) == m
+
+
+def test_experiment_manifest_records_fit_stats(net_run):
+    out = net_run.output_dir
+    runs = {r["label"]: r for r in net_run.manifest["runs"]}
+    net = runs["net_s3n0_id_mlp_h8_s3"]
+    # patience (20) outlasts max_epochs (15)
+    assert (net["epochs_run"], net["stop_reason"]) == (15, "max_epochs")
+    tree = runs["net_s3n0_id_tree_d8_l2"]
+    root = load_model_bundle(out / tree["model"]).tree_model.root
+    assert tree["tree_depth"] == dtree.tree_depth(root) > 0
+    assert tree["leaf_count"] == dtree.leaf_count(root) > 1
+    assert "tree_depth" not in net and "epochs_run" not in tree
+    # the hashed reports carry none of it (epochs_run was always there)
+    for rel in net_run.manifest["artifact_sha256"]:
+        text = (out / rel).read_text(encoding="ascii")
+        for key in ("stop_reason", "tree_depth", "leaf_count"):
+            assert key not in text
 
 
 def test_experiment_artifact_hashes(net_run):
