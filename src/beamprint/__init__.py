@@ -37,6 +37,7 @@ from .radio import (
     beam_gain_db,
     element_gain_db,
     path_loss_db,
+    rsrp_cube,
     rsrp_dbm,
 )
 from .fingerprint import (

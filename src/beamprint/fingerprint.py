@@ -19,7 +19,9 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DataError, DatasetParseError
-from .radio import beam_gain_db, path_loss_db, sector_frame_offsets, shadowing_db
+# beam_gain_db, path_loss_db, sector_frame_offsets and shadowing_db stay
+# importable from here: perfbench's layer table wraps them in this module
+from .radio import beam_gain_db, path_loss_db, rsrp_cube, sector_frame_offsets, shadowing_db  # noqa: F401
 from .scenario import Scenario, UE_HEIGHT_M, grid_xy, los_mask
 
 _FORMAT_NAME = "beamprint-dataset"
@@ -147,30 +149,12 @@ def build_dataset(scenario: Scenario, seed: Optional[int] = None) -> Dataset:
         raise DataError("scenario grid is empty, nothing to measure")
 
     cells = scenario.cell_ids
-    beams = scenario.codebook.beams
     n_cells = len(cells)
-    n_beams = len(beams)
-    sigma = scenario.config.radio.shadowing_sigma_db
-    freq = scenario.config.carrier_frequency_hz
-
+    n_beams = len(scenario.codebook.beams)
     px = xy[:, 0]
     py = xy[:, 1]
-    pz = np.full(n, UE_HEIGHT_M)
-
-    rsrp = np.empty((n, n_cells, n_beams), dtype=np.float64)
-    for ci, cell_id in enumerate(cells):
-        site, sector = scenario.cell_map[cell_id]
-        az_off, el_off, dist = sector_frame_offsets(site, sector, px, py, pz)
-        base = sector.tx_power_dbm - path_loss_db(freq, dist)
-        if sigma > 0.0:
-            shadow = np.array(
-                [shadowing_db(seed, sigma, cell_id, px[i], py[i], pz[i]) for i in range(n)]
-            )
-            base = base + shadow
-        for bi, beam in enumerate(beams):
-            rsrp[:, ci, bi] = base + beam_gain_db(scenario.codebook, beam, az_off, el_off)
-
-    flat = rsrp.reshape(n, n_cells * n_beams)
+    pts3 = np.column_stack([px, py, np.full(n, UE_HEIGHT_M)])
+    flat = rsrp_cube(scenario, pts3, seed).reshape(n, n_cells * n_beams)
     # argmax returns the first maximum, which in cell-major column order
     # means ties resolve to the lowest cell id (then lowest beam id)
     best_col = np.argmax(flat, axis=1)
@@ -189,7 +173,6 @@ def build_dataset(scenario: Scenario, seed: Optional[int] = None) -> Dataset:
     for cell_id in cells:
         site, _ = scenario.cell_map[cell_id]
         serving_site[serving == cell_id] = site_index[id(site)]
-    pts3 = np.column_stack([px, py, pz])
     for idx, site in enumerate(scenario.sites):
         sel = np.nonzero(serving_site == idx)[0]
         if sel.size:
@@ -231,26 +214,40 @@ def partition_by_cell(dataset: Dataset) -> Dict[int, Dataset]:
 
 
 def _check_savable(dataset: Dataset, cell_ids: np.ndarray) -> None:
-    """Refuse what load_dataset would refuse: a non-finite x, y or rsrp,
-    a measurement cell not in `cell_ids` (the header's, sorted) or a beam
-    id outside [0, n_beams). Raises DataError naming the first bad record.
+    """Refuse what load_dataset would refuse: header cell ids or a beam
+    count outside 32 bits (or no beams), no measurements, a non-finite
+    x, y or rsrp, a measurement cell not in `cell_ids` (the
+    header's, sorted), a beam id outside [0, n_beams), a row out of
+    ranking order, or a serving cell that is not in `cell_ids` or not
+    the first measurement's. Raises DataError naming the first bad
+    record, and for it the first fault in that order.
 
     Works through a few rows at a time: a temporary the size of the
     measurement matrix raises malloc's mmap threshold, and the heap that
     later temporaries grow then stays with the process."""
+    if cell_ids.size and not (_INT32.min <= cell_ids[0] and cell_ids[-1] <= _INT32.max):
+        raise DataError("header: cell ids must fit in 32 bits; load_dataset would refuse the file")
+    if not 1 <= dataset.n_beams <= _INT32.max:
+        raise DataError("header: beams per cell must be a positive 32-bit int; load_dataset would refuse the file")
+    if len(dataset) and dataset.meas_rsrp.shape[1] == 0:
+        raise DataError("record 0: it has no measurements; load_dataset would refuse the file")
     n_beams = dataset.n_beams
     for start in range(0, len(dataset), _CHECK_ROWS):
         rows = slice(start, start + _CHECK_ROWS)
-        cells, beams = dataset.meas_cells[rows], dataset.meas_beams[rows]
+        cells, beams, rsrp = dataset.meas_cells[rows], dataset.meas_beams[rows], dataset.meas_rsrp[rows]
+        serving = dataset.serving[rows]
         unknown = cell_ids.take(np.searchsorted(cell_ids, cells), mode="clip") != cells
         outside = (beams < 0) | (beams >= n_beams)
         faults = np.column_stack(
             (
                 ~np.isfinite(dataset.xs[rows]),
                 ~np.isfinite(dataset.ys[rows]),
-                ~np.isfinite(dataset.meas_rsrp[rows]).all(axis=1),
+                ~np.isfinite(rsrp).all(axis=1),
                 unknown.any(axis=1),
                 outside.any(axis=1),
+                ~_ranked(cells, beams, rsrp),
+                cell_ids.take(np.searchsorted(cell_ids, serving), mode="clip") != serving,
+                serving != cells[:, 0],
             )
         )
         if faults.any():
@@ -259,6 +256,12 @@ def _check_savable(dataset: Dataset, cell_ids: np.ndarray) -> None:
                 what = f"measurement references cell {cells[i][unknown[i]][0]}, not in the dataset's cells"
             elif k == 4:
                 what = f"measurement references beam {beams[i][outside[i]][0]}, outside [0, {n_beams})"
+            elif k == 5:
+                what = "measurements are not in ranking order"
+            elif k == 6:
+                what = f"serving cell {serving[i]} is not in the dataset's cells"
+            elif k == 7:
+                what = f"serving cell {serving[i]} is not the strongest measurement's cell {cells[i][0]}"
             else:
                 what = f"field {('x', 'y', 'rsrp')[k]!r} is not finite"
             raise DataError(f"record {start + i}: {what}; load_dataset would refuse the file")
@@ -368,13 +371,20 @@ def parse_measurements(
     return ids[0], ids[1], rsrp
 
 
+def _ranked(cells: np.ndarray, beams: np.ndarray, rsrp: np.ndarray) -> np.ndarray:
+    """Per row (along the last axis), whether measurement columns are in
+    ranking order: descending rsrp, ties by ascending cell id, then
+    ascending beam id."""
+    r0, r1 = rsrp[..., :-1], rsrp[..., 1:]
+    c0, c1 = cells[..., :-1], cells[..., 1:]
+    tie_ok = (c0 < c1) | (c0 == c1) & (beams[..., :-1] < beams[..., 1:])
+    return ((r0 > r1) | (r0 == r1) & tie_ok).all(axis=-1)
+
+
 def in_ranking_order(cells: np.ndarray, beams: np.ndarray, rsrp: np.ndarray) -> bool:
-    """Whether measurement columns are in ranking order: descending
-    rsrp, ties by ascending cell id, then ascending beam id."""
-    r0, r1 = rsrp[:-1], rsrp[1:]
-    c0, c1 = cells[:-1], cells[1:]
-    tie_ok = (c0 < c1) | (c0 == c1) & (beams[:-1] < beams[1:])
-    return bool(((r0 > r1) | (r0 == r1) & tie_ok).all())
+    """Whether one row of measurement columns is in ranking order:
+    descending rsrp, ties by ascending cell id, then ascending beam id."""
+    return bool(_ranked(cells, beams, rsrp))
 
 
 def parse_coordinate(value, key: str, path, line: int) -> float:

@@ -411,7 +411,8 @@ def _layer_array(raw, shape: Tuple[int, ...], name: str) -> np.ndarray:
 
 def mlp_from_dict(d: dict) -> MlpModel:
     """Rebuild a model, checking that its layers chain input -> hidden
-    layers of the config -> 2 outputs."""
+    layers of the config -> 2 outputs and that the normalizer's feature
+    and label arrays have the input and output widths."""
     try:
         raw_w, raw_b = d["weights"], d["biases"]
         config = mlp_config_from_dict(d["config"])
@@ -438,6 +439,16 @@ def mlp_from_dict(d: dict) -> MlpModel:
         _layer_array(raw, (widths[l], widths[l + 1]), f"weights[{l}]") for l, raw in enumerate(raw_w)
     ]
     biases = [_layer_array(raw, (widths[l + 1],), f"biases[{l}]") for l, raw in enumerate(raw_b)]
+    if normalizer is not None:
+        for name, width in (
+            ("feature_mean", widths[0]),
+            ("feature_std", widths[0]),
+            ("label_mean", OUTPUT_WIDTH),
+            ("label_std", OUTPUT_WIDTH),
+        ):
+            shape = getattr(normalizer, name).shape
+            if shape != (width,):
+                raise ConfigurationError(f"mlp normalizer {name} has shape {shape}, the layers need ({width},)")
     return MlpModel(
         weights=weights,
         biases=biases,

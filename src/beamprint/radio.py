@@ -8,9 +8,7 @@ elevation relative to the (downtilted) panel normal.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -152,18 +150,23 @@ def element_gain_db(params: AntennaElementParams, az_offset_deg, el_offset_deg):
     return float(gain) if gain.ndim == 0 else gain
 
 
-def beam_gain_db(codebook: BeamCodebook, beam: Beam, az_deg, el_deg):
-    """Synthesized gain of one beam toward a sector-frame direction."""
-    az = np.asarray(az_deg, dtype=np.float64)
-    el = np.asarray(el_deg, dtype=np.float64)
-    steer = 12.0 * (wrap_deg(az - beam.steer_azimuth_deg) / codebook.beam_azimuth_bw_deg) ** 2
-    steer = steer + 12.0 * ((el - beam.steer_elevation_deg) / codebook.beam_elevation_bw_deg) ** 2
-    gain = (
+def _steered_gain_db(codebook: BeamCodebook, az, el, steer_az, steer_el):
+    """Gain toward sector-frame (az, el) of beams steered at (steer_az,
+    steer_el); the four arguments broadcast against each other."""
+    steer = 12.0 * (wrap_deg(az - steer_az) / codebook.beam_azimuth_bw_deg) ** 2
+    steer = steer + 12.0 * ((el - steer_el) / codebook.beam_elevation_bw_deg) ** 2
+    return (
         element_gain_db(codebook.element, az, el)
         + codebook.array_gain_db
         - np.minimum(steer, codebook.sidelobe_floor_db)
     )
-    gain = np.asarray(gain)
+
+
+def beam_gain_db(codebook: BeamCodebook, beam: Beam, az_deg, el_deg):
+    """Synthesized gain of one beam toward a sector-frame direction."""
+    az = np.asarray(az_deg, dtype=np.float64)
+    el = np.asarray(el_deg, dtype=np.float64)
+    gain = np.asarray(_steered_gain_db(codebook, az, el, beam.steer_azimuth_deg, beam.steer_elevation_deg))
     return float(gain) if gain.ndim == 0 else gain
 
 
@@ -199,44 +202,115 @@ def sector_frame_offsets(site, sector, x, y, z):
     return az_off, el_off, dist
 
 
-def _shadowing_key(rng_seed: int, cell_id: int, x: float, y: float, z: float) -> int:
-    payload = struct.pack("<qq3d", rng_seed, cell_id, x, y, z)
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+# SplitMix64 (Steele, Lea & Flood 2014) in numpy uint64, which wraps
+# mod 2**64. Constants are np.uint64 because numpy 1.x promotes a bare
+# Python int mixed with uint64 to float64.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
+_IRWIN_HALL_TERMS = 12
 
 
-def shadowing_db(rng_seed: int, sigma_db: float, cell_id: int, x: float, y: float, z: float) -> float:
-    """Log-normal shadowing term, deterministic per (seed, cell, location)."""
+def _splitmix64(state: np.ndarray) -> np.ndarray:
+    """SplitMix64's output for `state` (a 1-d uint64 array): the mix of
+    state + gamma."""
+    z = state + _GAMMA
+    z = (z ^ (z >> _S30)) * _MUL1
+    z = (z ^ (z >> _S27)) * _MUL2
+    return z ^ (z >> _S31)
+
+
+def shadowing_db(rng_seed: int, sigma_db: float, cell_id: int, x, y, z):
+    """Shadowing term in dB, deterministic per (seed, cell, location).
+
+    x, y and z are scalars or arrays that broadcast; a scalar location
+    gives a float, arrays give an array. A counter-based draw: SplitMix64
+    chained over the 64-bit two's-complement seed and cell id and the
+    float64 bit patterns of x, y, z (so -0.0 and 0.0 differ) keys a
+    SplitMix64 stream of 12 uniforms k * 2**-53; their Irwin-Hall sum
+    minus 6 is the deviate, with mean 0, variance 1 (both to within
+    1e-15) and bounds of +-6 sigma. The sum is taken exactly in integers
+    and rounded once, so the draw uses only integer ops and correctly
+    rounded float64 arithmetic: the same bits on every CPU, whichever
+    SIMD kernels numpy dispatches.
+    """
+    coords = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (x, y, z)))
+    shape = coords[0].shape
     if sigma_db == 0.0:
-        return 0.0
-    key = _shadowing_key(rng_seed, cell_id, x, y, z)
-    gen = np.random.Generator(np.random.PCG64(key))
-    return float(gen.standard_normal() * sigma_db)
+        return 0.0 if not shape else np.zeros(shape)
+    try:
+        key = np.array([rng_seed, cell_id], dtype=np.int64).view(np.uint64)
+    except OverflowError:
+        raise ConfigurationError(f"shadowing seed {rng_seed} and cell id {cell_id} must fit in 64 bits") from None
+    h = _splitmix64(_splitmix64(key[:1]) ^ key[1])
+    for v in coords:
+        h = _splitmix64(h ^ np.ravel(v).view(np.uint64))
+    total = np.zeros_like(h)
+    for _ in range(_IRWIN_HALL_TERMS):
+        total += _splitmix64(h) >> _S11
+        h += _GAMMA
+    # total < 12 * 2**53, so the int64 view is the same value
+    draw = (total.view(np.int64).astype(np.float64) * 2.0**-53 - 6.0) * sigma_db
+    return float(draw[0]) if not shape else draw.reshape(shape)
+
+
+def _cell_rsrp(scenario, cell_id: int, x, y, z, seed: int) -> np.ndarray:
+    """RSRP in dBm of every beam of one cell at points (x, y, z), each
+    a 1-d array: shape (n, n_beams)."""
+    site, sector = scenario.cell_map[cell_id]
+    codebook = scenario.codebook
+    az_off, el_off, dist = sector_frame_offsets(site, sector, x, y, z)
+    base = sector.tx_power_dbm - path_loss_db(scenario.config.carrier_frequency_hz, dist)
+    sigma = scenario.config.radio.shadowing_sigma_db
+    if sigma > 0.0:
+        base = base + shadowing_db(seed, sigma, cell_id, x, y, z)
+    # build_codebook lays the beams out row-major over (elevation row,
+    # azimuth column), so the steering penalty broadcasts over an
+    # (n, rows, columns) grid and wraps each azimuth column once
+    beams = codebook.beams
+    steer_az = np.array([b.steer_azimuth_deg for b in beams[: codebook.n_azimuth]])
+    steer_el = np.array([[b.steer_elevation_deg] for b in beams[:: codebook.n_azimuth]])
+    gain = _steered_gain_db(codebook, az_off[:, None, None], el_off[:, None, None], steer_az, steer_el)
+    return base[:, None] + gain.reshape(len(base), len(beams))
+
+
+def rsrp_cube(scenario, points, seed: Optional[int] = None) -> np.ndarray:
+    """Received power of every (cell, beam) at every point, in dBm.
+
+    `points` is an (n, 3) array of (x, y, z) in metres. Returns an
+    (n, n_cells, n_beams) array, cells in `scenario.cell_ids` order and
+    beams by id: tx power - path loss (+ shadowing) + beam gain. When the
+    scenario carries a non-zero shadowing sigma, `shadowing_db` adds a
+    seeded term per (point, cell); the seed defaults to the scenario
+    rng_seed.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError("points must be an (n, 3) array of x, y, z")
+    if seed is None:
+        seed = scenario.config.rng_seed
+    cells = scenario.cell_ids
+    out = np.empty((pts.shape[0], len(cells), len(scenario.codebook.beams)))
+    for ci, cell_id in enumerate(cells):
+        out[:, ci, :] = _cell_rsrp(scenario, cell_id, pts[:, 0], pts[:, 1], pts[:, 2], seed)
+    return out
 
 
 def rsrp_dbm(scenario, cell_id: int, beam_id: int, point, seed: Optional[int] = None) -> float:
-    """Received beam power at a point: tx power + beam gain - path loss.
+    """Received beam power at one point: tx power + beam gain - path loss.
 
-    `point` is an (x, y, z) triple in metres. When the scenario carries a
-    non-zero shadowing sigma a seeded log-normal term is added; the seed
-    defaults to the scenario rng_seed.
+    `point` is an (x, y, z) triple in metres. The value is the matching
+    element of `rsrp_cube` at that point, shadowing (and its seed
+    default) included.
     """
-    try:
-        site, sector = scenario.cell_map[cell_id]
-    except KeyError:
-        raise ConfigurationError(f"unknown cell id {cell_id}") from None
-    beams = scenario.codebook.beams
-    if not 0 <= beam_id < len(beams):
+    if cell_id not in scenario.cell_map:
+        raise ConfigurationError(f"unknown cell id {cell_id}")
+    if not 0 <= beam_id < len(scenario.codebook.beams):
         raise ConfigurationError(f"unknown beam id {beam_id}")
-    x, y, z = (float(v) for v in point)
-    az_off, el_off, dist = sector_frame_offsets(site, sector, x, y, z)
-    gain = beam_gain_db(scenario.codebook, beams[beam_id], az_off, el_off)
-    loss = path_loss_db(scenario.config.carrier_frequency_hz, dist)
-    sigma = scenario.config.radio.shadowing_sigma_db
-    shadow = shadowing_db(
-        scenario.config.rng_seed if seed is None else seed, sigma, cell_id, x, y, z
-    )
-    return sector.tx_power_dbm + float(gain) - float(loss) + shadow
+    x, y, z = (np.array([float(v)]) for v in point)
+    seed = scenario.config.rng_seed if seed is None else seed
+    return float(_cell_rsrp(scenario, cell_id, x, y, z, seed)[0, beam_id])
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,25 @@ def test_infer_with_one_output_mlp_exits_1(ws, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_infer_with_truncated_normalizer_exits_1(ws, tmp_path, capsys):
+    # used to load, then fail at predict time as a data error (exit 2)
+    model = tmp_path / "mlp.json"
+    args = ["--dataset", str(ws.dataset), "--features", str(ws.features), "--out", str(model)]
+    assert main(["train", "--model", "mlp", *args, "--hidden", "4", "--max-epochs", "1"]) == 0
+    blob = json.loads(model.read_text(encoding="ascii"))
+    blob["mlp"]["normalizer"]["feature_mean"] = blob["mlp"]["normalizer"]["feature_mean"][:2]
+    model.write_text(json.dumps(blob), encoding="ascii")
+    head = tmp_path / "head.jsonl"
+    head.write_text("".join(ws.dataset.read_text(encoding="ascii").splitlines(keepends=True)[1:4]))
+    capsys.readouterr()
+    rc = main(["infer", "--model", str(model), "--input", str(head)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "feature_mean" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_infer_input_exits_2(ws, tmp_path, capsys):
     rc = main(["infer", "--model", str(ws.tree), "--input", str(tmp_path / "nope.jsonl")])
     assert rc == 2

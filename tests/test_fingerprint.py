@@ -61,6 +61,21 @@ def test_serving_is_global_argmax(small_scenario, small_dataset):
         assert top[2] == pytest.approx(best[0], abs=1e-9)
 
 
+def test_shadowed_build_matches_rsrp_dbm(shadowed_small_dataset):
+    sc = build_scenario(small_scenario_config(shadowing_sigma_db=4.0))
+    rng = np.random.default_rng(3)
+    for i in rng.integers(0, len(shadowed_small_dataset), size=12):
+        rec = shadowed_small_dataset.record(int(i))
+        point = (rec.x, rec.y, UE_HEIGHT_M)
+        for c, b, r in triples(rec)[:: 37]:
+            assert r == pytest.approx(rsrp_dbm(sc, c, b, point, seed=3), abs=1e-9)
+        best = max(
+            (rsrp_dbm(sc, c, b, point, seed=3), -c, -b) for c in sc.cell_ids for b in range(sc.n_beams)
+        )
+        assert rec.serving_cell_id == -best[1]
+        assert triples(rec)[0][:2] == (-best[1], -best[2])
+
+
 def test_serving_tie_breaks_to_lower_cell():
     # mirror-symmetric sites: the midpoint sees identical power from the
     # east-facing cell 0 and the west-facing cell 1, lower id must win
@@ -419,7 +434,7 @@ def shadowed_small_dataset():
 GOLDEN_SAVE_SHA256 = {
     "small": ("small_dataset", None, "7a9b78a9cbef1ce9ae41a99f7ccc27e32868146affe8beada6e64b55dad23fa4"),
     "single_site": ("single_site_dataset", None, "76135ddd7b96b1bcf7fe5c96c6fbff5d76509ee8aa8e22cca50c7a1f81a8a746"),
-    "shadowed": ("shadowed_small_dataset", None, "9d0ad3cfa3628511d1b01e27748afd9cd512eed5f4322f2b06c27ac9d0704e90"),
+    "shadowed": ("shadowed_small_dataset", None, "8687fb87eabfd26014df35720483531559f19006e52156af1bd15ef725c3820b"),
     "subset7": ("small_dataset", (0, 1, 60, 123, 250, 401, -1), "806a191f31351a0ef2cc8f8944abc41839b2df42baf6f313ccd6f5cc359b57ca"),
     "empty": ("small_dataset", (), "a7a7cc38a3171df67e7275069403df758f37249ea93718ea323e5ce6b296ae42"),
 }
@@ -515,6 +530,84 @@ def test_save_rejects_what_load_refuses(tmp_path, small_dataset, column, value, 
     with pytest.raises(DataError) as e:
         save_dataset(ds, path)
     assert "record 4" in str(e.value) and needle in str(e.value)
+    assert not path.exists()
+
+
+def _out_of_order(ds):
+    ds.meas_rsrp[4, 100] = ds.meas_rsrp[4, 0] + 1.0
+
+
+def _serving_not_strongest(ds):
+    ds.serving[4] = next(c for c in ds.cells if c != ds.meas_cells[4, 0])
+
+
+def _serving_unknown(ds):
+    ds.serving[4] = 99
+
+
+@pytest.mark.parametrize(
+    "fault, needle",
+    [
+        (_out_of_order, "not in ranking order"),
+        (_serving_not_strongest, "not the strongest"),
+        (_serving_unknown, "serving cell 99 is not in"),
+    ],
+    ids=["out-of-order", "serving-not-strongest", "serving-unknown"],
+)
+def test_save_rejects_bad_record_structure(tmp_path, small_dataset, fault, needle):
+    ds = small_dataset.subset(np.arange(10))
+    fault(ds)
+    oracle_save_dataset(ds, tmp_path / "oracle.jsonl")
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(tmp_path / "oracle.jsonl")
+    assert e.value.line == 6  # record 4
+    path = tmp_path / "ds.jsonl"
+    with pytest.raises(DataError) as e:
+        save_dataset(ds, path)
+    assert "record 4" in str(e.value) and needle in str(e.value)
+    assert not path.exists()
+
+
+def test_save_rejects_records_without_measurements(tmp_path, small_dataset):
+    ds = small_dataset.subset(np.arange(1))
+    ds = Dataset(
+        xs=ds.xs,
+        ys=ds.ys,
+        serving=ds.serving,
+        los=ds.los,
+        meas_cells=ds.meas_cells[:, :0],
+        meas_beams=ds.meas_beams[:, :0],
+        meas_rsrp=ds.meas_rsrp[:, :0],
+        cells=ds.cells,
+        n_beams=ds.n_beams,
+        scenario_hash=ds.scenario_hash,
+        seed=ds.seed,
+    )
+    oracle_save_dataset(ds, tmp_path / "oracle.jsonl")
+    with pytest.raises(DatasetParseError):
+        load_dataset(tmp_path / "oracle.jsonl")
+    path = tmp_path / "ds.jsonl"
+    with pytest.raises(DataError) as e:
+        save_dataset(ds, path)
+    assert "record 0" in str(e.value) and "no measurements" in str(e.value)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "cells, n_beams, needle",
+    [((0, 2, 2**31), 32, "cell ids"), ((-(2**31) - 1, 0), 32, "cell ids"), ((0, 1, 2, 3), 0, "beams per cell")],
+    ids=["cell-past-int32", "cell-below-int32", "no-beams"],
+)
+def test_save_rejects_header_load_refuses(tmp_path, small_dataset, cells, n_beams, needle):
+    ds = small_dataset.subset(np.arange(3))
+    ds.cells, ds.n_beams = cells, n_beams
+    oracle_save_dataset(ds, tmp_path / "oracle.jsonl")
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(tmp_path / "oracle.jsonl")
+    assert e.value.line == 1
+    path = tmp_path / "ds.jsonl"
+    with pytest.raises(DataError, match=needle):
+        save_dataset(ds, path)
     assert not path.exists()
 
 

@@ -300,6 +300,10 @@ _BAD_MLP_BLOBS = {
     "hidden layers not a list": _set(["config", "hidden_layers"], 4),
     "normalizer missing a key": _set(["normalizer"], lambda norm: {k: v for k, v in norm.items() if k != "feature_mean"}),
     "non-numeric loss history": _set(["loss_history"], ["low"]),
+    "short feature mean": _set(["normalizer", "feature_mean"], lambda v: v[:-1]),
+    "long feature std": _set(["normalizer", "feature_std"], lambda v: v + [1.0]),
+    "label mean of width 1": _set(["normalizer", "label_mean"], lambda v: v[:1]),
+    "nested label std": _set(["normalizer", "label_std"], lambda v: [v]),
 }
 
 

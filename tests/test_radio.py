@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from beamprint.radio import (
     path_loss_db,
     radio_config_from_dict,
     radio_config_to_dict,
+    rsrp_cube,
     rsrp_dbm,
     sector_frame_offsets,
     shadowing_db,
@@ -195,6 +197,75 @@ def test_shadowing_scales_with_sigma(rng):
     assert np.allclose(doubled, 2.0 * draws[:100])
 
 
+# float.hex of draws pinned when the counter-based generator was
+# written; integer ops and correctly rounded float64 arithmetic only, so
+# they hold whichever SIMD kernels numpy dispatches
+SHADOWING_PINS = [
+    ((0, 4.0, 0, 10.0, 20.0, 1.5), "-0x1.68fead20cad80p-2"),
+    ((-1, 4.0, 7, 10.0, 20.0, 1.5), "0x1.831766ad069c8p+2"),
+    ((2**63 - 1, 4.0, 23, 10.0, 20.0, 1.5), "0x1.ae99ab0789f8cp+2"),
+    ((5, 1.0, 3, -0.0, 0.0, 1.5), "0x1.d2924d0679b60p-3"),
+    ((5, 1.0, 3, 0.0, 0.0, 1.5), "-0x1.623c60a306d60p-3"),
+    ((3, 4.0, 2, -215.25, -48.0, 1.5), "-0x1.0c94b72d1c500p-1"),
+]
+
+
+@pytest.mark.parametrize("args, pinned", SHADOWING_PINS)
+def test_shadowing_pinned_draws(args, pinned):
+    got = shadowing_db(*args)
+    assert type(got) is float
+    assert got.hex() == pinned
+
+
+def test_shadowing_rejects_seeds_past_64_bits():
+    assert shadowing_db(-(2**63), 4.0, 0, 0.0, 0.0, 1.5) != 0.0
+    for seed in (2**63, -(2**63) - 1, 2**64):
+        with pytest.raises(ConfigurationError, match="64 bits"):
+            shadowing_db(seed, 4.0, 0, 0.0, 0.0, 1.5)
+
+
+def oracle_shadowing_db(seed, sigma, cell, x, y, z):
+    """SplitMix64 and the 12-term Irwin-Hall sum in Python ints."""
+    mask = (1 << 64) - 1
+    gamma = 0x9E3779B97F4A7C15
+
+    def mix(state):
+        v = (state + gamma) & mask
+        v = ((v ^ (v >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        v = ((v ^ (v >> 27)) * 0x94D049BB133111EB) & mask
+        return v ^ (v >> 31)
+
+    h = mix(mix(seed & mask) ^ (cell & mask))
+    for v in (x, y, z):
+        h = mix(h ^ struct.unpack("<Q", struct.pack("<d", v))[0])
+    total = sum(mix((h + k * gamma) & mask) >> 11 for k in range(12))
+    return (total * 2.0**-53 - 6.0) * sigma
+
+
+def test_shadowing_matches_python_oracle():
+    rng = np.random.default_rng(17)
+    seeds = [0, -1, 2**63 - 1, -(2**63), *rng.integers(-(2**62), 2**62, size=6).tolist()]
+    for seed in seeds:
+        cell = int(rng.integers(-5, 1000))
+        x, y = rng.uniform(-1e4, 1e4, size=2).tolist()
+        assert shadowing_db(seed, 4.0, cell, x, y, 1.5) == oracle_shadowing_db(seed, 4.0, cell, x, y, 1.5)
+
+
+def test_shadowing_array_call_matches_scalar_calls():
+    xs = np.array([[-3.0, 0.0, -0.0], [10.0, 12.5, 1e6]])
+    ys = np.array([-7.0, 20.0, 0.0])  # broadcasts over rows
+    got = shadowing_db(9, 4.0, 5, xs, ys, 1.5)
+    assert got.shape == (2, 3)
+    for i, j in np.ndindex(got.shape):
+        assert got[i, j] == shadowing_db(9, 4.0, 5, float(xs[i, j]), float(ys[j]), 1.5)
+    assert np.array_equal(shadowing_db(9, 0.0, 5, xs, ys, 1.5), np.zeros((2, 3)))
+
+
+def test_shadowing_bounded_at_six_sigma():
+    draws = shadowing_db(1, 2.0, 0, np.arange(50000.0), 0.0, 1.5)
+    assert np.abs(draws).max() <= 12.0
+
+
 def rsrp_scenario():
     # single sector facing east, one beam steered exactly at (0, 0)
     site = Site(x=0.0, y=25.0, sectors=(Sector(boresight_azimuth_deg=0.0, cell_id=0),))
@@ -229,6 +300,49 @@ def test_rsrp_decomposition():
         - path_loss_db(sc.config.carrier_frequency_hz, dist)
     )
     assert rsrp_dbm(sc, 0, 0, point) == pytest.approx(expect, abs=1e-12)
+
+
+def oracle_beam_gain_db(cb, beam, az, el):
+    """One beam's gain as the per-beam sweep computed it."""
+    steer = 12.0 * (wrap_deg(az - beam.steer_azimuth_deg) / cb.beam_azimuth_bw_deg) ** 2
+    steer = steer + 12.0 * ((el - beam.steer_elevation_deg) / cb.beam_elevation_bw_deg) ** 2
+    return element_gain_db(cb.element, az, el) + cb.array_gain_db - np.minimum(steer, cb.sidelobe_floor_db)
+
+
+def test_rsrp_cube_matches_per_beam_sweep():
+    """The per-beam loop the sweep used before the cube, exact."""
+    from conftest import small_scenario_config
+
+    sc = build_scenario(small_scenario_config())
+    rng = np.random.default_rng(5)
+    pts = np.column_stack([rng.uniform(-10.0, 70.0, 40), rng.uniform(-5.0, 45.0, 40), np.full(40, 1.5)])
+    cube = rsrp_cube(sc, pts)
+    assert cube.shape == (40, sc.n_cells, sc.n_beams)
+    for ci, cell_id in enumerate(sc.cell_ids):
+        site, sector = sc.cell_map[cell_id]
+        az, el, dist = sector_frame_offsets(site, sector, pts[:, 0], pts[:, 1], pts[:, 2])
+        base = sector.tx_power_dbm - path_loss_db(sc.config.carrier_frequency_hz, dist)
+        for bi, beam in enumerate(sc.codebook.beams):
+            gain = oracle_beam_gain_db(sc.codebook, beam, az, el)
+            assert np.array_equal(beam_gain_db(sc.codebook, beam, az, el), gain)
+            assert np.array_equal(cube[:, ci, bi], base + gain)
+
+
+def test_rsrp_dbm_is_a_cube_element():
+    from conftest import small_scenario_config
+
+    sc = build_scenario(small_scenario_config(shadowing_sigma_db=4.0))
+    pts = np.array([[5.0, 3.0, 1.5], [41.5, 37.0, 1.5]])
+    cube = rsrp_cube(sc, pts, seed=8)
+    assert not np.array_equal(cube, rsrp_cube(sc, pts, seed=9))
+    for i, ci, bi in ((0, 0, 0), (1, 3, 31), (1, 2, 17)):
+        assert rsrp_dbm(sc, sc.cell_ids[ci], bi, pts[i], seed=8) == cube[i, ci, bi]
+
+
+def test_rsrp_cube_rejects_bad_points():
+    sc = rsrp_scenario()
+    with pytest.raises(ValueError):
+        rsrp_cube(sc, np.zeros((4, 2)))
 
 
 def test_rsrp_unknown_ids():
