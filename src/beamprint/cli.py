@@ -12,11 +12,12 @@ import logging
 import sys
 from pathlib import Path
 
+from .configfile import load_object
 from .errors import BeamprintError, ConfigurationError, DataError, TrainingDivergenceError
 from .evaluate import compare, summarize, write_cdf_csv, write_report
 from .features import extract_features, feature_config_from_dict
 from .fingerprint import build_dataset, load_dataset, los_filter, save_dataset
-from .mlp import MlpConfig
+from .mlp import _ACTIVATIONS, MlpConfig
 from .dtree import TreeConfig
 from .evaluate import euclidean_errors
 from .pipeline import (
@@ -67,17 +68,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--features", required=True, help="feature config JSON file")
     p.add_argument("--out", required=True, help="output model path")
     p.add_argument("--no-los-filter", action="store_true", help="train on blocked records too")
-    p.add_argument("--hidden", default="64", help="hidden widths, comma separated (mlp)")
-    p.add_argument("--activation", choices=("tanh", "relu"), default="tanh")
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--max-epochs", type=int, default=500)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--min-delta", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0, help="weight init and shuffle seed (mlp)")
-    p.add_argument("--max-depth", type=int, default=30, help="tree depth cap")
-    p.add_argument("--min-samples-leaf", type=int, default=2)
-    p.add_argument("--min-impurity-decrease", type=float, default=0.0)
+    # the defaults are the config dataclasses' own
+    m, t = MlpConfig(), TreeConfig()
+    hidden = ",".join(map(str, m.hidden_layers))
+    p.add_argument("--hidden", default=hidden, help="hidden widths, comma separated (mlp)")
+    p.add_argument("--activation", choices=_ACTIVATIONS, default=m.activation)
+    p.add_argument("--learning-rate", type=float, default=m.learning_rate)
+    p.add_argument("--batch-size", type=int, default=m.batch_size)
+    p.add_argument("--max-epochs", type=int, default=m.max_epochs)
+    p.add_argument("--patience", type=int, default=m.patience)
+    p.add_argument("--min-delta", type=float, default=m.min_delta)
+    p.add_argument("--seed", type=int, default=m.rng_seed, help="weight init and shuffle seed (mlp)")
+    p.add_argument("--max-depth", type=int, default=t.max_depth, help="tree depth cap")
+    p.add_argument("--min-samples-leaf", type=int, default=t.min_samples_leaf)
+    p.add_argument("--min-impurity-decrease", type=float, default=t.min_impurity_decrease)
 
     p = sub.add_parser("evaluate", help="score a model against a labelled dataset")
     p.add_argument("--model", required=True)
@@ -129,19 +133,8 @@ def _parse_hidden(text: str):
     return widths
 
 
-def _load_feature_config(path):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            d = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigurationError(f"cannot read feature config {path}: {e}") from e
-    if not isinstance(d, dict):
-        raise ConfigurationError(f"feature config {path} must hold a JSON object")
-    return feature_config_from_dict(d)
-
-
 def _cmd_train(args) -> int:
-    fc = _load_feature_config(args.features)
+    fc = feature_config_from_dict(load_object(args.features, "feature config"))
     dataset = load_dataset(args.dataset)
     if not args.no_los_filter:
         dataset = los_filter(dataset)

@@ -15,6 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .configfile import decode, from_dict, to_dict
 from .errors import ConfigurationError, DataError
 
 
@@ -245,18 +246,32 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(d: dict) -> TreeNode:
-    if "value" in d:
-        return TreeNode(n_samples=int(d["n"]), value=np.asarray(d["value"], dtype=np.float64))
-    feature = int(d["feature"])
+_LEAF_KEYS = {"n", "value"}
+_SPLIT_KEYS = {"n", "feature", "threshold", "left", "right"}
+
+
+def _node_from_dict(d, where: str) -> TreeNode:
+    """One node and its subtree; every field typed and finite."""
+    keys = d.keys() if isinstance(d, dict) else None
+    if keys != _LEAF_KEYS and keys != _SPLIT_KEYS:
+        raise ConfigurationError(
+            f"{where} must be a leaf {sorted(_LEAF_KEYS)} or a split {sorted(_SPLIT_KEYS)} object"
+        )
+    n = decode(int, d["n"], f"{where}.n")
+    if keys == _LEAF_KEYS:
+        value = d["value"]
+        if not isinstance(value, list) or len(value) != 2:
+            raise ConfigurationError(f"{where}.value must be an (x, y) pair")
+        return TreeNode(n_samples=n, value=np.array([decode(float, v, f"{where}.value") for v in value]))
+    feature = decode(int, d["feature"], f"{where}.feature")
     if feature < 0:
-        raise ValueError(f"negative split feature {feature}")
+        raise ConfigurationError(f"{where}.feature is negative ({feature})")
     return TreeNode(
-        n_samples=int(d["n"]),
+        n_samples=n,
         feature=feature,
-        threshold=float(d["threshold"]),
-        left=_node_from_dict(d["left"]),
-        right=_node_from_dict(d["right"]),
+        threshold=decode(float, d["threshold"], f"{where}.threshold"),
+        left=_node_from_dict(d["left"], f"{where}.left"),
+        right=_node_from_dict(d["right"], f"{where}.right"),
     )
 
 
@@ -264,11 +279,7 @@ def tree_to_dict(model: TreeModel) -> dict:
     return {
         "version": _TREE_VERSION,
         "n_features": model.n_features,
-        "config": {
-            "max_depth": model.config.max_depth,
-            "min_samples_leaf": model.config.min_samples_leaf,
-            "min_impurity_decrease": model.config.min_impurity_decrease,
-        },
+        "config": to_dict(model.config),
         "root": _node_to_dict(model.root),
     }
 
@@ -276,41 +287,17 @@ def tree_to_dict(model: TreeModel) -> dict:
 def tree_from_dict(d: dict) -> TreeModel:
     if d.get("version") != _TREE_VERSION:
         raise ConfigurationError(f"unsupported tree blob version {d.get('version')}")
-    c = d.get("config", {})
-    config = TreeConfig(
-        max_depth=int(c.get("max_depth", 30)),
-        min_samples_leaf=int(c.get("min_samples_leaf", 2)),
-        min_impurity_decrease=float(c.get("min_impurity_decrease", 0.0)),
-    )
+    config = from_dict(TreeConfig, d.get("config", {}), "tree config")
     validate_tree_config(config)
-    try:
-        model = TreeModel(
-            root=_node_from_dict(d["root"]),
-            n_features=int(d["n_features"]),
-            config=config,
-        )
-    except KeyError as e:
-        raise ConfigurationError(f"tree blob is missing key {e}") from e
-    except (TypeError, ValueError) as e:
-        raise ConfigurationError(f"malformed tree blob: {e}") from e
+    if "root" not in d or "n_features" not in d:
+        raise ConfigurationError("tree blob needs 'root' and 'n_features'")
+    model = TreeModel(
+        root=_node_from_dict(d["root"], "tree root"),
+        n_features=decode(int, d["n_features"], "tree n_features"),
+        config=config,
+    )
     if model.feature.max() >= model.n_features:
         raise ConfigurationError(
             f"tree splits on feature {model.feature.max()}, past its width {model.n_features}"
         )
-    if model.value.shape[1:] != (2,):
-        raise ConfigurationError("tree leaf values must be (x, y) pairs")
     return model
-
-
-def tree_config_from_dict(d: dict) -> TreeConfig:
-    allowed = {"max_depth", "min_samples_leaf", "min_impurity_decrease"}
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown tree config keys: {sorted(unknown)}")
-    config = TreeConfig(
-        max_depth=int(d.get("max_depth", 30)),
-        min_samples_leaf=int(d.get("min_samples_leaf", 2)),
-        min_impurity_decrease=float(d.get("min_impurity_decrease", 0.0)),
-    )
-    validate_tree_config(config)
-    return config

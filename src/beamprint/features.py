@@ -23,11 +23,12 @@ size of its vocabulary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .configfile import from_dict
 from .errors import ConfigurationError, DataError, FeatureExtractionError
 from .fingerprint import Dataset, FingerprintRecord
 
@@ -41,9 +42,9 @@ SKIP_NEIGHBORS = "insufficient_neighbor_cells"
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    n_serving_beams: int = 3
-    n_neighbor_beams: int = 0
-    include_serving_cell_id: bool = True
+    n_serving_beams: int = field(default=3, metadata={"key": "serving_beams"})
+    n_neighbor_beams: int = field(default=0, metadata={"key": "neighbor_beams"})
+    include_serving_cell_id: bool = field(default=True, metadata={"key": "cell_id_feature"})
     topology: str = TOPOLOGY_NETWORK
     one_hot_ids: bool = False
     cell_id_vocab: Optional[int] = None  # required when one_hot_ids
@@ -305,63 +306,11 @@ def invert_labels(stats: NormalizationStats, normalized: np.ndarray) -> np.ndarr
     return normalized * stats.label_std + stats.label_mean
 
 
-def normalizer_to_dict(stats: NormalizationStats) -> dict:
-    return {
-        "feature_mean": stats.feature_mean.tolist(),
-        "feature_std": stats.feature_std.tolist(),
-        "label_mean": stats.label_mean.tolist(),
-        "label_std": stats.label_std.tolist(),
-        "fit_on_train": stats.fit_on_train,
-    }
-
-
-def normalizer_from_dict(d: dict) -> NormalizationStats:
-    return NormalizationStats(
-        feature_mean=np.asarray(d["feature_mean"], dtype=np.float64),
-        feature_std=np.asarray(d["feature_std"], dtype=np.float64),
-        label_mean=np.asarray(d["label_mean"], dtype=np.float64),
-        label_std=np.asarray(d["label_std"], dtype=np.float64),
-        fit_on_train=bool(d.get("fit_on_train", True)),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Config round trip (file keys are the short external names)
+# Config file (the file keys are the short external names)
 
 
-def feature_config_to_dict(config: FeatureConfig) -> dict:
-    return {
-        "serving_beams": config.n_serving_beams,
-        "neighbor_beams": config.n_neighbor_beams,
-        "cell_id_feature": config.include_serving_cell_id,
-        "topology": config.topology,
-        "one_hot_ids": config.one_hot_ids,
-        "cell_id_vocab": config.cell_id_vocab,
-        "beam_id_vocab": config.beam_id_vocab,
-    }
-
-
-def feature_config_from_dict(d: dict) -> FeatureConfig:
-    allowed = {
-        "serving_beams",
-        "neighbor_beams",
-        "cell_id_feature",
-        "topology",
-        "one_hot_ids",
-        "cell_id_vocab",
-        "beam_id_vocab",
-    }
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown feature config keys: {sorted(unknown)}")
-    config = FeatureConfig(
-        n_serving_beams=int(d.get("serving_beams", 3)),
-        n_neighbor_beams=int(d.get("neighbor_beams", 0)),
-        include_serving_cell_id=bool(d.get("cell_id_feature", True)),
-        topology=str(d.get("topology", TOPOLOGY_NETWORK)),
-        one_hot_ids=bool(d.get("one_hot_ids", False)),
-        cell_id_vocab=None if d.get("cell_id_vocab") is None else int(d["cell_id_vocab"]),
-        beam_id_vocab=None if d.get("beam_id_vocab") is None else int(d["beam_id_vocab"]),
-    )
+def feature_config_from_dict(d, where: str = "feature config") -> FeatureConfig:
+    config = from_dict(FeatureConfig, d, where)
     validate_feature_config(config)
     return config

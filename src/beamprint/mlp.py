@@ -13,16 +13,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .configfile import decode, from_dict, to_dict
 from .errors import ConfigurationError, DataError, TrainingDivergenceError
-from .features import (
-    FeatureSet,
-    NormalizationStats,
-    apply,
-    apply_labels,
-    invert_labels,
-    normalizer_from_dict,
-    normalizer_to_dict,
-)
+from .features import FeatureSet, NormalizationStats, apply, apply_labels, invert_labels
 
 OUTPUT_WIDTH = 2
 
@@ -340,47 +333,9 @@ def predict(model: MlpModel, values: np.ndarray) -> np.ndarray:
 # Serialization
 
 
-def mlp_config_to_dict(config: MlpConfig) -> dict:
-    return {
-        "hidden_layers": list(config.hidden_layers),
-        "activation": config.activation,
-        "learning_rate": config.learning_rate,
-        "beta1": config.beta1,
-        "beta2": config.beta2,
-        "epsilon": config.epsilon,
-        "batch_size": config.batch_size,
-        "max_epochs": config.max_epochs,
-        "patience": config.patience,
-        "min_delta": config.min_delta,
-        "rng_seed": config.rng_seed,
-    }
-
-
-def mlp_config_from_dict(d: dict) -> MlpConfig:
-    allowed = set(mlp_config_to_dict(MlpConfig()))
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown mlp config keys: {sorted(unknown)}")
-    config = MlpConfig(
-        hidden_layers=tuple(int(w) for w in d.get("hidden_layers", (64,))),
-        activation=str(d.get("activation", "tanh")),
-        learning_rate=float(d.get("learning_rate", 1e-3)),
-        beta1=float(d.get("beta1", 0.9)),
-        beta2=float(d.get("beta2", 0.999)),
-        epsilon=float(d.get("epsilon", 1e-8)),
-        batch_size=int(d.get("batch_size", 32)),
-        max_epochs=int(d.get("max_epochs", 500)),
-        patience=int(d.get("patience", 20)),
-        min_delta=float(d.get("min_delta", 1e-4)),
-        rng_seed=int(d.get("rng_seed", 0)),
-    )
-    validate_mlp_config(config)
-    return config
-
-
 def mlp_to_dict(model: MlpModel) -> dict:
     return {
-        "config": mlp_config_to_dict(model.config),
+        "config": to_dict(model.config),
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
         "normalizer": None if model.normalizer is None else normalizer_to_dict(model.normalizer),
@@ -409,20 +364,48 @@ def _layer_array(raw, shape: Tuple[int, ...], name: str) -> np.ndarray:
     return out
 
 
+def normalizer_to_dict(stats: NormalizationStats) -> dict:
+    return {
+        "feature_mean": stats.feature_mean.tolist(),
+        "feature_std": stats.feature_std.tolist(),
+        "label_mean": stats.label_mean.tolist(),
+        "label_std": stats.label_std.tolist(),
+        "fit_on_train": stats.fit_on_train,
+    }
+
+
+def normalizer_from_dict(d, input_width: int) -> NormalizationStats:
+    """Stats for a model of `input_width` features, refused unless the
+    feature arrays have that width, the label arrays width 2, every
+    entry is finite and every std is positive."""
+    widths = {
+        "feature_mean": input_width,
+        "feature_std": input_width,
+        "label_mean": OUTPUT_WIDTH,
+        "label_std": OUTPUT_WIDTH,
+    }
+    if not isinstance(d, dict) or set(d) - {"fit_on_train"} != set(widths):
+        raise ConfigurationError(f"mlp normalizer must be an object of {sorted(widths)} and fit_on_train")
+    arrays = {name: _layer_array(d[name], (w,), f"normalizer {name}") for name, w in widths.items()}
+    for name in ("feature_std", "label_std"):
+        if not (arrays[name] > 0).all():
+            raise ConfigurationError(f"mlp normalizer {name} holds a std that is not positive")
+    return NormalizationStats(
+        **arrays, fit_on_train=decode(bool, d.get("fit_on_train", True), "mlp normalizer.fit_on_train")
+    )
+
+
 def mlp_from_dict(d: dict) -> MlpModel:
     """Rebuild a model, checking that its layers chain input -> hidden
     layers of the config -> 2 outputs and that the normalizer's feature
     and label arrays have the input and output widths."""
     try:
         raw_w, raw_b = d["weights"], d["biases"]
-        config = mlp_config_from_dict(d["config"])
-        norm = d.get("normalizer")
-        normalizer = None if norm is None else normalizer_from_dict(norm)
-        loss_history = [float(v) for v in d.get("loss_history", [])]
+        config = from_dict(MlpConfig, d["config"], "mlp config")
     except KeyError as e:
         raise ConfigurationError(f"mlp blob is missing key {e}") from e
-    except (TypeError, ValueError) as e:
-        raise ConfigurationError(f"malformed mlp blob: {e}") from e
+    validate_mlp_config(config)
+    loss_history = list(decode(Tuple[float, ...], d.get("loss_history", []), "mlp loss_history"))
     if not isinstance(raw_w, list) or not isinstance(raw_b, list):
         raise ConfigurationError("mlp weights and biases must be lists of layers")
     widths = [
@@ -439,20 +422,11 @@ def mlp_from_dict(d: dict) -> MlpModel:
         _layer_array(raw, (widths[l], widths[l + 1]), f"weights[{l}]") for l, raw in enumerate(raw_w)
     ]
     biases = [_layer_array(raw, (widths[l + 1],), f"biases[{l}]") for l, raw in enumerate(raw_b)]
-    if normalizer is not None:
-        for name, width in (
-            ("feature_mean", widths[0]),
-            ("feature_std", widths[0]),
-            ("label_mean", OUTPUT_WIDTH),
-            ("label_std", OUTPUT_WIDTH),
-        ):
-            shape = getattr(normalizer, name).shape
-            if shape != (width,):
-                raise ConfigurationError(f"mlp normalizer {name} has shape {shape}, the layers need ({width},)")
+    norm = d.get("normalizer")
     return MlpModel(
         weights=weights,
         biases=biases,
         config=config,
-        normalizer=normalizer,
+        normalizer=None if norm is None else normalizer_from_dict(norm, widths[0]),
         loss_history=loss_history,
     )

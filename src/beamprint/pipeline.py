@@ -15,11 +15,12 @@ import logging
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union, get_type_hints
 
 import numpy as np
 
 from . import dtree, mlp
+from .configfile import decode, from_dict, load_object, to_dict
 from .errors import ConfigurationError, DataError, DatasetParseError, FeatureExtractionError
 from .evaluate import Comparison, EvalReport, compare, euclidean_errors, summarize, write_cdf_csv, write_report
 from .features import (
@@ -31,7 +32,6 @@ from .features import (
     extract,
     extract_features,
     feature_config_from_dict,
-    feature_config_to_dict,
     feature_length,
     fit_normalizer,
 )
@@ -50,8 +50,6 @@ from .scenario import (
     ScenarioConfig,
     build_scenario,
     load_scenario_config,
-    scenario_config_from_dict,
-    scenario_config_to_dict,
 )
 
 logger = logging.getLogger(__name__)
@@ -104,27 +102,25 @@ class ModelSpec:
         return f"tree_d{c.max_depth}_l{c.min_samples_leaf}"
 
 
-def model_spec_from_dict(d: dict) -> ModelSpec:
+def model_spec_from_dict(d, where: str = "model config") -> ModelSpec:
     if not isinstance(d, dict) or "type" not in d:
-        raise ConfigurationError("each model config needs a 'type' of mlp or tree")
+        raise ConfigurationError(f"{where} needs a 'type' of mlp or tree")
     kind = d["type"]
     rest = {k: v for k, v in d.items() if k != "type"}
     if kind == MODEL_MLP:
-        return ModelSpec(model_type=MODEL_MLP, mlp_config=mlp.mlp_config_from_dict(rest))
+        config = from_dict(mlp.MlpConfig, rest, where)
+        mlp.validate_mlp_config(config)
+        return ModelSpec(model_type=MODEL_MLP, mlp_config=config)
     if kind == MODEL_TREE:
-        return ModelSpec(model_type=MODEL_TREE, tree_config=dtree.tree_config_from_dict(rest))
-    raise ConfigurationError(f"unknown model type {kind!r}")
+        config = from_dict(dtree.TreeConfig, rest, where)
+        dtree.validate_tree_config(config)
+        return ModelSpec(model_type=MODEL_TREE, tree_config=config)
+    raise ConfigurationError(f"{where} has unknown model type {kind!r}")
 
 
 def model_spec_to_dict(spec: ModelSpec) -> dict:
-    if spec.model_type == MODEL_MLP:
-        return {"type": MODEL_MLP, **mlp.mlp_config_to_dict(spec.mlp_config)}
-    return {
-        "type": MODEL_TREE,
-        "max_depth": spec.tree_config.max_depth,
-        "min_samples_leaf": spec.tree_config.min_samples_leaf,
-        "min_impurity_decrease": spec.tree_config.min_impurity_decrease,
-    }
+    config = spec.mlp_config if spec.model_type == MODEL_MLP else spec.tree_config
+    return {"type": spec.model_type, **to_dict(config)}
 
 
 @dataclass
@@ -149,7 +145,7 @@ def save_model_bundle(bundle: ModelBundle, path) -> None:
         "format": _MODEL_FORMAT,
         "version": _MODEL_VERSION,
         "model_type": bundle.model_type,
-        "feature_config": feature_config_to_dict(bundle.feature_config),
+        "feature_config": to_dict(bundle.feature_config),
         "mlp": None if bundle.mlp_model is None else mlp.mlp_to_dict(bundle.mlp_model),
         "tree": None if bundle.tree_model is None else dtree.tree_to_dict(bundle.tree_model),
     }
@@ -160,12 +156,8 @@ def save_model_bundle(bundle: ModelBundle, path) -> None:
 
 
 def load_model_bundle(path) -> ModelBundle:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            blob = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigurationError(f"cannot read model file {path}: {e}") from e
-    if not isinstance(blob, dict) or blob.get("format") != _MODEL_FORMAT:
+    blob = load_object(path, "model file")
+    if blob.get("format") != _MODEL_FORMAT:
         raise ConfigurationError(f"{path} is not a model file")
     if blob.get("version") != _MODEL_VERSION:
         raise ConfigurationError(f"unsupported model file version {blob.get('version')}")
@@ -178,7 +170,7 @@ def load_model_bundle(path) -> ModelBundle:
         raise ConfigurationError(f"{path} has no {kind} model")
     bundle = ModelBundle(
         model_type=kind,
-        feature_config=feature_config_from_dict(blob["feature_config"]),
+        feature_config=feature_config_from_dict(blob["feature_config"], f"{path}: feature_config"),
         mlp_model=None if blob.get("mlp") is None else mlp.mlp_from_dict(blob["mlp"]),
         tree_model=None if blob.get("tree") is None else dtree.tree_from_dict(blob["tree"]),
     )
@@ -209,19 +201,22 @@ class ExperimentSpec:
     min_cell_records: int = 50
 
 
+# spec fields that the codec decodes as they are; the others have
+# their own file shapes
+_SPEC_SCALARS = ("topology", "train_fraction", "split_seed", "dataset_seed", "min_cell_records")
+
+
+def _object_list(d: dict, key: str) -> list:
+    items = d.get(key, [])
+    if not isinstance(items, list):
+        raise ConfigurationError(f"experiment spec.{key} must be a list")
+    return items
+
+
 def experiment_spec_from_dict(d: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
-    allowed = {
-        "scenario",
-        "feature_configs",
-        "model_configs",
-        "topology",
-        "cells",
-        "train_fraction",
-        "split_seed",
-        "dataset_seed",
-        "min_cell_records",
-    }
-    unknown = set(d) - allowed
+    if not isinstance(d, dict):
+        raise ConfigurationError("experiment spec must be a JSON object")
+    unknown = set(d) - {"scenario", "feature_configs", "model_configs", "cells", *_SPEC_SCALARS}
     if unknown:
         raise ConfigurationError(f"unknown experiment spec keys: {sorted(unknown)}")
     if "scenario" not in d:
@@ -233,19 +228,22 @@ def experiment_spec_from_dict(d: dict, base_dir: Optional[Path] = None) -> Exper
             path = base_dir / path
         scenario = load_scenario_config(path)
     elif isinstance(raw_scenario, dict):
-        scenario = scenario_config_from_dict(raw_scenario)
+        scenario = from_dict(ScenarioConfig, raw_scenario, "experiment spec.scenario")
     else:
         raise ConfigurationError("'scenario' must be a path or an inline object")
 
-    topology = d.get("topology", TOPOLOGY_NETWORK)
+    hints = get_type_hints(ExperimentSpec)
+    scalars = {k: decode(hints[k], d[k], f"experiment spec.{k}") for k in _SPEC_SCALARS if k in d}
+    topology = scalars.get("topology", TOPOLOGY_NETWORK)
     if topology not in (TOPOLOGY_NETWORK, TOPOLOGY_CELL):
         raise ConfigurationError(f"unknown topology {topology!r}")
 
     fcs: List[FeatureConfig] = []
-    for raw in d.get("feature_configs", []):
-        raw = dict(raw)
-        raw.pop("topology", None)  # the experiment topology governs
-        fc = feature_config_from_dict(raw)
+    for i, raw in enumerate(_object_list(d, "feature_configs")):
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"experiment spec.feature_configs[{i}] must be a JSON object")
+        raw = {k: v for k, v in raw.items() if k != "topology"}  # the experiment topology governs
+        fc = feature_config_from_dict(raw, f"experiment spec.feature_configs[{i}]")
         if topology == TOPOLOGY_CELL:
             # cell-specific models never see the serving cell id
             fc = replace(fc, topology=TOPOLOGY_CELL, include_serving_cell_id=False)
@@ -253,53 +251,38 @@ def experiment_spec_from_dict(d: dict, base_dir: Optional[Path] = None) -> Exper
     if not fcs:
         raise ConfigurationError("experiment spec needs at least one feature config")
 
-    specs = [model_spec_from_dict(m) for m in d.get("model_configs", [])]
+    specs = [
+        model_spec_from_dict(m, f"experiment spec.model_configs[{i}]")
+        for i, m in enumerate(_object_list(d, "model_configs"))
+    ]
     if not specs:
         raise ConfigurationError("experiment spec needs at least one model config")
 
     cells = d.get("cells")
     if cells in (None, "all"):
         cells = None
-    elif isinstance(cells, list) and all(isinstance(c, int) for c in cells):
+    elif isinstance(cells, list) and all(isinstance(c, int) and not isinstance(c, bool) for c in cells):
         cells = list(cells)
     else:
         raise ConfigurationError("'cells' must be \"all\" or a list of cell ids")
 
     return ExperimentSpec(
-        scenario=scenario,
-        feature_configs=fcs,
-        model_specs=specs,
-        topology=topology,
-        cells=cells,
-        train_fraction=float(d.get("train_fraction", 0.9)),
-        split_seed=int(d.get("split_seed", 7)),
-        dataset_seed=None if d.get("dataset_seed") is None else int(d.get("dataset_seed")),
-        min_cell_records=int(d.get("min_cell_records", 50)),
+        scenario=scenario, feature_configs=fcs, model_specs=specs, cells=cells, **scalars
     )
 
 
 def experiment_spec_to_dict(spec: ExperimentSpec) -> dict:
     return {
-        "scenario": scenario_config_to_dict(spec.scenario),
-        "feature_configs": [feature_config_to_dict(fc) for fc in spec.feature_configs],
+        "scenario": to_dict(spec.scenario),
+        "feature_configs": [to_dict(fc) for fc in spec.feature_configs],
         "model_configs": [model_spec_to_dict(m) for m in spec.model_specs],
-        "topology": spec.topology,
         "cells": "all" if spec.cells is None else list(spec.cells),
-        "train_fraction": spec.train_fraction,
-        "split_seed": spec.split_seed,
-        "dataset_seed": spec.dataset_seed,
-        "min_cell_records": spec.min_cell_records,
+        **{k: getattr(spec, k) for k in _SPEC_SCALARS},
     }
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            d = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigurationError(f"cannot read experiment spec {path}: {e}") from e
-    if not isinstance(d, dict):
-        raise ConfigurationError(f"experiment spec {path} must hold a JSON object")
+    d = load_object(path, "experiment spec")
     return experiment_spec_from_dict(d, base_dir=Path(path).resolve().parent)
 
 
@@ -581,14 +564,10 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
 def replay(manifest_path, output_dir) -> RunResult:
     """Re-run the experiment recorded in a manifest and verify that every
     report and CDF file comes out byte-identical."""
-    try:
-        with open(manifest_path, "r", encoding="ascii") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigurationError(f"cannot read manifest {manifest_path}: {e}") from e
+    manifest = load_object(manifest_path, "manifest")
     if manifest.get("format") != _MANIFEST_FORMAT:
         raise ConfigurationError(f"{manifest_path} is not a run manifest")
-    spec = experiment_spec_from_dict(manifest["spec"])
+    spec = experiment_spec_from_dict(manifest.get("spec"))
     result = run_experiment(spec, output_dir)
     want = manifest.get("artifact_sha256", {})
     got = result.manifest["artifact_sha256"]

@@ -311,80 +311,3 @@ def rsrp_dbm(scenario, cell_id: int, beam_id: int, point, seed: Optional[int] = 
     x, y, z = (np.array([float(v)]) for v in point)
     seed = scenario.config.rng_seed if seed is None else seed
     return float(_cell_rsrp(scenario, cell_id, x, y, z, seed)[0, beam_id])
-
-
-# ---------------------------------------------------------------------------
-# Config round trip helpers (used by the scenario file format)
-
-
-def radio_config_to_dict(radio: RadioConfig) -> dict:
-    return {
-        "element": {
-            "max_gain_dbi": radio.element.max_gain_dbi,
-            "azimuth_3db_beamwidth_deg": radio.element.azimuth_3db_beamwidth_deg,
-            "elevation_3db_beamwidth_deg": radio.element.elevation_3db_beamwidth_deg,
-            "front_to_back_db": radio.element.front_to_back_db,
-        },
-        "codebook": {
-            "n_azimuth_beams": radio.codebook.n_azimuth_beams,
-            "n_elevation_beams": radio.codebook.n_elevation_beams,
-            "azimuth_span_deg": radio.codebook.azimuth_span_deg,
-            "elevation_span_deg": radio.codebook.elevation_span_deg,
-            "beam_azimuth_bw_deg": radio.codebook.beam_azimuth_bw_deg,
-            "beam_elevation_bw_deg": radio.codebook.beam_elevation_bw_deg,
-            "array_gain_db": radio.codebook.array_gain_db,
-            "sidelobe_floor_db": radio.codebook.sidelobe_floor_db,
-        },
-        "shadowing_sigma_db": radio.shadowing_sigma_db,
-    }
-
-
-_ELEMENT_KEYS = {
-    "max_gain_dbi",
-    "azimuth_3db_beamwidth_deg",
-    "elevation_3db_beamwidth_deg",
-    "front_to_back_db",
-}
-_CODEBOOK_KEYS = {
-    "n_azimuth_beams",
-    "n_elevation_beams",
-    "azimuth_span_deg",
-    "elevation_span_deg",
-    "beam_azimuth_bw_deg",
-    "beam_elevation_bw_deg",
-    "array_gain_db",
-    "sidelobe_floor_db",
-}
-
-
-def radio_config_from_dict(d: dict) -> RadioConfig:
-    allowed = {"element", "codebook", "shadowing_sigma_db"}
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown radio config keys: {sorted(unknown)}")
-    e = d.get("element", {})
-    c = d.get("codebook", {})
-    for label, got, known in (("element", e, _ELEMENT_KEYS), ("codebook", c, _CODEBOOK_KEYS)):
-        bad = set(got) - known
-        if bad:
-            raise ConfigurationError(f"unknown {label} config keys: {sorted(bad)}")
-    gain = c.get("array_gain_db")
-    return RadioConfig(
-        element=AntennaElementParams(
-            max_gain_dbi=float(e.get("max_gain_dbi", 8.0)),
-            azimuth_3db_beamwidth_deg=float(e.get("azimuth_3db_beamwidth_deg", 65.0)),
-            elevation_3db_beamwidth_deg=float(e.get("elevation_3db_beamwidth_deg", 65.0)),
-            front_to_back_db=float(e.get("front_to_back_db", 30.0)),
-        ),
-        codebook=CodebookConfig(
-            n_azimuth_beams=int(c.get("n_azimuth_beams", 16)),
-            n_elevation_beams=int(c.get("n_elevation_beams", 2)),
-            azimuth_span_deg=float(c.get("azimuth_span_deg", 120.0)),
-            elevation_span_deg=float(c.get("elevation_span_deg", 30.0)),
-            beam_azimuth_bw_deg=float(c.get("beam_azimuth_bw_deg", 7.0)),
-            beam_elevation_bw_deg=float(c.get("beam_elevation_bw_deg", 30.0)),
-            array_gain_db=None if gain is None else float(gain),
-            sidelobe_floor_db=float(c.get("sidelobe_floor_db", 25.0)),
-        ),
-        shadowing_sigma_db=float(d.get("shadowing_sigma_db", 0.0)),
-    )

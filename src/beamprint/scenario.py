@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .radio import BeamCodebook, RadioConfig, build_codebook, radio_config_from_dict, radio_config_to_dict
+from .configfile import from_dict, load_object, to_dict
+from .radio import BeamCodebook, RadioConfig, build_codebook
 
 # Receiver height for every grid point, in metres.
 UE_HEIGHT_M = 1.5
@@ -127,7 +128,7 @@ class Scenario:
 
 
 def _canonical_dict(config: ScenarioConfig) -> dict:
-    d = scenario_config_to_dict(config)
+    d = to_dict(config)
     # the hash identifies the scenario itself; the generation seed is
     # tracked separately on the dataset
     d.pop("rng_seed", None)
@@ -226,6 +227,9 @@ def _assign_cell_ids(sites: Sequence[Site]) -> Tuple[Site, ...]:
         raise ConfigurationError("cell ids must be either all explicit or all omitted")
     if len(set(ids)) != len(ids):
         raise ConfigurationError("cell ids must be globally unique")
+    # datasets store cell ids as int32
+    if not all(-(2**31) <= i < 2**31 for i in ids):
+        raise ConfigurationError("cell ids must fit in 32 bits")
     return tuple(sites)
 
 
@@ -419,119 +423,17 @@ def single_site_config(seed: int = 0) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# Config file round trip (JSON, fields mirror the dataclasses one to one)
+# Config file (JSON, keys mirror the dataclass fields one to one)
 
-
-def scenario_config_to_dict(config: ScenarioConfig) -> dict:
-    return {
-        "area_width_m": config.area_width_m,
-        "area_height_m": config.area_height_m,
-        "grid_resolution_m": config.grid_resolution_m,
-        "carrier_frequency_hz": config.carrier_frequency_hz,
-        "rng_seed": config.rng_seed,
-        "sites": [
-            {
-                "x": s.x,
-                "y": s.y,
-                "z": s.z,
-                "sectors": [
-                    {
-                        "cell_id": sec.cell_id,
-                        "boresight_azimuth_deg": sec.boresight_azimuth_deg,
-                        "mechanical_downtilt_deg": sec.mechanical_downtilt_deg,
-                        "tx_power_dbm": sec.tx_power_dbm,
-                    }
-                    for sec in s.sectors
-                ],
-            }
-            for s in config.sites
-        ],
-        "buildings": [
-            {
-                "min_x": b.min_x,
-                "min_y": b.min_y,
-                "max_x": b.max_x,
-                "max_y": b.max_y,
-                "height_m": b.height_m,
-            }
-            for b in config.buildings
-        ],
-        "radio": radio_config_to_dict(config.radio),
-    }
-
-
-_TOP_LEVEL_KEYS = {
-    "area_width_m",
-    "area_height_m",
-    "grid_resolution_m",
-    "carrier_frequency_hz",
-    "rng_seed",
-    "sites",
-    "buildings",
-    "radio",
-}
-
-
-def scenario_config_from_dict(d: dict) -> ScenarioConfig:
-    unknown = set(d) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigurationError(f"unknown scenario config keys: {sorted(unknown)}")
-    try:
-        sites = tuple(
-            Site(
-                x=float(s["x"]),
-                y=float(s["y"]),
-                z=float(s.get("z", SITE_HEIGHT_M)),
-                sectors=tuple(
-                    Sector(
-                        cell_id=sec.get("cell_id"),
-                        boresight_azimuth_deg=float(sec["boresight_azimuth_deg"]),
-                        mechanical_downtilt_deg=float(sec.get("mechanical_downtilt_deg", 5.0)),
-                        tx_power_dbm=float(sec.get("tx_power_dbm", 30.0)),
-                    )
-                    for sec in s.get("sectors", [])
-                ),
-            )
-            for s in d.get("sites", [])
-        )
-        buildings = tuple(
-            BuildingFootprint(
-                min_x=float(b["min_x"]),
-                min_y=float(b["min_y"]),
-                max_x=float(b["max_x"]),
-                max_y=float(b["max_y"]),
-                height_m=float(b["height_m"]),
-            )
-            for b in d.get("buildings", [])
-        )
-        return ScenarioConfig(
-            area_width_m=float(d["area_width_m"]),
-            area_height_m=float(d["area_height_m"]),
-            grid_resolution_m=float(d.get("grid_resolution_m", 1.0)),
-            carrier_frequency_hz=float(d.get("carrier_frequency_hz", 28e9)),
-            rng_seed=int(d.get("rng_seed", 0)),
-            sites=sites,
-            buildings=buildings,
-            radio=radio_config_from_dict(d.get("radio", {})),
-        )
-    except KeyError as e:
-        raise ConfigurationError(f"scenario config is missing required key {e}") from e
-    except (TypeError, ValueError) as e:
-        raise ConfigurationError(f"scenario config has a malformed value: {e}") from e
+# the old name of the codec's writer, still imported by callers
+scenario_config_to_dict = to_dict
 
 
 def save_scenario_config(config: ScenarioConfig, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(scenario_config_to_dict(config), fh, indent=2, sort_keys=True)
+        json.dump(to_dict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_scenario_config(path) -> ScenarioConfig:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            d = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigurationError(f"cannot read scenario config {path}: {e}") from e
-    if not isinstance(d, dict):
-        raise ConfigurationError(f"scenario config {path} must hold a JSON object")
-    return scenario_config_from_dict(d)
+    return from_dict(ScenarioConfig, load_object(path, "scenario config"), "scenario config")

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from beamprint.cli import main
+from beamprint.dtree import TreeConfig
+from beamprint.mlp import MlpConfig
 from beamprint.evaluate import load_report
 from beamprint.pipeline import load_model_bundle
 from beamprint.scenario import load_scenario_config, scenario_config_to_dict
@@ -102,6 +104,19 @@ def test_train_mlp(ws, capsys):
     bundle = load_model_bundle(out)
     assert bundle.model_type == "mlp"
     assert bundle.mlp_model.config.hidden_layers == (4,)
+
+
+def test_train_defaults_are_the_config_dataclasses(ws, tmp_path):
+    # a few records keep the default 500-epoch MLP cheap
+    lines = ws.dataset.read_text(encoding="ascii").splitlines(keepends=True)
+    small = tmp_path / "small.jsonl"
+    small.write_text("".join(lines[:61]), encoding="ascii")
+    for model, want in (("mlp", MlpConfig()), ("tree", TreeConfig())):
+        out = tmp_path / f"{model}.json"
+        argv = ["train", "--model", model, "--dataset", str(small), "--features", str(ws.features)]
+        assert main(argv + ["--out", str(out)]) == 0
+        bundle = load_model_bundle(out)
+        assert (bundle.mlp_model or bundle.tree_model).config == want
 
 
 def test_evaluate(ws, capsys):
@@ -203,6 +218,34 @@ def test_bad_hidden_list(ws, capsys):
     )
     assert rc == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, content",
+    [
+        # each ended in a raw TypeError or ValueError traceback at one time
+        ("sweep", "--spec", {
+            "scenario": scenario_config_to_dict(small_scenario_config()),
+            "feature_configs": [{"serving_beams": 3}],
+            "model_configs": [{"type": "mlp", "batch_size": [1]}],
+        }),
+        ("train", "--features", {"serving_beams": None}),
+        ("build-dataset", "--scenario", {**scenario_config_to_dict(small_scenario_config()), "area_width_m": float("nan")}),
+    ],
+)
+def test_malformed_config_file_exits_1(ws, tmp_path, capsys, command, flag, content):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(content), encoding="ascii")
+    argv = [command, flag, str(path)]
+    if command == "sweep":
+        argv += ["--out-dir", str(tmp_path / "run")]
+    elif command == "train":
+        argv += ["--model", "tree", "--dataset", str(ws.dataset), "--out", str(tmp_path / "m.json")]
+    else:
+        argv += ["--out", str(tmp_path / "d.jsonl")]
+    assert main(argv) == 1  # an escaping exception fails the test here
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
 
 
 def test_missing_scenario_file_exits_1(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from beamprint.configfile import from_dict
 from beamprint.errors import ConfigurationError, DataError
 from beamprint.dtree import (
     TreeConfig,
@@ -12,7 +14,6 @@ from beamprint.dtree import (
     leaf_count,
     node_impurity,
     predict_tree,
-    tree_config_from_dict,
     tree_depth,
     tree_from_dict,
     tree_to_dict,
@@ -272,7 +273,7 @@ def test_tree_dict_rejects_bad_version():
 def test_tree_config_round_trip():
     cfg = TreeConfig(max_depth=12, min_samples_leaf=4, min_impurity_decrease=0.5)
     d = tree_to_dict(fit(np.arange(16.0).reshape(8, 2), np.zeros((8, 2)), cfg))
-    assert tree_config_from_dict(d["config"]) == cfg
+    assert from_dict(TreeConfig, d["config"], "tree config") == cfg
 
 
 def test_flat_descent_matches_recursive_reference(rng):
@@ -331,6 +332,53 @@ def test_tree_dict_rejects_out_of_range_features():
     blob = tree_to_dict(model)
     blob["root"]["left"] = {"n": 1, "value": [1.0, 2.0, 3.0]}
     with pytest.raises(ConfigurationError):
+        tree_from_dict(blob)
+
+
+def _tree_edit(**root_fields):
+    def edit(blob):
+        blob["root"].update(root_fields)
+
+    return edit
+
+
+def _leaf_edit(**leaf_fields):
+    def edit(blob):
+        blob["root"]["left"].update(leaf_fields)
+
+    return edit
+
+
+# each of these loaded at one time: bare int()/float() conversions took
+# strings, bools and NaN
+_BAD_TREE_BLOBS = {
+    "string nan threshold on a bool feature": _tree_edit(threshold="nan", feature=True),
+    "string nan threshold": _tree_edit(threshold="nan"),
+    "nan threshold": _tree_edit(threshold=float("nan")),
+    "infinite threshold": _tree_edit(threshold=float("inf")),
+    "bool feature": _tree_edit(feature=True),
+    "float feature": _tree_edit(feature=0.0),
+    "string sample count": _tree_edit(n="5"),
+    "string leaf value": _leaf_edit(value=["1", "2"]),
+    "nan leaf value": _leaf_edit(value=[float("nan"), 1.0]),
+    "scalar leaf value": _leaf_edit(value=1.0),
+    "leaf with a split feature": _leaf_edit(feature=0),
+    "split without a threshold": lambda blob: blob["root"].pop("threshold"),
+    "node not an object": lambda blob: blob["root"].update(right=[1.0, 2.0]),
+    "string width": lambda blob: blob.update(n_features="2"),
+    "missing root": lambda blob: blob.pop("root"),
+    "fractional max depth": lambda blob: blob["config"].update(max_depth=2.9),
+    "unknown config key": lambda blob: blob["config"].update(max_leaves=4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TREE_BLOBS))
+def test_tree_dict_rejects_mistyped_fields(case):
+    model = fit(np.arange(8.0).reshape(4, 2), np.arange(8.0).reshape(4, 2))
+    blob = json.loads(json.dumps(tree_to_dict(model)))
+    assert not model.root.is_leaf and model.root.left.is_leaf
+    _BAD_TREE_BLOBS[case](blob)
+    with pytest.raises(ConfigurationError, match="tree"):
         tree_from_dict(blob)
 
 

@@ -15,14 +15,13 @@ from beamprint.features import (
     extract,
     extract_features,
     feature_config_from_dict,
-    feature_config_to_dict,
     feature_length,
     fit_normalizer,
     invert_labels,
-    normalizer_from_dict,
-    normalizer_to_dict,
     validate_feature_config,
 )
+from beamprint.configfile import to_dict
+from beamprint.mlp import normalizer_from_dict, normalizer_to_dict
 from beamprint.fingerprint import Dataset
 
 from conftest import record_of, triples
@@ -551,7 +550,7 @@ def test_fit_normalizer_validation():
 
 def test_normalizer_dict_round_trip():
     stats = fit_normalizer(np.arange(12.0).reshape(4, 3), np.arange(8.0).reshape(4, 2))
-    back = normalizer_from_dict(normalizer_to_dict(stats))
+    back = normalizer_from_dict(normalizer_to_dict(stats), 3)
     assert np.array_equal(back.feature_mean, stats.feature_mean)
     assert np.array_equal(back.label_std, stats.label_std)
     assert back.fit_on_train == stats.fit_on_train
@@ -568,11 +567,11 @@ def test_feature_config_round_trip():
         include_serving_cell_id=False,
         topology=TOPOLOGY_CELL,
     )
-    assert feature_config_from_dict(feature_config_to_dict(cfg)) == cfg
+    assert feature_config_from_dict(to_dict(cfg)) == cfg
 
 
 def test_feature_config_unknown_key():
-    d = feature_config_to_dict(FeatureConfig())
+    d = to_dict(FeatureConfig())
     d["extras"] = True
     with pytest.raises(ConfigurationError):
         feature_config_from_dict(d)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from beamprint.configfile import from_dict, to_dict
 from beamprint.errors import ConfigurationError, DataError, TrainingDivergenceError
 from beamprint.features import FeatureConfig, FeatureSet, apply, apply_labels, fit_normalizer
 from beamprint.mlp import (
@@ -15,8 +16,6 @@ from beamprint.mlp import (
     init_adam,
     init_model,
     loss_and_gradients,
-    mlp_config_from_dict,
-    mlp_config_to_dict,
     mlp_from_dict,
     mlp_to_dict,
     predict,
@@ -485,14 +484,14 @@ def test_predict_maps_back_to_metres():
 
 def test_config_round_trip():
     cfg = MlpConfig(hidden_layers=(32, 16), activation="relu", rng_seed=9)
-    assert mlp_config_from_dict(mlp_config_to_dict(cfg)) == cfg
+    assert from_dict(MlpConfig, to_dict(cfg), "mlp config") == cfg
 
 
 def test_config_unknown_key():
-    d = mlp_config_to_dict(MlpConfig())
+    d = to_dict(MlpConfig())
     d["momentum"] = 0.9
     with pytest.raises(ConfigurationError):
-        mlp_config_from_dict(d)
+        from_dict(MlpConfig, d, "mlp config")
 
 
 def test_model_round_trip():

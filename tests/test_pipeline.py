@@ -304,6 +304,16 @@ _BAD_MLP_BLOBS = {
     "long feature std": _set(["normalizer", "feature_std"], lambda v: v + [1.0]),
     "label mean of width 1": _set(["normalizer", "label_mean"], lambda v: v[:1]),
     "nested label std": _set(["normalizer", "label_std"], lambda v: [v]),
+    "string loss history": _set(["loss_history"], lambda h: ["nan", "1"]),
+    "nan in loss history": _set(["loss_history"], lambda h: [float("nan"), 1.0]),
+    "string feature std": _set(["normalizer", "feature_std"], lambda v: ["1", "0", "nan"] + ["1"] * (len(v) - 3)),
+    "zero feature std": _set(["normalizer", "feature_std"], lambda v: [0.0] + v[1:]),
+    "negative label std": _set(["normalizer", "label_std"], lambda v: [-1.0, v[1]]),
+    "nan label mean": _set(["normalizer", "label_mean"], lambda v: [float("nan"), v[1]]),
+    "string fit_on_train": _set(["normalizer", "fit_on_train"], "false"),
+    "unknown normalizer key": _set(["normalizer", "feature_min"], [0.0]),
+    "normalizer not an object": _set(["normalizer"], [1.0]),
+    "fractional batch size": _set(["config", "batch_size"], 2.5),
 }
 
 

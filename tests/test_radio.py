@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from beamprint.configfile import from_dict, to_dict
 from beamprint.errors import ConfigurationError
 from beamprint.radio import (
     SPEED_OF_LIGHT_M_S,
@@ -16,8 +17,6 @@ from beamprint.radio import (
     default_array_gain_db,
     element_gain_db,
     path_loss_db,
-    radio_config_from_dict,
-    radio_config_to_dict,
     rsrp_cube,
     rsrp_dbm,
     sector_frame_offsets,
@@ -377,12 +376,12 @@ def test_radio_config_round_trip():
         codebook=CodebookConfig(n_azimuth_beams=8, array_gain_db=20.0),
         shadowing_sigma_db=3.5,
     )
-    back = radio_config_from_dict(radio_config_to_dict(radio))
+    back = from_dict(RadioConfig, to_dict(radio), "radio config")
     assert back == radio
 
 
 def test_radio_config_unknown_key():
-    d = radio_config_to_dict(RadioConfig(element=EL, codebook=CodebookConfig()))
+    d = to_dict(RadioConfig(element=EL, codebook=CodebookConfig()))
     d["codebook"]["bogus"] = 1
     with pytest.raises(ConfigurationError):
-        radio_config_from_dict(d)
+        from_dict(RadioConfig, d, "radio config")

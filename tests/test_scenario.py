@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from beamprint.configfile import from_dict, to_dict
 from beamprint.errors import ConfigurationError
 from beamprint.scenario import (
     UE_HEIGHT_M,
@@ -19,8 +20,6 @@ from beamprint.scenario import (
     load_scenario_config,
     los_mask,
     save_scenario_config,
-    scenario_config_from_dict,
-    scenario_config_to_dict,
     scenario_hash,
     single_site_config,
 )
@@ -101,6 +100,14 @@ def test_explicit_cell_ids_all_or_none():
 def test_duplicate_cell_ids_rejected():
     sites = (Site(x=0.0, y=0.0, sectors=(Sector(0.0, cell_id=1), Sector(120.0, cell_id=1))),)
     with pytest.raises(ConfigurationError):
+        build_scenario(open_config(sites=sites))
+
+
+@pytest.mark.parametrize("cell_id", [2**31, -(2**31) - 1, 2**40])
+def test_cell_ids_past_32_bits_rejected(cell_id):
+    # such an id once ended build_dataset in a raw OverflowError
+    sites = (Site(x=0.0, y=0.0, sectors=(Sector(0.0, cell_id=cell_id),)),)
+    with pytest.raises(ConfigurationError, match="32 bits"):
         build_scenario(open_config(sites=sites))
 
 
@@ -270,9 +277,9 @@ def test_scenario_hash_sensitive_to_geometry():
 
 def test_config_dict_round_trip():
     cfg = default_scenario_config(seed=5)
-    d = scenario_config_to_dict(cfg)
+    d = to_dict(cfg)
     json.dumps(d)  # must be plain JSON types
-    back = scenario_config_from_dict(d)
+    back = from_dict(ScenarioConfig, d, "scenario config")
     assert back == cfg
 
 
@@ -284,7 +291,7 @@ def test_config_file_round_trip(tmp_path):
 
 
 def test_config_unknown_key_rejected():
-    d = scenario_config_to_dict(open_config())
+    d = to_dict(open_config())
     d["surprise"] = 1
     with pytest.raises(ConfigurationError):
-        scenario_config_from_dict(d)
+        from_dict(ScenarioConfig, d, "scenario config")
