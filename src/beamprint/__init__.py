@@ -15,15 +15,12 @@ from .errors import (
 )
 from .scenario import (
     BuildingFootprint,
-    GridPoint,
     Scenario,
     ScenarioConfig,
     Sector,
     Site,
     build_scenario,
     default_scenario_config,
-    grid_points,
-    line_of_sight,
     load_scenario_config,
     save_scenario_config,
     single_site_config,
@@ -38,7 +35,6 @@ from .radio import (
     element_gain_db,
     path_loss_db,
     rsrp_cube,
-    rsrp_dbm,
 )
 from .fingerprint import (
     Dataset,

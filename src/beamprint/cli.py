@@ -1,7 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 training
-divergence.
+Exit codes: 0 success, 1 configuration error or an output path that
+cannot be written, 2 data error, 3 training divergence.
 """
 
 from __future__ import annotations
@@ -244,6 +244,9 @@ def main(argv=None) -> int:
         return 2
     except BeamprintError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:  # readers turn their own OSErrors into the errors above
+        print(f"error: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
         return 1
 
 

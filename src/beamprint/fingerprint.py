@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from itertools import chain
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ _FORMAT_NAME = "beamprint-dataset"
 _FORMAT_VERSION = 1
 _MAX_FLOAT = sys.float_info.max
 _INT32 = np.iinfo(np.int32)
-_CHECK_ROWS = 16  # rows per vectorised check in save_dataset
+_CHECK_ROWS = 16  # rows per vectorised record check
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,30 +213,24 @@ def partition_by_cell(dataset: Dataset) -> Dict[int, Dataset]:
 # Persistence: line-delimited JSON, header first
 
 
-def _check_savable(dataset: Dataset, cell_ids: np.ndarray) -> None:
-    """Refuse what load_dataset would refuse: header cell ids or a beam
-    count outside 32 bits (or no beams), no measurements, a non-finite
-    x, y or rsrp, a measurement cell not in `cell_ids` (the
-    header's, sorted), a beam id outside [0, n_beams), a row out of
-    ranking order, or a serving cell that is not in `cell_ids` or not
-    the first measurement's. Raises DataError naming the first bad
-    record, and for it the first fault in that order.
+def _first_bad_record(dataset: Dataset, cell_ids: np.ndarray) -> Optional[Tuple[int, str, str]]:
+    """The first record that breaks a record rule, as (row, field,
+    message), or None. The rules, in the order a record is checked: x,
+    y and every rsrp finite; every measurement cell in `cell_ids` (the
+    header's); every beam id in [0, n_beams); measurements in
+    ranking order; a serving cell that is in `cell_ids` and is the
+    first measurement's. save_dataset and load_dataset both refuse what
+    it names.
 
     Works through a few rows at a time: a temporary the size of the
     measurement matrix raises malloc's mmap threshold, and the heap that
     later temporaries grow then stays with the process."""
-    if cell_ids.size and not (_INT32.min <= cell_ids[0] and cell_ids[-1] <= _INT32.max):
-        raise DataError("header: cell ids must fit in 32 bits; load_dataset would refuse the file")
-    if not 1 <= dataset.n_beams <= _INT32.max:
-        raise DataError("header: beams per cell must be a positive 32-bit int; load_dataset would refuse the file")
-    if len(dataset) and dataset.meas_rsrp.shape[1] == 0:
-        raise DataError("record 0: it has no measurements; load_dataset would refuse the file")
     n_beams = dataset.n_beams
     for start in range(0, len(dataset), _CHECK_ROWS):
         rows = slice(start, start + _CHECK_ROWS)
         cells, beams, rsrp = dataset.meas_cells[rows], dataset.meas_beams[rows], dataset.meas_rsrp[rows]
         serving = dataset.serving[rows]
-        unknown = cell_ids.take(np.searchsorted(cell_ids, cells), mode="clip") != cells
+        unknown = ~np.isin(cells, cell_ids)
         outside = (beams < 0) | (beams >= n_beams)
         faults = np.column_stack(
             (
@@ -246,25 +240,29 @@ def _check_savable(dataset: Dataset, cell_ids: np.ndarray) -> None:
                 unknown.any(axis=1),
                 outside.any(axis=1),
                 ~_ranked(cells, beams, rsrp),
-                cell_ids.take(np.searchsorted(cell_ids, serving), mode="clip") != serving,
+                ~np.isin(serving, cell_ids),
                 serving != cells[:, 0],
             )
         )
         if faults.any():
             i, k = np.argwhere(faults)[0]  # first bad row, then its first fault
-            if k == 3:
+            if k < 3:
+                what = f"field {('x', 'y', 'rsrp')[k]!r} is not finite"
+            elif k == 3:
                 what = f"measurement references cell {cells[i][unknown[i]][0]}, not in the dataset's cells"
             elif k == 4:
                 what = f"measurement references beam {beams[i][outside[i]][0]}, outside [0, {n_beams})"
             elif k == 5:
-                what = "measurements are not in ranking order"
+                what = (
+                    "measurements are not in ranking order "
+                    "(sorted by descending rsrp, then ascending cell and beam)"
+                )
             elif k == 6:
                 what = f"serving cell {serving[i]} is not in the dataset's cells"
-            elif k == 7:
-                what = f"serving cell {serving[i]} is not the strongest measurement's cell {cells[i][0]}"
             else:
-                what = f"field {('x', 'y', 'rsrp')[k]!r} is not finite"
-            raise DataError(f"record {start + i}: {what}; load_dataset would refuse the file")
+                what = f"serving cell {serving[i]} is not the strongest measurement's cell {cells[i][0]}"
+            return start + int(i), ("x", "y", "meas", "meas", "meas", "meas", "serving", "serving")[k], what
+    return None
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -279,7 +277,16 @@ def save_dataset(dataset: Dataset, path) -> None:
     and the "[cell,beam," prefixes come from a table built once.
     """
     cell_ids = np.array(sorted(set(dataset.cells)), dtype=np.int64)
-    _check_savable(dataset, cell_ids)
+    if cell_ids.size and not (_INT32.min <= cell_ids[0] and cell_ids[-1] <= _INT32.max):
+        raise DataError("header: cell ids must fit in 32 bits; load_dataset would refuse the file")
+    if not 1 <= dataset.n_beams <= _INT32.max:
+        raise DataError("header: beams per cell must be a positive 32-bit int; load_dataset would refuse the file")
+    if len(dataset) and dataset.meas_rsrp.shape[1] == 0:
+        raise DataError("record 0: it has no measurements; load_dataset would refuse the file")
+    bad = _first_bad_record(dataset, cell_ids)
+    if bad is not None:
+        row, _, what = bad
+        raise DataError(f"record {row}: {what}; load_dataset would refuse the file")
     header = {
         "format": _FORMAT_NAME,
         "version": _FORMAT_VERSION,
@@ -319,21 +326,35 @@ def save_dataset(dataset: Dataset, path) -> None:
             )
 
 
-def parse_measurements(
-    meas,
-    path,
-    line: int,
-    cells: Optional[AbstractSet[int]] = None,
-    n_beams: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _decode_line(raw: str, path, line: int) -> dict:
+    """The JSON object on one line of a dataset or measurement file.
+
+    Files are opened with errors="surrogateescape", so a non-ASCII byte
+    reaches here as a lone surrogate. Non-ASCII text, bad JSON, JSON
+    nested deeper than the parser's stack and any value but an object
+    are a DatasetParseError naming the line.
+    """
+    if not raw.isascii():
+        raise DatasetParseError("line is not ASCII text", path=path, line=line)
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as e:
+        raise DatasetParseError(f"bad JSON: {e.msg}", path=path, line=line) from e
+    except RecursionError:
+        raise DatasetParseError("JSON nested too deeply", path=path, line=line) from None
+    if not isinstance(obj, dict):
+        raise DatasetParseError("line is not a JSON object", path=path, line=line)
+    return obj
+
+
+def parse_measurements(meas, path, line: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check one decoded JSON measurement list and return its columns.
 
-    Returns (cell ids, beam ids, rsrp) in input order as int64, int64
+    Returns (cell ids, beam ids, rsrp) in input order as int32, int32
     and float64 arrays. Each item must be a [cell, beam, rsrp] list with
-    integer ids that fit in 64 bits (true/false are not ids) and a
-    finite rsrp. When given, every cell id must be in `cells` and every
-    beam id in [0, n_beams). Any violation is a DatasetParseError on
-    field 'meas'.
+    integer ids that fit in 32 bits, as datasets store them (true/false
+    are not ids), and a finite rsrp. Any violation is a
+    DatasetParseError on field 'meas'.
     """
 
     def fail(message: str) -> DatasetParseError:
@@ -358,16 +379,13 @@ def parse_measurements(
         raise fail("rsrp must be finite") from None
     if not np.isfinite(rsrp).all():
         raise fail("rsrp must be finite")
-    if cells is not None and not cells.issuperset(cell_ids):
-        raise fail(f"measurement references unknown cell {min(set(cell_ids) - cells)}")
-    if n_beams is not None:
-        lowest, highest = min(beam_ids), max(beam_ids)
-        if lowest < 0 or highest >= n_beams:
-            raise fail(f"beam id {lowest if lowest < 0 else highest} outside [0, {n_beams})")
     try:
         ids = np.array((cell_ids, beam_ids), dtype=np.int64)
-    except OverflowError:
-        raise fail("cell and beam ids must fit in 64 bits") from None
+    except OverflowError:  # an id past 64 bits
+        ids = None
+    if ids is None or ids.min() < _INT32.min or ids.max() > _INT32.max:
+        raise fail("cell and beam ids must fit in 32 bits")
+    ids = ids.astype(np.int32)
     return ids[0], ids[1], rsrp
 
 
@@ -379,12 +397,6 @@ def _ranked(cells: np.ndarray, beams: np.ndarray, rsrp: np.ndarray) -> np.ndarra
     c0, c1 = cells[..., :-1], cells[..., 1:]
     tie_ok = (c0 < c1) | (c0 == c1) & (beams[..., :-1] < beams[..., 1:])
     return ((r0 > r1) | (r0 == r1) & tie_ok).all(axis=-1)
-
-
-def in_ranking_order(cells: np.ndarray, beams: np.ndarray, rsrp: np.ndarray) -> bool:
-    """Whether one row of measurement columns is in ranking order:
-    descending rsrp, ties by ascending cell id, then ascending beam id."""
-    return bool(_ranked(cells, beams, rsrp))
 
 
 def parse_coordinate(value, key: str, path, line: int) -> float:
@@ -404,23 +416,23 @@ def _require(obj: dict, key: str, path, line: int):
 def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
     """Read a dataset file back; the round trip is exact.
 
-    Raises DatasetParseError on malformed lines or fields, DataError on a
-    scenario hash mismatch when expected_scenario_hash is given; the hash
-    is compared right after the header, before any record line is read.
+    Raises DatasetParseError naming the line and field of the first
+    fault: first a line whose JSON, fields or types are bad, in line
+    order; then the first record that breaks a record rule, by the
+    check save_dataset makes. Raises DataError on a scenario hash
+    mismatch when expected_scenario_hash is given; the hash is compared
+    right after the header, before any record line is read.
     """
     try:
-        fh = open(path, "r", encoding="ascii")
+        fh = open(path, "r", encoding="ascii", errors="surrogateescape")
     except OSError as e:
         raise DataError(f"cannot read dataset {path}: {e}") from e
     with fh:
         header_line = fh.readline()
         if not header_line:
             raise DatasetParseError("empty dataset file", path=path, line=1)
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as e:
-            raise DatasetParseError(f"bad header JSON: {e.msg}", path=path, line=1) from e
-        if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
+        header = _decode_line(header_line, path, 1)
+        if header.get("format") != _FORMAT_NAME:
             raise DatasetParseError("not a fingerprint dataset file", path=path, line=1)
         if header.get("version") != _FORMAT_VERSION:
             raise DatasetParseError(
@@ -449,7 +461,6 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
                 f"dataset was generated from scenario {scenario_hash_value[:12]}, "
                 f"expected {expected_scenario_hash[:12]}"
             )
-        cell_set = set(cells)
 
         xs: List[float] = []
         ys: List[float] = []
@@ -458,17 +469,13 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
         meas_cells: List[np.ndarray] = []
         meas_beams: List[np.ndarray] = []
         meas_rsrp: List[np.ndarray] = []
+        linenos: List[int] = []
         expected_m: Optional[int] = None
 
         for lineno, raw in enumerate(fh, start=2):
             if not raw.strip():
                 continue
-            try:
-                row = json.loads(raw)
-            except json.JSONDecodeError as e:
-                raise DatasetParseError(f"bad record JSON: {e.msg}", path=path, line=lineno) from e
-            if not isinstance(row, dict):
-                raise DatasetParseError("record line is not an object", path=path, line=lineno)
+            row = _decode_line(raw, path, lineno)
             x = _require(row, "x", path, lineno)
             y = _require(row, "y", path, lineno)
             sv = _require(row, "serving", path, lineno)
@@ -476,46 +483,29 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
             meas = _require(row, "meas", path, lineno)
             x = parse_coordinate(x, "x", path, lineno)
             y = parse_coordinate(y, "y", path, lineno)
-            if not isinstance(sv, int) or isinstance(sv, bool):
-                raise DatasetParseError("serving must be an int", path=path, line=lineno, field="serving")
+            if type(sv) is not int or not _INT32.min <= sv <= _INT32.max:
+                raise DatasetParseError("serving must be a 32-bit int", path=path, line=lineno, field="serving")
             if not isinstance(lo, bool):
                 raise DatasetParseError("los must be a bool", path=path, line=lineno, field="los")
-            mc, mb, mr = parse_measurements(meas, path, lineno, cells=cell_set, n_beams=n_beams)
+            mc, mb, mr = parse_measurements(meas, path, lineno)
             if expected_m is None:
                 expected_m = len(mr)
             elif len(mr) != expected_m:
                 raise DatasetParseError(
                     "records disagree on measurement count", path=path, line=lineno, field="meas"
                 )
-            if not in_ranking_order(mc, mb, mr):
-                raise DatasetParseError(
-                    "measurements are not sorted by descending rsrp, then ascending cell and beam",
-                    path=path,
-                    line=lineno,
-                    field="meas",
-                )
-            if sv not in cell_set:
-                raise DatasetParseError(
-                    f"serving references unknown cell {sv}", path=path, line=lineno, field="serving"
-                )
-            if sv != mc[0]:
-                raise DatasetParseError(
-                    "serving cell is not the strongest measurement",
-                    path=path,
-                    line=lineno,
-                    field="serving",
-                )
             xs.append(x)
             ys.append(y)
             serving.append(sv)
             los.append(lo)
-            meas_cells.append(mc.astype(np.int32))
-            meas_beams.append(mb.astype(np.int32))
+            meas_cells.append(mc)
+            meas_beams.append(mb)
             meas_rsrp.append(mr)
+            linenos.append(lineno)
 
     n = len(xs)
     m = expected_m or 0
-    return Dataset(
+    dataset = Dataset(
         xs=np.asarray(xs, dtype=np.float64),
         ys=np.asarray(ys, dtype=np.float64),
         serving=np.asarray(serving, dtype=np.int32),
@@ -524,7 +514,12 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
         meas_beams=np.asarray(meas_beams, dtype=np.int32).reshape(n, m),
         meas_rsrp=np.asarray(meas_rsrp, dtype=np.float64).reshape(n, m),
         cells=cells,
-        n_beams=int(n_beams),
+        n_beams=n_beams,
         scenario_hash=scenario_hash_value,
-        seed=int(seed),
+        seed=seed,
     )
+    bad = _first_bad_record(dataset, np.array(sorted(set(cells)), dtype=np.int64))
+    if bad is not None:
+        row, field, what = bad
+        raise DatasetParseError(what, path=path, line=linenos[row], field=field)
+    return dataset

@@ -38,8 +38,9 @@ from .features import (
 from .fingerprint import (
     Dataset,
     FingerprintRecord,
+    _decode_line,
+    _ranked,
     build_dataset,
-    in_ranking_order,
     los_filter,
     parse_coordinate,
     parse_measurements,
@@ -588,18 +589,13 @@ def parse_measurement_line(raw: str, lineno: int, path=None) -> Optional[Fingerp
     pass unsorted reports. A 'serving' field, when present, must agree
     with the strongest measurement.
     """
-    try:
-        d = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise DatasetParseError(f"bad JSON: {e.msg}", path=path, line=lineno) from e
-    if not isinstance(d, dict):
-        raise DatasetParseError("measurement line is not an object", path=path, line=lineno)
+    d = _decode_line(raw, path, lineno)
     if d.get("format"):
         return None  # dataset header line
     cells, beams, rsrp = parse_measurements(d.get("meas"), path, lineno)
     # dataset lines already come in ranking order (with many ties), so
     # sort only otherwise
-    if not in_ranking_order(cells, beams, rsrp):
+    if not _ranked(cells, beams, rsrp):
         order = np.lexsort((beams, cells, -rsrp))
         cells, beams, rsrp = cells[order], beams[order], rsrp[order]
     serving = d.get("serving")
@@ -640,7 +636,7 @@ def infer_file(bundle: ModelBundle, in_path, out_path=None) -> List[dict]:
     records: List[FingerprintRecord] = []
     linenos: List[int] = []
     try:
-        fh = open(in_path, "r", encoding="ascii")
+        fh = open(in_path, "r", encoding="ascii", errors="surrogateescape")
     except OSError as e:
         raise DataError(f"cannot read measurement file {in_path}: {e}") from e
     with fh:

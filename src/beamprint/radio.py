@@ -296,18 +296,3 @@ def rsrp_cube(scenario, points, seed: Optional[int] = None) -> np.ndarray:
         out[:, ci, :] = _cell_rsrp(scenario, cell_id, pts[:, 0], pts[:, 1], pts[:, 2], seed)
     return out
 
-
-def rsrp_dbm(scenario, cell_id: int, beam_id: int, point, seed: Optional[int] = None) -> float:
-    """Received beam power at one point: tx power + beam gain - path loss.
-
-    `point` is an (x, y, z) triple in metres. The value is the matching
-    element of `rsrp_cube` at that point, shadowing (and its seed
-    default) included.
-    """
-    if cell_id not in scenario.cell_map:
-        raise ConfigurationError(f"unknown cell id {cell_id}")
-    if not 0 <= beam_id < len(scenario.codebook.beams):
-        raise ConfigurationError(f"unknown beam id {beam_id}")
-    x, y, z = (np.array([float(v)]) for v in point)
-    seed = scenario.config.rng_seed if seed is None else seed
-    return float(_cell_rsrp(scenario, cell_id, x, y, z, seed)[0, beam_id])

@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,15 +71,6 @@ class BuildingFootprint:
     def contains_xy(self, x: float, y: float) -> bool:
         # closed rectangle: standing exactly on the wall counts as inside
         return self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    """Candidate UE location on the evaluation lattice."""
-
-    x: float
-    y: float
-    z: float = UE_HEIGHT_M
 
 
 @dataclass
@@ -264,61 +255,16 @@ def grid_xy(scenario: Scenario) -> np.ndarray:
     return np.column_stack([px[keep], py[keep]])
 
 
-def grid_points(scenario: Scenario) -> List[GridPoint]:
-    xy = grid_xy(scenario)
-    return [GridPoint(x=float(x), y=float(y)) for x, y in xy]
-
-
 # ---------------------------------------------------------------------------
 # Line of sight
 
 _INF = float("inf")
 
 
-def _segment_blocked(p0: Sequence[float], p1: Sequence[float], b: BuildingFootprint) -> bool:
-    """Slab test of segment p0-p1 against the extruded box of b.
-
-    Touching a face, edge, or corner counts as blocked.
-    """
-    bounds = ((b.min_x, b.max_x), (b.min_y, b.max_y), (0.0, b.height_m))
-    tmin, tmax = 0.0, 1.0
-    for axis in range(3):
-        lo, hi = bounds[axis]
-        origin = p0[axis]
-        d = p1[axis] - origin
-        if d == 0.0:
-            if origin < lo or origin > hi:
-                return False
-            continue
-        t1 = (lo - origin) / d
-        t2 = (hi - origin) / d
-        if t1 > t2:
-            t1, t2 = t2, t1
-        tmin = max(tmin, t1)
-        tmax = min(tmax, t2)
-        if tmin > tmax:
-            return False
-    return True
-
-
-def line_of_sight(scenario: Scenario, tx: Sequence[float], rx: Sequence[float]) -> bool:
-    """True when the straight segment tx-rx clears every building.
-
-    tx and rx are (x, y, z) triples in metres. Grazing contact with a
-    building counts as blocked. Raises ValueError when tx == rx.
-    """
-    tx = tuple(float(v) for v in tx)
-    rx = tuple(float(v) for v in rx)
-    if tx == rx:
-        raise ValueError("line of sight is undefined for coincident endpoints")
-    for b in scenario.buildings:
-        if _segment_blocked(tx, rx, b):
-            return False
-    return True
-
-
 def los_mask(scenario: Scenario, tx: Sequence[float], pts: np.ndarray) -> np.ndarray:
-    """Vectorised line_of_sight from one transmitter to (n, 3) points."""
+    """Whether the straight segment from `tx` to each of the (n, 3)
+    points clears every building: a slab test against each extruded
+    box, where touching a face, edge or corner counts as blocked."""
     pts = np.asarray(pts, dtype=np.float64)
     n = pts.shape[0]
     blocked_any = np.zeros(n, dtype=bool)

@@ -444,3 +444,69 @@ def test_divergent_training_exits_3(ws, tmp_path, capsys):
     assert rc == 3
     assert "training diverged" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "infer"])
+def test_json_nested_past_the_parser_stack_exits_2(ws, tmp_path, capsys, command):
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text("[" * 100_000 + "\n", encoding="ascii")
+    if command == "train":
+        argv = ["train", "--model", "tree", "--dataset", str(deep), "--features", str(ws.features)]
+        argv += ["--out", str(tmp_path / "x.json")]
+    else:
+        argv = ["infer", "--model", str(ws.tree), "--input", str(deep)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "line 1" in err
+
+
+def _writer_commands(ws, out):
+    """Every command that writes a file, with `out` as its output path."""
+    spec = ws.root / "spec.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "scenario": scenario_config_to_dict(small_scenario_config()),
+                "feature_configs": [{"serving_beams": 3}],
+                "model_configs": [{"type": "tree", "max_depth": 4}],
+            }
+        ),
+        encoding="ascii",
+    )
+    model, data = str(ws.tree), str(ws.dataset)
+    return {
+        "generate-scenario": ["generate-scenario", "--out", out],
+        "build-dataset": ["build-dataset", "--scenario", str(ws.scenario), "--out", out],
+        "train": ["train", "--model", "tree", "--dataset", data, "--features", str(ws.features), "--out", out],
+        "evaluate": ["evaluate", "--model", model, "--dataset", data, "--out", out],
+        "evaluate --cdf": ["evaluate", "--model", model, "--dataset", data, "--out", str(ws.root / "r.json")]
+        + ["--cdf", out],
+        "infer": ["infer", "--model", model, "--input", data, "--out", out],
+        "sweep": ["sweep", "--spec", str(spec), "--out-dir", out],
+    }
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        ("generate-scenario", "missing-dir"),
+        ("build-dataset", "missing-dir"),
+        ("train", "directory"),  # the bundle writer makes missing parents
+        ("evaluate", "missing-dir"),
+        ("evaluate --cdf", "missing-dir"),
+        ("infer", "missing-dir"),
+        ("sweep", "file"),
+    ],
+)
+def test_unwritable_output_exits_1(ws, tmp_path, capsys, command, target):
+    # a file under a missing directory, a directory where a file goes, or
+    # a file where the sweep's output directory goes
+    paths = {"missing-dir": tmp_path / "nonexistent" / "out", "directory": tmp_path, "file": tmp_path / "a-file"}
+    out = paths[target]
+    if target == "file":
+        out.write_text("", encoding="ascii")
+    argv = _writer_commands(ws, str(out))[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and str(out) in err

@@ -13,10 +13,11 @@ from beamprint.fingerprint import (
     partition_by_cell,
     save_dataset,
 )
-from beamprint.radio import rsrp_dbm
-from beamprint.scenario import UE_HEIGHT_M, build_scenario, grid_xy, line_of_sight
+from beamprint.radio import rsrp_cube
+from beamprint.scenario import UE_HEIGHT_M, build_scenario, grid_xy
 
 from conftest import small_scenario_config, triples
+from test_scenario import segment_clear
 
 
 def test_record_count_matches_grid(small_scenario, small_dataset):
@@ -47,11 +48,11 @@ def test_serving_is_global_argmax(small_scenario, small_dataset):
     rng = np.random.default_rng(3)
     for i in rng.integers(0, len(small_dataset), size=12):
         rec = small_dataset.record(int(i))
-        point = (rec.x, rec.y, UE_HEIGHT_M)
+        cube = rsrp_cube(small_scenario, [(rec.x, rec.y, UE_HEIGHT_M)])[0]
         best = max(
             (
-                (rsrp_dbm(small_scenario, c, b, point), -c, -b)
-                for c in small_scenario.cell_ids
+                (cube[ci, b], -c, -b)
+                for ci, c in enumerate(small_scenario.cell_ids)
                 for b in range(small_scenario.n_beams)
             ),
         )
@@ -66,11 +67,11 @@ def test_shadowed_build_matches_rsrp_dbm(shadowed_small_dataset):
     rng = np.random.default_rng(3)
     for i in rng.integers(0, len(shadowed_small_dataset), size=12):
         rec = shadowed_small_dataset.record(int(i))
-        point = (rec.x, rec.y, UE_HEIGHT_M)
+        cube = rsrp_cube(sc, [(rec.x, rec.y, UE_HEIGHT_M)], seed=3)[0]
         for c, b, r in triples(rec)[:: 37]:
-            assert r == pytest.approx(rsrp_dbm(sc, c, b, point, seed=3), abs=1e-9)
+            assert r == pytest.approx(cube[sc.cell_ids.index(c), b], abs=1e-9)
         best = max(
-            (rsrp_dbm(sc, c, b, point, seed=3), -c, -b) for c in sc.cell_ids for b in range(sc.n_beams)
+            (cube[ci, b], -c, -b) for ci, c in enumerate(sc.cell_ids) for b in range(sc.n_beams)
         )
         assert rec.serving_cell_id == -best[1]
         assert triples(rec)[0][:2] == (-best[1], -best[2])
@@ -105,7 +106,7 @@ def test_los_flag_matches_geometry(small_scenario, small_dataset):
     for i in rng.integers(0, len(small_dataset), size=20):
         rec = small_dataset.record(int(i))
         site, _ = small_scenario.cell_map[rec.serving_cell_id]
-        expect = line_of_sight(small_scenario, site.position, (rec.x, rec.y, UE_HEIGHT_M))
+        expect = segment_clear(small_scenario, site.position, (rec.x, rec.y, UE_HEIGHT_M))
         assert rec.los_to_serving == expect
 
 
@@ -384,6 +385,111 @@ def test_load_rejects_bad_header_types(tmp_path, small_dataset, field, value):
     with pytest.raises(DatasetParseError) as e:
         load_dataset(_write(path, lines), expected_scenario_hash=small_dataset.scenario_hash)
     assert e.value.field == field
+
+
+def test_load_reports_syntax_faults_before_record_rules(tmp_path, small_dataset):
+    # every line is parsed before the record rules run, so bad JSON on
+    # line 9 wins over an out-of-order record on line 3
+    path, lines = _lines(tmp_path, small_dataset)
+    row = json.loads(lines[2])
+    row["meas"][0], row["meas"][1] = row["meas"][1], row["meas"][0]
+    lines[2] = json.dumps(row)
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(_write(path, lines))
+    assert (e.value.line, e.value.field) == (3, "meas")
+    lines[8] = lines[8][:-5]
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(_write(path, lines))
+    assert (e.value.line, e.value.field) == (9, None)
+
+
+def test_load_names_the_record_line_past_blank_lines(tmp_path, small_dataset):
+    path, lines = _lines(tmp_path, small_dataset)
+    row = json.loads(lines[4])
+    row["serving"] = 99
+    lines[4] = json.dumps(row)
+    lines[2:2] = ["", "   "]
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(_write(path, lines))
+    assert (e.value.line, e.value.field) == (7, "serving")
+    assert "serving cell 99 is not in" in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "fault, needle",
+    [
+        ("out-of-order", "not in ranking order"),
+        ("serving-not-strongest", "not the strongest"),
+        ("unknown-cell", "cell 99"),
+        ("beam-past-header", "beam 32"),
+    ],
+    ids=["out-of-order", "serving-not-strongest", "unknown-cell", "beam-past-header"],
+)
+def test_save_and_load_refuse_a_record_with_one_message(tmp_path, small_dataset, fault, needle):
+    ds = small_dataset.subset(np.arange(10))
+    if fault == "out-of-order":
+        ds.meas_rsrp[4, 100] = ds.meas_rsrp[4, 0] + 1.0
+    elif fault == "serving-not-strongest":
+        ds.serving[4] = next(c for c in ds.cells if c != ds.meas_cells[4, 0])
+    elif fault == "unknown-cell":
+        ds.meas_cells[4, 100] = 99
+    else:
+        ds.meas_beams[4, 100] = 32
+    with pytest.raises(DataError) as saved:
+        save_dataset(ds, tmp_path / "ds.jsonl")
+    oracle_save_dataset(ds, tmp_path / "oracle.jsonl")
+    with pytest.raises(DatasetParseError) as loaded:
+        load_dataset(tmp_path / "oracle.jsonl")
+    assert loaded.value.line == 6
+    message = str(loaded.value).rsplit(" (", 1)[0]  # less the (path, line, field) suffix
+    assert needle in message
+    assert str(saved.value) == f"record 4: {message}; load_dataset would refuse the file"
+
+
+def test_save_and_load_refuse_records_under_a_header_without_cells(tmp_path, small_dataset):
+    ds = small_dataset.subset(np.arange(3))
+    ds.cells = ()
+    with pytest.raises(DataError, match="record 0: measurement references cell"):
+        save_dataset(ds, tmp_path / "ds.jsonl")
+    oracle_save_dataset(ds, tmp_path / "oracle.jsonl")
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(tmp_path / "oracle.jsonl")
+    assert (e.value.line, e.value.field) == (2, "meas")
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda row: row["meas"][3].__setitem__(0, 2**40), "meas"),
+        (lambda row: row["meas"][3].__setitem__(1, -(2**31) - 1), "meas"),
+        (lambda row: row["meas"][3].__setitem__(1, 2**64), "meas"),
+        (lambda row: row.__setitem__("serving", 2**32), "serving"),
+    ],
+    ids=["cell-past-int32", "beam-below-int32", "beam-past-int64", "serving-past-int32"],
+)
+def test_load_rejects_ids_past_32_bits(tmp_path, small_dataset, edit, field):
+    # records store ids as int32; a wider one must not wrap into a known id
+    path, lines = _lines(tmp_path, small_dataset)
+    row = json.loads(lines[2])
+    edit(row)
+    lines[2] = json.dumps(row)
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(_write(path, lines))
+    assert (e.value.line, e.value.field) == (3, field)
+
+
+@pytest.mark.parametrize(
+    "line, text",
+    [(0, "[" * 100_000), (3, "[" * 100_000), (3, '{"x": "caf\u00e9"}')],
+    ids=["deep-header", "deep-record", "non-ascii-record"],
+)
+def test_load_names_the_line_json_cannot_decode(tmp_path, small_dataset, line, text):
+    path, lines = _lines(tmp_path, small_dataset)
+    lines[line] = text
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(path)
+    assert e.value.line == line + 1
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from beamprint.scenario import save_scenario_config, scenario_config_to_dict
 
 from conftest import small_scenario_config, triples
 from test_features import oracle_record
+from test_mlp import GOLDEN_FLOAT_KERNELS, float_kernels_digest
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +561,55 @@ def test_experiment_artifact_hashes(net_run):
     assert hashlib.sha256((out / probe).read_bytes()).hexdigest() == hashes[probe]
 
 
+# SHA-256 of every report and CDF file of the net_run and cell_run
+# sweeps, taken with numpy 2.4.6 on an x86-64 AVX-512 host. They share
+# the caveat of the golden feature and save digests (ROADMAP item 10):
+# np.arctan2 and np.log10 in the radio model give other last bits where
+# numpy's AVX-512 kernels are off. The MLP arm also needs the float
+# kernels its training digests were taken with.
+GOLDEN_NET_RUN_TREE = {
+    "cdf/net_s3n0_id_tree_d8_l2_test.csv": "73cc7b6274deffe477cfbc3f2f97e9ebc8f41a2eb24ef13b26f50d314b479961",
+    "cdf/net_s3n0_id_tree_d8_l2_train.csv": "9b575ecc3a40405578de535e7754f00833a5073506e036a1ebad7fca1fda5edd",
+    "reports/net_s3n0_id_tree_d8_l2_test.json": "9570701bf9c58e0ba52cf4f4b4c3e57667a0732a4ec2890bf3ad5e4cbdda5615",
+    "reports/net_s3n0_id_tree_d8_l2_train.json": "c9c4539a7bd39a1d0aae0ce25fe0e330040842dfefe499e0b95813edb5208866",
+}
+GOLDEN_NET_RUN_MLP = {
+    "cdf/net_s3n0_id_mlp_h8_s3_test.csv": "a93a3d5a4884921d7f533c14d311dedd36380cdca1ddce72340860562eff5b20",
+    "cdf/net_s3n0_id_mlp_h8_s3_train.csv": "e33094d53ff8af18f7025e9e88a4cf7105993490705eabb32696ff6c1a95f0e5",
+    "reports/net_s3n0_id_mlp_h8_s3_test.json": "255ddbc7aa7f62af665068274796743c3a065b6b0cd6c40ef3196c8472e27bb1",
+    "reports/net_s3n0_id_mlp_h8_s3_train.json": "00186a7bc45c331de4ce45a8282705e8fa646ec791692541edfb9c465baaac8a",
+}
+GOLDEN_CELL_RUN = {
+    "cdf/cell0_s3n0_tree_d8_l2_test.csv": "72383b755295b789bd45c0aba62fe50c038ad96836d30f2ff6e0f34541b07b95",
+    "cdf/cell0_s3n0_tree_d8_l2_train.csv": "9b75db0065c6d90bd4c2bfb8891e915cfb9e678668ebdacfd40d33cf901c45ea",
+    "cdf/cell2_s3n0_tree_d8_l2_test.csv": "1d3347955979e1da2c7103e4be7a05add8d7babc098ec72137411099773b4dca",
+    "cdf/cell2_s3n0_tree_d8_l2_train.csv": "2c15fdb12c16a9c687c570685f533a348184f5f5471f54780f52d2be7c47406c",
+    "cdf/cellpool_s3n0_tree_d8_l2_test.csv": "d978adb6a1e671eabc854600a4f59bda214dd518b4dfed2927dcf6164986fe7d",
+    "cdf/cellpool_s3n0_tree_d8_l2_train.csv": "5d9c05d0873956b298e700a80568278dd704f1907d9eb527cf0ef2f2701bf15b",
+    "reports/cell0_s3n0_tree_d8_l2_test.json": "81ca103220154b8885fe2691306c58c5da344718a7cdb9e31a060cf093b533c2",
+    "reports/cell0_s3n0_tree_d8_l2_train.json": "333a6e1ba602ed1d415c26ecebb8cdb28f2ea9d395982f6731e0f733a82def28",
+    "reports/cell2_s3n0_tree_d8_l2_test.json": "68676cb7a3c9cd193376d73e69cc1608c62951e46cb1ec80d8c98f69a706b004",
+    "reports/cell2_s3n0_tree_d8_l2_train.json": "72bcb298c2edc915ce78ece2affc126d12b42e15a50bb0f0e064ce60717118f2",
+    "reports/cellpool_s3n0_tree_d8_l2_test.json": "b31abf5da55cc7bf0aae497208736f1e8501ea8526544fb0c4b0097c760dfc7d",
+    "reports/cellpool_s3n0_tree_d8_l2_train.json": "89f16a1c9156bf8d3cd3d72b5b861e5d88bdd8531e1caba9310bc546e9bb6018",
+}
+
+
+def test_net_run_tree_artifacts_match_golden_digests(net_run):
+    hashes = net_run.manifest["artifact_sha256"]
+    assert set(hashes) == set(GOLDEN_NET_RUN_TREE) | set(GOLDEN_NET_RUN_MLP)
+    assert {k: hashes[k] for k in GOLDEN_NET_RUN_TREE} == GOLDEN_NET_RUN_TREE
+
+
+@pytest.mark.skipif(
+    float_kernels_digest() != GOLDEN_FLOAT_KERNELS,
+    reason="numpy/BLAS float kernels differ from those the digests were taken with",
+)
+def test_net_run_mlp_artifacts_match_golden_digests(net_run):
+    hashes = net_run.manifest["artifact_sha256"]
+    assert {k: hashes[k] for k in GOLDEN_NET_RUN_MLP} == GOLDEN_NET_RUN_MLP
+
+
 def test_experiment_reports_and_comparison(net_run):
     test_reports = [r for r in net_run.reports if r.split == "test"]
     train_reports = [r for r in net_run.reports if r.split == "train"]
@@ -651,6 +701,10 @@ def test_cell_run_reports(cell_run):
     pooled = by_label["cellpool_s3n0_tree_d8_l2"]
     assert pooled.config["pooled_cells"] == [0, 2]
     assert pooled.n_samples == 43 + 43
+
+
+def test_cell_run_artifacts_match_golden_digests(cell_run):
+    assert cell_run.manifest["artifact_sha256"] == GOLDEN_CELL_RUN
 
 
 def test_cell_run_models_drop_cell_id_feature(cell_run):

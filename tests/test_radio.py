@@ -18,7 +18,6 @@ from beamprint.radio import (
     element_gain_db,
     path_loss_db,
     rsrp_cube,
-    rsrp_dbm,
     sector_frame_offsets,
     shadowing_db,
     wrap_deg,
@@ -283,7 +282,7 @@ def test_rsrp_boresight_oracle():
     sc = rsrp_scenario()
     g = 100.0 * math.cos(math.radians(5.0))
     z = 10.0 - 100.0 * math.sin(math.radians(5.0))
-    got = rsrp_dbm(sc, 0, 0, (g, 25.0, z))
+    got = rsrp_cube(sc, [(g, 25.0, z)])[0, 0, 0]
     assert got == pytest.approx(-39.31, abs=0.02)
 
 
@@ -298,7 +297,7 @@ def test_rsrp_decomposition():
         + beam_gain_db(sc.codebook, sc.codebook.beams[0], az, el)
         - path_loss_db(sc.config.carrier_frequency_hz, dist)
     )
-    assert rsrp_dbm(sc, 0, 0, point) == pytest.approx(expect, abs=1e-12)
+    assert rsrp_cube(sc, [point])[0, 0, 0] == pytest.approx(expect, abs=1e-12)
 
 
 def oracle_beam_gain_db(cb, beam, az, el):
@@ -334,22 +333,15 @@ def test_rsrp_dbm_is_a_cube_element():
     pts = np.array([[5.0, 3.0, 1.5], [41.5, 37.0, 1.5]])
     cube = rsrp_cube(sc, pts, seed=8)
     assert not np.array_equal(cube, rsrp_cube(sc, pts, seed=9))
+    # one point on its own gives the bits it gets in a batch
     for i, ci, bi in ((0, 0, 0), (1, 3, 31), (1, 2, 17)):
-        assert rsrp_dbm(sc, sc.cell_ids[ci], bi, pts[i], seed=8) == cube[i, ci, bi]
+        assert rsrp_cube(sc, [pts[i]], seed=8)[0, ci, bi] == cube[i, ci, bi]
 
 
 def test_rsrp_cube_rejects_bad_points():
     sc = rsrp_scenario()
     with pytest.raises(ValueError):
         rsrp_cube(sc, np.zeros((4, 2)))
-
-
-def test_rsrp_unknown_ids():
-    sc = rsrp_scenario()
-    with pytest.raises(ConfigurationError):
-        rsrp_dbm(sc, 5, 0, (10.0, 25.0, 1.5))
-    with pytest.raises(ConfigurationError):
-        rsrp_dbm(sc, 0, 99, (10.0, 25.0, 1.5))
 
 
 def test_rsrp_ignores_buildings():
@@ -367,7 +359,7 @@ def test_rsrp_ignores_buildings():
         area_width_m=120.0, area_height_m=50.0, sites=(site,), buildings=()
     )
     p = (100.0, 25.0, 1.5)
-    assert rsrp_dbm(build_scenario(blocked), 0, 3, p) == rsrp_dbm(build_scenario(open_), 0, 3, p)
+    assert rsrp_cube(build_scenario(blocked), [p])[0, 0, 3] == rsrp_cube(build_scenario(open_), [p])[0, 0, 3]
 
 
 def test_radio_config_round_trip():
