@@ -479,13 +479,18 @@ def test_load_rejects_ids_past_32_bits(tmp_path, small_dataset, edit, field):
 
 
 @pytest.mark.parametrize(
-    "line, text",
-    [(0, "[" * 100_000), (3, "[" * 100_000), (3, '{"x": "caf\u00e9"}')],
+    "line, edit",
+    [
+        (0, lambda text: "[" * 100_000),
+        (3, lambda text: "[" * 100_000),
+        # valid JSON and a valid record, but the file format is ASCII
+        (3, lambda text: text[:-1] + ',"note":"caf\u00e9"}'),
+    ],
     ids=["deep-header", "deep-record", "non-ascii-record"],
 )
-def test_load_names_the_line_json_cannot_decode(tmp_path, small_dataset, line, text):
+def test_load_names_the_line_json_cannot_decode(tmp_path, small_dataset, line, edit):
     path, lines = _lines(tmp_path, small_dataset)
-    lines[line] = text
+    lines[line] = edit(lines[line])
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(DatasetParseError) as e:
         load_dataset(path)
