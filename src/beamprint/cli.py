@@ -7,8 +7,10 @@ cannot be written, 2 data error, 3 training divergence.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -103,6 +105,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_writable(*paths, make_parents: bool = False) -> None:
+    """Raise the OSError that writing an output would, before any work is
+    done; unset outputs are skipped, and `make_parents` is for a writer
+    that creates missing directories."""
+    for path in filter(None, paths):
+        target = Path(path)
+        parent = target.parent
+        while make_parents and not parent.exists() and parent != parent.parent:
+            parent = parent.parent
+        if target.is_dir():
+            code = errno.EISDIR
+        elif not parent.is_dir():
+            code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        elif not os.access(parent, os.W_OK | os.X_OK) or (target.exists() and not os.access(target, os.W_OK)):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), str(path))
+
+
 def _cmd_generate_scenario(args) -> int:
     config = default_scenario_config(args.seed) if args.preset == "default" else single_site_config(args.seed)
     build_scenario(config)  # validate before writing
@@ -112,6 +134,7 @@ def _cmd_generate_scenario(args) -> int:
 
 
 def _cmd_build_dataset(args) -> int:
+    _check_writable(args.out)
     scenario = build_scenario(load_scenario_config(args.scenario))
     dataset = build_dataset(scenario, args.seed)
     save_dataset(dataset, args.out)
@@ -134,6 +157,7 @@ def _parse_hidden(text: str):
 
 
 def _cmd_train(args) -> int:
+    _check_writable(args.out, make_parents=True)  # the bundle writer makes missing parents
     fc = feature_config_from_dict(load_object(args.features, "feature config"))
     dataset = load_dataset(args.dataset)
     if not args.no_los_filter:
@@ -175,6 +199,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    _check_writable(args.out, args.cdf)
     bundle = load_model_bundle(args.model)
     dataset = load_dataset(args.dataset)
     if not args.no_los_filter:
@@ -207,6 +232,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    _check_writable(args.out)
     bundle = load_model_bundle(args.model)
     results = infer_file(bundle, args.input, args.out)
     if args.out is None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,19 +87,7 @@ class Comparison:
     rows: List[ComparisonRow]
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "label": r.label,
-                    "n_samples": r.n_samples,
-                    "mean_error_m": r.mean_error_m,
-                    "std_error_m": r.std_error_m,
-                    "p90_m": r.p90_m,
-                    "best": r.best,
-                }
-                for r in self.rows
-            ]
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         width = max([len(r.label) for r in self.rows] + [len("model")])

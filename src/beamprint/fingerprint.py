@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -48,41 +48,33 @@ class FingerprintRecord:
     rsrp: np.ndarray
 
 
+@dataclass(eq=False)
 class Dataset:
     """Column-oriented container of fingerprint records."""
 
-    def __init__(
-        self,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        serving: np.ndarray,
-        los: np.ndarray,
-        meas_cells: np.ndarray,
-        meas_beams: np.ndarray,
-        meas_rsrp: np.ndarray,
-        cells: Sequence[int],
-        n_beams: int,
-        scenario_hash: str,
-        seed: int,
-    ):
-        n = len(xs)
-        if not (len(ys) == len(serving) == len(los) == n):
+    xs: np.ndarray
+    ys: np.ndarray
+    serving: np.ndarray
+    los: np.ndarray
+    meas_cells: np.ndarray
+    meas_beams: np.ndarray
+    meas_rsrp: np.ndarray
+    cells: Sequence[int]
+    n_beams: int
+    scenario_hash: str
+    seed: int
+
+    def __post_init__(self):
+        n = len(self.xs)
+        if not (len(self.ys) == len(self.serving) == len(self.los) == n):
             raise DataError("dataset columns disagree on record count")
-        if meas_rsrp.shape != meas_cells.shape or meas_rsrp.shape != meas_beams.shape:
+        if self.meas_rsrp.shape != self.meas_cells.shape or self.meas_rsrp.shape != self.meas_beams.shape:
             raise DataError("measurement columns disagree on shape")
-        if n and meas_rsrp.shape[0] != n:
+        if n and self.meas_rsrp.shape[0] != n:
             raise DataError("measurement rows disagree with record count")
-        self.xs = xs
-        self.ys = ys
-        self.serving = serving
-        self.los = los
-        self.meas_cells = meas_cells
-        self.meas_beams = meas_beams
-        self.meas_rsrp = meas_rsrp
-        self.cells = tuple(int(c) for c in cells)
-        self.n_beams = int(n_beams)
-        self.scenario_hash = scenario_hash
-        self.seed = int(seed)
+        self.cells = tuple(int(c) for c in self.cells)
+        self.n_beams = int(self.n_beams)
+        self.seed = int(self.seed)
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -103,36 +95,16 @@ class Dataset:
         )
 
     def subset(self, index: np.ndarray) -> "Dataset":
-        return Dataset(
-            xs=self.xs[index],
-            ys=self.ys[index],
-            serving=self.serving[index],
-            los=self.los[index],
-            meas_cells=self.meas_cells[index],
-            meas_beams=self.meas_beams[index],
-            meas_rsrp=self.meas_rsrp[index],
-            cells=self.cells,
-            n_beams=self.n_beams,
-            scenario_hash=self.scenario_hash,
-            seed=self.seed,
-        )
+        return replace(self, **{column: getattr(self, column)[index] for column in _RECORD_COLUMNS})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (
-            self.scenario_hash == other.scenario_hash
-            and self.seed == other.seed
-            and self.cells == other.cells
-            and self.n_beams == other.n_beams
-            and np.array_equal(self.xs, other.xs)
-            and np.array_equal(self.ys, other.ys)
-            and np.array_equal(self.serving, other.serving)
-            and np.array_equal(self.los, other.los)
-            and np.array_equal(self.meas_cells, other.meas_cells)
-            and np.array_equal(self.meas_beams, other.meas_beams)
-            and np.array_equal(self.meas_rsrp, other.meas_rsrp)
-        )
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+# the per-record columns, one entry per record; the other fields are header
+_RECORD_COLUMNS = ("xs", "ys", "serving", "los", "meas_cells", "meas_beams", "meas_rsrp")
 
 
 def build_dataset(scenario: Scenario, seed: Optional[int] = None) -> Dataset:

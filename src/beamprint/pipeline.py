@@ -417,13 +417,44 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def _arm_datasets(spec: ExperimentSpec, los: Dataset) -> Tuple[Dict[Optional[int], Dataset], Dict[int, int]]:
+    """The datasets the arms train on, by cell in run order, and the
+    skipped cells. At network level that is {None: los}."""
+    if spec.topology == TOPOLOGY_NETWORK:
+        return {None: los}, {}
+    parts = partition_by_cell(los)
+    eligible, skipped = {}, {}
+    for cell in sorted(parts) if spec.cells is None else spec.cells:
+        if cell not in parts:
+            raise DataError(f"cell {cell} serves no line-of-sight records")
+        n = len(parts[cell])
+        if n < spec.min_cell_records:
+            logger.warning("skipping cell %d: only %d records, need %d", cell, n, spec.min_cell_records)
+            skipped[cell] = n
+        else:
+            eligible[cell] = parts[cell]
+    if not eligible:
+        raise DataError("no cell has enough records for cell-specific training")
+    return eligible, skipped
+
+
+def _emit(rep: EvalReport, out: Path, reports: List[EvalReport]) -> dict:
+    """Write a report and its CDF table, append it to `reports`, return their paths."""
+    name = f"{rep.config['label']}_{rep.split}"
+    rp, cp = out / "reports" / f"{name}.json", out / "cdf" / f"{name}.csv"
+    write_report(rep, rp)
+    write_cdf_csv(rep, cp)
+    reports.append(rep)
+    return {"report": str(rp.relative_to(out)), "cdf": str(cp.relative_to(out))}
+
+
 def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
     """Run every feature config x model config combination and write
-    reports, CDF tables, models, and the replayable manifest."""
+    reports, CDF tables, models, and the replayable manifest. Arms run
+    cell-major, then by feature config, then by model config."""
     out = Path(output_dir)
-    (out / "reports").mkdir(parents=True, exist_ok=True)
-    (out / "cdf").mkdir(parents=True, exist_ok=True)
-    (out / "models").mkdir(parents=True, exist_ok=True)
+    for sub in ("reports", "cdf", "models"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
 
     t_start = time.perf_counter()
     scenario = build_scenario(spec.scenario)
@@ -431,79 +462,21 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
     los = los_filter(dataset)
     t_data = time.perf_counter() - t_start
 
+    parts, skipped_cells = _arm_datasets(spec, los)
+    combos = [(fc, ms, f"{_fc_label(fc)}_{ms.label}") for fc in spec.feature_configs for ms in spec.model_specs]
     outputs: List[RunOutput] = []
-    pooled_reports: List[EvalReport] = []
-    skipped_cells: Dict[int, int] = {}
+    for cell, part in parts.items():
+        train_ds, test_ds = split_dataset(part, spec.train_fraction, spec.split_seed)
+        prefix = "net" if cell is None else f"cell{cell}"
+        for fc, ms, combo in combos:
+            outputs.append(run_single(train_ds, test_ds, fc, ms, spec, f"{prefix}_{combo}", cell=cell))
 
-    if spec.topology == TOPOLOGY_NETWORK:
-        train_ds, test_ds = split_dataset(los, spec.train_fraction, spec.split_seed)
-        for fc in spec.feature_configs:
-            for ms in spec.model_specs:
-                label = f"net_{_fc_label(fc)}_{ms.label}"
-                outputs.append(run_single(train_ds, test_ds, fc, ms, spec, label))
-    else:
-        parts = partition_by_cell(los)
-        wanted = sorted(parts) if spec.cells is None else spec.cells
-        eligible: List[int] = []
-        for cell in wanted:
-            if cell not in parts:
-                raise DataError(f"cell {cell} serves no line-of-sight records")
-            if len(parts[cell]) < spec.min_cell_records:
-                logger.warning(
-                    "skipping cell %d: only %d records, need %d",
-                    cell,
-                    len(parts[cell]),
-                    spec.min_cell_records,
-                )
-                skipped_cells[cell] = len(parts[cell])
-                continue
-            eligible.append(cell)
-        if not eligible:
-            raise DataError("no cell has enough records for cell-specific training")
-        per_combo_test: Dict[str, List[np.ndarray]] = {}
-        per_combo_train: Dict[str, List[np.ndarray]] = {}
-        for cell in eligible:
-            train_ds, test_ds = split_dataset(parts[cell], spec.train_fraction, spec.split_seed)
-            for fc in spec.feature_configs:
-                for ms in spec.model_specs:
-                    combo = f"{_fc_label(fc)}_{ms.label}"
-                    label = f"cell{cell}_{combo}"
-                    run = run_single(train_ds, test_ds, fc, ms, spec, label, cell=cell)
-                    outputs.append(run)
-                    per_combo_test.setdefault(combo, []).append(run.test_errors)
-                    per_combo_train.setdefault(combo, []).append(run.train_errors)
-        for fc in spec.feature_configs:
-            for ms in spec.model_specs:
-                combo = f"{_fc_label(fc)}_{ms.label}"
-                desc = _descriptor(
-                    f"cellpool_{combo}",
-                    fc,
-                    ms,
-                    spec,
-                    None,
-                    {"pooled_cells": eligible},
-                )
-                pooled_reports.append(
-                    summarize(np.concatenate(per_combo_test[combo]), split="test", config=desc)
-                )
-                pooled_reports.append(
-                    summarize(np.concatenate(per_combo_train[combo]), split="train", config=desc)
-                )
-
-    # emit artifacts
     reports: List[EvalReport] = []
     run_entries = []
     for run in outputs:
         model_path = out / "models" / f"{run.label}.json"
         save_model_bundle(run.bundle, model_path)
-        paths = {}
-        for rep in (run.train_report, run.test_report):
-            rp = out / "reports" / f"{run.label}_{rep.split}.json"
-            cp = out / "cdf" / f"{run.label}_{rep.split}.csv"
-            write_report(rep, rp)
-            write_cdf_csv(rep, cp)
-            paths[rep.split] = {"report": str(rp.relative_to(out)), "cdf": str(cp.relative_to(out))}
-            reports.append(rep)
+        paths = {rep.split: _emit(rep, out, reports) for rep in (run.train_report, run.test_report)}
         run_entries.append(
             {
                 "label": run.label,
@@ -513,13 +486,13 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
                 **run.fit_stats,
             }
         )
-    for rep in pooled_reports:
-        label = rep.config["label"]
-        rp = out / "reports" / f"{label}_{rep.split}.json"
-        cp = out / "cdf" / f"{label}_{rep.split}.csv"
-        write_report(rep, rp)
-        write_cdf_csv(rep, cp)
-        reports.append(rep)
+    if spec.topology == TOPOLOGY_CELL:
+        for i, (fc, ms, combo) in enumerate(combos):
+            arms = outputs[i :: len(combos)]
+            desc = _descriptor(f"cellpool_{combo}", fc, ms, spec, None, {"pooled_cells": list(parts)})
+            for split in ("test", "train"):
+                errors = np.concatenate([getattr(run, f"{split}_errors") for run in arms])
+                _emit(summarize(errors, split=split, config=desc), out, reports)
 
     test_reports = [r for r in reports if r.split == "test"]
     comparison = compare(test_reports)

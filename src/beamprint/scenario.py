@@ -17,8 +17,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import count
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -176,16 +177,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
     codebook = build_codebook(config.radio)
 
-    frozen = ScenarioConfig(
-        area_width_m=config.area_width_m,
-        area_height_m=config.area_height_m,
-        grid_resolution_m=config.grid_resolution_m,
-        carrier_frequency_hz=config.carrier_frequency_hz,
-        rng_seed=config.rng_seed,
-        sites=sites,
-        buildings=tuple(config.buildings),
-        radio=config.radio,
-    )
+    frozen = replace(config, sites=sites, buildings=tuple(config.buildings))
     return Scenario(
         config=frozen,
         sites=sites,
@@ -198,22 +190,11 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 def _assign_cell_ids(sites: Sequence[Site]) -> Tuple[Site, ...]:
     ids = [sector.cell_id for site in sites for sector in site.sectors]
     if all(i is None for i in ids):
-        out = []
-        next_id = 0
-        for site in sites:
-            sectors = []
-            for sector in site.sectors:
-                sectors.append(
-                    Sector(
-                        boresight_azimuth_deg=sector.boresight_azimuth_deg,
-                        cell_id=next_id,
-                        mechanical_downtilt_deg=sector.mechanical_downtilt_deg,
-                        tx_power_dbm=sector.tx_power_dbm,
-                    )
-                )
-                next_id += 1
-            out.append(Site(x=site.x, y=site.y, z=site.z, sectors=tuple(sectors)))
-        return tuple(out)
+        next_id = count()  # site-major, then sector order
+        return tuple(
+            replace(site, sectors=tuple(replace(sector, cell_id=next(next_id)) for sector in site.sectors))
+            for site in sites
+        )
     if any(i is None for i in ids):
         raise ConfigurationError("cell ids must be either all explicit or all omitted")
     if len(set(ids)) != len(ids):

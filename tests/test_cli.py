@@ -510,3 +510,22 @@ def test_unwritable_output_exits_1(ws, tmp_path, capsys, command, target):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write") and str(out) in err
+
+
+def test_evaluate_with_unwritable_cdf_writes_no_report(ws, tmp_path, capsys):
+    report, cdf = tmp_path / "r.json", tmp_path / "nonexistent" / "c.csv"
+    argv = ["evaluate", "--model", str(ws.tree), "--dataset", str(ws.dataset), "--out", str(report)]
+    assert main(argv + ["--cdf", str(cdf)]) == 1
+    assert str(cdf) in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_build_dataset_checks_out_before_the_sweep(ws, tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("build_dataset ran before --out was checked")
+
+    monkeypatch.setattr("beamprint.cli.build_dataset", no_sweep)
+    out = tmp_path / "nonexistent" / "d.jsonl"
+    assert main(["build-dataset", "--scenario", str(ws.scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and str(out) in err

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -142,6 +143,37 @@ def test_los_filter_empty_raises(small_dataset):
     empty = small_dataset.subset(np.zeros(0, dtype=np.int64))
     with pytest.raises(DataError):
         los_filter(empty)
+
+
+# every Dataset field: the seven per-record columns, then the header
+DATASET_COLUMNS = ("xs", "ys", "serving", "los", "meas_cells", "meas_beams", "meas_rsrp")
+DATASET_HEADER = ("cells", "n_beams", "scenario_hash", "seed")
+
+
+def _changed(value):
+    if isinstance(value, np.ndarray):
+        out = value.copy()
+        out[0] = ~out[0] if out.dtype == bool else out[0] + 1
+        return out
+    if isinstance(value, tuple):
+        return value[:-1] + (value[-1] + 1,)
+    if isinstance(value, str):
+        return value[1:] + value[0]
+    return value + 1
+
+
+@pytest.mark.parametrize("name", DATASET_COLUMNS + DATASET_HEADER)
+def test_dataset_field_is_compared_and_kept_by_subset(small_dataset, name):
+    assert tuple(f.name for f in fields(Dataset)) == DATASET_COLUMNS + DATASET_HEADER
+    base = small_dataset.subset(np.arange(5))
+    changed = replace(base, **{name: _changed(getattr(base, name))})
+    assert changed != base and base != changed
+    index = np.array([3, 1])
+    picked = changed.subset(index)
+    for column in DATASET_COLUMNS:
+        assert np.array_equal(getattr(picked, column), getattr(changed, column)[index])
+    for header in DATASET_HEADER:
+        assert getattr(picked, header) == getattr(changed, header)
 
 
 def test_partition_by_cell(small_dataset):

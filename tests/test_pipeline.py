@@ -724,6 +724,82 @@ def test_cell_run_rejects_unknown_or_thin_cells(tmp_path):
         run_experiment(experiment_spec_from_dict(d), tmp_path / "b")
 
 
+def test_cell_run_lists_a_repeated_cell_once(tmp_path):
+    # a cell named twice used to run twice into the same files
+    d = _spec_dict(topology=TOPOLOGY_CELL, cells=[2, 0, 2], min_cell_records=200)
+    d["model_configs"] = [{"type": "tree", "max_depth": 4}]
+    result = run_experiment(experiment_spec_from_dict(d), tmp_path)
+    assert [r["label"] for r in result.manifest["runs"]] == ["cell2_s3n0_tree_d4_l2", "cell0_s3n0_tree_d4_l2"]
+    pooled = [r for r in result.reports if r.config["label"] == "cellpool_s3n0_tree_d4_l2"]
+    assert [r.config["pooled_cells"] for r in pooled] == [[2, 0], [2, 0]]
+    assert pooled[0].n_samples == 43 + 43
+
+
+# ---------------------------------------------------------------------------
+# sweep order: 2 feature configs x 2 tree depths in both topologies
+
+# arms run cell-major (in spec.cells order), then feature config, then
+# model; the cell-specific sweep skips cell 1 (141 records < 200)
+SWEEP_ARMS = {
+    TOPOLOGY_NETWORK: [
+        f"net_{fc}_tree_d{depth}_l2" for fc in ("s3n0_id", "s2n1_id") for depth in (8, 4)
+    ],
+    TOPOLOGY_CELL: [
+        f"cell{cell}_{fc}_tree_d{depth}_l2"
+        for cell in (2, 0)
+        for fc in ("s3n0", "s2n1")
+        for depth in (8, 4)
+    ],
+}
+SWEEP_POOLED = [f"cellpool_{fc}_tree_d{depth}_l2" for fc in ("s3n0", "s2n1") for depth in (8, 4)]
+SWEEP_BEST = {TOPOLOGY_NETWORK: "net_s2n1_id_tree_d8_l2", TOPOLOGY_CELL: "cell2_s2n1_tree_d8_l2"}
+# SHA-256 of the manifest (json.dumps with sort_keys) without durations.
+# It holds every artifact digest, so it shares the AVX-512 caveat of
+# GOLDEN_CELL_RUN (ROADMAP item 10).
+GOLDEN_SWEEP_MANIFEST = {
+    TOPOLOGY_NETWORK: "b00177c82b79061d0dd10db660dec45df193cfe96e7b38941cca3b63f362a433",
+    TOPOLOGY_CELL: "b0d0c861e8dcfc6c9dd83d2ca424bfd28ed1286449b78fff15f8c01755fe159a",
+}
+
+
+@pytest.fixture(scope="module", params=[TOPOLOGY_NETWORK, TOPOLOGY_CELL])
+def order_run(request, tmp_path_factory):
+    d = _spec_dict(topology=request.param)
+    d["feature_configs"] = [
+        {"serving_beams": 3, "neighbor_beams": 0},
+        {"serving_beams": 2, "neighbor_beams": 1},
+    ]
+    d["model_configs"] = [{"type": "tree", "max_depth": 8}, {"type": "tree", "max_depth": 4}]
+    if request.param == TOPOLOGY_CELL:
+        d.update(cells=[2, 1, 0], min_cell_records=200)
+    return request.param, run_experiment(experiment_spec_from_dict(d), tmp_path_factory.mktemp("order"))
+
+
+def test_sweep_order_is_pinned(order_run):
+    topology, result = order_run
+    arms = SWEEP_ARMS[topology]
+    # each run reports train then test; pooled reports follow, test then train
+    expect = [(label, split) for label in arms for split in ("train", "test")]
+    if topology == TOPOLOGY_CELL:
+        expect += [(label, split) for label in SWEEP_POOLED for split in ("test", "train")]
+    assert [(r.config["label"], r.split) for r in result.reports] == expect
+    assert [r["label"] for r in result.manifest["runs"]] == arms
+    rows = result.comparison.rows
+    assert [r.label for r in rows] == [label for label, split in expect if split == "test"]
+    assert [r.label for r in rows if r.best] == [SWEEP_BEST[topology]]
+    starred = [line for line in result.comparison.to_text().splitlines() if line.endswith("*")]
+    assert [line.split()[0] for line in starred] == [SWEEP_BEST[topology]]
+
+
+def test_sweep_manifest_matches_golden_digest(order_run):
+    topology, result = order_run
+    m = dict(result.manifest)
+    del m["durations_s"]
+    m["runs"] = [{k: v for k, v in run.items() if k != "duration_s"} for run in m["runs"]]
+    digest = hashlib.sha256(json.dumps(m, sort_keys=True).encode("ascii")).hexdigest()
+    assert digest == GOLDEN_SWEEP_MANIFEST[topology]
+
+
 # ---------------------------------------------------------------------------
 # measurement parsing
 

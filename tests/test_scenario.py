@@ -75,11 +75,21 @@ def test_grid_excludes_building_interior_and_boundary():
 def test_auto_cell_ids_site_major():
     sites = (
         Site(x=0.0, y=0.0, sectors=(Sector(0.0), Sector(120.0), Sector(240.0))),
-        Site(x=30.0, y=0.0, sectors=(Sector(0.0), Sector(180.0))),
+        Site(
+            x=30.0,
+            y=0.0,
+            z=25.0,
+            sectors=(Sector(0.0, mechanical_downtilt_deg=12.0, tx_power_dbm=43.0), Sector(180.0)),
+        ),
     )
     sc = build_scenario(open_config(width=30.0, sites=sites))
     assert sc.cell_ids == (0, 1, 2, 3, 4)
     assert sc.n_cells == 5
+    # assigning ids keeps every other site and sector field
+    site, sector = sc.cell_map[3]
+    assert (site.x, site.y, site.z) == (30.0, 0.0, 25.0)
+    assert sector == Sector(0.0, cell_id=3, mechanical_downtilt_deg=12.0, tx_power_dbm=43.0)
+    assert sc.config.sites == sc.sites
 
 
 def test_explicit_cell_ids_all_or_none():
