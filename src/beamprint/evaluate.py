@@ -157,7 +157,8 @@ def report_from_dict(d: dict) -> EvalReport:
 
 def write_report(report: EvalReport, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(report_to_dict(report), fh, sort_keys=True, separators=(",", ":"))
+        # json.dumps, not json.dump: only dumps takes the C encoder
+        fh.write(json.dumps(report_to_dict(report), sort_keys=True, separators=(",", ":")))
         fh.write("\n")
 
 

@@ -29,6 +29,11 @@ _FORMAT_VERSION = 1
 _MAX_FLOAT = sys.float_info.max
 _INT32 = np.iinfo(np.int32)
 _CHECK_ROWS = 16  # rows per vectorised record check
+# rows per build_dataset block. A multiple of 64, so that a SIMD kernel
+# that treats an array's last few elements apart meets them on the same
+# rows as in a whole-grid call, and the block build keeps the whole-grid
+# bits.
+_BUILD_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,21 +128,32 @@ def build_dataset(scenario: Scenario, seed: Optional[int] = None) -> Dataset:
     cells = scenario.cell_ids
     n_cells = len(cells)
     n_beams = len(scenario.codebook.beams)
+    m = n_cells * n_beams
     px = xy[:, 0]
     py = xy[:, 1]
     pts3 = np.column_stack([px, py, np.full(n, UE_HEIGHT_M)])
-    flat = rsrp_cube(scenario, pts3, seed).reshape(n, n_cells * n_beams)
-    # argmax returns the first maximum, which in cell-major column order
-    # means ties resolve to the lowest cell id (then lowest beam id)
-    best_col = np.argmax(flat, axis=1)
-    serving = np.asarray(cells, dtype=np.int32)[best_col // n_beams]
-
-    order = np.argsort(-flat, axis=1, kind="stable")
-    col_cells = np.repeat(np.asarray(cells, dtype=np.int32), n_beams)
+    cell_col = np.asarray(cells, dtype=np.int32)
+    col_cells = np.repeat(cell_col, n_beams)
     col_beams = np.tile(np.arange(n_beams, dtype=np.int32), n_cells)
-    meas_cells = col_cells[order]
-    meas_beams = col_beams[order]
-    meas_rsrp = np.take_along_axis(flat, order, axis=1)
+
+    # the sweep, argmax, sort and gather run a block of rows at a time,
+    # written into the output columns, so that the cube, the sort order
+    # and the gathered copies never exist for the whole grid at once
+    serving = np.empty(n, dtype=np.int32)
+    meas_cells = np.empty((n, m), dtype=np.int32)
+    meas_beams = np.empty((n, m), dtype=np.int32)
+    meas_rsrp = np.empty((n, m))
+    for start in range(0, n, _BUILD_ROWS):
+        rows = slice(start, start + _BUILD_ROWS)
+        flat = rsrp_cube(scenario, pts3[rows], seed).reshape(-1, m)
+        # argmax returns the first maximum, which in cell-major column
+        # order means ties resolve to the lowest cell id (then beam id)
+        serving[rows] = cell_col[np.argmax(flat, axis=1) // n_beams]
+        order = np.argsort(-flat, axis=1, kind="stable")
+        meas_cells[rows] = col_cells[order]
+        meas_beams[rows] = col_beams[order]
+        meas_rsrp[rows] = np.take_along_axis(flat, order, axis=1)
+        del flat, order  # or they would live on while the next block is made
 
     los = np.zeros(n, dtype=bool)
     site_index = {id(site): idx for idx, site in enumerate(scenario.sites)}
@@ -385,6 +401,21 @@ def _require(obj: dict, key: str, path, line: int):
     return obj[key]
 
 
+def _lines_at_most(fh) -> int:
+    """At least the number of lines in a file opened for reading in text
+    mode: one more than its line-end bytes (text mode ends a line at
+    "\n", "\r" or "\r\n"). The position in the file is kept."""
+    here = fh.tell()
+    fh.buffer.seek(0)
+    ends = 0
+    for chunk in iter(lambda: fh.buffer.read(1 << 20), b""):
+        ends += chunk.count(b"\n")
+        if b"\r" in chunk:  # rare, and the test costs far less than a count
+            ends += chunk.count(b"\r")
+    fh.seek(here)
+    return ends + 1
+
+
 def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
     """Read a dataset file back; the round trip is exact.
 
@@ -434,15 +465,21 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
                 f"expected {expected_scenario_hash[:12]}"
             )
 
+        # each record's measurements are written into columns made at the
+        # first record, so they are held once; the line count that sizes
+        # them is taken only now, so refusing a file costs one line
+        try:
+            capacity = _lines_at_most(fh)
+        except OSError as e:  # a pipe cannot be read twice
+            raise DataError(f"cannot count the lines of dataset {path}: {e}") from e
         xs: List[float] = []
         ys: List[float] = []
         serving: List[int] = []
         los: List[bool] = []
-        meas_cells: List[np.ndarray] = []
-        meas_beams: List[np.ndarray] = []
-        meas_rsrp: List[np.ndarray] = []
+        meas_cells = np.empty((0, 0), dtype=np.int32)
+        meas_beams = np.empty((0, 0), dtype=np.int32)
+        meas_rsrp = np.empty((0, 0))
         linenos: List[int] = []
-        expected_m: Optional[int] = None
 
         for lineno, raw in enumerate(fh, start=2):
             if not raw.strip():
@@ -460,31 +497,37 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
             if not isinstance(lo, bool):
                 raise DatasetParseError("los must be a bool", path=path, line=lineno, field="los")
             mc, mb, mr = parse_measurements(meas, path, lineno)
-            if expected_m is None:
-                expected_m = len(mr)
-            elif len(mr) != expected_m:
+            i = len(xs)
+            if i == 0:
+                meas_cells = np.empty((capacity, len(mr)), dtype=np.int32)
+                meas_beams = np.empty((capacity, len(mr)), dtype=np.int32)
+                meas_rsrp = np.empty((capacity, len(mr)))
+            elif len(mr) != meas_rsrp.shape[1]:
                 raise DatasetParseError(
                     "records disagree on measurement count", path=path, line=lineno, field="meas"
                 )
+            if i == capacity:
+                raise DataError(f"dataset {path} grew while it was read")
             xs.append(x)
             ys.append(y)
             serving.append(sv)
             los.append(lo)
-            meas_cells.append(mc)
-            meas_beams.append(mb)
-            meas_rsrp.append(mr)
+            meas_cells[i] = mc
+            meas_beams[i] = mb
+            meas_rsrp[i] = mr
             linenos.append(lineno)
 
     n = len(xs)
-    m = expected_m or 0
     dataset = Dataset(
         xs=np.asarray(xs, dtype=np.float64),
         ys=np.asarray(ys, dtype=np.float64),
         serving=np.asarray(serving, dtype=np.int32),
         los=np.asarray(los, dtype=bool),
-        meas_cells=np.asarray(meas_cells, dtype=np.int32).reshape(n, m),
-        meas_beams=np.asarray(meas_beams, dtype=np.int32).reshape(n, m),
-        meas_rsrp=np.asarray(meas_rsrp, dtype=np.float64).reshape(n, m),
+        # views of the first n rows: the rows past them were never written,
+        # so their pages were never touched
+        meas_cells=meas_cells[:n],
+        meas_beams=meas_beams[:n],
+        meas_rsrp=meas_rsrp[:n],
         cells=cells,
         n_beams=n_beams,
         scenario_hash=scenario_hash_value,

@@ -14,6 +14,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union, get_type_hints
 
@@ -152,7 +153,8 @@ def save_model_bundle(bundle: ModelBundle, path) -> None:
     }
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(blob, fh, sort_keys=True, separators=(",", ":"))
+        # json.dumps, not json.dump: only dumps takes the C encoder
+        fh.write(json.dumps(blob, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
 
 
@@ -460,6 +462,13 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
     scenario = build_scenario(spec.scenario)
     dataset = build_dataset(scenario, spec.dataset_seed)
     los = los_filter(dataset)
+    dataset_stats = {
+        "seed": dataset.seed,
+        "n_records": len(dataset),
+        "n_los": len(los),
+        "los_fraction": len(los) / len(dataset),
+    }
+    del dataset  # the arms need only the LOS records: free the full sweep
     t_data = time.perf_counter() - t_start
 
     parts, skipped_cells = _arm_datasets(spec, los)
@@ -507,12 +516,7 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
         "version": _MANIFEST_VERSION,
         "spec": experiment_spec_to_dict(spec),
         "scenario_hash": scenario.fingerprint_hash,
-        "dataset": {
-            "seed": dataset.seed,
-            "n_records": len(dataset),
-            "n_los": len(los),
-            "los_fraction": len(los) / len(dataset),
-        },
+        "dataset": dataset_stats,
         "skipped_cells": {str(c): n for c, n in sorted(skipped_cells.items())},
         "runs": run_entries,
         "artifact_sha256": report_hashes,
@@ -553,6 +557,9 @@ def replay(manifest_path, output_dir) -> RunResult:
 
 # ---------------------------------------------------------------------------
 # Inference
+
+# measurement reports infer_file parses, extracts and predicts at a time
+_INFER_REPORTS = 1024
 
 
 def parse_measurement_line(raw: str, lineno: int, path=None) -> Optional[FingerprintRecord]:
@@ -597,48 +604,60 @@ def infer_record(bundle: ModelBundle, record: FingerprintRecord) -> Tuple[float,
     return float(pred[0]), float(pred[1])
 
 
+def _predict_records(
+    bundle: ModelBundle, records: Sequence[FingerprintRecord], linenos: Sequence[int], in_path
+) -> np.ndarray:
+    """Positions for parsed reports: stacked (NaN-padded to the longest),
+    extracted in one kernel call and predicted in one batch. A report
+    that cannot fill the feature config is a DatasetParseError naming
+    its line."""
+    n, m = len(records), max(len(r.rsrp) for r in records)
+    cells = np.zeros((n, m), dtype=np.int64)
+    beams = np.zeros((n, m), dtype=np.int64)
+    rsrp = np.full((n, m), np.nan)
+    for i, r in enumerate(records):
+        cells[i, : len(r.rsrp)] = r.cells
+        beams[i, : len(r.rsrp)] = r.beams
+        rsrp[i, : len(r.rsrp)] = r.rsrp
+    serving = np.array([r.serving_cell_id for r in records])
+    values, kept, _, _ = _select(serving, cells, beams, rsrp, bundle.feature_config)
+    if len(kept) < n:
+        i = int(np.setdiff1d(np.arange(n), kept)[0])
+        try:
+            extract(records[i], bundle.feature_config)
+        except FeatureExtractionError as e:
+            raise DatasetParseError(str(e), path=in_path, line=linenos[i]) from e
+    return bundle.predict(values)
+
+
+def _reports(fh, path):
+    """(line number, record) for each measurement report in an open file."""
+    for lineno, raw in enumerate(fh, start=1):
+        if raw.strip():
+            record = parse_measurement_line(raw, lineno, path=path)
+            if record is not None:
+                yield lineno, record
+
+
 def infer_file(bundle: ModelBundle, in_path, out_path=None) -> List[dict]:
     """Predict for every record in a line-delimited measurement file.
 
-    Every line is parsed first; the reports are then stacked (NaN-padded
-    to the longest), extracted in one kernel call and predicted in one
-    batch, so a bad line anywhere fails the file before any prediction
-    is made. A report that cannot fill the feature config is a
-    DatasetParseError naming its line.
+    Reports are parsed _INFER_REPORTS at a time, then predicted by
+    _predict_records, so memory holds one chunk of reports besides the
+    predictions. A bad line anywhere fails the file before any output
+    is written. Within a chunk, a line that does not parse is reported
+    before one that cannot fill the feature config.
     """
-    records: List[FingerprintRecord] = []
-    linenos: List[int] = []
+    pred: List[List[float]] = []
     try:
         fh = open(in_path, "r", encoding="ascii", errors="surrogateescape")
     except OSError as e:
         raise DataError(f"cannot read measurement file {in_path}: {e}") from e
     with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            record = parse_measurement_line(raw, lineno, path=in_path)
-            if record is not None:
-                records.append(record)
-                linenos.append(lineno)
-    pred = []
-    if records:
-        n, m = len(records), max(len(r.rsrp) for r in records)
-        cells = np.zeros((n, m), dtype=np.int64)
-        beams = np.zeros((n, m), dtype=np.int64)
-        rsrp = np.full((n, m), np.nan)
-        for i, r in enumerate(records):
-            cells[i, : len(r.rsrp)] = r.cells
-            beams[i, : len(r.rsrp)] = r.beams
-            rsrp[i, : len(r.rsrp)] = r.rsrp
-        serving = np.array([r.serving_cell_id for r in records])
-        values, kept, _, _ = _select(serving, cells, beams, rsrp, bundle.feature_config)
-        if len(kept) < n:
-            i = int(np.setdiff1d(np.arange(n), kept)[0])
-            try:
-                extract(records[i], bundle.feature_config)
-            except FeatureExtractionError as e:
-                raise DatasetParseError(str(e), path=in_path, line=linenos[i]) from e
-        pred = bundle.predict(values).tolist()
+        reports = _reports(fh, in_path)
+        while chunk := list(islice(reports, _INFER_REPORTS)):
+            linenos, records = zip(*chunk)
+            pred.extend(_predict_records(bundle, records, linenos, in_path).tolist())
     results = [{"x_pred": x, "y_pred": y} for x, y in pred]
     if out_path is not None:
         with open(out_path, "w", encoding="ascii") as fh:

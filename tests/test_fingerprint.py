@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from beamprint import fingerprint
 from beamprint.errors import DataError, DatasetParseError
 from beamprint.fingerprint import (
+    _BUILD_ROWS,
+    _RECORD_COLUMNS,
     Dataset,
     build_dataset,
     load_dataset,
@@ -15,7 +20,7 @@ from beamprint.fingerprint import (
     save_dataset,
 )
 from beamprint.radio import rsrp_cube
-from beamprint.scenario import UE_HEIGHT_M, build_scenario, grid_xy
+from beamprint.scenario import UE_HEIGHT_M, build_scenario, default_scenario_config, grid_xy
 
 from conftest import small_scenario_config, triples
 from test_scenario import segment_clear
@@ -229,6 +234,102 @@ def test_load_checks_scenario_hash_before_records(tmp_path, small_dataset):
     with pytest.raises(DatasetParseError) as e:
         load_dataset(path, expected_scenario_hash=small_dataset.scenario_hash)
     assert e.value.line == 3
+
+
+def test_load_refuses_on_the_header_before_counting_lines(tmp_path, small_dataset, monkeypatch):
+    # the line count reads the whole file, so it comes after the checks
+    # that refuse a file on its first line
+    path = tmp_path / "ds.jsonl"
+    save_dataset(small_dataset, path)
+
+    def no_count(fh):
+        raise AssertionError("counted the lines of a refused file")
+
+    monkeypatch.setattr(fingerprint, "_lines_at_most", no_count)
+    with pytest.raises(DataError, match="expected 000000000000"):
+        load_dataset(path, expected_scenario_hash="0" * 64)
+
+
+def test_load_refuses_a_file_that_grew_past_its_line_count(tmp_path, small_dataset, monkeypatch):
+    path = tmp_path / "ds.jsonl"
+    save_dataset(small_dataset.subset(np.arange(3)), path)
+    monkeypatch.setattr(fingerprint, "_lines_at_most", lambda fh: 2)
+    with pytest.raises(DataError, match="grew while it was read"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_load_sizes_its_columns_for_any_line_end(tmp_path, small_dataset, end):
+    # text mode ends a line at "\n", "\r" or "\r\n"; the line count that
+    # sizes the columns must cover each
+    ds = small_dataset.subset(np.arange(5))
+    path = tmp_path / "ds.jsonl"
+    save_dataset(ds, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", end))
+    assert load_dataset(path) == ds
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_refuses_a_pipe(tmp_path, small_dataset):
+    # the columns are sized by a first pass over the file, which a pipe
+    # cannot give
+    path = tmp_path / "ds.jsonl"
+    save_dataset(small_dataset.subset(np.arange(3)), path)
+    read_end, write_end = os.pipe()
+    try:
+        with os.fdopen(write_end, "wb") as w:
+            w.write(path.read_bytes())  # well under a pipe's buffer
+        with pytest.raises(DataError, match="cannot count the lines"):
+            load_dataset(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+
+
+def _column_bytes(ds):
+    return sum(getattr(ds, c).nbytes for c in _RECORD_COLUMNS)
+
+
+def _traced_overhead(fn, *args):
+    """fn(*args), a Dataset, and the bytes of tracemalloc's peak during
+    the call beyond the dataset's record columns."""
+    tracemalloc.start()
+    try:
+        ds = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return ds, peak - _column_bytes(ds)
+
+
+def _overhead_growth(runs):
+    """How much the overhead grew from the smaller dataset to the larger,
+    as a share of how much the record columns grew."""
+    (small, over_small), (large, over_large) = runs
+    return (over_large - over_small) / (_column_bytes(large) - _column_bytes(small))
+
+
+def test_build_holds_one_copy_of_the_columns():
+    # beyond its output, build_dataset holds one block's temporaries, so
+    # the traced peak less the output does not grow with the grid (it
+    # grew by the output's size when the whole grid was sorted at once)
+    runs = []
+    for res in (4.0, 2.0):
+        sc = build_scenario(replace(default_scenario_config(0), grid_resolution_m=res))
+        runs.append(_traced_overhead(build_dataset, sc))
+        assert len(runs[-1][0]) > _BUILD_ROWS
+    assert _overhead_growth(runs) < 0.25
+
+
+def test_load_holds_one_copy_of_the_columns(tmp_path):
+    # each record is written into preallocated columns, so the traced
+    # peak less the output does not grow with the file (it grew by more
+    # than the output's size with a list of rows stacked at the end)
+    runs = []
+    for res in (2.0, 1.0):
+        path = tmp_path / f"grid{res}.jsonl"
+        save_dataset(build_dataset(build_scenario(replace(small_scenario_config(), grid_resolution_m=res))), path)
+        runs.append(_traced_overhead(load_dataset, path))
+    assert _overhead_growth(runs) < 0.25
 
 
 def _lines(tmp_path, small_dataset):

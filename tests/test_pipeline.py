@@ -1,11 +1,12 @@
 import hashlib
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from beamprint import dtree, mlp
+from beamprint import dtree, mlp, pipeline
 from beamprint.dtree import TreeConfig
 from beamprint.errors import ConfigurationError, DataError, DatasetParseError
 from beamprint.evaluate import load_report
@@ -21,6 +22,7 @@ from beamprint.features import (
 from beamprint.fingerprint import los_filter, partition_by_cell, save_dataset
 from beamprint.mlp import MlpConfig
 from beamprint.pipeline import (
+    _INFER_REPORTS,
     MODEL_MLP,
     MODEL_TREE,
     ModelBundle,
@@ -664,6 +666,29 @@ def test_replay_rejects_non_manifest(tmp_path):
         replay(tmp_path / "missing.json", tmp_path / "out")
 
 
+def test_run_experiment_frees_the_full_sweep_before_the_arms(tmp_path, monkeypatch):
+    # the arms need only the line-of-sight records, so the full sweep is
+    # released before the first split, its manifest figures taken first
+    build, split = pipeline.build_dataset, pipeline.split_dataset
+    built, freed = [], []
+
+    def traced_build(*args):
+        ds = build(*args)
+        built.append((weakref.ref(ds), len(ds)))
+        return ds
+
+    def traced_split(*args):
+        freed.append(built[0][0]() is None)
+        return split(*args)
+
+    monkeypatch.setattr(pipeline, "build_dataset", traced_build)
+    monkeypatch.setattr(pipeline, "split_dataset", traced_split)
+    spec = experiment_spec_from_dict(_spec_dict(model_configs=[{"type": "tree", "max_depth": 4}]))
+    result = run_experiment(spec, tmp_path)
+    assert freed == [True]
+    assert result.manifest["dataset"]["n_records"] == built[0][1]
+
+
 # ---------------------------------------------------------------------------
 # whole experiments, cell-specific topology
 
@@ -962,3 +987,46 @@ def test_infer_file_without_records(tree_bundle, tmp_path):
     out_path = tmp_path / "pred.jsonl"
     assert infer_file(tree_bundle, in_path, out_path) == []
     assert out_path.read_text(encoding="ascii") == ""
+
+
+def _chunked_file(path, test_ds):
+    """A dataset file of test_ds's records, cycled past one infer_file
+    chunk: the header, then _INFER_REPORTS + 100 record lines."""
+    records = test_ds.subset(np.resize(np.arange(len(test_ds)), _INFER_REPORTS + 100))
+    save_dataset(records, path)
+    return records
+
+
+def test_infer_file_across_chunks_equals_batch_predict(tree_bundle, mlp_bundle, small_splits, tmp_path):
+    _, test_ds = small_splits
+    in_path = tmp_path / "test.jsonl"
+    records = _chunked_file(in_path, test_ds)
+    for bundle in (tree_bundle, mlp_bundle):
+        want = bundle.predict(extract_features(records, bundle.feature_config).values)
+        got = np.array([[r["x_pred"], r["y_pred"]] for r in infer_file(bundle, in_path)])
+        assert got.shape == want.shape == (len(records), 2)
+        if bundle.model_type == MODEL_TREE:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-9
+
+
+@pytest.mark.parametrize("fault", ["bad-json", "too-few-beams"])
+def test_infer_file_bad_line_in_a_later_chunk(tree_bundle, small_splits, tmp_path, fault):
+    # the first chunk is predicted before the second is read, but nothing
+    # is written until every line has passed
+    _, test_ds = small_splits
+    in_path = tmp_path / "meas.jsonl"
+    _chunked_file(in_path, test_ds)
+    lines = in_path.read_text(encoding="ascii").splitlines()
+    bad = _INFER_REPORTS + 50
+    if fault == "bad-json":
+        lines[bad - 1] = lines[bad - 1][:-5]
+    else:
+        lines[bad - 1] = json.dumps({"meas": [list(triples(test_ds.record(0))[0])]})
+    in_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    out_path = tmp_path / "pred.jsonl"
+    with pytest.raises(DatasetParseError) as e:
+        infer_file(tree_bundle, in_path, out_path)
+    assert e.value.line == bad
+    assert not out_path.exists()

@@ -6,6 +6,7 @@ import pytest
 
 from beamprint.configfile import from_dict, to_dict
 from beamprint.errors import ConfigurationError
+from beamprint.fingerprint import _BUILD_ROWS, build_dataset
 from beamprint.radio import (
     SPEED_OF_LIGHT_M_S,
     AntennaElementParams,
@@ -22,7 +23,7 @@ from beamprint.radio import (
     shadowing_db,
     wrap_deg,
 )
-from beamprint.scenario import ScenarioConfig, Sector, Site, build_scenario
+from beamprint.scenario import UE_HEIGHT_M, ScenarioConfig, Sector, Site, build_scenario, grid_xy
 
 EL = AntennaElementParams()
 
@@ -336,6 +337,37 @@ def test_rsrp_dbm_is_a_cube_element():
     # one point on its own gives the bits it gets in a batch
     for i, ci, bi in ((0, 0, 0), (1, 3, 31), (1, 2, 17)):
         assert rsrp_cube(sc, [pts[i]], seed=8)[0, ci, bi] == cube[i, ci, bi]
+
+
+def whole_grid_columns(sc, seed):
+    """build_dataset's serving and measurement columns as the whole-grid
+    sweep made them: one rsrp_cube call, a full-row argsort and
+    take_along_axis."""
+    xy = grid_xy(sc)
+    n = len(xy)
+    flat = rsrp_cube(sc, np.column_stack([xy, np.full(n, UE_HEIGHT_M)]), seed).reshape(n, -1)
+    cells = np.asarray(sc.cell_ids, dtype=np.int32)
+    serving = cells[np.argmax(flat, axis=1) // sc.n_beams]
+    order = np.argsort(-flat, axis=1, kind="stable")
+    col_beams = np.tile(np.arange(sc.n_beams, dtype=np.int32), len(cells))
+    return serving, np.repeat(cells, sc.n_beams)[order], col_beams[order], np.take_along_axis(flat, order, axis=1)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 4.0])
+def test_block_build_matches_whole_grid_sweep(sigma):
+    """The row-block build gives the whole-grid bits, past a partial last
+    block; CI reruns this file with numpy's AVX-512 kernels disabled."""
+    from conftest import small_scenario_config
+
+    assert _BUILD_ROWS % 64 == 0
+    sc = build_scenario(small_scenario_config(shadowing_sigma_db=sigma))
+    ds = build_dataset(sc, seed=12)
+    assert len(ds) > 2 * _BUILD_ROWS and len(ds) % _BUILD_ROWS
+    serving, cells, beams, rsrp = whole_grid_columns(sc, 12)
+    assert np.array_equal(ds.serving, serving)
+    assert np.array_equal(ds.meas_cells, cells)
+    assert np.array_equal(ds.meas_beams, beams)
+    assert ds.meas_rsrp.tobytes() == rsrp.tobytes()
 
 
 def test_rsrp_cube_rejects_bad_points():
