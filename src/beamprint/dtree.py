@@ -6,12 +6,18 @@ value <= threshold with thresholds at midpoints between consecutive
 distinct feature values; the best split minimises the summed child
 impurity, with ties broken toward the lower feature index, then the
 lower threshold. No pruning.
+
+The tree grows level by level. The open nodes of one depth are grouped
+by row count, and each group is stacked into (B, n, d) features and
+(B, n, 2) labels, so one batch of numpy calls settles all its nodes.
+Each node keeps its rows in ascending order and nothing is padded, so
+every node gets the bits a node-by-node build would give it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -100,84 +106,123 @@ class TreeModel:
             depth += 1
 
 
-def node_impurity(labels: np.ndarray) -> float:
-    """Summed squared distance to the label mean, both outputs."""
-    mean = labels.mean(axis=0)
-    diff = labels - mean
-    return float((diff * diff).sum())
+def node_impurity(labels: np.ndarray) -> Union[float, np.ndarray]:
+    """Summed squared distance to the label mean, both outputs: a float
+    for labels (n, 2), and one impurity per node for a batch (B, n, 2)."""
+    diff = labels - labels.mean(axis=-2, keepdims=True)
+    sq = diff * diff
+    if labels.ndim == 2:
+        return float(sq.sum())
+    return sq.reshape(len(labels), -1).sum(axis=1)
 
 
 def best_split(
     values: np.ndarray, labels: np.ndarray, min_samples_leaf: int
-) -> Optional[Tuple[float, int, float]]:
+) -> Union[Optional[Tuple[float, int, float]], Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Exhaustive best (child impurity sum, feature, threshold), or None.
+
+    values (n, d) and labels (n, 2) are one node's rows. With a leading
+    batch axis, values (B, n, d) and labels (B, n, 2) are B nodes of n
+    rows each, searched in the same calls, and the result is three (B,)
+    arrays: score, feature and threshold, with an inf score where a node
+    has no legal split. A 2-D call is the B = 1 case of that search.
 
     Scores every candidate of every feature at once: one stable sort of
     each column, then centred prefix sums per label column, so each
-    candidate threshold costs O(1). The (n - 1, d) score matrix is
-    searched feature-major, and argmin returns the first minimum, so ties
-    go to the lower feature, then the lower threshold.
+    candidate threshold costs O(1). Each node's (n - 1, d) score matrix
+    is searched feature-major, and argmin returns the first minimum, so
+    ties go to the lower feature, then the lower threshold. Nothing is
+    padded: each node's means and prefix sums see only its own rows, so
+    a node gets the same bits in any batch.
     """
-    n, d = values.shape
-    if n < 2 or d == 0:
+    batched = values.ndim == 3
+    if not batched:
+        values, labels = values[None], labels[None]
+    found = _search(values, labels, min_samples_leaf)
+    if batched:
+        return found
+    score, feature, threshold = found
+    if not np.isfinite(score[0]):
         return None
-    centred = labels - labels.mean(axis=0)
-    order = np.argsort(values, axis=0, kind="stable")
-    v = np.take_along_axis(values, order, axis=0)
+    return float(score[0]), int(feature[0]), float(threshold[0])
+
+
+def _search(
+    values: np.ndarray, labels: np.ndarray, min_samples_leaf: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """best_split over a (B, n, d) batch: (B,) score, feature and threshold."""
+    nodes, n, d = values.shape
+    if n < 2 or d == 0:
+        return np.full(nodes, np.inf), np.zeros(nodes, dtype=np.intp), np.zeros(nodes)
+    centred = labels - labels.mean(axis=1, keepdims=True)
+    order = np.argsort(values, axis=1, kind="stable")
+    b = np.arange(nodes)
+    v = values[b[:, None, None], order, np.arange(d)]
     sizes_left = np.arange(1, n, dtype=np.float64)[:, None]
     sizes_right = n - sizes_left
     # per candidate: sum over outputs of the left SSE, likewise right
-    for k in range(labels.shape[1]):
-        y = centred[:, k][order]
-        cs = np.cumsum(y, axis=0)
-        cs2 = np.cumsum(y * y, axis=0)
-        left_sum = cs[:-1]
-        left_sq = cs2[:-1]
+    for k in range(labels.shape[2]):
+        y = centred[b[:, None, None], order, k]
+        cs = np.cumsum(y, axis=1)
+        cs2 = np.cumsum(y * y, axis=1)
+        left_sum = cs[:, :-1]
+        left_sq = cs2[:, :-1]
         left = left_sq - left_sum**2 / sizes_left
-        right = (cs2[-1] - left_sq) - (cs[-1] - left_sum) ** 2 / sizes_right
+        right = (cs2[:, -1:] - left_sq) - (cs[:, -1:] - left_sum) ** 2 / sizes_right
         if k == 0:
             sse_left, sse_right = left, right
         else:
             sse_left += left
             sse_right += right
     sse = np.maximum(sse_left + sse_right, 0.0)
-    valid = (v[1:] > v[:-1]) & (sizes_left >= min_samples_leaf) & (sizes_right >= min_samples_leaf)
+    valid = (v[:, 1:] > v[:, :-1]) & (sizes_left >= min_samples_leaf) & (sizes_right >= min_samples_leaf)
     sse[~valid] = np.inf
-    j, i = divmod(int(np.argmin(sse.T)), n - 1)
-    score = float(sse[i, j])
-    if not np.isfinite(score):
-        return None
-    return score, j, float((v[i, j] + v[i + 1, j]) / 2.0)
+    sse = sse.transpose(0, 2, 1).reshape(nodes, d * (n - 1))
+    best = np.argmin(sse, axis=1)
+    feature, i = np.divmod(best, n - 1)
+    return sse[b, best], feature, (v[b, i, feature] + v[b, i + 1, feature]) / 2.0
 
 
-def _build(values: np.ndarray, labels: np.ndarray, depth: int, config: TreeConfig) -> TreeNode:
-    n = values.shape[0]
-    mean = labels.mean(axis=0)
-    impurity = node_impurity(labels)
-    if (
-        depth >= config.max_depth
-        or n < 2 * config.min_samples_leaf
-        or impurity <= 0.0
-    ):
-        return TreeNode(n_samples=n, value=mean)
-    found = best_split(values, labels, config.min_samples_leaf)
-    if found is None:
-        return TreeNode(n_samples=n, value=mean)
-    child_sse, feature, threshold = found
-    if impurity - child_sse <= config.min_impurity_decrease:
-        return TreeNode(n_samples=n, value=mean)
-    go_left = values[:, feature] <= threshold
-    return TreeNode(
-        n_samples=n,
-        feature=feature,
-        threshold=threshold,
-        left=_build(values[go_left], labels[go_left], depth + 1, config),
-        right=_build(values[~go_left], labels[~go_left], depth + 1, config),
-    )
+def _grow(
+    nodes: List[TreeNode], rows: np.ndarray, values: np.ndarray, labels: np.ndarray, depth: int, config: TreeConfig
+) -> List[Tuple[TreeNode, np.ndarray]]:
+    """Make each of a batch of same-depth nodes a leaf or a split. rows
+    (B, n) holds each node's training rows, ascending. Returns the new
+    children, each with its rows, ascending."""
+    n = rows.shape[1]
+    y = labels[rows]
+    mean = y.mean(axis=1)
+    split = np.zeros(0, dtype=np.intp)
+    if depth < config.max_depth and n >= 2 * config.min_samples_leaf:
+        impurity = node_impurity(y)
+        impure = np.flatnonzero(impurity > 0.0)
+        x = values[rows[impure]]
+        score, feature, threshold = best_split(x, y[impure], config.min_samples_leaf)
+        gain = np.flatnonzero(impurity[impure] - score > config.min_impurity_decrease)
+        split, feature, threshold = impure[gain], feature[gain], threshold[gain]
+        go_left = x[gain, :, feature] <= threshold[:, None]
+    is_leaf = np.ones(len(nodes), dtype=bool)
+    is_leaf[split] = False
+    for node, m, leaf in zip(nodes, mean, is_leaf):
+        if leaf:
+            node.value = m
+    if not split.size:
+        return []
+    # each split node's rows, left side first
+    parted = np.take_along_axis(rows[split], np.argsort(~go_left, axis=1, kind="stable"), axis=1)
+    n_left = np.count_nonzero(go_left, axis=1)
+    children = []
+    for b, f, t, part, k in zip(split.tolist(), feature.tolist(), threshold.tolist(), parted, n_left.tolist()):
+        node = nodes[b]
+        node.feature, node.threshold = f, t
+        node.left, node.right = TreeNode(n_samples=k), TreeNode(n_samples=n - k)
+        children += ((node.left, part[:k]), (node.right, part[k:]))
+    return children
 
 
 def fit(values: np.ndarray, labels: np.ndarray, config: Optional[TreeConfig] = None) -> TreeModel:
-    """Grow a tree on raw features and raw metre labels."""
+    """Grow a tree on raw features and raw metre labels, one depth at a
+    time: the cost goes by groups of same-size nodes, not by nodes."""
     config = config or TreeConfig()
     validate_tree_config(config)
     values = np.asarray(values, dtype=np.float64)
@@ -188,7 +233,18 @@ def fit(values: np.ndarray, labels: np.ndarray, config: Optional[TreeConfig] = N
         raise DataError("tree fitting needs labels of shape (n, 2)")
     if not np.isfinite(values).all() or not np.isfinite(labels).all():
         raise DataError("tree fitting needs finite features and labels")
-    root = _build(values, labels, 0, config)
+    root = TreeNode(n_samples=values.shape[0])
+    level = [(root, np.arange(values.shape[0]))]
+    depth = 0
+    while level:
+        groups: Dict[int, list] = {}
+        for node, rows in level:
+            groups.setdefault(len(rows), []).append((node, rows))
+        level = []
+        for group in groups.values():
+            nodes, rows = zip(*group)
+            level += _grow(list(nodes), np.stack(rows), values, labels, depth, config)
+        depth += 1
     return TreeModel(root=root, n_features=values.shape[1], config=config)
 
 

@@ -612,14 +612,15 @@ def _predict_records(
     that cannot fill the feature config is a DatasetParseError naming
     its line."""
     n, m = len(records), max(len(r.rsrp) for r in records)
-    cells = np.zeros((n, m), dtype=np.int64)
-    beams = np.zeros((n, m), dtype=np.int64)
+    # int32, as parsed records and dataset columns hold ids
+    cells = np.zeros((n, m), dtype=np.int32)
+    beams = np.zeros((n, m), dtype=np.int32)
     rsrp = np.full((n, m), np.nan)
     for i, r in enumerate(records):
         cells[i, : len(r.rsrp)] = r.cells
         beams[i, : len(r.rsrp)] = r.beams
         rsrp[i, : len(r.rsrp)] = r.rsrp
-    serving = np.array([r.serving_cell_id for r in records])
+    serving = np.array([r.serving_cell_id for r in records], dtype=np.int32)
     values, kept, _, _ = _select(serving, cells, beams, rsrp, bundle.feature_config)
     if len(kept) < n:
         i = int(np.setdiff1d(np.arange(n), kept)[0])

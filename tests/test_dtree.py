@@ -9,6 +9,8 @@ from beamprint.configfile import from_dict
 from beamprint.errors import ConfigurationError, DataError
 from beamprint.dtree import (
     TreeConfig,
+    TreeModel,
+    TreeNode,
     best_split,
     fit,
     leaf_count,
@@ -472,3 +474,111 @@ def test_depth_and_leaf_count_from_flat_arrays(rng):
         assert model.leaf_count == leaf_count(model.root)
     single = fit(np.zeros((4, 2)), np.arange(8.0).reshape(4, 2))
     assert (single.depth, single.leaf_count) == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the recursive fit that the level-by-level fit replaced, kept as its exact
+# oracle: one best_split call per node, children built depth first
+
+
+def oracle_fit(values, labels, config):
+    def build(values, labels, depth):
+        n = values.shape[0]
+        mean = labels.mean(axis=0)
+        impurity = node_impurity(labels)
+        if depth >= config.max_depth or n < 2 * config.min_samples_leaf or impurity <= 0.0:
+            return TreeNode(n_samples=n, value=mean)
+        found = best_split(values, labels, config.min_samples_leaf)
+        if found is None:
+            return TreeNode(n_samples=n, value=mean)
+        child_sse, feature, threshold = found
+        if impurity - child_sse <= config.min_impurity_decrease:
+            return TreeNode(n_samples=n, value=mean)
+        go_left = values[:, feature] <= threshold
+        return TreeNode(
+            n_samples=n,
+            feature=feature,
+            threshold=threshold,
+            left=build(values[go_left], labels[go_left], depth + 1),
+            right=build(values[~go_left], labels[~go_left], depth + 1),
+        )
+
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    return TreeModel(root=build(values, labels, 0), n_features=values.shape[1], config=config)
+
+
+def breadth_first(root):
+    nodes = [root]
+    for node in nodes:
+        if not node.is_leaf:
+            nodes.extend((node.left, node.right))
+    return nodes
+
+
+def oracle_case(seed):
+    """A seeded (values, labels, config) drawn from the shapes that break
+    a batched fit: ties, duplicated and constant columns, constant and
+    negative-zero labels, single rows and single features."""
+    rng = np.random.default_rng(seed)
+    n = (1, 2, 3)[seed % 3] if seed % 11 == 0 else int(rng.integers(4, 160))
+    d = 1 if seed % 7 == 0 else int(rng.integers(1, 7))
+    if seed % 2:
+        values = rng.integers(0, 5, size=(n, d)).astype(np.float64)  # ties everywhere
+    else:
+        values = np.round(rng.normal(size=(n, d)) * 4.0) / 4.0
+    if d > 2:
+        values[:, -1] = values[:, 0]
+        values[:, 1] = -1.5
+    kind = seed % 5
+    if kind == 0:
+        labels = np.full((n, 2), 3.25)
+    elif kind == 1:
+        labels = np.full((n, 2), -0.0)
+    elif kind == 2:
+        labels = rng.integers(-3, 4, size=(n, 2)).astype(np.float64)
+        labels[labels == 0] = -0.0
+    else:
+        labels = rng.normal(size=(n, 2)) * 10.0
+    config = TreeConfig(
+        max_depth=1 + seed % 12,
+        min_samples_leaf=(1, 2, 5)[seed // 12 % 3],
+        min_impurity_decrease=(0.0, 0.5, 3.0)[seed // 36 % 3],
+    )
+    return values, labels, config
+
+
+def test_fit_matches_recursive_oracle():
+    splits = 0
+    for seed in range(240):
+        values, labels, config = oracle_case(seed)
+        got = fit(values, labels, config)
+        want = oracle_fit(values, labels, config)
+        assert np.array_equal(got.feature, want.feature), seed
+        assert got.threshold.view(np.uint64).tolist() == want.threshold.view(np.uint64).tolist(), seed
+        assert np.array_equal(got.left, want.left), seed
+        assert got.value.view(np.uint64).tolist() == want.value.view(np.uint64).tolist(), seed
+        got_n = [node.n_samples for node in breadth_first(got.root)]
+        assert got_n == [node.n_samples for node in breadth_first(want.root)], seed
+        splits += int(np.count_nonzero(got.feature >= 0))
+    assert splits > 1000
+
+
+def test_stacked_best_split_matches_per_node_calls(rng):
+    for n, d in ((2, 1), (5, 3), (17, 4), (40, 6)):
+        for min_leaf in (1, 2, 5):
+            nodes = 9
+            values = rng.integers(0, 4, size=(nodes, n, d)).astype(np.float64)
+            values[1:3, :, -1] = 2.0  # constant columns
+            values[4] = 1.0  # a node with no legal split
+            labels = np.round(rng.normal(size=(nodes, n, 2)) * 3.0)
+            labels[5] = -0.0
+            score, feature, threshold = best_split(values, labels, min_leaf)
+            assert score.shape == feature.shape == threshold.shape == (nodes,)
+            for b in range(nodes):
+                one = best_split(values[b], labels[b], min_leaf)
+                assert one == oracle_best_split(values[b], labels[b], min_leaf), (n, d, min_leaf, b)
+                if one is None:
+                    assert score[b] == np.inf
+                else:
+                    assert (float(score[b]), int(feature[b]), float(threshold[b])) == one

@@ -23,6 +23,7 @@ from beamprint.radio import rsrp_cube
 from beamprint.scenario import UE_HEIGHT_M, build_scenario, default_scenario_config, grid_xy
 
 from conftest import small_scenario_config, triples
+from test_mlp import radio_kernels_as_pinned
 from test_scenario import segment_clear
 
 
@@ -674,7 +675,9 @@ def shadowed_small_dataset():
     return build_dataset(build_scenario(small_scenario_config(shadowing_sigma_db=4.0)), seed=3)
 
 
-# Digests of files written by the json.dumps writer above.
+# Digests of files written by the json.dumps writer above. The whole-sweep
+# cases moved with numpy's AVX-512 arctan2/log10 kernels off (numpy 2.4.6),
+# so they are checked only where those kernels give the pinned bits.
 GOLDEN_SAVE_SHA256 = {
     "small": ("small_dataset", None, "7a9b78a9cbef1ce9ae41a99f7ccc27e32868146affe8beada6e64b55dad23fa4"),
     "single_site": ("single_site_dataset", None, "76135ddd7b96b1bcf7fe5c96c6fbff5d76509ee8aa8e22cca50c7a1f81a8a746"),
@@ -684,7 +687,13 @@ GOLDEN_SAVE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_SAVE_SHA256))
+RADIO_KERNEL_BITS = {"small", "single_site", "shadowed"}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [pytest.param(c, marks=radio_kernels_as_pinned) if c in RADIO_KERNEL_BITS else c for c in sorted(GOLDEN_SAVE_SHA256)],
+)
 def test_save_dataset_golden_bytes(tmp_path, request, case):
     fixture, rows, digest = GOLDEN_SAVE_SHA256[case]
     ds = request.getfixturevalue(fixture)

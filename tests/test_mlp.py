@@ -529,6 +529,27 @@ def float_kernels_digest():
 GOLDEN_FLOAT_KERNELS = "b981e2f930a41235745a4d3fa617f47b2d7a23892a6999514338706e41fd0354"
 
 
+def radio_kernels_digest():
+    """The radio model's transcendental kernels over fixed inputs:
+    np.arctan2 for site azimuth and elevation, np.log10 for path loss.
+    Where numpy dispatches other kernels for them (AVX-512 off, another
+    CPU or release), their last bits move, and every RSRP value with them."""
+    grid = np.linspace(-400.0, 400.0, 321)
+    dx, dy = np.meshgrid(grid, grid)
+    parts = [np.arctan2(dy, dx), np.arctan2(-23.5, np.abs(grid) + 0.25), np.log10(np.geomspace(0.05, 5e6, 20001))]
+    return hashlib.sha256(b"".join(np.ascontiguousarray(p).tobytes() for p in parts)).hexdigest()
+
+
+GOLDEN_RADIO_KERNELS = "a4bee262d3ce75b6a71eb1ed50ad331215e0d0ab34ce1e6687f78ea4b9b6e848"
+
+# for golden digests of data swept by the radio model (numpy 2.4.6, x86-64
+# AVX-512); the oracle tests of the same code run everywhere
+radio_kernels_as_pinned = pytest.mark.skipif(
+    radio_kernels_digest() != GOLDEN_RADIO_KERNELS,
+    reason="numpy arctan2/log10 kernels differ from those the radio-derived digests were taken with",
+)
+
+
 def golden_set(n, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 7))

@@ -47,7 +47,7 @@ from beamprint.scenario import save_scenario_config, scenario_config_to_dict
 
 from conftest import small_scenario_config, triples
 from test_features import oracle_record
-from test_mlp import GOLDEN_FLOAT_KERNELS, float_kernels_digest
+from test_mlp import GOLDEN_FLOAT_KERNELS, float_kernels_digest, radio_kernels_as_pinned
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +603,7 @@ def test_net_run_tree_artifacts_match_golden_digests(net_run):
     assert {k: hashes[k] for k in GOLDEN_NET_RUN_TREE} == GOLDEN_NET_RUN_TREE
 
 
+@radio_kernels_as_pinned
 @pytest.mark.skipif(
     float_kernels_digest() != GOLDEN_FLOAT_KERNELS,
     reason="numpy/BLAS float kernels differ from those the digests were taken with",
