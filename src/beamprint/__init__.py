@@ -40,8 +40,10 @@ from .fingerprint import (
     Dataset,
     FingerprintRecord,
     build_dataset,
+    cell_rows,
     load_dataset,
     los_filter,
+    los_rows,
     partition_by_cell,
     save_dataset,
 )

@@ -18,7 +18,7 @@ from .configfile import load_object
 from .errors import BeamprintError, ConfigurationError, DataError, TrainingDivergenceError
 from .evaluate import compare, summarize, write_cdf_csv, write_report
 from .features import extract_features, feature_config_from_dict
-from .fingerprint import build_dataset, load_dataset, los_filter, save_dataset
+from .fingerprint import build_dataset, load_dataset, los_rows, save_dataset
 from .mlp import _ACTIVATIONS, MlpConfig
 from .dtree import TreeConfig
 from .evaluate import euclidean_errors
@@ -160,9 +160,7 @@ def _cmd_train(args) -> int:
     _check_writable(args.out, make_parents=True)  # the bundle writer makes missing parents
     fc = feature_config_from_dict(load_object(args.features, "feature config"))
     dataset = load_dataset(args.dataset)
-    if not args.no_los_filter:
-        dataset = los_filter(dataset)
-    feats = extract_features(dataset, fc)
+    feats = extract_features(dataset, fc, None if args.no_los_filter else los_rows(dataset))
     for reason, count in sorted(feats.skipped.items()):
         logger.warning("skipped %d records: %s", count, reason)
     if args.model == MODEL_MLP:
@@ -202,9 +200,7 @@ def _cmd_evaluate(args) -> int:
     _check_writable(args.out, args.cdf)
     bundle = load_model_bundle(args.model)
     dataset = load_dataset(args.dataset)
-    if not args.no_los_filter:
-        dataset = los_filter(dataset)
-    feats = extract_features(dataset, bundle.feature_config)
+    feats = extract_features(dataset, bundle.feature_config, None if args.no_los_filter else los_rows(dataset))
     if len(feats) == 0:
         raise DataError("no evaluable records after feature extraction")
     errors = euclidean_errors(bundle.predict(feats.values), feats.labels)

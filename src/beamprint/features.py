@@ -39,6 +39,9 @@ TOPOLOGY_CELL = "cell-specific"
 SKIP_SERVING = "insufficient_serving_beams"
 SKIP_NEIGHBORS = "insufficient_neighbor_cells"
 
+# records extract_features runs through the kernel at a time
+_EXTRACT_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class FeatureConfig:
@@ -206,28 +209,46 @@ def extract(record: FingerprintRecord, config: FeatureConfig) -> np.ndarray:
     return values[0]
 
 
-def extract_features(dataset: Dataset, config: FeatureConfig) -> FeatureSet:
-    """extract() over a whole dataset in one kernel call.
+def extract_features(dataset: Dataset, config: FeatureConfig, rows: Optional[np.ndarray] = None) -> FeatureSet:
+    """extract() over the records `rows` of a dataset (default: every
+    record), in the order given; the result equals extract_features on
+    dataset.subset(rows), with `indices` into `rows`.
 
     Records that cannot satisfy the config are skipped and counted by
     reason (a missing serving beam before a missing neighbor), never
-    padded.
+    padded. The kernel runs on _EXTRACT_ROWS records at a time, gathered
+    from the dataset's columns, so its temporaries stay the size of a
+    block and no copy of the selected records is made.
     """
     validate_feature_config(config)
-    values, kept, n_serving, n_neighbors = _select(
-        dataset.serving, dataset.meas_cells, dataset.meas_beams, dataset.meas_rsrp, config
-    )
-    short_serving = n_serving < config.n_serving_beams
-    counts = {
-        SKIP_SERVING: np.count_nonzero(short_serving),
-        SKIP_NEIGHBORS: np.count_nonzero(~short_serving & (n_neighbors < config.n_neighbor_beams)),
-    }
+    n = len(dataset) if rows is None else len(rows)
+    values, labels, indices = [], [], []
+    short_serving = short_neighbors = 0
+    # one pass even when there is nothing to extract, for the empty shapes
+    for start in range(0, max(n, 1), _EXTRACT_ROWS):
+        block = slice(start, start + _EXTRACT_ROWS)
+        if rows is not None:
+            block = rows[block]
+        v, kept, n_serving, n_neighbors = _select(
+            dataset.serving[block],
+            dataset.meas_cells[block],
+            dataset.meas_beams[block],
+            dataset.meas_rsrp[block],
+            config,
+        )
+        short = n_serving < config.n_serving_beams
+        short_serving += np.count_nonzero(short)
+        short_neighbors += np.count_nonzero(~short & (n_neighbors < config.n_neighbor_beams))
+        values.append(v)
+        labels.append(np.column_stack([dataset.xs[block], dataset.ys[block]])[kept])
+        indices.append(start + kept)
+    counts = {SKIP_SERVING: short_serving, SKIP_NEIGHBORS: short_neighbors}
     return FeatureSet(
-        values=values,
-        labels=np.column_stack([dataset.xs, dataset.ys])[kept],
+        values=np.concatenate(values),
+        labels=np.concatenate(labels),
         config=config,
         skipped={reason: int(c) for reason, c in counts.items() if c},
-        indices=kept.astype(np.int64),
+        indices=np.concatenate(indices).astype(np.int64),
     )
 
 

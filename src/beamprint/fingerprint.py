@@ -110,13 +110,18 @@ class Dataset:
 
 # the per-record columns, one entry per record; the other fields are header
 _RECORD_COLUMNS = ("xs", "ys", "serving", "los", "meas_cells", "meas_beams", "meas_rsrp")
+# los_filter's refusal, also raised by a line-of-sight-only build
+_NO_LOS = "line-of-sight filter removed every record"
 
 
-def build_dataset(scenario: Scenario, seed: Optional[int] = None) -> Dataset:
+def build_dataset(scenario: Scenario, seed: Optional[int] = None, *, los_only: bool = False) -> Dataset:
     """Sweep every grid location and assemble the fingerprint dataset.
 
     Deterministic given (scenario, seed); the seed only feeds the
-    optional shadowing term and defaults to the scenario rng_seed.
+    optional shadowing term and defaults to the scenario rng_seed. With
+    `los_only` it keeps only the records whose serving site is line of
+    sight, the rows and bits los_filter would keep, and never holds the
+    others; a sweep with none raises los_filter's DataError.
     """
     if seed is None:
         seed = scenario.config.rng_seed
@@ -129,51 +134,60 @@ def build_dataset(scenario: Scenario, seed: Optional[int] = None) -> Dataset:
     n_cells = len(cells)
     n_beams = len(scenario.codebook.beams)
     m = n_cells * n_beams
-    px = xy[:, 0]
-    py = xy[:, 1]
-    pts3 = np.column_stack([px, py, np.full(n, UE_HEIGHT_M)])
+    pts3 = np.column_stack([xy, np.full(n, UE_HEIGHT_M)])
     cell_col = np.asarray(cells, dtype=np.int32)
     col_cells = np.repeat(cell_col, n_beams)
     col_beams = np.tile(np.arange(n_beams, dtype=np.int32), n_cells)
+    # each cell's site position: the line of sight is tested toward the
+    # serving cell's site
+    cell_tx = np.array([scenario.cell_map[c][0].position for c in cells], dtype=np.float64)
 
-    # the sweep, argmax, sort and gather run a block of rows at a time,
-    # written into the output columns, so that the cube, the sort order
-    # and the gathered copies never exist for the whole grid at once
+    # the sweep, argmax, LOS test, sort and gather run a block of rows at
+    # a time, and the kept rows are written one after another into the
+    # output columns, so that the cube, the sort order and the gathered
+    # copies never exist for the whole grid at once
+    kept = np.empty(n, dtype=np.intp)
     serving = np.empty(n, dtype=np.int32)
+    los = np.empty(n, dtype=bool)
     meas_cells = np.empty((n, m), dtype=np.int32)
     meas_beams = np.empty((n, m), dtype=np.int32)
     meas_rsrp = np.empty((n, m))
+    k = 0
     for start in range(0, n, _BUILD_ROWS):
-        rows = slice(start, start + _BUILD_ROWS)
-        flat = rsrp_cube(scenario, pts3[rows], seed).reshape(-1, m)
+        pts = pts3[start : start + _BUILD_ROWS]
+        flat = rsrp_cube(scenario, pts, seed).reshape(-1, m)
         # argmax returns the first maximum, which in cell-major column
         # order means ties resolve to the lowest cell id (then beam id)
-        serving[rows] = cell_col[np.argmax(flat, axis=1) // n_beams]
+        top = np.argmax(flat, axis=1) // n_beams
+        block_los = los_mask(scenario, cell_tx[top], pts)
+        if los_only:
+            rows = np.flatnonzero(block_los)
+            flat = flat[rows]
+        else:
+            rows = np.arange(len(pts))
+        out = slice(k, k + len(rows))
+        kept[out] = start + rows
+        serving[out] = cell_col[top[rows]]
+        los[out] = block_los[rows]
         order = np.argsort(-flat, axis=1, kind="stable")
-        meas_cells[rows] = col_cells[order]
-        meas_beams[rows] = col_beams[order]
-        meas_rsrp[rows] = np.take_along_axis(flat, order, axis=1)
+        meas_cells[out] = col_cells[order]
+        meas_beams[out] = col_beams[order]
+        meas_rsrp[out] = np.take_along_axis(flat, order, axis=1)
+        k += len(rows)
         del flat, order  # or they would live on while the next block is made
-
-    los = np.zeros(n, dtype=bool)
-    site_index = {id(site): idx for idx, site in enumerate(scenario.sites)}
-    serving_site = np.empty(n, dtype=np.int32)
-    for cell_id in cells:
-        site, _ = scenario.cell_map[cell_id]
-        serving_site[serving == cell_id] = site_index[id(site)]
-    for idx, site in enumerate(scenario.sites):
-        sel = np.nonzero(serving_site == idx)[0]
-        if sel.size:
-            los[sel] = los_mask(scenario, site.position, pts3[sel])
+    if k == 0:
+        raise DataError(_NO_LOS)
 
     return Dataset(
-        xs=px.copy(),
-        ys=py.copy(),
-        serving=serving,
-        los=los,
-        meas_cells=meas_cells,
-        meas_beams=meas_beams,
-        meas_rsrp=meas_rsrp,
+        xs=xy[kept[:k], 0],
+        ys=xy[kept[:k], 1],
+        serving=serving[:k],
+        los=los[:k],
+        # views of the first k rows: with los_only the rows past them were
+        # never written, so their pages were never touched
+        meas_cells=meas_cells[:k],
+        meas_beams=meas_beams[:k],
+        meas_rsrp=meas_rsrp[:k],
         cells=cells,
         n_beams=n_beams,
         scenario_hash=scenario.fingerprint_hash,
@@ -181,20 +195,28 @@ def build_dataset(scenario: Scenario, seed: Optional[int] = None) -> Dataset:
     )
 
 
+def los_rows(dataset: Dataset) -> np.ndarray:
+    """Indices of the records whose serving site is line of sight."""
+    keep = np.flatnonzero(dataset.los)
+    if keep.size == 0:
+        raise DataError(_NO_LOS)
+    return keep
+
+
 def los_filter(dataset: Dataset) -> Dataset:
     """Keep only records whose serving site is line of sight."""
-    keep = np.nonzero(dataset.los)[0]
-    if keep.size == 0:
-        raise DataError("line-of-sight filter removed every record")
-    return dataset.subset(keep)
+    return dataset.subset(los_rows(dataset))
+
+
+def cell_rows(dataset: Dataset) -> Dict[int, np.ndarray]:
+    """Indices of each serving cell's records, by ascending cell id; only
+    cells that actually serve appear."""
+    return {int(c): np.flatnonzero(dataset.serving == c) for c in np.unique(dataset.serving)}
 
 
 def partition_by_cell(dataset: Dataset) -> Dict[int, Dataset]:
     """Split by serving cell; only cells that actually serve appear."""
-    out: Dict[int, Dataset] = {}
-    for cell_id in sorted(set(int(c) for c in dataset.serving)):
-        out[cell_id] = dataset.subset(np.nonzero(dataset.serving == cell_id)[0])
-    return out
+    return {cell: dataset.subset(rows) for cell, rows in cell_rows(dataset).items()}
 
 
 # ---------------------------------------------------------------------------

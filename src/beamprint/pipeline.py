@@ -42,15 +42,19 @@ from .fingerprint import (
     _decode_line,
     _ranked,
     build_dataset,
-    los_filter,
+    cell_rows,
+    # los_filter and partition_by_cell stay importable from here:
+    # perfbench's layer table wraps them in this module
+    los_filter,  # noqa: F401
     parse_coordinate,
     parse_measurements,
-    partition_by_cell,
+    partition_by_cell,  # noqa: F401
 )
 from .scenario import (
     Scenario,
     ScenarioConfig,
     build_scenario,
+    grid_xy,
     load_scenario_config,
 )
 
@@ -70,16 +74,22 @@ MODEL_TREE = "tree"
 # Dataset split
 
 
-def split_dataset(dataset: Dataset, fraction: float, seed: int) -> Tuple[Dataset, Dataset]:
-    """Seeded uniform shuffle, then prefix split into (train, test)."""
+def _split_rows(n: int, fraction: float, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Seeded uniform shuffle of range(n), then prefix split into
+    (train, test) positions."""
     if not 0.0 < fraction < 1.0:
         raise ConfigurationError("train fraction must lie strictly between 0 and 1")
-    n = len(dataset)
     n_train = int(round(fraction * n))
     if n_train < 1 or n - n_train < 1:
         raise DataError(f"split of {n} records at fraction {fraction} leaves an empty side")
     perm = np.random.default_rng(seed).permutation(n)
-    return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
+    return perm[:n_train], perm[n_train:]
+
+
+def split_dataset(dataset: Dataset, fraction: float, seed: int) -> Tuple[Dataset, Dataset]:
+    """Seeded uniform shuffle, then prefix split into (train, test)."""
+    train, test = _split_rows(len(dataset), fraction, seed)
+    return dataset.subset(train), dataset.subset(test)
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +365,20 @@ def _descriptor(
 
 
 def run_single(
-    train_ds: Dataset,
-    test_ds: Dataset,
+    dataset: Dataset,
+    train_rows: np.ndarray,
+    test_rows: np.ndarray,
     fc: FeatureConfig,
     model_spec: ModelSpec,
     spec: ExperimentSpec,
     label: str,
     cell: Optional[int] = None,
 ) -> RunOutput:
+    """Train on the records `train_rows` of `dataset` and score on
+    `test_rows`; the features are extracted from the dataset's columns."""
     t0 = time.perf_counter()
-    train_set = extract_features(train_ds, fc)
-    test_set = extract_features(test_ds, fc)
+    train_set = extract_features(dataset, fc, train_rows)
+    test_set = extract_features(dataset, fc, test_rows)
     if len(train_set) == 0 or len(test_set) == 0:
         raise DataError(f"run {label}: feature extraction left an empty split")
     bundle = train_model(train_set, model_spec, fc)
@@ -419,12 +432,13 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _arm_datasets(spec: ExperimentSpec, los: Dataset) -> Tuple[Dict[Optional[int], Dataset], Dict[int, int]]:
-    """The datasets the arms train on, by cell in run order, and the
-    skipped cells. At network level that is {None: los}."""
+def _arm_rows(spec: ExperimentSpec, los: Dataset) -> Tuple[Dict[Optional[int], np.ndarray], Dict[int, int]]:
+    """The records the arms train on, as row indices into `los` by cell
+    in run order, and the skipped cells. At network level that is
+    {None: every row}."""
     if spec.topology == TOPOLOGY_NETWORK:
-        return {None: los}, {}
-    parts = partition_by_cell(los)
+        return {None: np.arange(len(los))}, {}
+    parts = cell_rows(los)
     eligible, skipped = {}, {}
     for cell in sorted(parts) if spec.cells is None else spec.cells:
         if cell not in parts:
@@ -460,25 +474,26 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
 
     t_start = time.perf_counter()
     scenario = build_scenario(spec.scenario)
-    dataset = build_dataset(scenario, spec.dataset_seed)
-    los = los_filter(dataset)
+    # the arms need only the LOS records, so only they are ever held:
+    # every arm reads its rows from this one copy
+    los = build_dataset(scenario, spec.dataset_seed, los_only=True)
+    n_records = len(grid_xy(scenario))
     dataset_stats = {
-        "seed": dataset.seed,
-        "n_records": len(dataset),
+        "seed": los.seed,
+        "n_records": n_records,
         "n_los": len(los),
-        "los_fraction": len(los) / len(dataset),
+        "los_fraction": len(los) / n_records,
     }
-    del dataset  # the arms need only the LOS records: free the full sweep
     t_data = time.perf_counter() - t_start
 
-    parts, skipped_cells = _arm_datasets(spec, los)
+    parts, skipped_cells = _arm_rows(spec, los)
     combos = [(fc, ms, f"{_fc_label(fc)}_{ms.label}") for fc in spec.feature_configs for ms in spec.model_specs]
     outputs: List[RunOutput] = []
-    for cell, part in parts.items():
-        train_ds, test_ds = split_dataset(part, spec.train_fraction, spec.split_seed)
+    for cell, rows in parts.items():
+        train, test = _split_rows(len(rows), spec.train_fraction, spec.split_seed)
         prefix = "net" if cell is None else f"cell{cell}"
         for fc, ms, combo in combos:
-            outputs.append(run_single(train_ds, test_ds, fc, ms, spec, f"{prefix}_{combo}", cell=cell))
+            outputs.append(run_single(los, rows[train], rows[test], fc, ms, spec, f"{prefix}_{combo}", cell=cell))
 
     reports: List[EvalReport] = []
     run_entries = []

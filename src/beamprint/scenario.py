@@ -242,10 +242,12 @@ def grid_xy(scenario: Scenario) -> np.ndarray:
 _INF = float("inf")
 
 
-def los_mask(scenario: Scenario, tx: Sequence[float], pts: np.ndarray) -> np.ndarray:
+def los_mask(scenario: Scenario, tx, pts: np.ndarray) -> np.ndarray:
     """Whether the straight segment from `tx` to each of the (n, 3)
     points clears every building: a slab test against each extruded
-    box, where touching a face, edge or corner counts as blocked."""
+    box, where touching a face, edge or corner counts as blocked. `tx`
+    is one (3,) transmitter for every point, or one per point (n, 3);
+    each segment's bits are the same either way."""
     pts = np.asarray(pts, dtype=np.float64)
     n = pts.shape[0]
     blocked_any = np.zeros(n, dtype=bool)
@@ -256,7 +258,7 @@ def los_mask(scenario: Scenario, tx: Sequence[float], pts: np.ndarray) -> np.nda
         tmax = np.ones(n)
         for axis in range(3):
             lo, hi = bounds[axis]
-            origin = txa[axis]
+            origin = txa[..., axis]
             d = pts[:, axis] - origin
             with np.errstate(divide="ignore", invalid="ignore"):
                 t1 = (lo - origin) / d
@@ -265,9 +267,9 @@ def los_mask(scenario: Scenario, tx: Sequence[float], pts: np.ndarray) -> np.nda
             t_hi = np.maximum(t1, t2)
             zero = d == 0.0
             if np.any(zero):
-                inside0 = lo <= origin <= hi
-                t_lo = np.where(zero, -_INF if inside0 else _INF, t_lo)
-                t_hi = np.where(zero, _INF if inside0 else -_INF, t_hi)
+                inside0 = (lo <= origin) & (origin <= hi)
+                t_lo = np.where(zero, np.where(inside0, -_INF, _INF), t_lo)
+                t_hi = np.where(zero, np.where(inside0, _INF, -_INF), t_hi)
             tmin = np.maximum(tmin, t_lo)
             tmax = np.minimum(tmax, t_hi)
         blocked_any |= tmin <= tmax

@@ -3,8 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from beamprint import features
 from beamprint.errors import ConfigurationError, DataError, FeatureExtractionError
 from beamprint.features import (
+    _EXTRACT_ROWS,
     SKIP_NEIGHBORS,
     SKIP_SERVING,
     TOPOLOGY_CELL,
@@ -504,6 +506,81 @@ def test_kernel_one_hot_vocabulary_error_matches_oracle():
     with pytest.raises(ConfigurationError) as got:
         extract_features(dataset_of(records), cfg)
     assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# extraction over selected rows: the same result as over a copy of them
+
+
+def same_feature_sets(got, want):
+    """Two FeatureSets equal in every field, the floats bit for bit."""
+    assert got.values.shape == want.values.shape
+    assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+    assert np.array_equal(got.labels.view(np.uint64), want.labels.view(np.uint64))
+    assert got.indices.dtype == want.indices.dtype
+    assert np.array_equal(got.indices, want.indices)
+    assert got.skipped == want.skipped
+    assert got.config == want.config
+
+
+# rows of an n-record dataset, for a dataset past one kernel block
+ROW_CASES = {
+    "shuffled": lambda rng, n: rng.permutation(n)[: 3 * n // 4],
+    "repeated": lambda rng, n: rng.integers(0, n, size=n + 300),
+    "one_past_a_block": lambda rng, n: np.arange(n - _EXTRACT_ROWS - 1, n),
+    "one_block": lambda rng, n: np.arange(_EXTRACT_ROWS)[::-1],
+    "empty": lambda rng, n: np.zeros(0, dtype=np.intp),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+@pytest.mark.parametrize("cfg_name", ["s3n2", "cell_s2n1", "onehot_s3n2"])
+def test_extract_features_on_rows_equals_on_their_subset(small_dataset, case, cfg_name):
+    assert len(small_dataset) > _EXTRACT_ROWS
+    rows = ROW_CASES[case](np.random.default_rng(17), len(small_dataset))
+    cfg = GOLDEN_CONFIGS[cfg_name]
+    same_feature_sets(extract_features(small_dataset, cfg, rows), extract_features(small_dataset.subset(rows), cfg))
+
+
+@pytest.mark.parametrize("cfg", RANDOM_CONFIGS, ids=lambda c: f"s{c.n_serving_beams}n{c.n_neighbor_beams}")
+def test_extract_features_on_rows_in_small_blocks(cfg, monkeypatch):
+    # many blocks, each with kept rows and both skip reasons
+    monkeypatch.setattr(features, "_EXTRACT_ROWS", 64)
+    ds = dataset_of(random_records(np.random.default_rng(99), 400))
+    rows = np.random.default_rng(3).integers(0, len(ds), size=500)
+    fs = extract_features(ds, cfg, rows)
+    same_feature_sets(fs, extract_features(ds.subset(rows), cfg))
+    same_feature_sets(extract_features(ds, cfg), extract_features(ds, cfg, np.arange(len(ds))))
+    assert len(fs) and fs.indices.max() >= 64
+
+
+def test_extract_features_on_rows_names_the_first_out_of_vocabulary_id(monkeypatch):
+    # the first record in row order with an id past the vocabulary sits in
+    # a later block than the first one in dataset order
+    monkeypatch.setattr(features, "_EXTRACT_ROWS", 64)
+    records = random_records(np.random.default_rng(5), 200)
+    ds = dataset_of(records)
+    cfg = FeatureConfig(n_serving_beams=1, n_neighbor_beams=1, one_hot_ids=True, cell_id_vocab=8, beam_id_vocab=16)
+
+    def oracle_error(i):
+        try:
+            oracle_record(records[i], cfg)
+        except FeatureExtractionError:
+            return None  # skipped, so never looked up in the vocabulary
+        except ConfigurationError as e:
+            return str(e)
+        return None
+
+    errors = [oracle_error(i) for i in range(len(records))]
+    bad = [i for i, e in enumerate(errors) if e]
+    good = [i for i, e in enumerate(errors) if not e]
+    rows = np.array(good[:100] + bad[::-1])
+    assert errors[bad[-1]] != errors[bad[0]]
+    with pytest.raises(ConfigurationError) as got:
+        extract_features(ds, cfg, rows)
+    with pytest.raises(ConfigurationError) as on_subset:
+        extract_features(ds.subset(rows), cfg)
+    assert str(got.value) == str(on_subset.value) == errors[bad[-1]]
 
 
 def test_extract_features_counts_skips(single_site_dataset):

@@ -14,13 +14,22 @@ from beamprint.fingerprint import (
     _RECORD_COLUMNS,
     Dataset,
     build_dataset,
+    cell_rows,
     load_dataset,
     los_filter,
+    los_rows,
     partition_by_cell,
     save_dataset,
 )
 from beamprint.radio import rsrp_cube
-from beamprint.scenario import UE_HEIGHT_M, build_scenario, default_scenario_config, grid_xy
+from beamprint.scenario import (
+    UE_HEIGHT_M,
+    build_scenario,
+    default_scenario_config,
+    grid_xy,
+    los_mask,
+    single_site_config,
+)
 
 from conftest import small_scenario_config, triples
 from test_mlp import radio_kernels_as_pinned
@@ -149,6 +158,68 @@ def test_los_filter_empty_raises(small_dataset):
     empty = small_dataset.subset(np.zeros(0, dtype=np.int64))
     with pytest.raises(DataError):
         los_filter(empty)
+
+
+def same_datasets(got, want):
+    """Two datasets equal in every field, the float columns bit for bit."""
+    for name in ("xs", "ys", "meas_rsrp"):
+        assert np.array_equal(getattr(got, name).view(np.uint64), getattr(want, name).view(np.uint64)), name
+    for name in _RECORD_COLUMNS:
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+    assert got == want
+
+
+# (scenario config, seed) of each sweep the LOS-only build is checked on
+LOS_ONLY_CASES = {
+    "small": (small_scenario_config(), None),
+    "single_site": (single_site_config(), None),
+    "shadowed": (small_scenario_config(shadowing_sigma_db=4.0), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOS_ONLY_CASES))
+def test_los_only_build_matches_los_filter(case):
+    config, seed = LOS_ONLY_CASES[case]
+    sc = build_scenario(config)
+    full = build_dataset(sc, seed)
+    assert np.array_equal(np.column_stack([full.xs, full.ys]), grid_xy(sc))
+    # the flags, tested a block at a time toward each record's serving
+    # site, equal one whole-grid test per serving cell
+    pts = np.column_stack([full.xs, full.ys, np.full(len(full), UE_HEIGHT_M)])
+    los = np.zeros(len(full), dtype=bool)
+    for cell in sc.cell_ids:
+        served = full.serving == cell
+        los[served] = los_mask(sc, sc.cell_map[cell][0].position, pts[served])
+    assert np.array_equal(full.los, los)
+    # line-of-sight records in several build blocks
+    assert np.unique(np.flatnonzero(full.los) // _BUILD_ROWS).size > 1
+    same_datasets(build_dataset(sc, seed, los_only=True), los_filter(full))
+
+
+def test_los_only_build_past_a_block_without_los_records(small_scenario, small_dataset, monkeypatch):
+    # every record of the first block blocked, so the kept rows start in
+    # the second block
+    los_mask = fingerprint.los_mask
+    last_y = small_dataset.ys[_BUILD_ROWS - 1]
+    monkeypatch.setattr(fingerprint, "los_mask", lambda sc, tx, pts: los_mask(sc, tx, pts) & (pts[:, 1] > last_y))
+    full = build_dataset(small_scenario)
+    assert not full.los[:_BUILD_ROWS].any() and full.los.any()
+    same_datasets(build_dataset(small_scenario, los_only=True), los_filter(full))
+
+
+def test_los_only_build_without_los_records_raises(small_scenario, monkeypatch):
+    monkeypatch.setattr(fingerprint, "los_mask", lambda sc, tx, pts: np.zeros(len(pts), dtype=bool))
+    with pytest.raises(DataError, match="line-of-sight filter removed every record"):
+        build_dataset(small_scenario, los_only=True)
+
+
+def test_los_and_cell_rows_select_what_the_filters_keep(small_dataset):
+    rows = los_rows(small_dataset)
+    assert small_dataset.subset(rows) == los_filter(small_dataset)
+    parts = partition_by_cell(small_dataset)
+    by_cell = cell_rows(small_dataset)
+    assert list(by_cell) == list(parts)
+    assert all(small_dataset.subset(by_cell[c]) == parts[c] for c in parts)
 
 
 # every Dataset field: the seven per-record columns, then the header

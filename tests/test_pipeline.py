@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from beamprint.features import (
     extract,
     extract_features,
 )
-from beamprint.fingerprint import los_filter, partition_by_cell, save_dataset
+from beamprint.fingerprint import Dataset, los_filter, los_rows, partition_by_cell, save_dataset
 from beamprint.mlp import MlpConfig
 from beamprint.pipeline import (
     _INFER_REPORTS,
@@ -146,6 +145,20 @@ def los_small(small_dataset):
 @pytest.fixture(scope="module")
 def small_splits(los_small):
     return split_dataset(los_small, 0.9, seed=7)
+
+
+@pytest.fixture(scope="module")
+def small_split_rows(small_dataset):
+    """small_splits as row indices into small_dataset, the way
+    run_experiment gives an arm its records."""
+    rows = los_rows(small_dataset)
+    train, test = pipeline._split_rows(len(rows), 0.9, seed=7)
+    return rows[train], rows[test]
+
+
+def test_split_rows_select_the_split_dataset_records(small_dataset, small_splits, small_split_rows):
+    for ds, rows in zip(small_splits, small_split_rows):
+        assert small_dataset.subset(rows) == ds
 
 
 @pytest.fixture(scope="module")
@@ -447,16 +460,16 @@ def test_load_experiment_spec_resolves_scenario_path(tmp_path):
 # single runs
 
 
-def test_run_single_output(small_splits):
-    train_ds, test_ds = small_splits
+def test_run_single_output(small_dataset, small_split_rows):
+    train_rows, test_rows = small_split_rows
     fc = FeatureConfig()
     spec = experiment_spec_from_dict(_spec_dict())
     ms = ModelSpec(MODEL_MLP, mlp_config=MlpConfig(hidden_layers=(4,), max_epochs=3))
-    run = run_single(train_ds, test_ds, fc, ms, spec, "probe")
+    run = run_single(small_dataset, train_rows, test_rows, fc, ms, spec, "probe")
     assert run.label == "probe"
     assert run.train_report.split == "train"
     assert run.test_report.split == "test"
-    assert run.test_report.n_samples == len(test_ds)
+    assert run.test_report.n_samples == len(test_rows)
     desc = run.test_report.config
     assert desc["label"] == "probe"
     assert desc["topology"] == TOPOLOGY_NETWORK
@@ -464,29 +477,30 @@ def test_run_single_output(small_splits):
     assert desc["serving_beams"] == 3
     assert desc["cell_id_feature"] is True
     assert desc["model"]["type"] == "mlp"
-    assert desc["n_train"] == len(train_ds)
-    assert desc["n_test"] == len(test_ds)
+    assert desc["n_train"] == len(train_rows)
+    assert desc["n_test"] == len(test_rows)
     assert desc["epochs_run"] == 3
-    assert run.test_errors.shape == (len(test_ds),)
+    assert run.test_errors.shape == (len(test_rows),)
     assert run.duration_s > 0
     assert run.fit_stats == {"epochs_run": 3, "stop_reason": "max_epochs"}
     assert "stop_reason" not in desc
 
 
-def test_run_single_records_a_patience_stop(small_splits):
-    train_ds, test_ds = small_splits
+def test_run_single_records_a_patience_stop(small_dataset, small_split_rows):
+    train_rows, test_rows = small_split_rows
     spec = experiment_spec_from_dict(_spec_dict())
     config = MlpConfig(hidden_layers=(4,), max_epochs=50, patience=1, min_delta=float("inf"))
-    run = run_single(train_ds, test_ds, FeatureConfig(), ModelSpec(MODEL_MLP, mlp_config=config), spec, "p")
+    ms = ModelSpec(MODEL_MLP, mlp_config=config)
+    run = run_single(small_dataset, train_rows, test_rows, FeatureConfig(), ms, spec, "p")
     assert run.fit_stats == {"epochs_run": 2, "stop_reason": "patience"}
 
 
-def test_run_single_tree_has_no_epoch_count(small_splits):
-    train_ds, test_ds = small_splits
+def test_run_single_tree_has_no_epoch_count(small_dataset, small_split_rows):
+    train_rows, test_rows = small_split_rows
     fc = FeatureConfig()
     spec = experiment_spec_from_dict(_spec_dict())
     ms = ModelSpec(MODEL_TREE, tree_config=TreeConfig(max_depth=6))
-    run = run_single(train_ds, test_ds, fc, ms, spec, "t")
+    run = run_single(small_dataset, train_rows, test_rows, fc, ms, spec, "t")
     assert "epochs_run" not in run.test_report.config
 
 
@@ -667,27 +681,36 @@ def test_replay_rejects_non_manifest(tmp_path):
         replay(tmp_path / "missing.json", tmp_path / "out")
 
 
-def test_run_experiment_frees_the_full_sweep_before_the_arms(tmp_path, monkeypatch):
-    # the arms need only the line-of-sight records, so the full sweep is
-    # released before the first split, its manifest figures taken first
-    build, split = pipeline.build_dataset, pipeline.split_dataset
-    built, freed = [], []
+@pytest.mark.parametrize("topology", [TOPOLOGY_NETWORK, TOPOLOGY_CELL])
+def test_run_experiment_holds_one_copy_of_the_los_records(small_dataset, tmp_path, monkeypatch, topology):
+    # the sweep keeps only the line-of-sight records while it builds, and
+    # every arm reads its rows from that one copy: no record is copied out
+    build, subset = pipeline.build_dataset, Dataset.subset
+    built, subsets = [], []
 
-    def traced_build(*args):
-        ds = build(*args)
-        built.append((weakref.ref(ds), len(ds)))
-        return ds
+    def traced_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
 
-    def traced_split(*args):
-        freed.append(built[0][0]() is None)
-        return split(*args)
+    def traced_subset(self, index):
+        subsets.append(len(index))
+        return subset(self, index)
 
     monkeypatch.setattr(pipeline, "build_dataset", traced_build)
-    monkeypatch.setattr(pipeline, "split_dataset", traced_split)
-    spec = experiment_spec_from_dict(_spec_dict(model_configs=[{"type": "tree", "max_depth": 4}]))
-    result = run_experiment(spec, tmp_path)
-    assert freed == [True]
-    assert result.manifest["dataset"]["n_records"] == built[0][1]
+    monkeypatch.setattr(Dataset, "subset", traced_subset)
+    d = _spec_dict(topology=topology, model_configs=[{"type": "tree", "max_depth": 4}])
+    result = run_experiment(experiment_spec_from_dict(d), tmp_path)
+    assert subsets == []
+    monkeypatch.undo()
+    assert len(built) == 1
+    assert built[0] == los_filter(small_dataset)
+    n, n_los = len(small_dataset), int(small_dataset.los.sum())
+    assert result.manifest["dataset"] == {
+        "seed": small_dataset.seed,
+        "n_records": n,
+        "n_los": n_los,
+        "los_fraction": n_los / n,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,33 @@ def test_los_mask_matches_scalar(rng):
         assert np.array_equal(mask, scalar)
 
 
+def test_los_mask_with_one_tx_per_point_matches_one_call_each(rng):
+    # every point gets the bits of a call with its own transmitter alone,
+    # also where a segment runs parallel to a slab, inside it or not
+    boxes = (
+        BuildingFootprint(min_x=20.0, min_y=10.0, max_x=30.0, max_y=20.0, height_m=12.0),
+        BuildingFootprint(min_x=50.0, min_y=5.0, max_x=60.0, max_y=30.0, height_m=25.0),
+    )
+    sc = los_scenario(boxes)
+    n = 400
+
+    def draw():
+        return np.column_stack(
+            [
+                rng.choice([0.0, 20.0, 25.0, 55.0, 100.0], n),
+                rng.choice([0.0, 10.0, 15.0, 40.0], n),
+                rng.choice([1.5, 10.0, 30.0], n),
+            ]
+        )
+
+    tx, pts = draw(), draw()
+    pts[::2] += rng.uniform(-3.0, 3.0, size=(n // 2, 3))  # half the points off the lattice
+    mask = los_mask(sc, tx, pts)
+    assert np.array_equal(mask, [los_mask(sc, t, p[None])[0] for t, p in zip(tx, pts)])
+    assert np.array_equal(mask, [segment_clear(sc, t, p) for t, p in zip(tx, pts)])
+    assert mask.any() and not mask.all()
+
+
 # ---------------------------------------------------------------------------
 # default layout
 
