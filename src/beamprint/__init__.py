@@ -57,7 +57,7 @@ from .features import (
     fit_normalizer,
 )
 from .mlp import MlpConfig, MlpModel, TrainReport, forward, init_model, predict, train
-from .dtree import TreeConfig, TreeModel, TreeNode, fit, predict_tree
+from .dtree import TreeConfig, TreeModel, fit, predict_tree
 from .evaluate import EvalReport, compare, euclidean_errors, summarize
 from .pipeline import (
     ExperimentSpec,

@@ -19,8 +19,8 @@ from .errors import BeamprintError, ConfigurationError, DataError, TrainingDiver
 from .evaluate import compare, summarize, write_cdf_csv, write_report
 from .features import extract_features, feature_config_from_dict
 from .fingerprint import build_dataset, load_dataset, los_rows, save_dataset
-from .mlp import _ACTIVATIONS, MlpConfig
-from .dtree import TreeConfig
+from .mlp import _ACTIVATIONS, MlpConfig, validate_mlp_config
+from .dtree import TreeConfig, validate_tree_config
 from .evaluate import euclidean_errors
 from .pipeline import (
     MODEL_MLP,
@@ -158,11 +158,7 @@ def _parse_hidden(text: str):
 
 def _cmd_train(args) -> int:
     _check_writable(args.out, make_parents=True)  # the bundle writer makes missing parents
-    fc = feature_config_from_dict(load_object(args.features, "feature config"))
-    dataset = load_dataset(args.dataset)
-    feats = extract_features(dataset, fc, None if args.no_los_filter else los_rows(dataset))
-    for reason, count in sorted(feats.skipped.items()):
-        logger.warning("skipped %d records: %s", count, reason)
+    # check the flags first: reading a dataset can take seconds
     if args.model == MODEL_MLP:
         spec = ModelSpec(
             model_type=MODEL_MLP,
@@ -177,6 +173,7 @@ def _cmd_train(args) -> int:
                 rng_seed=args.seed,
             ),
         )
+        validate_mlp_config(spec.mlp_config)
     else:
         spec = ModelSpec(
             model_type=MODEL_TREE,
@@ -186,6 +183,12 @@ def _cmd_train(args) -> int:
                 min_impurity_decrease=args.min_impurity_decrease,
             ),
         )
+        validate_tree_config(spec.tree_config)
+    fc = feature_config_from_dict(load_object(args.features, "feature config"))
+    dataset = load_dataset(args.dataset)
+    feats = extract_features(dataset, fc, None if args.no_los_filter else los_rows(dataset))
+    for reason, count in sorted(feats.skipped.items()):
+        logger.warning("skipped %d records: %s", count, reason)
     bundle = train_model(feats, spec, fc)
     save_model_bundle(bundle, args.out)
     if bundle.model_type == MODEL_MLP:

@@ -16,7 +16,7 @@ every node gets the bits a node-by-node build would give it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -37,57 +37,37 @@ def validate_tree_config(config: TreeConfig) -> None:
         raise ConfigurationError("max depth must be at least 1")
     if config.min_samples_leaf < 1:
         raise ConfigurationError("min samples per leaf must be at least 1")
-    if config.min_impurity_decrease < 0:
-        raise ConfigurationError("min impurity decrease must be non-negative")
+    # the range leaves out NaN and infinity, which CLI flags and the API
+    # bring past the file codec's finite-number rule
+    if not 0 <= config.min_impurity_decrease < np.inf:
+        raise ConfigurationError("min_impurity_decrease must be a finite non-negative number")
 
 
-@dataclass
-class TreeNode:
-    n_samples: int
-    # internal nodes carry a split, leaves carry the mean label
-    feature: Optional[int] = None
-    threshold: Optional[float] = None
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    value: Optional[np.ndarray] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass
+@dataclass(eq=False)
 class TreeModel:
-    """A fitted tree. The node graph under `root` is what serializes;
-    prediction walks flat per-node arrays compiled from it once, at
-    construction, so edit a tree by building a new TreeModel."""
+    """A fitted tree as per-node arrays in breadth-first order. Node i
+    splits on feature[i] at threshold[i] (0 on leaves), or is a leaf when
+    feature[i] < 0; its children are left[i] and left[i] + 1, since each
+    split node's pair follows the pairs of the split nodes before it.
+    value[i] is the leaf mean (zeros on split nodes), n_samples[i] the
+    node's training rows."""
 
-    root: TreeNode
+    feature: np.ndarray
+    threshold: np.ndarray
+    value: np.ndarray
+    n_samples: np.ndarray
     n_features: int
     config: TreeConfig
-    # node i splits on feature[i] at threshold[i], or is a leaf when
-    # feature[i] < 0; left/right are child indices (meaningless on
-    # leaves); value[i] is the leaf mean (zeros on split nodes)
-    feature: np.ndarray = field(init=False, repr=False, compare=False)
-    threshold: np.ndarray = field(init=False, repr=False, compare=False)
-    left: np.ndarray = field(init=False, repr=False, compare=False)
-    right: np.ndarray = field(init=False, repr=False, compare=False)
-    value: np.ndarray = field(init=False, repr=False, compare=False)
+    left: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # breadth-first: the list grows as it is read, and a split node's
-        # children land at the two positions it appends
-        nodes = [self.root]
-        left = []
-        for node in nodes:
-            left.append(len(nodes))
-            if not node.is_leaf:
-                nodes.extend((node.left, node.right))
-        self.feature = np.array([-1 if n.is_leaf else n.feature for n in nodes], dtype=np.intp)
-        self.threshold = np.array([0.0 if n.is_leaf else n.threshold for n in nodes])
-        self.left = np.array(left, dtype=np.intp)
-        self.right = self.left + 1
-        self.value = np.array([n.value if n.is_leaf else (0.0, 0.0) for n in nodes])
+        split = self.feature >= 0
+        self.left = 1 + 2 * (np.cumsum(split, dtype=np.intp) - split)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TreeModel):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     @property
     def leaf_count(self) -> int:
@@ -99,11 +79,27 @@ class TreeModel:
         depth = 0
         level = np.zeros(1, dtype=np.intp)
         while True:
-            split = level[self.feature[level] >= 0]
-            if not split.size:
+            left = self.left[level[self.feature[level] >= 0]]
+            if not left.size:
                 return depth
-            level = np.concatenate((self.left[split], self.right[split]))
+            level = np.concatenate((left, left + 1))
             depth += 1
+
+    # Aliases for perfbench's traced fit hook (`_tree_fitted` in
+    # perfbench/layers.py), which calls dtree.leaf_count(model.root) and
+    # dtree.tree_depth(model.root): this property and the two functions
+    # below go when perfbench reads the stage spans (ROADMAP item 1).
+    @property
+    def root(self) -> "TreeModel":
+        return self
+
+
+def leaf_count(tree: TreeModel) -> int:
+    return tree.leaf_count
+
+
+def tree_depth(tree: TreeModel) -> int:
+    return tree.depth
 
 
 def node_impurity(labels: np.ndarray) -> Union[float, np.ndarray]:
@@ -184,11 +180,15 @@ def _search(
 
 
 def _grow(
-    nodes: List[TreeNode], rows: np.ndarray, values: np.ndarray, labels: np.ndarray, depth: int, config: TreeConfig
-) -> List[Tuple[TreeNode, np.ndarray]]:
-    """Make each of a batch of same-depth nodes a leaf or a split. rows
-    (B, n) holds each node's training rows, ascending. Returns the new
-    children, each with its rows, ascending."""
+    ids: np.ndarray, rows: np.ndarray, values: np.ndarray, labels: np.ndarray, depth: int, config: TreeConfig,
+    out: tuple,
+) -> None:
+    """Make each of a batch of same-depth nodes a leaf or a split. ids
+    are the nodes' places in their depth's arrays, rows (B, n) their
+    training rows, ascending. Writes each node's split or leaf mean into
+    its depth's (feature, threshold, value, children) at its place, with
+    a split node's children as (left rows, right rows), each ascending."""
+    feature, threshold, value, children = out
     n = rows.shape[1]
     y = labels[rows]
     mean = y.mean(axis=1)
@@ -197,32 +197,30 @@ def _grow(
         impurity = node_impurity(y)
         impure = np.flatnonzero(impurity > 0.0)
         x = values[rows[impure]]
-        score, feature, threshold = best_split(x, y[impure], config.min_samples_leaf)
+        score, best_feature, best_threshold = best_split(x, y[impure], config.min_samples_leaf)
         gain = np.flatnonzero(impurity[impure] - score > config.min_impurity_decrease)
-        split, feature, threshold = impure[gain], feature[gain], threshold[gain]
-        go_left = x[gain, :, feature] <= threshold[:, None]
-    is_leaf = np.ones(len(nodes), dtype=bool)
+        split = impure[gain]
+        feature[ids[split]], threshold[ids[split]] = best_feature[gain], best_threshold[gain]
+        go_left = x[gain, :, best_feature[gain]] <= best_threshold[gain, None]
+    is_leaf = np.ones(len(ids), dtype=bool)
     is_leaf[split] = False
-    for node, m, leaf in zip(nodes, mean, is_leaf):
-        if leaf:
-            node.value = m
+    value[ids[is_leaf]] = mean[is_leaf]
     if not split.size:
-        return []
+        return
     # each split node's rows, left side first
     parted = np.take_along_axis(rows[split], np.argsort(~go_left, axis=1, kind="stable"), axis=1)
     n_left = np.count_nonzero(go_left, axis=1)
-    children = []
-    for b, f, t, part, k in zip(split.tolist(), feature.tolist(), threshold.tolist(), parted, n_left.tolist()):
-        node = nodes[b]
-        node.feature, node.threshold = f, t
-        node.left, node.right = TreeNode(n_samples=k), TreeNode(n_samples=n - k)
-        children += ((node.left, part[:k]), (node.right, part[k:]))
-    return children
+    for i, part, k in zip(ids[split].tolist(), parted, n_left.tolist()):
+        children[i] = (part[:k], part[k:])
 
 
 def fit(values: np.ndarray, labels: np.ndarray, config: Optional[TreeConfig] = None) -> TreeModel:
     """Grow a tree on raw features and raw metre labels, one depth at a
-    time: the cost goes by groups of same-size nodes, not by nodes."""
+    time: the cost goes by groups of same-size nodes, not by nodes.
+
+    Each depth's nodes sit in breadth-first order, so the children of
+    its split nodes, left first, are the next depth in order, and the
+    depths laid end to end are the model's node arrays."""
     config = config or TreeConfig()
     validate_tree_config(config)
     values = np.asarray(values, dtype=np.float64)
@@ -233,19 +231,21 @@ def fit(values: np.ndarray, labels: np.ndarray, config: Optional[TreeConfig] = N
         raise DataError("tree fitting needs labels of shape (n, 2)")
     if not np.isfinite(values).all() or not np.isfinite(labels).all():
         raise DataError("tree fitting needs finite features and labels")
-    root = TreeNode(n_samples=values.shape[0])
-    level = [(root, np.arange(values.shape[0]))]
-    depth = 0
-    while level:
-        groups: Dict[int, list] = {}
-        for node, rows in level:
-            groups.setdefault(len(rows), []).append((node, rows))
-        level = []
-        for group in groups.values():
-            nodes, rows = zip(*group)
-            level += _grow(list(nodes), np.stack(rows), values, labels, depth, config)
-        depth += 1
-    return TreeModel(root=root, n_features=values.shape[1], config=config)
+    depths = []
+    open_rows = [np.arange(values.shape[0])]  # each node's rows, one depth
+    while open_rows:
+        m = len(open_rows)
+        feature, threshold, value, children = np.full(m, -1, dtype=np.intp), np.zeros(m), np.zeros((m, 2)), [()] * m
+        groups: Dict[int, List[int]] = {}
+        for i, rows in enumerate(open_rows):
+            groups.setdefault(len(rows), []).append(i)
+        for ids in groups.values():
+            rows = np.stack([open_rows[i] for i in ids])
+            _grow(np.array(ids), rows, values, labels, len(depths), config, (feature, threshold, value, children))
+        depths.append((feature, threshold, value, np.array([len(rows) for rows in open_rows], dtype=np.intp)))
+        open_rows = [part for pair in children for part in pair]
+    feature, threshold, value, n_samples = (np.concatenate(column) for column in zip(*depths))
+    return TreeModel(feature, threshold, value, n_samples, n_features=values.shape[1], config=config)
 
 
 def predict_tree(model: TreeModel, values: np.ndarray) -> np.ndarray:
@@ -267,93 +267,72 @@ def predict_tree(model: TreeModel, values: np.ndarray) -> np.ndarray:
         split = model.feature[at] >= 0
         rows, at = rows[split], at[split]
         go_left = values[rows, model.feature[at]] <= model.threshold[at]
-        node[rows] = np.where(go_left, model.left[at], model.right[at])
+        node[rows] = model.left[at] + ~go_left  # the right child is left + 1
     out = model.value[node]
     return out[0] if single else out
-
-
-def tree_depth(node: TreeNode) -> int:
-    if node.is_leaf:
-        return 0
-    return 1 + max(tree_depth(node.left), tree_depth(node.right))
-
-
-def leaf_count(node: TreeNode) -> int:
-    if node.is_leaf:
-        return 1
-    return leaf_count(node.left) + leaf_count(node.right)
 
 
 # ---------------------------------------------------------------------------
 # Serialization (versioned nested JSON blob)
 
 _TREE_VERSION = 1
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"n": node.n_samples, "value": node.value.tolist()}
-    return {
-        "n": node.n_samples,
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
 _LEAF_KEYS = {"n", "value"}
 _SPLIT_KEYS = {"n", "feature", "threshold", "left", "right"}
 
 
-def _node_from_dict(d, where: str) -> TreeNode:
-    """One node and its subtree; every field typed and finite."""
-    keys = d.keys() if isinstance(d, dict) else None
-    if keys != _LEAF_KEYS and keys != _SPLIT_KEYS:
-        raise ConfigurationError(
-            f"{where} must be a leaf {sorted(_LEAF_KEYS)} or a split {sorted(_SPLIT_KEYS)} object"
-        )
-    n = decode(int, d["n"], f"{where}.n")
-    if keys == _LEAF_KEYS:
-        value = d["value"]
-        if not isinstance(value, list) or len(value) != 2:
-            raise ConfigurationError(f"{where}.value must be an (x, y) pair")
-        return TreeNode(n_samples=n, value=np.array([decode(float, v, f"{where}.value") for v in value]))
-    feature = decode(int, d["feature"], f"{where}.feature")
-    if feature < 0:
-        raise ConfigurationError(f"{where}.feature is negative ({feature})")
-    return TreeNode(
-        n_samples=n,
-        feature=feature,
-        threshold=decode(float, d["threshold"], f"{where}.threshold"),
-        left=_node_from_dict(d["left"], f"{where}.left"),
-        right=_node_from_dict(d["right"], f"{where}.right"),
-    )
-
-
 def tree_to_dict(model: TreeModel) -> dict:
+    """The nested node objects of bundle version 1, built from the last
+    node back: a child's id is above its parent's, so its object is
+    made first."""
+    feature, threshold, value = model.feature.tolist(), model.threshold.tolist(), model.value.tolist()
+    n, left = model.n_samples.tolist(), model.left.tolist()
+    nodes: List[Optional[dict]] = [None] * len(feature)
+    for i in reversed(range(len(feature))):
+        node = nodes[i] = {"n": n[i]}
+        if feature[i] < 0:
+            node["value"] = value[i]
+        else:
+            node.update(feature=feature[i], threshold=threshold[i], left=nodes[left[i]], right=nodes[left[i] + 1])
     return {
         "version": _TREE_VERSION,
         "n_features": model.n_features,
         "config": to_dict(model.config),
-        "root": _node_to_dict(model.root),
+        "root": nodes[0],
     }
 
 
 def tree_from_dict(d: dict) -> TreeModel:
+    """Flatten the nested node objects breadth first, which is the node
+    arrays' order; every field typed and finite."""
     if d.get("version") != _TREE_VERSION:
         raise ConfigurationError(f"unsupported tree blob version {d.get('version')}")
     config = from_dict(TreeConfig, d.get("config", {}), "tree config")
     validate_tree_config(config)
     if "root" not in d or "n_features" not in d:
         raise ConfigurationError("tree blob needs 'root' and 'n_features'")
-    model = TreeModel(
-        root=_node_from_dict(d["root"], "tree root"),
-        n_features=decode(int, d["n_features"], "tree n_features"),
-        config=config,
+    n_features = decode(int, d["n_features"], "tree n_features")
+    nodes = []  # (n, feature, threshold, value) of each node
+    queue = [(d["root"], "tree root")]
+    for node, where in queue:
+        keys = node.keys() if isinstance(node, dict) else None
+        if keys != _LEAF_KEYS and keys != _SPLIT_KEYS:
+            raise ConfigurationError(
+                f"{where} must be a leaf {sorted(_LEAF_KEYS)} or a split {sorted(_SPLIT_KEYS)} object"
+            )
+        n = decode(int, node["n"], f"{where}.n")
+        if keys == _LEAF_KEYS:
+            pair = node["value"]
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ConfigurationError(f"{where}.value must be an (x, y) pair")
+            nodes.append((n, -1, 0.0, [decode(float, v, f"{where}.value") for v in pair]))
+            continue
+        feature = decode(int, node["feature"], f"{where}.feature")
+        if not 0 <= feature < n_features:
+            raise ConfigurationError(f"{where}.feature {feature} lies outside the tree's width {n_features}")
+        nodes.append((n, feature, decode(float, node["threshold"], f"{where}.threshold"), (0.0, 0.0)))
+        queue += ((node["left"], f"{where}.left"), (node["right"], f"{where}.right"))
+    n_samples, feature, threshold, value = zip(*nodes)
+    return TreeModel(
+        np.array(feature, dtype=np.intp), np.array(threshold), np.array(value), np.array(n_samples, dtype=np.intp),
+        n_features=n_features, config=config,
     )
-    if model.feature.max() >= model.n_features:
-        raise ConfigurationError(
-            f"tree splits on feature {model.feature.max()}, past its width {model.n_features}"
-        )
-    return model

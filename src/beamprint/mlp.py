@@ -38,24 +38,28 @@ class MlpConfig:
 
 
 def validate_mlp_config(config: MlpConfig) -> None:
+    # the ranges leave out NaN and infinity, which CLI flags and the API
+    # bring past the file codec's finite-number rule
     if not config.hidden_layers or any(w < 1 for w in config.hidden_layers):
         raise ConfigurationError("hidden layer widths must be positive")
     if config.activation not in _ACTIVATIONS:
         raise ConfigurationError(f"unknown activation {config.activation!r}")
-    if config.learning_rate <= 0:
-        raise ConfigurationError("learning rate must be positive")
+    if not 0 < config.learning_rate < np.inf:
+        raise ConfigurationError(f"learning_rate must be a finite positive number, got {config.learning_rate!r}")
     if not 0 <= config.beta1 < 1 or not 0 <= config.beta2 < 1:
-        raise ConfigurationError("adam betas must lie in [0, 1)")
-    if config.epsilon <= 0:
-        raise ConfigurationError("adam epsilon must be positive")
+        raise ConfigurationError("adam betas beta1 and beta2 must lie in [0, 1)")
+    if not 0 < config.epsilon < np.inf:
+        raise ConfigurationError(f"adam epsilon must be a finite positive number, got {config.epsilon!r}")
     if config.batch_size < 1:
         raise ConfigurationError("batch size must be positive")
     if config.max_epochs < 1:
         raise ConfigurationError("max epochs must be positive")
     if config.patience < 1:
         raise ConfigurationError("early-stopping patience must be positive")
-    if config.min_delta < 0:
-        raise ConfigurationError("early-stopping min delta must be non-negative")
+    if not 0 <= config.min_delta < np.inf:
+        raise ConfigurationError("early-stopping min_delta must be a finite non-negative number")
+    if config.rng_seed < 0:
+        raise ConfigurationError(f"rng_seed must be non-negative, got {config.rng_seed}")
 
 
 def _views(flat: np.ndarray, shapes) -> Tuple[List[np.ndarray], List[np.ndarray]]:

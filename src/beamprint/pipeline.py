@@ -250,6 +250,9 @@ def experiment_spec_from_dict(d: dict, base_dir: Optional[Path] = None) -> Exper
     topology = scalars.get("topology", TOPOLOGY_NETWORK)
     if topology not in (TOPOLOGY_NETWORK, TOPOLOGY_CELL):
         raise ConfigurationError(f"unknown topology {topology!r}")
+    # the split permutation's generator takes no negative seed
+    if scalars.get("split_seed", 0) < 0:
+        raise ConfigurationError(f"experiment spec.split_seed must be non-negative, got {scalars['split_seed']}")
 
     fcs: List[FeatureConfig] = []
     for i, raw in enumerate(_object_list(d, "feature_configs")):

@@ -247,13 +247,13 @@ def test_03_root_split_matches_exhaustive_search(rng):
         values = np.round(rng.normal(size=(n, 2)) * 4.0) / 2.0
         labels = rng.normal(size=(n, 2)) * 5.0
         want = _exhaustive_best_split(values, labels, min_samples_leaf=2)
-        root = fit(values, labels, TreeConfig()).root
+        model = fit(values, labels, TreeConfig())
+        # node 0 is the root; feature -1 marks a leaf
         if want is None:
-            assert root.is_leaf
+            assert model.feature[0] < 0
             continue
-        assert not root.is_leaf
-        assert root.feature == want[1]
-        assert root.threshold == pytest.approx(want[2], abs=1e-9)
+        assert model.feature[0] == want[1]
+        assert model.threshold[0] == pytest.approx(want[2], abs=1e-9)
         fast = best_split(values, labels, min_samples_leaf=2)
         assert fast[0] == pytest.approx(want[0], rel=1e-9, abs=1e-9)
         checked += 1

@@ -248,6 +248,50 @@ def test_malformed_config_file_exits_1(ws, tmp_path, capsys, command, flag, cont
     assert "configuration error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "model, flag, value, key",
+    [
+        # each trained (or stopped as diverged, exit 3) at one time
+        ("tree", "--min-impurity-decrease", "nan", "min_impurity_decrease"),
+        ("tree", "--min-impurity-decrease", "inf", "min_impurity_decrease"),
+        ("mlp", "--min-delta", "nan", "min_delta"),
+        ("mlp", "--learning-rate", "inf", "learning_rate"),
+        # ended in numpy's raw ValueError traceback at one time
+        ("mlp", "--seed", "-1", "rng_seed"),
+    ],
+)
+def test_train_refuses_non_finite_or_negative_flags(ws, tmp_path, capsys, model, flag, value, key):
+    out = tmp_path / "m.json"
+    argv = ["train", "--model", model, "--dataset", str(ws.dataset), "--features", str(ws.features)]
+    assert main(argv + ["--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        ({"split_seed": -3}, "split_seed"),
+        ({"model_configs": [{"type": "mlp", "rng_seed": -2}]}, "rng_seed"),
+    ],
+)
+def test_sweep_refuses_negative_seeds(tmp_path, capsys, edit, key):
+    # each ended in numpy's raw ValueError traceback at one time
+    spec = {
+        "scenario": scenario_config_to_dict(small_scenario_config()),
+        "feature_configs": [{"serving_beams": 3}],
+        "model_configs": [{"type": "tree", "max_depth": 4}],
+        **edit,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="ascii")
+    assert main(["sweep", "--spec", str(path), "--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_scenario_file_exits_1(tmp_path, capsys):
     rc = main(
         ["build-dataset", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "d")]

@@ -1,6 +1,11 @@
 import hashlib
-import itertools
+import importlib.util
 import json
+from collections import defaultdict
+from dataclasses import dataclass
+from pathlib import Path
+from types import SimpleNamespace
+from typing import Optional, Tuple
 
 import numpy as np
 import pytest
@@ -10,13 +15,10 @@ from beamprint.errors import ConfigurationError, DataError
 from beamprint.dtree import (
     TreeConfig,
     TreeModel,
-    TreeNode,
     best_split,
     fit,
-    leaf_count,
     node_impurity,
     predict_tree,
-    tree_depth,
     tree_from_dict,
     tree_to_dict,
 )
@@ -75,21 +77,15 @@ def oracle_best_split(values, labels, min_samples_leaf):
     return best
 
 
-def recursive_predict(model, values):
-    """Reference: walk the node graph one row at a time."""
+def recursive_predict(root, values):
+    """Reference: walk the oracle's node graph one row at a time."""
     out = np.empty((values.shape[0], 2))
     for i, row in enumerate(values):
-        node = model.root
+        node = root
         while not node.is_leaf:
             node = node.left if row[node.feature] <= node.threshold else node.right
         out[i] = node.value
     return out
-
-
-def split_nodes(node):
-    if node.is_leaf:
-        return []
-    return [node, *split_nodes(node.left), *split_nodes(node.right)]
 
 
 def test_impurity_oracle():
@@ -105,13 +101,12 @@ def test_toy_split_threshold():
     values = np.array([[0.0], [0.0], [10.0], [10.0]])
     labels = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [5.0, 5.0]])
     model = fit(values, labels, TreeConfig())
-    root = model.root
-    assert not root.is_leaf
-    assert root.feature == 0
-    assert root.threshold == pytest.approx(5.0)
-    assert root.left.is_leaf and root.right.is_leaf
-    assert root.left.value.tolist() == [0.0, 0.0]
-    assert root.right.value.tolist() == [5.0, 5.0]
+    # the root splits; its children, nodes 1 and 2, are leaves
+    assert model.feature.tolist() == [0, -1, -1]
+    assert model.threshold[0] == pytest.approx(5.0)
+    assert model.left[0] == 1
+    assert model.value.tolist() == [[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]]
+    assert model.n_samples.tolist() == [4, 2, 2]
 
 
 def test_predict_routes_le_left():
@@ -174,8 +169,8 @@ def test_fit_duplicate_rows_only_returns_leaf():
     values = np.zeros((6, 2))
     labels = np.arange(12.0).reshape(6, 2)
     model = fit(values, labels)
-    assert model.root.is_leaf
-    assert model.root.value.tolist() == labels.mean(axis=0).tolist()
+    assert model.feature.tolist() == [-1]
+    assert model.value.tolist() == [labels.mean(axis=0).tolist()]
 
 
 def test_max_depth_limits_tree():
@@ -183,10 +178,10 @@ def test_max_depth_limits_tree():
     values = rng.uniform(size=(200, 2))
     labels = rng.uniform(size=(200, 2))
     shallow = fit(values, labels, TreeConfig(max_depth=3))
-    assert tree_depth(shallow.root) <= 3
+    assert shallow.depth <= 3
     deep = fit(values, labels, TreeConfig(max_depth=30))
-    assert tree_depth(deep.root) > 3
-    assert leaf_count(shallow.root) <= 8
+    assert deep.depth > 3
+    assert shallow.leaf_count <= 8
 
 
 def test_min_samples_leaf_holds_everywhere():
@@ -194,15 +189,12 @@ def test_min_samples_leaf_holds_everywhere():
     values = rng.uniform(size=(100, 3))
     labels = rng.uniform(size=(100, 2))
     model = fit(values, labels, TreeConfig(min_samples_leaf=5))
-
-    def walk(node):
-        if node.is_leaf:
-            assert node.n_samples >= 5
-        else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(model.root)
+    split = model.feature >= 0
+    assert model.n_samples[~split].min() >= 5
+    # every split node's rows go to its two children
+    left = model.left[split]
+    assert np.array_equal(model.n_samples[split], model.n_samples[left] + model.n_samples[left + 1])
+    assert model.n_samples[0] == 100
 
 
 def test_min_impurity_decrease_stops_growth():
@@ -211,8 +203,8 @@ def test_min_impurity_decrease_stops_growth():
     labels = rng.uniform(size=(64, 2))
     free = fit(values, labels, TreeConfig(min_impurity_decrease=0.0))
     taxed = fit(values, labels, TreeConfig(min_impurity_decrease=1e9))
-    assert taxed.root.is_leaf
-    assert not free.root.is_leaf
+    assert taxed.feature.tolist() == [-1]
+    assert free.feature[0] >= 0
 
 
 def test_fit_memorizes_training_grid():
@@ -231,6 +223,7 @@ def test_fit_deterministic():
     labels = rng.uniform(size=(80, 2))
     a = fit(values, labels)
     b = fit(values, labels)
+    assert a == b
     assert tree_to_dict(a) == tree_to_dict(b)
 
 
@@ -243,6 +236,10 @@ def test_fit_validation():
         fit(np.array([[np.nan, 0.0]]), np.zeros((1, 2)))
     with pytest.raises(ConfigurationError):
         fit(np.zeros((4, 2)), np.zeros((4, 2)), TreeConfig(max_depth=0))
+    # CLI flags reach the config without the file codec's finite rule
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="min_impurity_decrease"):
+            fit(np.zeros((4, 2)), np.zeros((4, 2)), TreeConfig(min_impurity_decrease=bad))
 
 
 def test_predict_validation():
@@ -258,6 +255,9 @@ def test_tree_dict_round_trip():
     model = fit(values, labels, TreeConfig(max_depth=6, min_samples_leaf=3))
     blob = tree_to_dict(model)
     back = tree_from_dict(blob)
+    assert back == model
+    for name in ("feature", "threshold", "left", "value", "n_samples"):
+        assert getattr(back, name).dtype == getattr(model, name).dtype, name
     assert back.n_features == model.n_features
     assert back.config == model.config
     x = rng.uniform(size=(20, 2))
@@ -283,30 +283,33 @@ def test_flat_descent_matches_recursive_reference(rng):
         # quantized features: many rows sit on a split value's neighbours
         values = np.round(rng.normal(size=(300, 3)) * 3.0) / 2.0
         labels = rng.normal(size=(300, 2)) * 10.0
-        model = fit(values, labels, TreeConfig(min_samples_leaf=min_leaf))
+        config = TreeConfig(min_samples_leaf=min_leaf)
+        model = fit(values, labels, config)
         probe = np.vstack([values, rng.normal(size=(200, 3)) * 2.0])
-        assert np.array_equal(predict_tree(model, probe), recursive_predict(model, probe))
+        assert np.array_equal(predict_tree(model, probe), recursive_predict(oracle_fit(values, labels, config), probe))
 
 
 def test_flat_descent_at_exact_thresholds(rng):
     values = rng.uniform(size=(120, 2))
     labels = rng.normal(size=(120, 2))
-    model = fit(values, labels, TreeConfig(max_depth=6))
+    config = TreeConfig(max_depth=6)
+    model = fit(values, labels, config)
     # for every split, rows carrying exactly its threshold (which must go
     # left) and the next float above it (which must go right)
     rows = []
-    for node in split_nodes(model.root):
-        for v in (node.threshold, np.nextafter(node.threshold, np.inf)):
+    split = model.feature >= 0
+    for feature, threshold in zip(model.feature[split], model.threshold[split]):
+        for v in (threshold, np.nextafter(threshold, np.inf)):
             row = rng.uniform(size=2)
-            row[node.feature] = v
+            row[feature] = v
             rows.append(row)
     probe = np.array(rows)
-    assert np.array_equal(predict_tree(model, probe), recursive_predict(model, probe))
+    assert np.array_equal(predict_tree(model, probe), recursive_predict(oracle_fit(values, labels, config), probe))
 
 
 def test_flat_descent_single_leaf_tree():
     model = fit(np.zeros((6, 2)), np.arange(12.0).reshape(6, 2))
-    assert model.root.is_leaf
+    assert model.leaf_count == 1
     probe = np.array([[0.0, 0.0], [-5.0, 7.0], [np.inf, -np.inf]])
     assert predict_tree(model, probe).tolist() == [[5.0, 6.0]] * 3
     assert predict_tree(model, probe[0]).tolist() == [5.0, 6.0]
@@ -378,7 +381,8 @@ _BAD_TREE_BLOBS = {
 def test_tree_dict_rejects_mistyped_fields(case):
     model = fit(np.arange(8.0).reshape(4, 2), np.arange(8.0).reshape(4, 2))
     blob = json.loads(json.dumps(tree_to_dict(model)))
-    assert not model.root.is_leaf and model.root.left.is_leaf
+    # the edits need a split root whose left child is a leaf
+    assert model.feature[0] >= 0 and model.feature[model.left[0]] < 0
     _BAD_TREE_BLOBS[case](blob)
     with pytest.raises(ConfigurationError, match="tree"):
         tree_from_dict(blob)
@@ -469,16 +473,35 @@ def test_best_split_edge_shapes():
 def test_depth_and_leaf_count_from_flat_arrays(rng):
     for min_leaf, max_depth in ((1, 30), (2, 5), (5, 30), (1, 1)):
         values = np.round(rng.normal(size=(200, 3)) * 3.0)
-        model = fit(values, rng.normal(size=(200, 2)), TreeConfig(min_samples_leaf=min_leaf, max_depth=max_depth))
-        assert model.depth == tree_depth(model.root)
-        assert model.leaf_count == leaf_count(model.root)
+        labels = rng.normal(size=(200, 2))
+        config = TreeConfig(min_samples_leaf=min_leaf, max_depth=max_depth)
+        model = fit(values, labels, config)
+        root = oracle_fit(values, labels, config)
+        assert model.depth == graph_depth(root)
+        assert model.leaf_count == graph_leaf_count(root)
     single = fit(np.zeros((4, 2)), np.arange(8.0).reshape(4, 2))
     assert (single.depth, single.leaf_count) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
 # the recursive fit that the level-by-level fit replaced, kept as its exact
-# oracle: one best_split call per node, children built depth first
+# oracle: one best_split call per node, children built depth first, into a
+# node graph of the test's own
+
+
+@dataclass
+class Node:
+    n_samples: int
+    # split nodes carry a feature, leaves the mean label
+    feature: int = -1
+    threshold: float = 0.0
+    left: Optional["Node"] = None
+    right: Optional["Node"] = None
+    value: Tuple[float, float] = (0.0, 0.0)
+
+    @property
+    def is_leaf(self):
+        return self.feature < 0
 
 
 def oracle_fit(values, labels, config):
@@ -487,15 +510,15 @@ def oracle_fit(values, labels, config):
         mean = labels.mean(axis=0)
         impurity = node_impurity(labels)
         if depth >= config.max_depth or n < 2 * config.min_samples_leaf or impurity <= 0.0:
-            return TreeNode(n_samples=n, value=mean)
+            return Node(n_samples=n, value=mean)
         found = best_split(values, labels, config.min_samples_leaf)
         if found is None:
-            return TreeNode(n_samples=n, value=mean)
+            return Node(n_samples=n, value=mean)
         child_sse, feature, threshold = found
         if impurity - child_sse <= config.min_impurity_decrease:
-            return TreeNode(n_samples=n, value=mean)
+            return Node(n_samples=n, value=mean)
         go_left = values[:, feature] <= threshold
-        return TreeNode(
+        return Node(
             n_samples=n,
             feature=feature,
             threshold=threshold,
@@ -503,17 +526,46 @@ def oracle_fit(values, labels, config):
             right=build(values[~go_left], labels[~go_left], depth + 1),
         )
 
-    values = np.asarray(values, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    return TreeModel(root=build(values, labels, 0), n_features=values.shape[1], config=config)
+    return build(np.asarray(values, dtype=np.float64), np.asarray(labels, dtype=np.float64), 0)
 
 
-def breadth_first(root):
-    nodes = [root]
+def flatten(root):
+    """The oracle's graph as node arrays, breadth first: the list grows as
+    it is read, and a split node's children land at the two places it
+    appends, so its left child's place is the list's length before."""
+    nodes, left = [root], []
     for node in nodes:
+        left.append(len(nodes))
         if not node.is_leaf:
             nodes.extend((node.left, node.right))
-    return nodes
+    return SimpleNamespace(
+        feature=np.array([node.feature for node in nodes], dtype=np.intp),
+        threshold=np.array([node.threshold for node in nodes]),
+        left=np.array(left, dtype=np.intp),
+        value=np.array([node.value for node in nodes]),
+        n_samples=np.array([node.n_samples for node in nodes], dtype=np.intp),
+    )
+
+
+def graph_depth(node):
+    return 0 if node.is_leaf else 1 + max(graph_depth(node.left), graph_depth(node.right))
+
+
+def graph_leaf_count(node):
+    return 1 if node.is_leaf else graph_leaf_count(node.left) + graph_leaf_count(node.right)
+
+
+def graph_to_dict(node):
+    """The bundle's nested node objects, written recursively."""
+    if node.is_leaf:
+        return {"n": node.n_samples, "value": [float(v) for v in node.value]}
+    return {
+        "n": node.n_samples,
+        "feature": node.feature,
+        "threshold": node.threshold,
+        "left": graph_to_dict(node.left),
+        "right": graph_to_dict(node.right),
+    }
 
 
 def oracle_case(seed):
@@ -553,13 +605,18 @@ def test_fit_matches_recursive_oracle():
     for seed in range(240):
         values, labels, config = oracle_case(seed)
         got = fit(values, labels, config)
-        want = oracle_fit(values, labels, config)
+        root = oracle_fit(values, labels, config)
+        want = flatten(root)
         assert np.array_equal(got.feature, want.feature), seed
         assert got.threshold.view(np.uint64).tolist() == want.threshold.view(np.uint64).tolist(), seed
         assert np.array_equal(got.left, want.left), seed
         assert got.value.view(np.uint64).tolist() == want.value.view(np.uint64).tolist(), seed
-        got_n = [node.n_samples for node in breadth_first(got.root)]
-        assert got_n == [node.n_samples for node in breadth_first(want.root)], seed
+        assert np.array_equal(got.n_samples, want.n_samples), seed
+        # the bundle's node objects: the same text as a recursive writer's,
+        # and read back to the same arrays
+        blob = tree_to_dict(got)
+        assert json.dumps(blob["root"]) == json.dumps(graph_to_dict(root)), seed
+        assert tree_from_dict(json.loads(json.dumps(blob))) == got, seed
         splits += int(np.count_nonzero(got.feature >= 0))
     assert splits > 1000
 
@@ -582,3 +639,74 @@ def test_stacked_best_split_matches_per_node_calls(rng):
                     assert score[b] == np.inf
                 else:
                     assert (float(score[b]), int(feature[b]), float(threshold[b])) == one
+
+
+# ---------------------------------------------------------------------------
+# one representation: equality, the bundle codec and perfbench's fit hook
+
+
+def test_tree_equality_compares_every_node_array():
+    rng = np.random.default_rng(13)
+    values = rng.uniform(size=(60, 3))
+    labels = rng.normal(size=(60, 2))
+    model = fit(values, labels, TreeConfig(min_samples_leaf=1))
+    assert model == fit(values, labels, TreeConfig(min_samples_leaf=1))
+    assert model != fit(values, labels, TreeConfig(min_samples_leaf=2))
+    assert model != fit(values, labels, TreeConfig(min_samples_leaf=1, max_depth=29))  # config alone
+    for name in ("threshold", "value", "n_samples"):
+        other = tree_from_dict(tree_to_dict(model))
+        getattr(other, name)[-1] += 1
+        assert model != other, name
+    assert model != tree_to_dict(model)
+
+
+def test_tree_dict_codec_needs_no_recursion():
+    # a chain 3,000 splits deep: each split's left child is a leaf
+    depth = 3000
+    feature = np.zeros(2 * depth + 1, dtype=np.intp)
+    feature[1::2] = -1
+    feature[-1] = -1
+    n_samples = np.empty(2 * depth + 1, dtype=np.intp)
+    n_samples[0::2] = np.arange(depth + 1, 0, -1)
+    n_samples[1::2] = 1
+    threshold = np.where(feature >= 0, np.arange(2 * depth + 1, dtype=np.float64), 0.0)
+    value = np.zeros((2 * depth + 1, 2))
+    value[feature < 0] = np.arange(depth + 1)[:, None]
+    model = TreeModel(feature, threshold, value, n_samples, n_features=1, config=TreeConfig(max_depth=depth))
+    assert (model.depth, model.leaf_count) == (depth, depth + 1)
+    assert tree_from_dict(tree_to_dict(model)) == model
+    probe = np.array([[-1.0], [1.0], [2.0 * depth]])
+    assert predict_tree(model, probe).tolist() == [[0.0, 0.0], [1.0, 1.0], [depth, depth]]
+
+
+def _perfbench_layers():
+    """perfbench/layers.py, loaded by path: it is no package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _Counters:
+    """The part of perfbench's tracer that its on-return hooks use."""
+
+    def __init__(self):
+        self.counters = defaultdict(float)
+
+    def count(self, name, amount=1.0):
+        self.counters[name] += amount
+
+
+def test_perfbench_tree_hook_reads_the_node_arrays():
+    # the traced benchmark counts nodes and depth through dtree.leaf_count,
+    # dtree.tree_depth and TreeModel.root
+    layers = _perfbench_layers()
+    rng = np.random.default_rng(15)
+    values = np.round(rng.normal(size=(400, 3)) * 3.0)
+    for config in (TreeConfig(), TreeConfig(max_depth=3), TreeConfig(min_impurity_decrease=1e9)):
+        model = fit(values, rng.normal(size=(400, 2)), config)
+        tracer = _Counters()
+        layers._tree_fitted(tracer, (), {}, model)
+        assert tracer.counters["dtree.nodes"] == len(model.feature) == 2 * model.leaf_count - 1
+        assert tracer.counters["dtree.depth"] == model.depth

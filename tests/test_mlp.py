@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,6 +74,19 @@ def test_init_rejects_bad_config():
         init_model(MlpConfig(), input_width=0)
     with pytest.raises(ConfigurationError):
         init_model(MlpConfig(batch_size=0), input_width=4)
+
+
+@pytest.mark.parametrize("key", ["learning_rate", "beta1", "beta2", "epsilon", "min_delta"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_init_rejects_non_finite_numbers(key, bad):
+    # CLI flags reach the config without the file codec's finite rule
+    with pytest.raises(ConfigurationError, match=key):
+        init_model(replace(MlpConfig(), **{key: bad}), input_width=4)
+
+
+def test_init_rejects_a_negative_seed():
+    with pytest.raises(ConfigurationError, match="rng_seed"):
+        init_model(MlpConfig(rng_seed=-1), input_width=4)
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +431,14 @@ def test_train_shuffle_seed_changes_path():
 
 
 def test_early_stop_patience_one_infinite_delta_runs_two_epochs():
-    # the first epoch sets the baseline, the second cannot beat an
-    # infinite improvement requirement, so training halts at epoch 2
+    # an infinite min_delta is refused like every non-finite number; the
+    # largest finite one asks as much: the first epoch sets the baseline,
+    # the second cannot beat it by that much, so training halts at epoch 2
+    with pytest.raises(ConfigurationError, match="min_delta"):
+        init_model(MlpConfig(patience=1, min_delta=float("inf")), input_width=3)
     ts = toy_training_set()
     model = init_model(
-        MlpConfig(max_epochs=100, patience=1, min_delta=float("inf")), input_width=3
+        MlpConfig(max_epochs=100, patience=1, min_delta=sys.float_info.max), input_width=3
     )
     model.normalizer = fit_normalizer(ts)
     report = train(model, ts)

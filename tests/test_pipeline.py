@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -438,6 +439,13 @@ def test_experiment_spec_validation():
         experiment_spec_from_dict(_spec_dict(topology="city-level"))
     with pytest.raises(ConfigurationError):
         experiment_spec_from_dict(_spec_dict(cells="cell-7"))
+    # numpy's generators take no negative seed; the scenario's and the
+    # dataset's seeds feed only the shadowing hash, which takes them
+    with pytest.raises(ConfigurationError, match="split_seed"):
+        experiment_spec_from_dict(_spec_dict(split_seed=-3))
+    with pytest.raises(ConfigurationError, match="rng_seed"):
+        experiment_spec_from_dict(_spec_dict(model_configs=[{"type": "mlp", "rng_seed": -2}]))
+    assert experiment_spec_from_dict(_spec_dict(dataset_seed=-4)).dataset_seed == -4
 
 
 def test_experiment_spec_dict_round_trip():
@@ -489,7 +497,9 @@ def test_run_single_output(small_dataset, small_split_rows):
 def test_run_single_records_a_patience_stop(small_dataset, small_split_rows):
     train_rows, test_rows = small_split_rows
     spec = experiment_spec_from_dict(_spec_dict())
-    config = MlpConfig(hidden_layers=(4,), max_epochs=50, patience=1, min_delta=float("inf"))
+    # no epoch beats the first by the largest finite delta (an infinite
+    # one is refused)
+    config = MlpConfig(hidden_layers=(4,), max_epochs=50, patience=1, min_delta=sys.float_info.max)
     ms = ModelSpec(MODEL_MLP, mlp_config=config)
     run = run_single(small_dataset, train_rows, test_rows, FeatureConfig(), ms, spec, "p")
     assert run.fit_stats == {"epochs_run": 2, "stop_reason": "patience"}
@@ -553,9 +563,9 @@ def test_experiment_manifest_records_fit_stats(net_run):
     # patience (20) outlasts max_epochs (15)
     assert (net["epochs_run"], net["stop_reason"]) == (15, "max_epochs")
     tree = runs["net_s3n0_id_tree_d8_l2"]
-    root = load_model_bundle(out / tree["model"]).tree_model.root
-    assert tree["tree_depth"] == dtree.tree_depth(root) > 0
-    assert tree["leaf_count"] == dtree.leaf_count(root) > 1
+    model = load_model_bundle(out / tree["model"]).tree_model
+    assert tree["tree_depth"] == model.depth > 0
+    assert tree["leaf_count"] == model.leaf_count > 1
     assert "tree_depth" not in net and "epochs_run" not in tree
     # the hashed reports carry none of it (epochs_run was always there)
     for rel in net_run.manifest["artifact_sha256"]:
