@@ -303,7 +303,8 @@ def tree_to_dict(model: TreeModel) -> dict:
 
 def tree_from_dict(d: dict) -> TreeModel:
     """Flatten the nested node objects breadth first, which is the node
-    arrays' order; every field typed and finite."""
+    arrays' order; every field typed and finite, every sample count at
+    least 1 and each split's the sum of its children's."""
     if d.get("version") != _TREE_VERSION:
         raise ConfigurationError(f"unsupported tree blob version {d.get('version')}")
     config = from_dict(TreeConfig, d.get("config", {}), "tree config")
@@ -320,6 +321,8 @@ def tree_from_dict(d: dict) -> TreeModel:
                 f"{where} must be a leaf {sorted(_LEAF_KEYS)} or a split {sorted(_SPLIT_KEYS)} object"
             )
         n = decode(int, node["n"], f"{where}.n")
+        if n < 1:
+            raise ConfigurationError(f"{where}.n must be at least 1, got {n}")
         if keys == _LEAF_KEYS:
             pair = node["value"]
             if not isinstance(pair, list) or len(pair) != 2:
@@ -332,7 +335,16 @@ def tree_from_dict(d: dict) -> TreeModel:
         nodes.append((n, feature, decode(float, node["threshold"], f"{where}.threshold"), (0.0, 0.0)))
         queue += ((node["left"], f"{where}.left"), (node["right"], f"{where}.right"))
     n_samples, feature, threshold, value = zip(*nodes)
-    return TreeModel(
+    model = TreeModel(
         np.array(feature, dtype=np.intp), np.array(threshold), np.array(value), np.array(n_samples, dtype=np.intp),
         n_features=n_features, config=config,
     )
+    # a node's position in `queue` is its position in the node arrays
+    splits = np.flatnonzero(model.feature >= 0)
+    n, left = model.n_samples, model.left[splits]
+    wrong = splits[n[splits] != n[left] + n[left + 1]]
+    if wrong.size:
+        i = int(wrong[0])
+        j = int(model.left[i])
+        raise ConfigurationError(f"{queue[i][1]}.n is {n[i]}, not the sum of its children's {n[j]} + {n[j + 1]}")
+    return model

@@ -37,8 +37,10 @@ from .features import (
     fit_normalizer,
 )
 from .fingerprint import (
+    Block,
     Dataset,
     FingerprintRecord,
+    _block_lines,
     _decode_line,
     _ranked,
     build_dataset,
@@ -649,10 +651,21 @@ def _predict_records(
     return bundle.predict(values)
 
 
+def _servable(block: Block) -> bool:
+    """Whether parse_measurement_line would keep every row of a block as
+    it is: in ranking order, serving its strongest cell."""
+    return bool((block.serving == block.cells[:, 0]).all() and _ranked(block.cells, block.beams, block.rsrp).all())
+
+
 def _reports(fh, path):
-    """(line number, record) for each measurement report in an open file."""
-    for lineno, raw in enumerate(fh, start=1):
-        if raw.strip():
+    """(line number, record) for each measurement report in an open file.
+    Lines in save_dataset's form come from the block reader, the others
+    from parse_measurement_line; both give the same records."""
+    for lineno, raw, columns in _block_lines(fh, 1, _servable):
+        if columns is not None:
+            x, y, serving, los, cells, beams, rsrp = columns
+            yield lineno, FingerprintRecord(x, y, serving, los, cells, beams, rsrp)
+        elif raw.strip():
             record = parse_measurement_line(raw, lineno, path=path)
             if record is not None:
                 yield lineno, record
@@ -661,11 +674,12 @@ def _reports(fh, path):
 def infer_file(bundle: ModelBundle, in_path, out_path=None) -> List[dict]:
     """Predict for every record in a line-delimited measurement file.
 
-    Reports are parsed _INFER_REPORTS at a time, then predicted by
-    _predict_records, so memory holds one chunk of reports besides the
-    predictions. A bad line anywhere fails the file before any output
-    is written. Within a chunk, a line that does not parse is reported
-    before one that cannot fill the feature config.
+    Reports are parsed _INFER_REPORTS at a time (lines in save_dataset's
+    form by the block reader), then predicted by _predict_records, so
+    memory holds one chunk of reports besides the predictions. A bad
+    line anywhere fails the file before any output is written. Within a
+    chunk, a line that does not parse is reported before one that
+    cannot fill the feature config.
     """
     pred: List[List[float]] = []
     try:

@@ -1,0 +1,291 @@
+"""Differential tests of the dataset block reader (`fingerprint.read_block`)
+against the per-line path (`_decode_line`, the field checks and
+`parse_measurements`): whichever path a line takes, a file loads to the
+same bits, and a measurement file infers to the same records, or both
+fail with the same error, line and field."""
+
+import json
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from beamprint import fingerprint, pipeline
+from beamprint.dtree import TreeConfig
+from beamprint.errors import DataError
+from beamprint.features import FeatureConfig, extract_features
+from beamprint.fingerprint import _parse_record_line, load_dataset, los_filter, read_block, save_dataset
+from beamprint.pipeline import MODEL_TREE, ModelSpec, infer_file, train_model
+
+from test_fingerprint import GOLDEN_SAVE_SHA256, _hand_built, shadowed_small_dataset  # noqa: F401 (a fixture)
+
+DIFFERENTIAL = settings(derandomize=True, deadline=None, max_examples=60)
+
+# values whose text or reading is unusual: signed zero, subnormal, the
+# largest float, integral values printed with an exponent or ".0"
+AWKWARD_FLOATS = (
+    -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    1e16, -1e16, 1e22, -80.0, -97.0, 123.456, -97.12345678901234, 2.5e-7,
+)
+FLOATS = st.sampled_from(AWKWARD_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+# tokens json and float() disagree on, or json refuses
+BAD_TOKENS = (
+    "-0", "01", "1.", ".5", "+1", "1e400", "NaN", "Infinity", "true", " 1", "2147483648", "1_0",
+    "-2147483649", "-01", "1e", "0.0", "-0.0", "1E+5", "7",
+)
+TOKEN = re.compile(r"-?[0-9][0-9.eE+-]*|true|false")
+
+
+@st.composite
+def datasets(draw):
+    """Valid ranked datasets whose rows hold long runs of tied rsrp values
+    drawn from a small pool, with ids anywhere in int32."""
+    cells = draw(st.lists(st.integers(-(2**31), 2**31 - 1), min_size=1, max_size=3, unique=True))
+    pool = draw(st.lists(FLOATS, min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _hand_built(rng, cells, draw(st.integers(1, 4)), draw(st.integers(1, 5)), pool)
+
+
+def _bits(value):
+    """A column or scalar as comparable bits, with its type."""
+    array = np.asarray(value)
+    return type(value).__name__, array.dtype.str, array.shape, array.tobytes()
+
+
+def _error(e: DataError):
+    return type(e), str(e), getattr(e, "line", None), getattr(e, "field", None)
+
+
+def _load(path):
+    try:
+        ds = load_dataset(path)
+    except DataError as e:
+        return _error(e)
+    header = (ds.cells, ds.n_beams, ds.scenario_hash, ds.seed)
+    return header, [_bits(getattr(ds, c)) for c in fingerprint._RECORD_COLUMNS]
+
+
+def _reports(path):
+    try:
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+            return [
+                (lineno, r.x, r.y, r.serving_cell_id, r.los_to_serving, *map(_bits, (r.cells, r.beams, r.rsrp)))
+                for lineno, r in pipeline._reports(fh, path)
+            ]
+    except DataError as e:
+        return _error(e)
+
+
+def _per_line_only(read, path):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fingerprint, "read_block", lambda lines: None)
+        return read(path)
+
+
+def assert_both_paths_agree(path):
+    """load_dataset and infer's report parser give the same bits, or the
+    same error, with and without the block reader."""
+    assert _load(path) == _per_line_only(_load, path)
+    # x and y NaN when a report has none: NaN != NaN, so compare reprs
+    assert repr(_reports(path)) == repr(_per_line_only(_reports, path))
+
+
+def assert_rows_match_per_line(lines):
+    """Every line read_block parses parses to the same bits by the
+    per-line path."""
+    block = read_block(lines)
+    if block is None:
+        return
+    for j, i in enumerate(block.rows):
+        want = _parse_record_line(lines[i], None, i + 1)
+        got = (
+            block.xs.tolist()[j], block.ys.tolist()[j], block.serving.tolist()[j], block.los.tolist()[j],
+            block.cells[j], block.beams[j], block.rsrp[j],
+        )
+        assert list(map(_bits, got)) == list(map(_bits, want))
+
+
+def _write(path, lines, end="\n"):
+    path.write_bytes((end.join(lines) + end).encode("ascii", errors="surrogateescape"))
+    return path
+
+
+def assert_edited_line_reads_the_same(path, lines, i, text):
+    """Line i of a file replaced by `text`, then both checks above."""
+    edited = lines[:i] + [text] + lines[i + 1 :]
+    assert_rows_match_per_line([line + "\n" for line in edited[1:]])
+    assert_both_paths_agree(_write(path, edited))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SAVE_SHA256))
+def test_golden_datasets_read_the_same_by_both_paths(tmp_path, request, case):
+    fixture, rows, _ = GOLDEN_SAVE_SHA256[case]
+    ds = request.getfixturevalue(fixture)
+    if rows is not None:
+        ds = ds.subset(np.array(rows, dtype=np.int64) % len(ds))
+    path = tmp_path / "ds.jsonl"
+    save_dataset(ds, path)
+    assert_both_paths_agree(path)
+
+
+@DIFFERENTIAL
+@given(ds=datasets())
+def test_saved_datasets_take_the_block_path_and_read_the_same(tmp_path_factory, ds):
+    path = tmp_path_factory.getbasetemp() / "saved.jsonl"
+    save_dataset(ds, path)
+    lines = path.read_text().splitlines(keepends=True)
+    block = read_block(lines[1:])
+    assert block is not None and block.rows == list(range(len(ds)))
+    assert_rows_match_per_line(lines[1:])
+    assert_both_paths_agree(path)
+    back = load_dataset(path)
+    assert back == ds and back.meas_rsrp.view(np.uint64).tolist() == ds.meas_rsrp.view(np.uint64).tolist()
+
+
+def _small_file(tmp_path):
+    """Three ranked records of 2 cells x 2 beams with tied rsrp values."""
+    ds = _hand_built(np.random.default_rng(3), (4, 9), 2, 3, (-80.0, -81.5, -97.12345678901234))
+    path = tmp_path / "ds.jsonl"
+    save_dataset(ds, path)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("bad", BAD_TOKENS)
+def test_every_token_of_a_line_replaced_reads_the_same_by_both_paths(tmp_path, bad):
+    # each id, rsrp, serving, x and y of the middle record in turn
+    path, lines = _small_file(tmp_path)
+    for token in TOKEN.finditer(lines[2]):
+        assert_edited_line_reads_the_same(path, lines, 2, lines[2][: token.start()] + bad + lines[2][token.end() :])
+
+
+def test_every_bracket_or_comma_of_a_line_removed_reads_the_same_by_both_paths(tmp_path):
+    path, lines = _small_file(tmp_path)
+    for at in [k for k, c in enumerate(lines[2]) if c in "[],"]:
+        assert_edited_line_reads_the_same(path, lines, 2, lines[2][:at] + lines[2][at + 1 :])
+
+
+@pytest.mark.parametrize("char", [" ", "7", "x"], ids=["space", "digit", "letter"])
+def test_a_character_inserted_anywhere_in_a_line_reads_the_same_by_both_paths(tmp_path, char):
+    path, lines = _small_file(tmp_path)
+    for at in range(len(lines[2]) + 1):
+        assert_edited_line_reads_the_same(path, lines, 2, lines[2][:at] + char + lines[2][at:])
+
+
+@DIFFERENTIAL
+@given(ds=datasets(), data=st.data())
+def test_a_replaced_token_reads_the_same_by_both_paths(tmp_path_factory, ds, data):
+    path = tmp_path_factory.getbasetemp() / "token.jsonl"
+    save_dataset(ds, path)
+    lines = path.read_text().splitlines()
+    i = data.draw(st.integers(1, len(lines) - 1))
+    token = data.draw(st.sampled_from(list(TOKEN.finditer(lines[i]))))
+    bad = data.draw(st.sampled_from(BAD_TOKENS))
+    assert_edited_line_reads_the_same(path, lines, i, lines[i][: token.start()] + bad + lines[i][token.end() :])
+
+
+@DIFFERENTIAL
+@given(ds=datasets(), data=st.data())
+def test_a_removed_bracket_or_comma_reads_the_same_by_both_paths(tmp_path_factory, ds, data):
+    path = tmp_path_factory.getbasetemp() / "separator.jsonl"
+    save_dataset(ds, path)
+    lines = path.read_text().splitlines()
+    i = data.draw(st.integers(1, len(lines) - 1))
+    at = data.draw(st.sampled_from([k for k, c in enumerate(lines[i]) if c in "[],"]))
+    assert_edited_line_reads_the_same(path, lines, i, lines[i][:at] + lines[i][at + 1 :])
+
+
+@DIFFERENTIAL
+@given(ds=datasets(), data=st.data())
+def test_line_ends_blank_lines_and_non_ascii_bytes_read_the_same_by_both_paths(tmp_path_factory, ds, data):
+    path = tmp_path_factory.getbasetemp() / "layout.jsonl"
+    save_dataset(ds, path)
+    lines = path.read_text().splitlines()
+    blanks = data.draw(st.lists(st.integers(1, len(lines)), max_size=3))
+    for at in sorted(blanks, reverse=True):
+        lines.insert(at, data.draw(st.sampled_from(["", "  ", "\t"])))
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(1, len(lines) - 1))
+        at = data.draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + "\udce9" + lines[i][at:]  # the byte 0xe9 as text mode reads it
+    assert_both_paths_agree(_write(path, lines, data.draw(st.sampled_from(["\n", "\r\n", "\r"]))))
+
+
+@DIFFERENTIAL
+@given(
+    ids=st.lists(st.integers(-(2**31), 2**31 - 1) | st.integers(-(10**11), 10**11), min_size=2, max_size=8),
+    rsrp=st.lists(FLOATS | st.integers(-200, 200), min_size=1, max_size=4),
+)
+def test_json_dumps_lines_read_the_same_by_both_paths(ids, rsrp):
+    # json.dumps' compact lines are the block reader's form, with any int
+    # ids and any rsrp, not only ranked rows
+    meas = [[ids[k % len(ids)], ids[(k + 1) % len(ids)], rsrp[k % len(rsrp)]] for k in range(5)]
+    lines = [_compact(k % 2 == 0, meas[k:], ids[0], rsrp[0]) + "\n" for k in range(3)]
+    assert_rows_match_per_line(lines)
+    assert_rows_match_per_line(lines[:1])
+
+
+def _compact(los, meas, serving, x, y=1.5):
+    """A record line as save_dataset writes it."""
+    row = {"los": los, "meas": meas, "serving": serving, "x": x, "y": y}
+    return json.dumps(row, sort_keys=True, separators=(",", ":"))
+
+
+def test_rows_of_different_lengths_take_the_per_line_path():
+    lines = [_compact(True, [[0, 0, -50.5]] * k, 0, 2.5) for k in (1, 2)]
+    assert read_block(lines) is None
+    assert read_block(lines[:1]).rows == [0]
+
+
+def test_canonical_file_decodes_only_its_header(tmp_path, small_dataset, monkeypatch):
+    path = tmp_path / "ds.jsonl"
+    save_dataset(small_dataset, path)
+    assert len(small_dataset) > 2 * fingerprint.BLOCK_LINES
+    decoded = []
+    decode = fingerprint._decode_line
+    monkeypatch.setattr(fingerprint, "_decode_line", lambda raw, p, line: decoded.append(line) or decode(raw, p, line))
+    assert load_dataset(path) == small_dataset
+    assert decoded == [1]
+
+
+def test_infer_on_a_saved_dataset_parses_only_the_header_line_alone(tmp_path, small_dataset, monkeypatch):
+    fc = FeatureConfig()
+    bundle = train_model(
+        extract_features(los_filter(small_dataset), fc), ModelSpec(MODEL_TREE, tree_config=TreeConfig(max_depth=6)), fc
+    )
+    path = tmp_path / "ds.jsonl"
+    save_dataset(small_dataset, path)
+    per_line = _per_line_only(lambda p: infer_file(bundle, p), path)
+    parsed = []
+    parse = pipeline.parse_measurement_line
+
+    def counted(raw, lineno, path=None):
+        parsed.append(lineno)
+        return parse(raw, lineno, path)
+
+    monkeypatch.setattr(pipeline, "parse_measurement_line", counted)
+    assert infer_file(bundle, path) == per_line
+    assert len(per_line) == len(small_dataset)
+    assert parsed == [1]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # serving is not the strongest cell
+        lambda row: row.update(serving=next(c for c, _, _ in row["meas"] if c != row["meas"][0][0])),
+        lambda row: row["meas"].reverse(),  # out of ranking order: infer sorts it
+    ],
+    ids=["serving-not-strongest", "unranked"],
+)
+def test_infer_sends_a_block_it_would_change_to_the_per_line_path(tmp_path, small_dataset, edit):
+    ds = small_dataset.subset(np.arange(20))
+    path = tmp_path / "ds.jsonl"
+    save_dataset(ds, path)
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[5])
+    edit(row)
+    lines[5] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    assert read_block(lines[1:]) is not None  # the loader's reader takes it
+    assert_both_paths_agree(_write(path, lines))

@@ -364,6 +364,10 @@ _BAD_TREE_BLOBS = {
     "bool feature": _tree_edit(feature=True),
     "float feature": _tree_edit(feature=0.0),
     "string sample count": _tree_edit(n="5"),
+    # these loaded until sample counts were checked: prediction never reads them
+    "negative sample count": _tree_edit(n=-5),
+    "empty leaf": _leaf_edit(n=0),
+    "split count not its children's sum": lambda blob: blob["root"].update(n=blob["root"]["n"] + 1),
     "string leaf value": _leaf_edit(value=["1", "2"]),
     "nan leaf value": _leaf_edit(value=[float("nan"), 1.0]),
     "scalar leaf value": _leaf_edit(value=1.0),
@@ -385,6 +389,19 @@ def test_tree_dict_rejects_mistyped_fields(case):
     assert model.feature[0] >= 0 and model.feature[model.left[0]] < 0
     _BAD_TREE_BLOBS[case](blob)
     with pytest.raises(ConfigurationError, match="tree"):
+        tree_from_dict(blob)
+
+
+def test_tree_dict_names_the_node_whose_sample_count_is_wrong():
+    model = fit(np.arange(4.0).reshape(4, 1), np.arange(8.0).reshape(4, 2), TreeConfig(min_samples_leaf=1))
+    assert len(model.feature) == 7 and model.feature[model.left[0]] >= 0
+    blob = tree_to_dict(model)
+    blob["root"]["left"]["left"]["n"] += 1  # the root's count still adds up
+    with pytest.raises(ConfigurationError, match=r"tree root\.left\.n is 2, not the sum of its children's 2 \+ 1"):
+        tree_from_dict(blob)
+    blob = tree_to_dict(model)
+    blob["root"]["n"], blob["root"]["left"]["n"] = -5, 0
+    with pytest.raises(ConfigurationError, match=r"tree root\.n must be at least 1, got -5"):
         tree_from_dict(blob)
 
 
