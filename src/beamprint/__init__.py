@@ -38,7 +38,6 @@ from .radio import (
 )
 from .fingerprint import (
     Dataset,
-    FingerprintRecord,
     build_dataset,
     cell_rows,
     load_dataset,

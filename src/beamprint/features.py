@@ -12,8 +12,8 @@ which is descending RSRP with ties broken by ascending cell id, then
 ascending beam id. The serving beams are the first K entries of the
 serving cell; the neighbors are the first N cells other than the
 serving cell, each at its first (strongest) entry. Whole datasets,
-single records and `infer` files all go through one kernel over the
-sorted measurement columns.
+single reports and `infer` files all go through one kernel, `extract`,
+over the sorted measurement columns.
 
 Identifiers ride along as raw numerics and get z-scored with everything
 else. A one-hot encoding can be switched on for experiments; it is an
@@ -30,7 +30,7 @@ import numpy as np
 
 from .configfile import from_dict
 from .errors import ConfigurationError, DataError, FeatureExtractionError
-from .fingerprint import Dataset, FingerprintRecord
+from .fingerprint import Dataset
 
 TOPOLOGY_NETWORK = "network-level"
 TOPOLOGY_CELL = "cell-specific"
@@ -128,7 +128,7 @@ def _expand_one_hot(values: np.ndarray, config: FeatureConfig) -> np.ndarray:
     return out
 
 
-def _select(
+def extract(
     serving: np.ndarray,
     cells: np.ndarray,
     beams: np.ndarray,
@@ -185,32 +185,20 @@ def _select(
     return values, kept, n_serving, n_neighbors
 
 
-def extract(record: FingerprintRecord, config: FeatureConfig) -> np.ndarray:
-    """One record's feature vector; raises FeatureExtractionError when
-    the record cannot satisfy the configured beam counts."""
-    validate_feature_config(config)
-    values, kept, n_serving, n_neighbors = _select(
-        np.array([record.serving_cell_id]),
-        record.cells[None],
-        record.beams[None],
-        record.rsrp[None],
-        config,
-    )
+def shortfall(config: FeatureConfig, n_serving: int, n_neighbors: int) -> FeatureExtractionError:
+    """Why a report cannot fill the config, from the serving beams and
+    neighbor cells extract found in it (a missing serving beam before a
+    missing neighbor)."""
     k = config.n_serving_beams
-    if n_serving[0] < k:
-        raise FeatureExtractionError(
-            SKIP_SERVING, f"record has {n_serving[0]} serving-cell measurements, need {k}"
-        )
-    if not len(kept):
-        raise FeatureExtractionError(
-            SKIP_NEIGHBORS,
-            f"record has {n_neighbors[0]} distinct neighbor cells, need {config.n_neighbor_beams}",
-        )
-    return values[0]
+    if n_serving < k:
+        return FeatureExtractionError(SKIP_SERVING, f"record has {n_serving} serving-cell measurements, need {k}")
+    return FeatureExtractionError(
+        SKIP_NEIGHBORS, f"record has {n_neighbors} distinct neighbor cells, need {config.n_neighbor_beams}"
+    )
 
 
 def extract_features(dataset: Dataset, config: FeatureConfig, rows: Optional[np.ndarray] = None) -> FeatureSet:
-    """extract() over the records `rows` of a dataset (default: every
+    """extract over the records `rows` of a dataset (default: every
     record), in the order given; the result equals extract_features on
     dataset.subset(rows), with `indices` into `rows`.
 
@@ -229,7 +217,7 @@ def extract_features(dataset: Dataset, config: FeatureConfig, rows: Optional[np.
         block = slice(start, start + _EXTRACT_ROWS)
         if rows is not None:
             block = rows[block]
-        v, kept, n_serving, n_neighbors = _select(
+        v, kept, n_serving, n_neighbors = extract(
             dataset.serving[block],
             dataset.meas_cells[block],
             dataset.meas_beams[block],

@@ -37,23 +37,6 @@ _CHECK_ROWS = 16  # rows per vectorised record check
 _BUILD_ROWS = 1024
 
 
-@dataclass(frozen=True, eq=False)
-class FingerprintRecord:
-    """Measurement snapshot at one location: one row of a Dataset.
-
-    cells, beams and rsrp are the measurement columns (cell id, beam id,
-    RSRP in dBm) in ranking order.
-    """
-
-    x: float
-    y: float
-    serving_cell_id: int
-    los_to_serving: bool
-    cells: np.ndarray
-    beams: np.ndarray
-    rsrp: np.ndarray
-
-
 @dataclass(eq=False)
 class Dataset:
     """Column-oriented container of fingerprint records."""
@@ -88,17 +71,6 @@ class Dataset:
     @property
     def n_measurements(self) -> int:
         return self.meas_rsrp.shape[1] if len(self) else len(self.cells) * self.n_beams
-
-    def record(self, i: int) -> FingerprintRecord:
-        return FingerprintRecord(
-            x=float(self.xs[i]),
-            y=float(self.ys[i]),
-            serving_cell_id=int(self.serving[i]),
-            los_to_serving=bool(self.los[i]),
-            cells=self.meas_cells[i],
-            beams=self.meas_beams[i],
-            rsrp=self.meas_rsrp[i],
-        )
 
     def subset(self, index: np.ndarray) -> "Dataset":
         return replace(self, **{column: getattr(self, column)[index] for column in _RECORD_COLUMNS})
@@ -725,9 +697,11 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
         ys: List[float] = []
         serving: List[int] = []
         los: List[bool] = []
-        meas_cells = np.empty((0, 0), dtype=np.int32)
-        meas_beams = np.empty((0, 0), dtype=np.int32)
-        meas_rsrp = np.empty((0, 0))
+        # a file without records keeps the header's measurement count
+        width = len(cells) * n_beams
+        meas_cells = np.empty((0, width), dtype=np.int32)
+        meas_beams = np.empty((0, width), dtype=np.int32)
+        meas_rsrp = np.empty((0, width))
         linenos: List[int] = []
 
         for lineno, raw, record in _block_lines(fh, 2):

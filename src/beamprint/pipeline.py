@@ -22,24 +22,23 @@ import numpy as np
 
 from . import dtree, mlp
 from .configfile import decode, from_dict, load_object, to_dict
-from .errors import ConfigurationError, DataError, DatasetParseError, FeatureExtractionError
+from .errors import ConfigurationError, DataError, DatasetParseError
 from .evaluate import Comparison, EvalReport, compare, euclidean_errors, summarize, write_cdf_csv, write_report
 from .features import (
     TOPOLOGY_CELL,
     TOPOLOGY_NETWORK,
     FeatureConfig,
     FeatureSet,
-    _select,
     extract,
     extract_features,
     feature_config_from_dict,
     feature_length,
     fit_normalizer,
+    shortfall,
 )
 from .fingerprint import (
     Block,
     Dataset,
-    FingerprintRecord,
     _block_lines,
     _decode_line,
     _ranked,
@@ -582,8 +581,9 @@ def replay(manifest_path, output_dir) -> RunResult:
 _INFER_REPORTS = 1024
 
 
-def parse_measurement_line(raw: str, lineno: int, path=None) -> Optional[FingerprintRecord]:
-    """One JSON measurement report -> record; None for header lines.
+def parse_measurement_line(raw: str, lineno: int, path=None) -> Optional[tuple]:
+    """One JSON measurement report -> the columns the block reader gives,
+    (x, y, serving, los, cells, beams, rsrp); None for header lines.
 
     The measurements are put in ranking order locally, so callers may
     pass unsorted reports. A 'serving' field, when present, must agree
@@ -613,41 +613,43 @@ def parse_measurement_line(raw: str, lineno: int, path=None) -> Optional[Fingerp
     los = d.get("los", True)
     if not isinstance(los, bool):
         raise DatasetParseError("los must be a bool", path=path, line=lineno, field="los")
-    return FingerprintRecord(
-        x=x, y=y, serving_cell_id=serving, los_to_serving=los, cells=cells, beams=beams, rsrp=rsrp
-    )
+    return x, y, serving, los, cells, beams, rsrp
 
 
-def infer_record(bundle: ModelBundle, record: FingerprintRecord) -> Tuple[float, float]:
-    """Position estimate in metres for one measurement record."""
-    pred = bundle.predict(extract(record, bundle.feature_config))
+def infer_record(
+    bundle: ModelBundle, serving: int, cells: np.ndarray, beams: np.ndarray, rsrp: np.ndarray
+) -> Tuple[float, float]:
+    """Position estimate in metres for one measurement report, given as
+    1-d columns in ranking order. Raises FeatureExtractionError when the
+    report cannot fill the bundle's feature config."""
+    config = bundle.feature_config
+    values, kept, n_serving, n_neighbors = extract(np.array([serving]), cells[None], beams[None], rsrp[None], config)
+    if not len(kept):
+        raise shortfall(config, n_serving[0], n_neighbors[0])
+    pred = bundle.predict(values[0])
     return float(pred[0]), float(pred[1])
 
 
-def _predict_records(
-    bundle: ModelBundle, records: Sequence[FingerprintRecord], linenos: Sequence[int], in_path
-) -> np.ndarray:
-    """Positions for parsed reports: stacked (NaN-padded to the longest),
-    extracted in one kernel call and predicted in one batch. A report
-    that cannot fill the feature config is a DatasetParseError naming
-    its line."""
-    n, m = len(records), max(len(r.rsrp) for r in records)
-    # int32, as parsed records and dataset columns hold ids
+def _predict_reports(bundle: ModelBundle, reports: Sequence[tuple], linenos: Sequence[int], in_path) -> np.ndarray:
+    """Positions for parsed reports: their columns stacked (NaN-padded to
+    the longest), extracted in one kernel call and predicted in one
+    batch. A report that cannot fill the feature config is a
+    DatasetParseError naming its line."""
+    n, m = len(reports), max(len(r[6]) for r in reports)
+    # int32, as parsed reports and dataset columns hold ids
     cells = np.zeros((n, m), dtype=np.int32)
     beams = np.zeros((n, m), dtype=np.int32)
     rsrp = np.full((n, m), np.nan)
-    for i, r in enumerate(records):
-        cells[i, : len(r.rsrp)] = r.cells
-        beams[i, : len(r.rsrp)] = r.beams
-        rsrp[i, : len(r.rsrp)] = r.rsrp
-    serving = np.array([r.serving_cell_id for r in records], dtype=np.int32)
-    values, kept, _, _ = _select(serving, cells, beams, rsrp, bundle.feature_config)
+    for i, (_, _, _, _, c, b, r) in enumerate(reports):
+        cells[i, : len(r)] = c
+        beams[i, : len(r)] = b
+        rsrp[i, : len(r)] = r
+    serving = np.array([r[2] for r in reports], dtype=np.int32)
+    config = bundle.feature_config
+    values, kept, n_serving, n_neighbors = extract(serving, cells, beams, rsrp, config)
     if len(kept) < n:
         i = int(np.setdiff1d(np.arange(n), kept)[0])
-        try:
-            extract(records[i], bundle.feature_config)
-        except FeatureExtractionError as e:
-            raise DatasetParseError(str(e), path=in_path, line=linenos[i]) from e
+        raise DatasetParseError(str(shortfall(config, n_serving[i], n_neighbors[i])), path=in_path, line=linenos[i])
     return bundle.predict(values)
 
 
@@ -658,24 +660,21 @@ def _servable(block: Block) -> bool:
 
 
 def _reports(fh, path):
-    """(line number, record) for each measurement report in an open file.
-    Lines in save_dataset's form come from the block reader, the others
-    from parse_measurement_line; both give the same records."""
+    """(line number, columns) for each measurement report in an open
+    file. Lines in save_dataset's form come from the block reader, the
+    others from parse_measurement_line; both give the same columns."""
     for lineno, raw, columns in _block_lines(fh, 1, _servable):
+        if columns is None and raw.strip():
+            columns = parse_measurement_line(raw, lineno, path=path)
         if columns is not None:
-            x, y, serving, los, cells, beams, rsrp = columns
-            yield lineno, FingerprintRecord(x, y, serving, los, cells, beams, rsrp)
-        elif raw.strip():
-            record = parse_measurement_line(raw, lineno, path=path)
-            if record is not None:
-                yield lineno, record
+            yield lineno, columns
 
 
 def infer_file(bundle: ModelBundle, in_path, out_path=None) -> List[dict]:
     """Predict for every record in a line-delimited measurement file.
 
     Reports are parsed _INFER_REPORTS at a time (lines in save_dataset's
-    form by the block reader), then predicted by _predict_records, so
+    form by the block reader), then predicted by _predict_reports, so
     memory holds one chunk of reports besides the predictions. A bad
     line anywhere fails the file before any output is written. Within a
     chunk, a line that does not parse is reported before one that
@@ -689,8 +688,8 @@ def infer_file(bundle: ModelBundle, in_path, out_path=None) -> List[dict]:
     with fh:
         reports = _reports(fh, in_path)
         while chunk := list(islice(reports, _INFER_REPORTS)):
-            linenos, records = zip(*chunk)
-            pred.extend(_predict_records(bundle, records, linenos, in_path).tolist())
+            linenos, parsed = zip(*chunk)
+            pred.extend(_predict_reports(bundle, parsed, linenos, in_path).tolist())
     results = [{"x_pred": x, "y_pred": y} for x, y in pred]
     if out_path is not None:
         with open(out_path, "w", encoding="ascii") as fh:

@@ -93,21 +93,34 @@ def rng():
 
 def triples(record):
     """A record's measurements as (cell, beam, rsrp) tuples, in row order."""
-    return tuple(zip(record.cells.tolist(), record.beams.tolist(), record.rsrp.tolist()))
+    _, _, _, _, cells, beams, rsrp = record
+    return tuple(zip(cells.tolist(), beams.tolist(), rsrp.tolist()))
+
+
+def row_of(dataset, i):
+    """Record i of a dataset as the columns record_of gives."""
+    return (
+        dataset.xs[i].item(),
+        dataset.ys[i].item(),
+        dataset.serving[i].item(),
+        dataset.los[i].item(),
+        dataset.meas_cells[i],
+        dataset.meas_beams[i],
+        dataset.meas_rsrp[i],
+    )
 
 
 def record_of(triple_seq, serving=None, x=float("nan"), y=float("nan"), los=True):
-    """A FingerprintRecord holding (cell, beam, rsrp) triples as columns;
-    serving defaults to the first triple's cell."""
-    from beamprint.fingerprint import FingerprintRecord
-
+    """A report as the columns the readers give, (x, y, serving, los,
+    cells, beams, rsrp), from (cell, beam, rsrp) triples; serving
+    defaults to the first triple's cell."""
     cells, beams, rsrp = zip(*triple_seq)
-    return FingerprintRecord(
-        x=x,
-        y=y,
-        serving_cell_id=cells[0] if serving is None else serving,
-        los_to_serving=los,
-        cells=np.array(cells, dtype=np.int64),
-        beams=np.array(beams, dtype=np.int64),
-        rsrp=np.array(rsrp, dtype=np.float64),
+    return (
+        x,
+        y,
+        cells[0] if serving is None else serving,
+        los,
+        np.array(cells, dtype=np.int32),
+        np.array(beams, dtype=np.int32),
+        np.array(rsrp, dtype=np.float64),
     )

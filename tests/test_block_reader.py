@@ -71,7 +71,7 @@ def _reports(path):
     try:
         with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
             return [
-                (lineno, r.x, r.y, r.serving_cell_id, r.los_to_serving, *map(_bits, (r.cells, r.beams, r.rsrp)))
+                (lineno, *r[:4], *map(_bits, r[4:]))
                 for lineno, r in pipeline._reports(fh, path)
             ]
     except DataError as e:

@@ -20,13 +20,14 @@ from beamprint.features import (
     feature_length,
     fit_normalizer,
     invert_labels,
+    shortfall,
     validate_feature_config,
 )
 from beamprint.configfile import to_dict
 from beamprint.mlp import normalizer_from_dict, normalizer_to_dict
 from beamprint.fingerprint import Dataset
 
-from conftest import record_of, triples
+from conftest import record_of, row_of, triples
 from test_mlp import radio_kernels_as_pinned
 
 
@@ -45,21 +46,22 @@ def make_record(serving=5, x=1.0, y=2.0, los=True, measurements=None):
 
 
 def dataset_of(records):
-    """A Dataset whose rows are the given records, NaN-padded to the
-    longest."""
-    n, m = len(records), max(len(r.rsrp) for r in records)
+    """A Dataset whose rows are the given records (record_of columns),
+    NaN-padded to the longest."""
+    n, m = len(records), max(len(r[6]) for r in records)
     cells = np.zeros((n, m), dtype=np.int32)
     beams = np.zeros((n, m), dtype=np.int32)
     rsrp = np.full((n, m), np.nan)
-    for i, r in enumerate(records):
-        cells[i, : len(r.rsrp)] = r.cells
-        beams[i, : len(r.rsrp)] = r.beams
-        rsrp[i, : len(r.rsrp)] = r.rsrp
+    for i, (_, _, _, _, c, b, r) in enumerate(records):
+        cells[i, : len(r)] = c
+        beams[i, : len(r)] = b
+        rsrp[i, : len(r)] = r
+    xs, ys, serving, los = zip(*(r[:4] for r in records))
     return Dataset(
-        xs=np.array([r.x for r in records]),
-        ys=np.array([r.y for r in records]),
-        serving=np.array([r.serving_cell_id for r in records], dtype=np.int32),
-        los=np.array([r.los_to_serving for r in records]),
+        xs=np.array(xs),
+        ys=np.array(ys),
+        serving=np.array(serving, dtype=np.int32),
+        los=np.array(los),
         meas_cells=cells,
         meas_beams=beams,
         meas_rsrp=rsrp,
@@ -139,7 +141,17 @@ def oracle_extract(serving, measurements, config):
 
 
 def oracle_record(record, config):
-    return oracle_extract(record.serving_cell_id, triples(record), config)
+    return oracle_extract(record[2], triples(record), config)
+
+
+def extract_one(record, config):
+    """One record's feature vector by the kernel; when it cannot fill
+    the config, the shortfall error infer_record raises for it."""
+    _, _, serving, _, cells, beams, rsrp = record
+    values, kept, n_serving, n_neighbors = extract(np.array([serving]), cells[None], beams[None], rsrp[None], config)
+    if not len(kept):
+        raise shortfall(config, n_serving[0], n_neighbors[0])
+    return values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +190,7 @@ def test_feature_length_one_hot():
 
 def test_extract_layout():
     cfg = FeatureConfig(n_serving_beams=2, n_neighbor_beams=2)
-    values = extract(make_record(), cfg)
+    values = extract_one(make_record(), cfg)
     expect = [2.0, -50.0, 7.0, -55.0, 5.0, 3.0, 4.0, -52.0, 9.0, 0.0, -58.0]
     assert values.tolist() == expect
     fs = extract_features(dataset_of([make_record()]), cfg)
@@ -193,14 +205,14 @@ def test_extract_without_cell_id():
         include_serving_cell_id=False,
         topology=TOPOLOGY_CELL,
     )
-    values = extract(make_record(), cfg)
+    values = extract_one(make_record(), cfg)
     assert values.tolist() == [2.0, -50.0, 7.0, -55.0, 3.0, 4.0, -52.0]
 
 
 def test_extract_neighbor_order_is_strongest_first():
     # neighbors ranked by their best beam, strongest first
     cfg = FeatureConfig(n_serving_beams=1, n_neighbor_beams=2)
-    values = extract(make_record(), cfg)
+    values = extract_one(make_record(), cfg)
     # cell 3 best -52 comes before cell 9 best -58
     assert values.tolist()[3:] == [3.0, 4.0, -52.0, 9.0, 0.0, -58.0]
 
@@ -214,19 +226,19 @@ def test_extract_one_neighbor_entry_per_cell():
         (3, 6, -53.0),
         (9, 0, -58.0),
     )
-    values = extract(make_record(measurements=measurements), cfg)
+    values = extract_one(make_record(measurements=measurements), cfg)
     assert values.tolist()[3:] == [3.0, 4.0, -52.0, 9.0, 0.0, -58.0]
 
 
 def test_extract_skip_reasons():
     cfg = FeatureConfig(n_serving_beams=4, n_neighbor_beams=0)
     with pytest.raises(FeatureExtractionError) as e:
-        extract(make_record(), cfg)
+        extract_one(make_record(), cfg)
     assert e.value.reason == SKIP_SERVING
 
     cfg = FeatureConfig(n_serving_beams=1, n_neighbor_beams=3)
     with pytest.raises(FeatureExtractionError) as e:
-        extract(make_record(), cfg)
+        extract_one(make_record(), cfg)
     assert e.value.reason == SKIP_NEIGHBORS
 
 
@@ -238,7 +250,7 @@ def test_extract_one_hot():
         cell_id_vocab=10,
         beam_id_vocab=8,
     )
-    values = extract(make_record(), cfg)
+    values = extract_one(make_record(), cfg)
     assert values.shape == (feature_length(cfg),)
     # serving beam 2 one-hot, then rsrp
     assert values[2] == 1.0
@@ -258,7 +270,7 @@ def test_extract_one_hot_rejects_out_of_vocab():
         beam_id_vocab=8,
     )
     with pytest.raises(ConfigurationError):
-        extract(make_record(), cfg)
+        extract_one(make_record(), cfg)
 
 
 def test_config_validation():
@@ -293,18 +305,18 @@ def test_extract_features_matches_per_record(small_dataset):
         fs = extract_features(small_dataset, cfg)
         kept = 0
         for i in range(len(small_dataset)):
-            record = small_dataset.record(i)
+            record = row_of(small_dataset, i)
             try:
                 want = oracle_record(record, cfg)
             except FeatureExtractionError:
                 with pytest.raises(FeatureExtractionError):
-                    extract(record, cfg)
+                    extract_one(record, cfg)
                 continue
             row = np.searchsorted(fs.indices, i)
             assert fs.indices[row] == i
             assert np.array_equal(fs.values[row], want)
-            assert np.array_equal(extract(record, cfg), want)
-            assert tuple(fs.labels[row]) == (record.x, record.y)
+            assert np.array_equal(extract_one(record, cfg), want)
+            assert tuple(fs.labels[row]) == record[:2]
             kept += 1
         assert kept == len(fs)
         assert len(fs) + sum(fs.skipped.values()) == len(small_dataset)
@@ -477,15 +489,15 @@ def test_kernel_matches_oracle_on_ragged_rows(cfg):
         except FeatureExtractionError as e:
             want_skipped[e.reason] = want_skipped.get(e.reason, 0) + 1
             with pytest.raises(FeatureExtractionError) as got:
-                extract(record, cfg)
+                extract_one(record, cfg)
             assert (got.value.reason, str(got.value)) == (e.reason, str(e))
             continue
-        assert np.array_equal(extract(record, cfg), want)
+        assert np.array_equal(extract_one(record, cfg), want)
         want_rows.append(want)
         want_index.append(i)
     assert fs.indices.tolist() == want_index
     assert np.array_equal(fs.values, np.array(want_rows).reshape(len(want_index), feature_length(cfg)))
-    assert np.array_equal(fs.labels, np.array([[records[i].x, records[i].y] for i in want_index]).reshape(-1, 2))
+    assert np.array_equal(fs.labels, np.array([records[i][:2] for i in want_index]).reshape(-1, 2))
     assert fs.skipped == want_skipped
     assert want_index  # the sample exercises kept rows ...
     if cfg.n_serving_beams > 1:

@@ -31,7 +31,7 @@ from beamprint.scenario import (
     single_site_config,
 )
 
-from conftest import small_scenario_config, triples
+from conftest import row_of, small_scenario_config, triples
 from test_mlp import radio_kernels_as_pinned
 from test_scenario import segment_clear
 
@@ -63,8 +63,9 @@ def test_serving_is_global_argmax(small_scenario, small_dataset):
     # spot-check against direct per-beam evaluation
     rng = np.random.default_rng(3)
     for i in rng.integers(0, len(small_dataset), size=12):
-        rec = small_dataset.record(int(i))
-        cube = rsrp_cube(small_scenario, [(rec.x, rec.y, UE_HEIGHT_M)])[0]
+        rec = row_of(small_dataset, int(i))
+        x, y, serving = rec[:3]
+        cube = rsrp_cube(small_scenario, [(x, y, UE_HEIGHT_M)])[0]
         best = max(
             (
                 (cube[ci, b], -c, -b)
@@ -72,7 +73,7 @@ def test_serving_is_global_argmax(small_scenario, small_dataset):
                 for b in range(small_scenario.n_beams)
             ),
         )
-        assert rec.serving_cell_id == -best[1]
+        assert serving == -best[1]
         top = triples(rec)[0]
         assert top[0] == -best[1] and top[1] == -best[2]
         assert top[2] == pytest.approx(best[0], abs=1e-9)
@@ -82,14 +83,15 @@ def test_shadowed_build_matches_rsrp_dbm(shadowed_small_dataset):
     sc = build_scenario(small_scenario_config(shadowing_sigma_db=4.0))
     rng = np.random.default_rng(3)
     for i in rng.integers(0, len(shadowed_small_dataset), size=12):
-        rec = shadowed_small_dataset.record(int(i))
-        cube = rsrp_cube(sc, [(rec.x, rec.y, UE_HEIGHT_M)], seed=3)[0]
+        rec = row_of(shadowed_small_dataset, int(i))
+        x, y, serving = rec[:3]
+        cube = rsrp_cube(sc, [(x, y, UE_HEIGHT_M)], seed=3)[0]
         for c, b, r in triples(rec)[:: 37]:
             assert r == pytest.approx(cube[sc.cell_ids.index(c), b], abs=1e-9)
         best = max(
             (cube[ci, b], -c, -b) for ci, c in enumerate(sc.cell_ids) for b in range(sc.n_beams)
         )
-        assert rec.serving_cell_id == -best[1]
+        assert serving == -best[1]
         assert triples(rec)[0][:2] == (-best[1], -best[2])
 
 
@@ -109,21 +111,20 @@ def test_serving_tie_breaks_to_lower_cell():
     )
     ds = build_dataset(build_scenario(cfg))
     i = int(np.nonzero((ds.xs == 30.0) & (ds.ys == 20.0))[0][0])
-    rec = ds.record(i)
     by_cell = {}
-    for c, b, r in triples(rec):
+    for c, b, r in triples(row_of(ds, i)):
         by_cell.setdefault(c, r)  # strongest beam per cell comes first
     assert by_cell[0] == pytest.approx(by_cell[1], abs=1e-9)
-    assert rec.serving_cell_id == 0
+    assert ds.serving[i] == 0
 
 
 def test_los_flag_matches_geometry(small_scenario, small_dataset):
     rng = np.random.default_rng(4)
     for i in rng.integers(0, len(small_dataset), size=20):
-        rec = small_dataset.record(int(i))
-        site, _ = small_scenario.cell_map[rec.serving_cell_id]
-        expect = segment_clear(small_scenario, site.position, (rec.x, rec.y, UE_HEIGHT_M))
-        assert rec.los_to_serving == expect
+        x, y, serving, los = row_of(small_dataset, int(i))[:4]
+        site, _ = small_scenario.cell_map[serving]
+        expect = segment_clear(small_scenario, site.position, (x, y, UE_HEIGHT_M))
+        assert los == expect
 
 
 def test_build_deterministic(small_scenario):
@@ -261,12 +262,6 @@ def test_partition_by_cell(small_dataset):
     assert list(parts) == sorted(parts)
 
 
-def test_record_round_trip(small_dataset):
-    rec = small_dataset.record(5)
-    assert rec.x == small_dataset.xs[5]
-    assert len(triples(rec)) == small_dataset.meas_rsrp.shape[1]
-
-
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -276,6 +271,16 @@ def test_save_load_round_trip(tmp_path, small_dataset):
     save_dataset(small_dataset, path)
     back = load_dataset(path)
     assert back == small_dataset
+
+
+def test_save_load_round_trip_without_records(tmp_path, small_dataset):
+    # the header alone sizes the measurement columns: (0, cells x beams)
+    empty = small_dataset.subset([])
+    path = tmp_path / "empty.jsonl"
+    save_dataset(empty, path)
+    back = load_dataset(path)
+    assert back.meas_rsrp.shape == back.meas_cells.shape == back.meas_beams.shape == (0, 128)
+    assert back == empty
 
 
 def test_save_is_deterministic(tmp_path, small_dataset):

@@ -8,15 +8,16 @@ import pytest
 
 from beamprint import dtree, mlp, pipeline
 from beamprint.dtree import TreeConfig
-from beamprint.errors import ConfigurationError, DataError, DatasetParseError
+from beamprint.errors import ConfigurationError, DataError, DatasetParseError, FeatureExtractionError
 from beamprint.evaluate import load_report
 from beamprint.features import (
+    SKIP_NEIGHBORS,
+    SKIP_SERVING,
     TOPOLOGY_CELL,
     TOPOLOGY_NETWORK,
     FeatureConfig,
     FeatureSet,
     NormalizationStats,
-    extract,
     extract_features,
 )
 from beamprint.fingerprint import Dataset, los_filter, los_rows, partition_by_cell, save_dataset
@@ -45,7 +46,7 @@ from beamprint.pipeline import (
 )
 from beamprint.scenario import save_scenario_config, scenario_config_to_dict
 
-from conftest import small_scenario_config, triples
+from conftest import record_of, row_of, small_scenario_config, triples
 from test_features import oracle_record
 from test_mlp import GOLDEN_FLOAT_KERNELS, float_kernels_digest, radio_kernels_as_pinned
 
@@ -865,34 +866,35 @@ def test_sweep_manifest_matches_golden_digest(order_run):
 
 def test_parse_measurement_minimal():
     record = parse_measurement_line('{"meas": [[0, 1, -50.0], [1, 0, -48.0]]}', 1)
-    assert record.serving_cell_id == 1  # strongest wins
+    x, y, serving, los = record[:4]
+    assert serving == 1  # strongest wins
     assert triples(record) == ((1, 0, -48.0), (0, 1, -50.0))
-    assert math.isnan(record.x) and math.isnan(record.y)
-    assert record.los_to_serving is True
+    assert math.isnan(x) and math.isnan(y)
+    assert los is True
 
 
 def test_parse_measurement_full():
     raw = json.dumps(
         {"x": 3.5, "y": 4.0, "serving": 2, "los": False, "meas": [[2, 7, -40], [0, 1, -60]]}
     )
-    record = parse_measurement_line(raw, 1)
-    assert (record.x, record.y) == (3.5, 4.0)
-    assert record.serving_cell_id == 2
-    assert record.los_to_serving is False
+    x, y, serving, los = parse_measurement_line(raw, 1)[:4]
+    assert (x, y) == (3.5, 4.0)
+    assert serving == 2
+    assert los is False
 
 
 def test_parse_measurement_sorts_with_tie_break():
     raw = json.dumps({"meas": [[2, 1, -50.0], [1, 3, -50.0], [1, 2, -50.0]]})
     record = parse_measurement_line(raw, 1)
     assert triples(record) == ((1, 2, -50.0), (1, 3, -50.0), (2, 1, -50.0))
-    assert record.serving_cell_id == 1
+    assert record[2] == 1
 
 
 def test_parse_measurement_reorders_shuffled_lines(small_dataset, rng):
     # dataset records hold many exact rsrp ties, so the (cell, beam)
     # tie-break decides much of the order
     for i in (0, 7, 42):
-        want = triples(small_dataset.record(i))
+        want = triples(row_of(small_dataset, i))
         meas = [list(m) for m in want]
         assert triples(parse_measurement_line(json.dumps({"meas": meas}), 1)) == want
         shuffled = [meas[j] for j in rng.permutation(len(meas))]
@@ -949,9 +951,9 @@ def test_parse_measurement_rejections():
 
 def test_infer_record_matches_predict(tree_bundle, small_splits):
     _, test_ds = small_splits
-    record = test_ds.record(0)
-    x_pred, y_pred = infer_record(tree_bundle, record)
-    expect = tree_bundle.predict(extract(record, tree_bundle.feature_config))
+    record = row_of(test_ds, 0)
+    x_pred, y_pred = infer_record(tree_bundle, record[2], *record[4:])
+    expect = tree_bundle.predict(oracle_record(record, tree_bundle.feature_config))
     assert (x_pred, y_pred) == (float(expect[0]), float(expect[1]))
 
 
@@ -960,10 +962,10 @@ def test_infer_file_round_trip(tree_bundle, small_splits, tmp_path):
     lines = ['{"format": "header-line"}', ""]
     expected = []
     for i in range(3):
-        record = test_ds.record(i)
+        record = row_of(test_ds, i)
         meas = [list(t) for t in triples(record)]
         lines.append(json.dumps({"meas": meas}))
-        expected.append(infer_record(tree_bundle, record))
+        expected.append(infer_record(tree_bundle, record[2], *record[4:]))
     in_path = tmp_path / "meas.jsonl"
     in_path.write_text("\n".join(lines) + "\n", encoding="ascii")
     out_path = tmp_path / "pred.jsonl"
@@ -992,9 +994,9 @@ def test_infer_file_mixed_reports_equal_oracle(tree_bundle, mlp_bundle, small_sp
     # unsorted one: one kernel call over NaN-padded rows must give what
     # the per-record oracle gives line by line
     _, test_ds = small_splits
-    full = [list(t) for t in triples(test_ds.record(0))]
-    short = [list(t) for t in triples(test_ds.record(1))][:40]
-    unsorted = [list(t) for t in triples(test_ds.record(2))][::-1]
+    full = [list(t) for t in triples(row_of(test_ds, 0))]
+    short = [list(t) for t in triples(row_of(test_ds, 1))][:40]
+    unsorted = [list(t) for t in triples(row_of(test_ds, 2))][::-1]
     lines = [
         '{"format": "beamprint-dataset", "version": 1}',
         "",
@@ -1005,7 +1007,7 @@ def test_infer_file_mixed_reports_equal_oracle(tree_bundle, mlp_bundle, small_sp
     in_path = tmp_path / "mixed.jsonl"
     in_path.write_text("\n".join(lines) + "\n", encoding="ascii")
     records = [parse_measurement_line(l, 1) for l in lines[2:]]
-    assert len(records[1].rsrp) == 40
+    assert len(records[1][6]) == 40
     for bundle in (tree_bundle, mlp_bundle):
         want = bundle.predict(np.vstack([oracle_record(r, bundle.feature_config) for r in records]))
         got = np.array([[r["x_pred"], r["y_pred"]] for r in infer_file(bundle, in_path)])
@@ -1057,10 +1059,76 @@ def test_infer_file_bad_line_in_a_later_chunk(tree_bundle, small_splits, tmp_pat
     if fault == "bad-json":
         lines[bad - 1] = lines[bad - 1][:-5]
     else:
-        lines[bad - 1] = json.dumps({"meas": [list(triples(test_ds.record(0))[0])]})
+        lines[bad - 1] = json.dumps({"meas": [list(triples(row_of(test_ds, 0))[0])]})
     in_path.write_text("\n".join(lines) + "\n", encoding="ascii")
     out_path = tmp_path / "pred.jsonl"
     with pytest.raises(DatasetParseError) as e:
         infer_file(tree_bundle, in_path, out_path)
     assert e.value.line == bad
     assert not out_path.exists()
+
+
+def test_infer_file_extracts_each_chunk_through_the_module_extract(tree_bundle, small_splits, tmp_path, monkeypatch):
+    # one kernel call per chunk, looked up as pipeline.extract, so that a
+    # wrapper there (the benchmark's traced run) sees the infer path
+    _, test_ds = small_splits
+    in_path = tmp_path / "reports.jsonl"
+    save_dataset(test_ds.subset(np.resize(np.arange(len(test_ds)), 2100)), in_path)
+    want = infer_file(tree_bundle, in_path)
+    calls = []
+    extract = pipeline.extract
+
+    def counted(serving, *args):
+        calls.append(len(serving))
+        return extract(serving, *args)
+
+    monkeypatch.setattr(pipeline, "extract", counted)
+    assert infer_file(tree_bundle, in_path) == want
+    assert calls == [_INFER_REPORTS, _INFER_REPORTS, 2100 - 2 * _INFER_REPORTS]
+
+
+@pytest.fixture(scope="module")
+def neighbor_bundle(small_splits):
+    train_ds, _ = small_splits
+    fc = FeatureConfig(n_serving_beams=3, n_neighbor_beams=2)
+    spec = ModelSpec(MODEL_TREE, tree_config=TreeConfig(max_depth=4))
+    return train_model(extract_features(train_ds, fc), spec, fc)
+
+
+def _short_of(meas, shortfall):
+    """A ranked report that keeps 2 of the serving cell's entries, or
+    every serving entry but only 1 neighbor cell."""
+    serving = meas[0][0]
+    if shortfall == "serving":
+        drop = [j for j, m in enumerate(meas) if m[0] == serving][2:]
+        return [m for j, m in enumerate(meas) if j not in drop]
+    neighbor = next(m[0] for m in meas if m[0] != serving)
+    return [m for m in meas if m[0] in (serving, neighbor)]
+
+
+@pytest.mark.parametrize(
+    "shortfall, reason, message",
+    [
+        ("serving", SKIP_SERVING, "record has 2 serving-cell measurements, need 3"),
+        ("neighbors", SKIP_NEIGHBORS, "record has 1 distinct neighbor cells, need 2"),
+    ],
+    ids=["serving", "neighbors"],
+)
+def test_infer_record_and_infer_file_word_a_short_report_alike(
+    neighbor_bundle, small_splits, tmp_path, shortfall, reason, message
+):
+    _, test_ds = small_splits
+    full = triples(row_of(test_ds, 0))
+    short = _short_of(full, shortfall)
+    record = record_of(short)
+    with pytest.raises(FeatureExtractionError) as direct:
+        infer_record(neighbor_bundle, record[2], *record[4:])
+    assert (direct.value.reason, str(direct.value)) == (reason, message)
+
+    in_path = tmp_path / "short.jsonl"
+    lines = ['{"format": "beamprint-dataset", "version": 1}', json.dumps({"meas": full}), json.dumps({"meas": short})]
+    in_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with pytest.raises(DatasetParseError) as in_file:
+        infer_file(neighbor_bundle, in_path)
+    assert (in_file.value.line, in_file.value.field) == (3, None)
+    assert str(in_file.value) == f"{message} ({in_path}, line 3)"
