@@ -45,10 +45,13 @@ from .fingerprint import (
     los_rows,
     partition_by_cell,
     save_dataset,
+    sweep_blocks,
 )
 from .features import (
+    FeatureAccumulator,
     FeatureConfig,
     FeatureSet,
+    FeatureTable,
     NormalizationStats,
     extract,
     extract_features,

@@ -24,7 +24,7 @@ size of its vocabulary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +38,7 @@ TOPOLOGY_CELL = "cell-specific"
 # skip reasons counted by extract_features
 SKIP_SERVING = "insufficient_serving_beams"
 SKIP_NEIGHBORS = "insufficient_neighbor_cells"
+SKIP_REASONS = (SKIP_SERVING, SKIP_NEIGHBORS)
 
 # records extract_features runs through the kernel at a time
 _EXTRACT_ROWS = 1024
@@ -197,6 +198,70 @@ def shortfall(config: FeatureConfig, n_serving: int, n_neighbors: int) -> Featur
     )
 
 
+class FeatureTable(NamedTuple):
+    """The FeatureSet of a stream of records, with each record's skip
+    reason: 0 for a kept record, else 1 + the reason's position in
+    SKIP_REASONS. `features.indices` count records in stream order."""
+
+    features: FeatureSet
+    reasons: np.ndarray  # (n,) int8
+
+    def take(self, rows: np.ndarray) -> FeatureSet:
+        """The FeatureSet of the records `rows` of the stream, in the order
+        given: what extract_features gives on those records, gathered
+        from the table, with `indices` into `rows`."""
+        reasons = self.reasons[rows]
+        keep = np.flatnonzero(reasons == 0)
+        at = np.searchsorted(self.features.indices, rows[keep])
+        return FeatureSet(
+            values=self.features.values[at],
+            labels=self.features.labels[at],
+            config=self.features.config,
+            skipped=_skip_counts(reasons),
+            indices=keep.astype(np.int64),
+        )
+
+
+def _skip_counts(reasons: np.ndarray) -> Dict[str, int]:
+    counts = np.bincount(reasons, minlength=1 + len(SKIP_REASONS))[1:]
+    return {reason: int(c) for reason, c in zip(SKIP_REASONS, counts) if c}
+
+
+class FeatureAccumulator:
+    """Feature vectors of a stream of record blocks, collected as extract
+    gives them, so that the blocks' measurement columns need not outlive
+    their extraction."""
+
+    def __init__(self, config: FeatureConfig) -> None:
+        validate_feature_config(config)
+        self.config = config
+        self._blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        self._rows = 0
+
+    def add(self, xs: np.ndarray, ys: np.ndarray, extracted: tuple) -> None:
+        """One block's coordinates and what extract returned on its
+        records. A record is skipped for a missing serving beam before a
+        missing neighbor."""
+        values, kept, n_serving, n_neighbors = extracted
+        short = n_serving < self.config.n_serving_beams
+        reasons = np.where(short, 1, np.where(n_neighbors < self.config.n_neighbor_beams, 2, 0))
+        labels = np.column_stack([xs, ys])[kept]
+        self._blocks.append((values, labels, self._rows + kept, reasons.astype(np.int8)))
+        self._rows += len(n_serving)
+
+    def result(self) -> FeatureTable:
+        """The table of every record added, after at least one block."""
+        values, labels, indices, reasons = map(np.concatenate, zip(*self._blocks))
+        features = FeatureSet(
+            values=values,
+            labels=labels,
+            config=self.config,
+            skipped=_skip_counts(reasons),
+            indices=indices.astype(np.int64),
+        )
+        return FeatureTable(features, reasons)
+
+
 def extract_features(dataset: Dataset, config: FeatureConfig, rows: Optional[np.ndarray] = None) -> FeatureSet:
     """extract over the records `rows` of a dataset (default: every
     record), in the order given; the result equals extract_features on
@@ -208,36 +273,22 @@ def extract_features(dataset: Dataset, config: FeatureConfig, rows: Optional[np.
     from the dataset's columns, so its temporaries stay the size of a
     block and no copy of the selected records is made.
     """
-    validate_feature_config(config)
+    accumulator = FeatureAccumulator(config)
     n = len(dataset) if rows is None else len(rows)
-    values, labels, indices = [], [], []
-    short_serving = short_neighbors = 0
     # one pass even when there is nothing to extract, for the empty shapes
     for start in range(0, max(n, 1), _EXTRACT_ROWS):
         block = slice(start, start + _EXTRACT_ROWS)
         if rows is not None:
             block = rows[block]
-        v, kept, n_serving, n_neighbors = extract(
+        extracted = extract(
             dataset.serving[block],
             dataset.meas_cells[block],
             dataset.meas_beams[block],
             dataset.meas_rsrp[block],
             config,
         )
-        short = n_serving < config.n_serving_beams
-        short_serving += np.count_nonzero(short)
-        short_neighbors += np.count_nonzero(~short & (n_neighbors < config.n_neighbor_beams))
-        values.append(v)
-        labels.append(np.column_stack([dataset.xs[block], dataset.ys[block]])[kept])
-        indices.append(start + kept)
-    counts = {SKIP_SERVING: short_serving, SKIP_NEIGHBORS: short_neighbors}
-    return FeatureSet(
-        values=np.concatenate(values),
-        labels=np.concatenate(labels),
-        config=config,
-        skipped={reason: int(c) for reason, c in counts.items() if c},
-        indices=np.concatenate(indices).astype(np.int64),
-    )
+        accumulator.add(dataset.xs[block], dataset.ys[block], extracted)
+    return accumulator.result().features
 
 
 # ---------------------------------------------------------------------------

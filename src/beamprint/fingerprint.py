@@ -87,45 +87,39 @@ _RECORD_COLUMNS = ("xs", "ys", "serving", "los", "meas_cells", "meas_beams", "me
 _NO_LOS = "line-of-sight filter removed every record"
 
 
-def build_dataset(scenario: Scenario, seed: Optional[int] = None, *, los_only: bool = False) -> Dataset:
-    """Sweep every grid location and assemble the fingerprint dataset.
+def sweep_blocks(scenario: Scenario, seed: int, *, los_only: bool = False) -> Iterator[tuple]:
+    """Sweep the grid _BUILD_ROWS locations at a time, yielding each
+    block's records as the columns (x, y, serving, los, cells, beams,
+    rsrp), the measurements in ranking order.
 
-    Deterministic given (scenario, seed); the seed only feeds the
-    optional shadowing term and defaults to the scenario rng_seed. With
-    `los_only` it keeps only the records whose serving site is line of
-    sight, the rows and bits los_filter would keep, and never holds the
-    others; a sweep with none raises los_filter's DataError.
+    `seed` feeds only the optional shadowing term. With `los_only` a
+    block keeps only the records whose serving site is line of sight,
+    possibly none; a sweep that keeps none raises los_filter's
+    DataError after its last block. build_dataset collects the blocks;
+    a consumer that needs less than the measurement columns can drop
+    each block once it has read it, so that the columns never exist
+    for the whole grid.
     """
-    if seed is None:
-        seed = scenario.config.rng_seed
     xy = grid_xy(scenario)
     n = xy.shape[0]
     if n == 0:
         raise DataError("scenario grid is empty, nothing to measure")
 
     cells = scenario.cell_ids
-    n_cells = len(cells)
     n_beams = len(scenario.codebook.beams)
-    m = n_cells * n_beams
+    m = len(cells) * n_beams
     pts3 = np.column_stack([xy, np.full(n, UE_HEIGHT_M)])
     cell_col = np.asarray(cells, dtype=np.int32)
     col_cells = np.repeat(cell_col, n_beams)
-    col_beams = np.tile(np.arange(n_beams, dtype=np.int32), n_cells)
+    col_beams = np.tile(np.arange(n_beams, dtype=np.int32), len(cells))
     # each cell's site position: the line of sight is tested toward the
     # serving cell's site
     cell_tx = np.array([scenario.cell_map[c][0].position for c in cells], dtype=np.float64)
 
     # the sweep, argmax, LOS test, sort and gather run a block of rows at
-    # a time, and the kept rows are written one after another into the
-    # output columns, so that the cube, the sort order and the gathered
-    # copies never exist for the whole grid at once
-    kept = np.empty(n, dtype=np.intp)
-    serving = np.empty(n, dtype=np.int32)
-    los = np.empty(n, dtype=bool)
-    meas_cells = np.empty((n, m), dtype=np.int32)
-    meas_beams = np.empty((n, m), dtype=np.int32)
-    meas_rsrp = np.empty((n, m))
-    k = 0
+    # a time, so that the cube, the sort order and the gathered copies
+    # never exist for the whole grid at once
+    kept = 0
     for start in range(0, n, _BUILD_ROWS):
         pts = pts3[start : start + _BUILD_ROWS]
         flat = rsrp_cube(scenario, pts, seed).reshape(-1, m)
@@ -138,31 +132,57 @@ def build_dataset(scenario: Scenario, seed: Optional[int] = None, *, los_only: b
             flat = flat[rows]
         else:
             rows = np.arange(len(pts))
-        out = slice(k, k + len(rows))
-        kept[out] = start + rows
-        serving[out] = cell_col[top[rows]]
-        los[out] = block_los[rows]
         order = np.argsort(-flat, axis=1, kind="stable")
-        meas_cells[out] = col_cells[order]
-        meas_beams[out] = col_beams[order]
-        meas_rsrp[out] = np.take_along_axis(flat, order, axis=1)
-        k += len(rows)
-        del flat, order  # or they would live on while the next block is made
-    if k == 0:
+        meas_rsrp = np.take_along_axis(flat, order, axis=1)
+        del flat  # each temporary goes as soon as it is read for the last time
+        meas_cells, meas_beams = col_cells[order], col_beams[order]
+        del order
+        kept += len(rows)
+        yield pts[rows, 0], pts[rows, 1], cell_col[top[rows]], block_los[rows], meas_cells, meas_beams, meas_rsrp
+        del meas_cells, meas_beams, meas_rsrp  # or they would live on while the next block is made
+    if kept == 0:
         raise DataError(_NO_LOS)
 
+
+def build_dataset(scenario: Scenario, seed: Optional[int] = None, *, los_only: bool = False) -> Dataset:
+    """Sweep every grid location and assemble the fingerprint dataset.
+
+    Deterministic given (scenario, seed); the seed only feeds the
+    optional shadowing term and defaults to the scenario rng_seed. With
+    `los_only` it keeps only the records whose serving site is line of
+    sight, the rows and bits los_filter would keep, and never holds the
+    others; a sweep with none raises los_filter's DataError.
+
+    The blocks of sweep_blocks are written one after another into the
+    preallocated output columns, so that beyond them the build holds
+    one block's temporaries.
+    """
+    if seed is None:
+        seed = scenario.config.rng_seed
+    n = len(grid_xy(scenario))
+    m = len(scenario.cell_ids) * len(scenario.codebook.beams)
+    columns = (
+        np.empty(n),
+        np.empty(n),
+        np.empty(n, dtype=np.int32),
+        np.empty(n, dtype=bool),
+        np.empty((n, m), dtype=np.int32),
+        np.empty((n, m), dtype=np.int32),
+        np.empty((n, m)),
+    )
+    k = 0
+    for block in sweep_blocks(scenario, seed, los_only=los_only):
+        rows = slice(k, k + len(block[0]))
+        for column, values in zip(columns, block):
+            column[rows] = values
+        k = rows.stop
+        del block, values  # or they would live on while the next block is made
+    # views of the first k rows: with los_only the rows past them were
+    # never written, so their pages were never touched
     return Dataset(
-        xs=xy[kept[:k], 0],
-        ys=xy[kept[:k], 1],
-        serving=serving[:k],
-        los=los[:k],
-        # views of the first k rows: with los_only the rows past them were
-        # never written, so their pages were never touched
-        meas_cells=meas_cells[:k],
-        meas_beams=meas_beams[:k],
-        meas_rsrp=meas_rsrp[:k],
-        cells=cells,
-        n_beams=n_beams,
+        *(column[:k] for column in columns),
+        cells=scenario.cell_ids,
+        n_beams=len(scenario.codebook.beams),
         scenario_hash=scenario.fingerprint_hash,
         seed=seed,
     )
@@ -181,15 +201,15 @@ def los_filter(dataset: Dataset) -> Dataset:
     return dataset.subset(los_rows(dataset))
 
 
-def cell_rows(dataset: Dataset) -> Dict[int, np.ndarray]:
-    """Indices of each serving cell's records, by ascending cell id; only
-    cells that actually serve appear."""
-    return {int(c): np.flatnonzero(dataset.serving == c) for c in np.unique(dataset.serving)}
+def cell_rows(serving: np.ndarray) -> Dict[int, np.ndarray]:
+    """Indices of each serving cell's records, given the records' serving
+    column, by ascending cell id; only cells that actually serve appear."""
+    return {int(c): np.flatnonzero(serving == c) for c in np.unique(serving)}
 
 
 def partition_by_cell(dataset: Dataset) -> Dict[int, Dataset]:
     """Split by serving cell; only cells that actually serve appear."""
-    return {cell: dataset.subset(rows) for cell, rows in cell_rows(dataset).items()}
+    return {cell: dataset.subset(rows) for cell, rows in cell_rows(dataset.serving).items()}
 
 
 # ---------------------------------------------------------------------------

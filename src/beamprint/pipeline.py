@@ -27,10 +27,14 @@ from .evaluate import Comparison, EvalReport, compare, euclidean_errors, summari
 from .features import (
     TOPOLOGY_CELL,
     TOPOLOGY_NETWORK,
+    FeatureAccumulator,
     FeatureConfig,
     FeatureSet,
+    FeatureTable,
     extract,
-    extract_features,
+    # extract_features stays importable from here: perfbench's layer
+    # table wraps it in this module
+    extract_features,  # noqa: F401
     feature_config_from_dict,
     feature_length,
     fit_normalizer,
@@ -42,7 +46,9 @@ from .fingerprint import (
     _block_lines,
     _decode_line,
     _ranked,
-    build_dataset,
+    # build_dataset stays importable from here: perfbench's layer table
+    # wraps it in this module
+    build_dataset,  # noqa: F401
     cell_rows,
     # los_filter and partition_by_cell stay importable from here:
     # perfbench's layer table wraps them in this module
@@ -50,6 +56,7 @@ from .fingerprint import (
     parse_coordinate,
     parse_measurements,
     partition_by_cell,  # noqa: F401
+    sweep_blocks,
 )
 from .scenario import (
     Scenario,
@@ -227,6 +234,17 @@ def _object_list(d: dict, key: str) -> list:
     return items
 
 
+def _check_cells(cells: Optional[List[int]], topology: str) -> None:
+    """Refuse a cells list a sweep cannot follow: an empty one, or any
+    at network level, which trains on every cell."""
+    if cells == []:
+        raise ConfigurationError("'cells' lists no cell; give at least one cell id, or \"all\"")
+    if cells is not None and topology == TOPOLOGY_NETWORK:
+        raise ConfigurationError(
+            "'cells' picks the cells of a cell-specific sweep; a network-level sweep trains on every cell"
+        )
+
+
 def experiment_spec_from_dict(d: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
     if not isinstance(d, dict):
         raise ConfigurationError("experiment spec must be a JSON object")
@@ -282,6 +300,7 @@ def experiment_spec_from_dict(d: dict, base_dir: Optional[Path] = None) -> Exper
         cells = list(cells)
     else:
         raise ConfigurationError("'cells' must be \"all\" or a list of cell ids")
+    _check_cells(cells, topology)
 
     return ExperimentSpec(
         scenario=scenario, feature_configs=fcs, model_specs=specs, cells=cells, **scalars
@@ -369,20 +388,20 @@ def _descriptor(
 
 
 def run_single(
-    dataset: Dataset,
+    table: FeatureTable,
     train_rows: np.ndarray,
     test_rows: np.ndarray,
-    fc: FeatureConfig,
     model_spec: ModelSpec,
     spec: ExperimentSpec,
     label: str,
     cell: Optional[int] = None,
 ) -> RunOutput:
-    """Train on the records `train_rows` of `dataset` and score on
-    `test_rows`; the features are extracted from the dataset's columns."""
+    """Train on the records `train_rows` of a feature table and score on
+    `test_rows`; their features are gathered from the table."""
     t0 = time.perf_counter()
-    train_set = extract_features(dataset, fc, train_rows)
-    test_set = extract_features(dataset, fc, test_rows)
+    fc = table.features.config
+    train_set = table.take(train_rows)
+    test_set = table.take(test_rows)
     if len(train_set) == 0 or len(test_set) == 0:
         raise DataError(f"run {label}: feature extraction left an empty split")
     bundle = train_model(train_set, model_spec, fc)
@@ -436,13 +455,13 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _arm_rows(spec: ExperimentSpec, los: Dataset) -> Tuple[Dict[Optional[int], np.ndarray], Dict[int, int]]:
-    """The records the arms train on, as row indices into `los` by cell
-    in run order, and the skipped cells. At network level that is
-    {None: every row}."""
+def _arm_rows(spec: ExperimentSpec, serving: np.ndarray) -> Tuple[Dict[Optional[int], np.ndarray], Dict[int, int]]:
+    """The records the arms train on, as row indices by cell in run
+    order, given the records' serving column, and the skipped cells. At
+    network level that is {None: every row}."""
     if spec.topology == TOPOLOGY_NETWORK:
-        return {None: np.arange(len(los))}, {}
-    parts = cell_rows(los)
+        return {None: np.arange(len(serving))}, {}
+    parts = cell_rows(serving)
     eligible, skipped = {}, {}
     for cell in sorted(parts) if spec.cells is None else spec.cells:
         if cell not in parts:
@@ -472,32 +491,47 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
     """Run every feature config x model config combination and write
     reports, CDF tables, models, and the replayable manifest. Arms run
     cell-major, then by feature config, then by model config."""
+    # a spec made in code has not been through experiment_spec_from_dict,
+    # and replay would refuse the manifest of one that ignores its cells
+    _check_cells(spec.cells, spec.topology)
     out = Path(output_dir)
     for sub in ("reports", "cdf", "models"):
         (out / sub).mkdir(parents=True, exist_ok=True)
 
     t_start = time.perf_counter()
     scenario = build_scenario(spec.scenario)
-    # the arms need only the LOS records, so only they are ever held:
-    # every arm reads its rows from this one copy
-    los = build_dataset(scenario, spec.dataset_seed, los_only=True)
+    seed = scenario.config.rng_seed if spec.dataset_seed is None else spec.dataset_seed
+    # the arms read only the LOS records' serving cells and features:
+    # each block of the sweep is extracted for every feature config as it
+    # is made, and its measurement columns are dropped
+    accumulators = [FeatureAccumulator(fc) for fc in spec.feature_configs]
+    serving_blocks = []
+    for xs, ys, serving, _, cells, beams, rsrp in sweep_blocks(scenario, seed, los_only=True):
+        serving_blocks.append(serving)
+        for acc in accumulators:
+            acc.add(xs, ys, extract(serving, cells, beams, rsrp, acc.config))
+        del cells, beams, rsrp  # or they would live on while the next block is made
+    serving = np.concatenate(serving_blocks)
+    tables = [acc.result() for acc in accumulators]
     n_records = len(grid_xy(scenario))
     dataset_stats = {
-        "seed": los.seed,
+        "seed": seed,
         "n_records": n_records,
-        "n_los": len(los),
-        "los_fraction": len(los) / n_records,
+        "n_los": len(serving),
+        "los_fraction": len(serving) / n_records,
     }
     t_data = time.perf_counter() - t_start
 
-    parts, skipped_cells = _arm_rows(spec, los)
-    combos = [(fc, ms, f"{_fc_label(fc)}_{ms.label}") for fc in spec.feature_configs for ms in spec.model_specs]
+    parts, skipped_cells = _arm_rows(spec, serving)
+    combos = [
+        (table, ms, f"{_fc_label(table.features.config)}_{ms.label}") for table in tables for ms in spec.model_specs
+    ]
     outputs: List[RunOutput] = []
     for cell, rows in parts.items():
         train, test = _split_rows(len(rows), spec.train_fraction, spec.split_seed)
         prefix = "net" if cell is None else f"cell{cell}"
-        for fc, ms, combo in combos:
-            outputs.append(run_single(los, rows[train], rows[test], fc, ms, spec, f"{prefix}_{combo}", cell=cell))
+        for table, ms, combo in combos:
+            outputs.append(run_single(table, rows[train], rows[test], ms, spec, f"{prefix}_{combo}", cell=cell))
 
     reports: List[EvalReport] = []
     run_entries = []
@@ -515,9 +549,11 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
             }
         )
     if spec.topology == TOPOLOGY_CELL:
-        for i, (fc, ms, combo) in enumerate(combos):
+        for i, (table, ms, combo) in enumerate(combos):
             arms = outputs[i :: len(combos)]
-            desc = _descriptor(f"cellpool_{combo}", fc, ms, spec, None, {"pooled_cells": list(parts)})
+            desc = _descriptor(
+                f"cellpool_{combo}", table.features.config, ms, spec, None, {"pooled_cells": list(parts)}
+            )
             for split in ("test", "train"):
                 errors = np.concatenate([getattr(run, f"{split}_errors") for run in arms])
                 _emit(summarize(errors, split=split, config=desc), out, reports)

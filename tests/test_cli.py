@@ -292,6 +292,32 @@ def test_sweep_refuses_negative_seeds(tmp_path, capsys, edit, key):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # trained a network-level model on every cell at one time
+        {"cells": [0]},
+        # ended in the data error "no cell has enough records" (exit 2)
+        {"cells": [], "topology": "cell-specific"},
+        {"cells": []},
+    ],
+    ids=["network-level", "empty-cell-specific", "empty-network-level"],
+)
+def test_sweep_refuses_a_cells_list_it_cannot_follow(tmp_path, capsys, edit):
+    spec = {
+        "scenario": scenario_config_to_dict(small_scenario_config()),
+        "feature_configs": [{"serving_beams": 3}],
+        "model_configs": [{"type": "tree", "max_depth": 4}],
+        **edit,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="ascii")
+    assert main(["sweep", "--spec", str(path), "--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "'cells'" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_scenario_file_exits_1(tmp_path, capsys):
     rc = main(
         ["build-dataset", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "d")]

@@ -11,6 +11,7 @@ from beamprint.features import (
     SKIP_SERVING,
     TOPOLOGY_CELL,
     TOPOLOGY_NETWORK,
+    FeatureAccumulator,
     FeatureConfig,
     apply,
     apply_labels,
@@ -593,6 +594,35 @@ def test_extract_features_on_rows_names_the_first_out_of_vocabulary_id(monkeypat
     with pytest.raises(ConfigurationError) as on_subset:
         extract_features(ds.subset(rows), cfg)
     assert str(got.value) == str(on_subset.value) == errors[bad[-1]]
+
+
+@pytest.mark.parametrize("cfg", RANDOM_CONFIGS, ids=lambda c: f"s{c.n_serving_beams}n{c.n_neighbor_beams}")
+def test_accumulated_table_gives_what_extract_features_gives_on_its_rows(cfg):
+    # NaN-padded reports, as infer reads them, fed in blocks of uneven
+    # size (an empty one among them): the table taken at any rows is
+    # extract_features on those rows, skip counts included
+    records = random_records(np.random.default_rng(99), 400)
+    ds = dataset_of(records)
+    acc = FeatureAccumulator(cfg)
+    for start, stop in zip([0, 7, 7, 150, 300], [7, 7, 150, 300, len(ds)]):
+        block = slice(start, stop)
+        columns = (ds.serving[block], ds.meas_cells[block], ds.meas_beams[block], ds.meas_rsrp[block])
+        acc.add(ds.xs[block], ds.ys[block], extract(*columns, cfg))
+    table = acc.result()
+    whole = extract_features(ds, cfg)
+    same_feature_sets(table.features, whole)
+    assert whole.skipped  # RANDOM_CONFIGS all meet short reports here
+    rng = np.random.default_rng(4)
+    for rows in (np.arange(len(ds)), rng.permutation(len(ds))[:250], rng.integers(0, len(ds), 500), np.arange(0)):
+        same_feature_sets(table.take(rows), extract_features(ds, cfg, rows))
+    reasons = {SKIP_SERVING: 1, SKIP_NEIGHBORS: 2}
+    for i, record in enumerate(records):
+        try:
+            oracle_record(record, cfg)
+            want = 0
+        except FeatureExtractionError as e:
+            want = reasons[e.reason]
+        assert table.reasons[i] == want, i
 
 
 def test_extract_features_counts_skips(single_site_dataset):

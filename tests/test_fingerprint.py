@@ -218,7 +218,7 @@ def test_los_and_cell_rows_select_what_the_filters_keep(small_dataset):
     rows = los_rows(small_dataset)
     assert small_dataset.subset(rows) == los_filter(small_dataset)
     parts = partition_by_cell(small_dataset)
-    by_cell = cell_rows(small_dataset)
+    by_cell = cell_rows(small_dataset.serving)
     assert list(by_cell) == list(parts)
     assert all(small_dataset.subset(by_cell[c]) == parts[c] for c in parts)
 
@@ -366,16 +366,17 @@ def _column_bytes(ds):
     return sum(getattr(ds, c).nbytes for c in _RECORD_COLUMNS)
 
 
-def _traced_overhead(fn, *args):
-    """fn(*args), a Dataset, and the bytes of tracemalloc's peak during
-    the call beyond the dataset's record columns."""
+def _traced_overhead(fn, *args, held=_column_bytes):
+    """fn(*args), and the bytes of tracemalloc's peak during the call
+    beyond held(fn(*args)): by default the record columns of the Dataset
+    fn returns."""
     tracemalloc.start()
     try:
-        ds = fn(*args)
+        out = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return ds, peak - _column_bytes(ds)
+    return out, peak - held(out)
 
 
 def _overhead_growth(runs):

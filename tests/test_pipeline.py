@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,12 +16,22 @@ from beamprint.features import (
     SKIP_SERVING,
     TOPOLOGY_CELL,
     TOPOLOGY_NETWORK,
+    FeatureAccumulator,
     FeatureConfig,
     FeatureSet,
     NormalizationStats,
+    extract,
     extract_features,
 )
-from beamprint.fingerprint import Dataset, los_filter, los_rows, partition_by_cell, save_dataset
+from beamprint.fingerprint import (
+    _BUILD_ROWS,
+    build_dataset,
+    cell_rows,
+    los_filter,
+    los_rows,
+    partition_by_cell,
+    save_dataset,
+)
 from beamprint.mlp import MlpConfig
 from beamprint.pipeline import (
     _INFER_REPORTS,
@@ -44,10 +55,11 @@ from beamprint.pipeline import (
     split_dataset,
     train_model,
 )
-from beamprint.scenario import save_scenario_config, scenario_config_to_dict
+from beamprint.scenario import build_scenario, default_scenario_config, save_scenario_config, scenario_config_to_dict
 
 from conftest import record_of, row_of, small_scenario_config, triples
-from test_features import oracle_record
+from test_features import oracle_record, same_feature_sets
+from test_fingerprint import _overhead_growth, _traced_overhead
 from test_mlp import GOLDEN_FLOAT_KERNELS, float_kernels_digest, radio_kernels_as_pinned
 
 
@@ -450,9 +462,21 @@ def test_experiment_spec_validation():
 
 
 def test_experiment_spec_dict_round_trip():
-    spec = experiment_spec_from_dict(_spec_dict(cells=[0, 2], train_fraction=0.8, split_seed=12))
+    d = _spec_dict(topology=TOPOLOGY_CELL, cells=[0, 2], train_fraction=0.8, split_seed=12)
+    spec = experiment_spec_from_dict(d)
     again = experiment_spec_from_dict(experiment_spec_to_dict(spec))
     assert experiment_spec_to_dict(again) == experiment_spec_to_dict(spec)
+
+
+@pytest.mark.parametrize("topology, cells", [(TOPOLOGY_NETWORK, [0]), (TOPOLOGY_CELL, [])])
+def test_run_experiment_refuses_a_cells_list_it_cannot_follow(tmp_path, topology, cells):
+    # a spec made in code skips experiment_spec_from_dict; a network-level
+    # one with cells once trained on every cell and wrote a manifest that
+    # replay refused
+    spec = replace(experiment_spec_from_dict(_spec_dict(topology=topology)), cells=cells)
+    with pytest.raises(ConfigurationError, match="'cells'"):
+        run_experiment(spec, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_load_experiment_spec_resolves_scenario_path(tmp_path):
@@ -469,12 +493,20 @@ def test_load_experiment_spec_resolves_scenario_path(tmp_path):
 # single runs
 
 
+def feature_table(dataset, fc):
+    """The FeatureTable of every record of a dataset, extracted in one block."""
+    acc = FeatureAccumulator(fc)
+    columns = (dataset.serving, dataset.meas_cells, dataset.meas_beams, dataset.meas_rsrp)
+    acc.add(dataset.xs, dataset.ys, extract(*columns, fc))
+    return acc.result()
+
+
 def test_run_single_output(small_dataset, small_split_rows):
     train_rows, test_rows = small_split_rows
     fc = FeatureConfig()
     spec = experiment_spec_from_dict(_spec_dict())
     ms = ModelSpec(MODEL_MLP, mlp_config=MlpConfig(hidden_layers=(4,), max_epochs=3))
-    run = run_single(small_dataset, train_rows, test_rows, fc, ms, spec, "probe")
+    run = run_single(feature_table(small_dataset, fc), train_rows, test_rows, ms, spec, "probe")
     assert run.label == "probe"
     assert run.train_report.split == "train"
     assert run.test_report.split == "test"
@@ -502,7 +534,7 @@ def test_run_single_records_a_patience_stop(small_dataset, small_split_rows):
     # one is refused)
     config = MlpConfig(hidden_layers=(4,), max_epochs=50, patience=1, min_delta=sys.float_info.max)
     ms = ModelSpec(MODEL_MLP, mlp_config=config)
-    run = run_single(small_dataset, train_rows, test_rows, FeatureConfig(), ms, spec, "p")
+    run = run_single(feature_table(small_dataset, FeatureConfig()), train_rows, test_rows, ms, spec, "p")
     assert run.fit_stats == {"epochs_run": 2, "stop_reason": "patience"}
 
 
@@ -511,7 +543,7 @@ def test_run_single_tree_has_no_epoch_count(small_dataset, small_split_rows):
     fc = FeatureConfig()
     spec = experiment_spec_from_dict(_spec_dict())
     ms = ModelSpec(MODEL_TREE, tree_config=TreeConfig(max_depth=6))
-    run = run_single(small_dataset, train_rows, test_rows, fc, ms, spec, "t")
+    run = run_single(feature_table(small_dataset, fc), train_rows, test_rows, ms, spec, "t")
     assert "epochs_run" not in run.test_report.config
 
 
@@ -692,29 +724,68 @@ def test_replay_rejects_non_manifest(tmp_path):
         replay(tmp_path / "missing.json", tmp_path / "out")
 
 
+# two feature configs, and a one-hot one with the small scenario's
+# vocabularies (4 cells, 32 beams)
+ORACLE_FEATURES = [
+    {"serving_beams": 3, "neighbor_beams": 0},
+    {"serving_beams": 2, "neighbor_beams": 1},
+    {"serving_beams": 2, "neighbor_beams": 2, "one_hot_ids": True, "cell_id_vocab": 4, "beam_id_vocab": 32},
+]
+
+
 @pytest.mark.parametrize("topology", [TOPOLOGY_NETWORK, TOPOLOGY_CELL])
-def test_run_experiment_holds_one_copy_of_the_los_records(small_dataset, tmp_path, monkeypatch, topology):
-    # the sweep keeps only the line-of-sight records while it builds, and
-    # every arm reads its rows from that one copy: no record is copied out
-    build, subset = pipeline.build_dataset, Dataset.subset
-    built, subsets = [], []
+def test_run_experiment_arms_equal_extract_features_on_the_los_build(
+    small_scenario, small_dataset, tmp_path, monkeypatch, topology
+):
+    # the sweep extracts each block for every feature config as it is
+    # built, through pipeline.extract, and never builds a dataset; every
+    # arm's features are those extract_features gives on the LOS-only
+    # build for the arm's rows, bit for bit
+    extract_calls, arms = [], []
+    kernel, single = pipeline.extract, pipeline.run_single
 
-    def traced_build(*args, **kwargs):
-        built.append(build(*args, **kwargs))
-        return built[-1]
+    def counted_extract(*args):
+        extract_calls.append(len(args[0]))
+        return kernel(*args)
 
-    def traced_subset(self, index):
-        subsets.append(len(index))
-        return subset(self, index)
+    def recorded_run(table, train_rows, test_rows, model_spec, spec, label, cell=None):
+        arms.append((label, cell, table.take(train_rows), table.take(test_rows), train_rows, test_rows))
+        return single(table, train_rows, test_rows, model_spec, spec, label, cell)
 
-    monkeypatch.setattr(pipeline, "build_dataset", traced_build)
-    monkeypatch.setattr(Dataset, "subset", traced_subset)
-    d = _spec_dict(topology=topology, model_configs=[{"type": "tree", "max_depth": 4}])
-    result = run_experiment(experiment_spec_from_dict(d), tmp_path)
-    assert subsets == []
+    def no_build(*args, **kwargs):
+        raise AssertionError("run_experiment built a dataset")
+
+    monkeypatch.setattr(pipeline, "extract", counted_extract)
+    monkeypatch.setattr(pipeline, "run_single", recorded_run)
+    monkeypatch.setattr(pipeline, "build_dataset", no_build)
+    d = _spec_dict(topology=topology, feature_configs=ORACLE_FEATURES, model_configs=[{"type": "tree", "max_depth": 4}])
+    if topology == TOPOLOGY_CELL:
+        d["min_cell_records"] = 200
+    spec = experiment_spec_from_dict(d)
+    result = run_experiment(spec, tmp_path)
     monkeypatch.undo()
-    assert len(built) == 1
-    assert built[0] == los_filter(small_dataset)
+
+    los = build_dataset(small_scenario, los_only=True)
+    # the small grid is three sweep blocks, each extracted once per config
+    per_block = np.bincount(np.flatnonzero(small_dataset.los) // _BUILD_ROWS, minlength=3)
+    assert extract_calls == [n for n in per_block.tolist() for _ in ORACLE_FEATURES]
+    if topology == TOPOLOGY_NETWORK:
+        parts = {None: np.arange(len(los))}
+    else:
+        parts = {c: rows for c, rows in cell_rows(los.serving).items() if len(rows) >= 200}
+    want_labels = []
+    for cell, rows in parts.items():
+        train, test = pipeline._split_rows(len(rows), spec.train_fraction, spec.split_seed)
+        for fc in spec.feature_configs:
+            want_labels.append(f"{'net' if cell is None else f'cell{cell}'}_{pipeline._fc_label(fc)}_tree_d4_l2")
+            label, got_cell, train_set, test_set, train_rows, test_rows = arms[len(want_labels) - 1]
+            assert (label, got_cell) == (want_labels[-1], cell)
+            assert np.array_equal(train_rows, rows[train]) and np.array_equal(test_rows, rows[test])
+            same_feature_sets(train_set, extract_features(los, fc, rows[train]))
+            same_feature_sets(test_set, extract_features(los, fc, rows[test]))
+            # every (cell, beam) is measured at every point, so no row is skipped
+            assert len(train_set) == len(train) and train_set.skipped == {}
+    assert [label for label, *_ in arms] == want_labels
     n, n_los = len(small_dataset), int(small_dataset.los.sum())
     assert result.manifest["dataset"] == {
         "seed": small_dataset.seed,
@@ -722,6 +793,21 @@ def test_run_experiment_holds_one_copy_of_the_los_records(small_dataset, tmp_pat
         "n_los": n_los,
         "los_fraction": n_los / n,
     }
+
+
+def test_run_experiment_memory_does_not_grow_with_the_los_columns(tmp_path):
+    # the arms hold feature tables, not the LOS records' measurement
+    # columns, so the traced peak of a sweep stays about the same from a
+    # 4 m to a 2 m grid of the default scenario while those columns
+    # would grow by about 28 MB (it grew by more than that while the
+    # sweep held them)
+    runs = []
+    for res in (4.0, 2.0):
+        config = replace(default_scenario_config(0), grid_resolution_m=res)
+        d = _spec_dict(scenario=scenario_config_to_dict(config), model_configs=[{"type": "tree", "max_depth": 4}])
+        _, peak = _traced_overhead(run_experiment, experiment_spec_from_dict(d), tmp_path / str(res), held=lambda r: 0)
+        runs.append((build_dataset(build_scenario(config), los_only=True), peak))
+    assert _overhead_growth(runs) < 0.25
 
 
 # ---------------------------------------------------------------------------
