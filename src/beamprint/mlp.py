@@ -9,7 +9,7 @@ training loss. Everything is deterministic given (seed, data, config).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -171,32 +171,18 @@ def loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
 
     Returns (loss, weight_grads, bias_grads) where the gradient lists
     line up with model.weights and model.biases; they are views into one
-    flat buffer laid out like model.params.
+    flat buffer laid out like model.params. This runs train's step
+    kernel on a workspace made for the one batch.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.shape != (x.shape[0], OUTPUT_WIDTH):
         raise DataError("loss needs x of shape (n, d) and y of shape (n, 2)")
-    n = x.shape[0]
-    acts, pre = _forward_cached(model, x)
-    diff = acts[-1] - y
-    loss = float((diff * diff).sum()) / diff.size  # np.mean, bit for bit, without its wrapper
-
-    grads_w, grads_b = _views(np.empty_like(model.params), [w.shape for w in model.weights])
-    tanh = model.config.activation == "tanh"
-    delta = 2.0 * diff / (n * OUTPUT_WIDTH)
-    for l in range(len(model.weights) - 1, -1, -1):
-        np.matmul(acts[l].T, delta, out=grads_w[l])
-        delta.sum(axis=0, out=grads_b[l])
-        if l > 0:
-            delta = delta @ model.weights[l].T
-            if tanh:
-                # acts[l] is tanh(pre[l - 1]): its derivative without a second tanh
-                a = acts[l]
-                delta *= 1.0 - a * a
-            else:
-                delta *= pre[l - 1] > 0.0
-    return loss, grads_w, grads_b
+    ws = _Workspace(model, x.shape[0])
+    diff = np.empty(y.shape)
+    _backprop(model, ws, x, y, diff)
+    loss = _batch_sums(diff, x.shape[0])[0] / diff.size
+    return loss, ws.grads_w, ws.grads_b
 
 
 @dataclass
@@ -212,37 +198,92 @@ def init_adam(model: MlpModel) -> AdamState:
     return AdamState(m=np.zeros_like(model.params), v=np.zeros_like(model.params))
 
 
-def _flat_base(arrays: Sequence[np.ndarray], size: int) -> Optional[np.ndarray]:
-    """The 1-d float64 buffer of `size` that every array views, or None."""
-    base = arrays[0].base
-    if not isinstance(base, np.ndarray) or base.shape != (size,) or base.dtype != np.float64:
-        return None
-    return base if all(a.base is base for a in arrays) else None
-
-
 def adam_step(model: MlpModel, grads_w, grads_b, state: AdamState, config: MlpConfig) -> None:
-    """One adam update of every parameter, element-wise over flat buffers.
+    """One adam update of every parameter from per-layer gradients: the
+    step kernel's update, run on a workspace the gradients are copied
+    into."""
+    ws = _Workspace(model, 0)
+    for view, layer in zip([*ws.grads_w, *ws.grads_b], [*grads_w, *grads_b]):
+        view[...] = layer
+    _adam(model, ws, state, config, _layers_in_params(model))
 
-    Gradients that view one flat buffer in the layout of model.params, as
-    loss_and_gradients returns them, are read in place; any other arrays
-    are gathered into one first. Every expression keeps the order of the
-    per-layer update m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
-    w -= (lr * (m / corr1)) / (sqrt(v / corr2) + eps), so results match
-    it bit for bit.
+
+class _Workspace:
+    """Every buffer a training step on a batch of `rows` rows writes: per
+    layer the pre-activation and the delta, per hidden layer the
+    activation and its derivative, one flat gradient buffer laid out like
+    model.params with its per-layer views, and adam's two scratch
+    buffers. train makes one per distinct batch row count (the full
+    batch and the short last one) and reuses it for every step."""
+
+    def __init__(self, model: MlpModel, rows: int) -> None:
+        shapes = [w.shape for w in model.weights]
+        widths = [fan_out for _, fan_out in shapes]
+        self.pre = [np.empty((rows, w)) for w in widths]
+        self.delta = [np.empty((rows, w)) for w in widths]
+        self.acts = [np.empty((rows, w)) for w in widths[:-1]]
+        self.deriv = [np.empty((rows, w)) for w in widths[:-1]]
+        self.grad = np.empty_like(model.params)
+        self.grads_w, self.grads_b = _views(self.grad, shapes)
+        self.step = np.empty_like(model.params)
+        self.denom = np.empty_like(model.params)
+
+
+def _backprop(model: MlpModel, ws: _Workspace, x: np.ndarray, y: np.ndarray, diff: np.ndarray) -> None:
+    """Forward and backward pass of the batch (x, y): the output residual
+    into `diff`, the gradient of the MSE into ws.grad.
+
+    Every matmul is np.dot into a workspace buffer: on these small shapes
+    it gives the bits of `@` at about half the call cost.
     """
-    layers = [*grads_w, *grads_b]
-    g = _flat_base(layers, state.m.size)
-    if g is None:
-        g = np.empty_like(state.m)
-        flat_w, flat_b = _views(g, [w.shape for w in model.weights])
-        for view, layer in zip([*flat_w, *flat_b], layers):
-            view[...] = layer
+    last = len(model.weights) - 1
+    tanh = model.config.activation == "tanh"
+    a = x
+    for l in range(last + 1):
+        z = ws.pre[l]
+        np.dot(a, model.weights[l], out=z)
+        z += model.biases[l]
+        if l < last:
+            a = ws.acts[l]
+            if tanh:
+                np.tanh(z, out=a)
+            else:
+                np.maximum(z, 0.0, out=a)
+    np.subtract(z, y, out=diff)
+    delta = ws.delta[last]
+    np.multiply(2.0, diff, out=delta)
+    delta /= diff.size
+    for l in range(last, -1, -1):
+        a = ws.acts[l - 1] if l else x
+        np.dot(a.T, delta, out=ws.grads_w[l])
+        np.add.reduce(delta, axis=0, out=ws.grads_b[l])
+        if l:
+            d = ws.deriv[l - 1]
+            if tanh:
+                # a is tanh(pre[l - 1]): its derivative without a second tanh
+                np.multiply(a, a, out=d)
+                np.subtract(1.0, d, out=d)
+            else:
+                np.greater(ws.pre[l - 1], 0.0, out=d)
+            np.dot(delta, model.weights[l].T, out=ws.delta[l - 1])
+            delta = ws.delta[l - 1]
+            delta *= d
+
+
+def _adam(model: MlpModel, ws: _Workspace, state: AdamState, config: MlpConfig, in_params: bool) -> None:
+    """One adam update of every parameter from the flat gradient ws.grad,
+    element-wise over flat buffers. Every expression keeps the order of
+    the per-layer update m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
+    w -= (lr * (m / corr1)) / (sqrt(v / corr2) + eps), so results match
+    it bit for bit. `in_params` says whether the layers view
+    model.params; where a caller swapped in its own layer arrays, those
+    are updated instead."""
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     corr1 = 1.0 - b1**state.t
     corr2 = 1.0 - b2**state.t
-    m, v = state.m, state.v
-    step = np.multiply(g, 1 - b1)
+    g, m, v, step, denom = ws.grad, state.m, state.v, ws.step, ws.denom
+    np.multiply(g, 1 - b1, out=step)
     m *= b1
     m += step
     np.square(g, out=step)
@@ -251,17 +292,34 @@ def adam_step(model: MlpModel, grads_w, grads_b, state: AdamState, config: MlpCo
     v += step
     np.divide(m, corr1, out=step)
     step *= config.learning_rate
-    denom = np.divide(v, corr2)
+    np.divide(v, corr2, out=denom)
     np.sqrt(denom, out=denom)
     denom += config.epsilon
     step /= denom
-    if _flat_base([*model.weights, *model.biases], model.params.size) is model.params:
+    if in_params:
         model.params -= step
     else:
-        # a caller swapped in its own layer arrays: update those
         step_w, step_b = _views(step, [w.shape for w in model.weights])
         for layer, delta in zip([*model.weights, *model.biases], [*step_w, *step_b]):
             layer -= delta
+
+
+def _layers_in_params(model: MlpModel) -> bool:
+    return all(a.base is model.params for a in [*model.weights, *model.biases])
+
+
+def _batch_sums(res: np.ndarray, batch: int) -> List[float]:
+    """Each batch's sum of squared residuals, in the bits of
+    (diff * diff).sum() on that batch, for `res` the (n, 2) residuals of
+    consecutive batches of `batch` rows (the last may be short); squares
+    `res` in place. A full batch is one contiguous row of 2 * batch
+    values, which numpy's pairwise sum reduces as it does the batch."""
+    np.multiply(res, res, out=res)
+    full = res.shape[0] // batch
+    sums = np.add.reduce(res[: full * batch].reshape(full, OUTPUT_WIDTH * batch), axis=1).tolist()
+    if full * batch < res.shape[0]:
+        sums.append(float(np.add.reduce(res[full * batch :], axis=None)))
+    return sums
 
 
 def train(model: MlpModel, train_set: FeatureSet, config: Optional[MlpConfig] = None) -> TrainReport:
@@ -271,10 +329,22 @@ def train(model: MlpModel, train_set: FeatureSet, config: Optional[MlpConfig] = 
     space; the per-epoch loss is the batch-size weighted mean of batch
     losses. An epoch that fails to beat the best loss by min_delta
     burns one unit of patience; running out of patience stops training
-    with the last (not best) weights kept.
+    with the last (not best) weights kept. A `config` other than the
+    model's may change the optimizer, batching, stopping and shuffle
+    fields, not the network: its hidden_layers and activation must be
+    the model's.
     """
     config = config or model.config
     validate_mlp_config(config)
+    if tuple(config.hidden_layers) != tuple(model.config.hidden_layers):
+        raise ConfigurationError(
+            f"training config hidden_layers {tuple(config.hidden_layers)} differ from the model's "
+            f"{tuple(model.config.hidden_layers)}"
+        )
+    if config.activation != model.config.activation:
+        raise ConfigurationError(
+            f"training config activation {config.activation!r} differs from the model's {model.config.activation!r}"
+        )
     if model.normalizer is None:
         raise ConfigurationError("model needs a bound normalizer before training")
     if len(train_set) < 1:
@@ -283,8 +353,21 @@ def train(model: MlpModel, train_set: FeatureSet, config: Optional[MlpConfig] = 
     x = apply(model.normalizer, train_set.values)
     y = apply_labels(model.normalizer, train_set.labels)
     n = x.shape[0]
+    batch = config.batch_size
     rng = np.random.default_rng(config.rng_seed)
     state = init_adam(model)
+    in_params = _layers_in_params(model)
+
+    x_epoch = np.empty_like(x)
+    y_epoch = np.empty_like(y)
+    res = np.empty((n, OUTPUT_WIDTH))  # every batch's output residual
+    spaces = {}
+    steps = []
+    for start in range(0, n, batch):
+        stop = min(start + batch, n)
+        if stop - start not in spaces:
+            spaces[stop - start] = _Workspace(model, stop - start)
+        steps.append((x_epoch[start:stop], y_epoch[start:stop], res[start:stop], spaces[stop - start]))
 
     history: List[float] = []
     best: Optional[float] = None
@@ -292,14 +375,17 @@ def train(model: MlpModel, train_set: FeatureSet, config: Optional[MlpConfig] = 
     stopped_early = False
     for _ in range(config.max_epochs):
         perm = rng.permutation(n)
-        x_epoch = x[perm]
-        y_epoch = y[perm]
+        # mode="clip" gathers straight into out, where the default
+        # "raise" gathers into a temporary first; a permutation is in range
+        np.take(x, perm, axis=0, out=x_epoch, mode="clip")
+        np.take(y, perm, axis=0, out=y_epoch, mode="clip")
+        for xb, yb, rb, ws in steps:
+            _backprop(model, ws, xb, yb, rb)
+            _adam(model, ws, state, config, in_params)
+        # each batch's mean squared error, weighted by its rows, in batch order
         epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            xb = x_epoch[start : start + config.batch_size]
-            loss, gw, gb = loss_and_gradients(model, xb, y_epoch[start : start + config.batch_size])
-            adam_step(model, gw, gb, state, config)
-            epoch_loss += loss * len(xb)
+        for total, (xb, _, _, _) in zip(_batch_sums(res, batch), steps):
+            epoch_loss += total / (len(xb) * OUTPUT_WIDTH) * len(xb)
         epoch_loss /= n
         if not np.isfinite(epoch_loss):
             raise TrainingDivergenceError(

@@ -315,36 +315,99 @@ def test_loss_and_gradients_match_oracle(activation, rng):
             assert np.array_equal(got, want)
 
 
-def test_train_steps_match_oracle_loop():
-    # the training loop (batch gather per epoch, flat adam) against the
-    # oracle backward pass and per-layer adam on x[idx] batches
-    ts = toy_training_set(n=53, seed=4)
-    config = MlpConfig(hidden_layers=(6,), batch_size=8, max_epochs=4, patience=10**9, rng_seed=9)
-    model = init_model(config, input_width=3)
+def oracle_train(config, ts):
+    """Reference training loop: x[idx] batches through the oracle backward
+    pass and per-layer adam, each batch's loss added as it is computed,
+    and the same stopping rule. Returns the trained model, loss history
+    and whether patience ran out."""
+    model = init_model(config, input_width=ts.values.shape[1])
     model.normalizer = fit_normalizer(ts)
-    ref = init_model(config, input_width=3)
-    weights, biases = ref.weights, ref.biases
+    weights, biases = model.weights, model.biases
     moments = tuple([np.zeros_like(a) for a in arrays] for arrays in (weights, weights, biases, biases))
-    train(model, ts)
-
     x = apply(model.normalizer, ts.values)
     y = apply_labels(model.normalizer, ts.labels)
     rng = np.random.default_rng(config.rng_seed)
     t = 0
     history = []
+    best, wait = None, 0
     for _ in range(config.max_epochs):
         perm = rng.permutation(len(x))
         epoch_loss = 0.0
         for start in range(0, len(x), config.batch_size):
             idx = perm[start : start + config.batch_size]
-            loss, gw, gb = oracle_loss_and_gradients(ref, x[idx], y[idx])
+            loss, gw, gb = oracle_loss_and_gradients(model, x[idx], y[idx])
             t += 1
             oracle_adam_step(weights, biases, gw, gb, moments, t, config)
             epoch_loss += loss * len(idx)
         history.append(epoch_loss / len(x))
-    assert model.loss_history == history
-    for got, want in zip(model.weights + model.biases, weights + biases):
-        assert np.array_equal(got, want)
+        if best is None or history[-1] < best - config.min_delta:
+            best, wait = history[-1], 0
+        else:
+            wait += 1
+            if wait >= config.patience:
+                return model, history, True
+    return model, history, False
+
+
+# (rows, batch size, max_epochs, patience, min_delta): batches of every
+# size up to past numpy's 128-value pairwise-sum block (100 and 256 rows
+# of two outputs), with and without a short last batch; a 1-row tail; one
+# batch of all rows or of more than there are; and a stop on patience
+ORACLE_RUNS = {
+    "b1": (300, 1, 3, 10**9, 0.0),
+    "b8-tail4": (300, 8, 3, 10**9, 0.0),
+    "b32-tail12": (300, 32, 3, 10**9, 0.0),
+    "b100": (300, 100, 3, 10**9, 0.0),
+    "b256-tail44": (300, 256, 3, 10**9, 0.0),
+    "b32-tail1": (33, 32, 3, 10**9, 0.0),
+    "b33-one-batch": (33, 33, 3, 10**9, 0.0),
+    "b64-past-n": (33, 64, 3, 10**9, 0.0),
+    "patience-stop": (300, 32, 40, 2, 0.05),
+}
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(6,), (6, 4), (1,)], ids=["h6", "h6x4", "h1"])
+@pytest.mark.parametrize("run", sorted(ORACLE_RUNS))
+def test_train_steps_match_oracle_loop(run, hidden, activation):
+    # the training loop (one workspace per batch row count, np.dot into
+    # its buffers, epoch loss summed once) against the oracle loop, as bits
+    rows, batch, max_epochs, patience, min_delta = ORACLE_RUNS[run]
+    ts = toy_training_set(n=rows, seed=4)
+    config = MlpConfig(
+        hidden_layers=hidden,
+        activation=activation,
+        batch_size=batch,
+        max_epochs=max_epochs,
+        patience=patience,
+        min_delta=min_delta,
+        rng_seed=9,
+    )
+    model = init_model(config, input_width=3)
+    model.normalizer = fit_normalizer(ts)
+    report = train(model, ts)
+    ref, history, stopped = oracle_train(config, ts)
+    assert report.stopped_early == stopped == (run == "patience-stop")
+    assert np.array(model.loss_history).view(np.uint64).tolist() == np.array(history).view(np.uint64).tolist()
+    assert np.array_equal(model.params.view(np.uint64), ref.params.view(np.uint64))
+
+
+def test_train_refuses_a_config_for_another_network():
+    # the step runs the model's layers and activation and the bundle
+    # records the model's config, so a config naming another net is refused
+    ts = toy_training_set()
+    model = init_model(MlpConfig(hidden_layers=(6,), max_epochs=3), input_width=3)
+    model.normalizer = fit_normalizer(ts)
+    params = model.params.copy()
+    for change in ({"activation": "relu"}, {"hidden_layers": (8,)}, {"hidden_layers": (6, 6)}):
+        (name,) = change
+        with pytest.raises(ConfigurationError, match=name):
+            train(model, ts, replace(model.config, **change))
+    assert np.array_equal(model.params, params)
+    assert model.loss_history == []
+    # the same net in a list, with other optimizer and stopping fields, trains
+    report = train(model, ts, replace(model.config, hidden_layers=[6], max_epochs=2, rng_seed=5))
+    assert report.epochs_run == 2
 
 
 def test_parameters_share_one_flat_buffer():
