@@ -23,7 +23,7 @@ size of its vocabulary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -308,6 +308,11 @@ class NormalizationStats:
     label_mean: np.ndarray
     label_std: np.ndarray
     fit_on_train: bool = True
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NormalizationStats):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def fit_normalizer(

@@ -83,7 +83,7 @@ class Dataset:
 
 # the per-record columns, one entry per record; the other fields are header
 _RECORD_COLUMNS = ("xs", "ys", "serving", "los", "meas_cells", "meas_beams", "meas_rsrp")
-# los_filter's refusal, also raised by a line-of-sight-only build
+# los_filter's refusal, also raised by a line-of-sight-only sweep
 _NO_LOS = "line-of-sight filter removed every record"
 
 
@@ -144,14 +144,11 @@ def sweep_blocks(scenario: Scenario, seed: int, *, los_only: bool = False) -> It
         raise DataError(_NO_LOS)
 
 
-def build_dataset(scenario: Scenario, seed: Optional[int] = None, *, los_only: bool = False) -> Dataset:
+def build_dataset(scenario: Scenario, seed: Optional[int] = None) -> Dataset:
     """Sweep every grid location and assemble the fingerprint dataset.
 
     Deterministic given (scenario, seed); the seed only feeds the
-    optional shadowing term and defaults to the scenario rng_seed. With
-    `los_only` it keeps only the records whose serving site is line of
-    sight, the rows and bits los_filter would keep, and never holds the
-    others; a sweep with none raises los_filter's DataError.
+    optional shadowing term and defaults to the scenario rng_seed.
 
     The blocks of sweep_blocks are written one after another into the
     preallocated output columns, so that beyond them the build holds
@@ -171,16 +168,14 @@ def build_dataset(scenario: Scenario, seed: Optional[int] = None, *, los_only: b
         np.empty((n, m)),
     )
     k = 0
-    for block in sweep_blocks(scenario, seed, los_only=los_only):
+    for block in sweep_blocks(scenario, seed):
         rows = slice(k, k + len(block[0]))
         for column, values in zip(columns, block):
             column[rows] = values
         k = rows.stop
         del block, values  # or they would live on while the next block is made
-    # views of the first k rows: with los_only the rows past them were
-    # never written, so their pages were never touched
     return Dataset(
-        *(column[:k] for column in columns),
+        *columns,
         cells=scenario.cell_ids,
         n_beams=len(scenario.codebook.beams),
         scenario_hash=scenario.fingerprint_hash,

@@ -80,7 +80,8 @@ class MlpModel:
     """Weights and biases live in one flat float64 buffer, `params`;
     construction copies the given layers into it, and `weights` and
     `biases` are then per-layer views, so an in-place update of either
-    side is seen by the other."""
+    side is seen by the other. Two models are equal when their params,
+    config, normalizer and loss history are."""
 
     weights: List[np.ndarray]  # layer l maps (fan_in,) -> (fan_out,), stored (fan_in, fan_out)
     biases: List[np.ndarray]
@@ -95,6 +96,16 @@ class MlpModel:
         self.weights, self.biases = _views(self.params, [w.shape for w in self.weights])
         for view, layer in zip([*self.weights, *self.biases], layers):
             view[...] = layer
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MlpModel):
+            return NotImplemented
+        return (
+            np.array_equal(self.params, other.params)
+            and self.config == other.config
+            and self.normalizer == other.normalizer
+            and self.loss_history == other.loss_history
+        )
 
     @property
     def input_width(self) -> int:
@@ -135,20 +146,6 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def _forward_cached(model: MlpModel, x: np.ndarray):
-    acts = [x]
-    pre = []
-    last = len(model.weights) - 1
-    a = x
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w
-        z += b
-        pre.append(z)
-        a = z if l == last else _activate(z, model.config.activation)
-        acts.append(a)
-    return acts, pre
-
-
 def forward(model: MlpModel, values: np.ndarray) -> np.ndarray:
     """Raw network output in normalized label space.
 
@@ -161,9 +158,12 @@ def forward(model: MlpModel, values: np.ndarray) -> np.ndarray:
         x = x[None, :]
     if x.shape[1] != model.input_width:
         raise DataError(f"input width {x.shape[1]} does not match model width {model.input_width}")
-    acts, _ = _forward_cached(model, x)
-    out = acts[-1]
-    return out[0] if single else out
+    last = len(model.weights) - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = x @ w
+        z += b
+        x = z if l == last else _activate(z, model.config.activation)
+    return x[0] if single else x
 
 
 def loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
@@ -198,14 +198,15 @@ def init_adam(model: MlpModel) -> AdamState:
     return AdamState(m=np.zeros_like(model.params), v=np.zeros_like(model.params))
 
 
-def adam_step(model: MlpModel, grads_w, grads_b, state: AdamState, config: MlpConfig) -> None:
-    """One adam update of every parameter from per-layer gradients: the
-    step kernel's update, run on a workspace the gradients are copied
-    into."""
+def adam_step(model: MlpModel, grads_w, grads_b, state: AdamState) -> None:
+    """One adam update of every parameter from per-layer gradients, with
+    the model's config: the step kernel's update, run on a workspace the
+    gradients are copied into."""
+    _check_layers(model)
     ws = _Workspace(model, 0)
     for view, layer in zip([*ws.grads_w, *ws.grads_b], [*grads_w, *grads_b]):
         view[...] = layer
-    _adam(model, ws, state, config, _layers_in_params(model))
+    _adam(model, ws, state)
 
 
 class _Workspace:
@@ -270,14 +271,13 @@ def _backprop(model: MlpModel, ws: _Workspace, x: np.ndarray, y: np.ndarray, dif
             delta *= d
 
 
-def _adam(model: MlpModel, ws: _Workspace, state: AdamState, config: MlpConfig, in_params: bool) -> None:
-    """One adam update of every parameter from the flat gradient ws.grad,
+def _adam(model: MlpModel, ws: _Workspace, state: AdamState) -> None:
+    """One adam update of model.params from the flat gradient ws.grad,
     element-wise over flat buffers. Every expression keeps the order of
     the per-layer update m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
     w -= (lr * (m / corr1)) / (sqrt(v / corr2) + eps), so results match
-    it bit for bit. `in_params` says whether the layers view
-    model.params; where a caller swapped in its own layer arrays, those
-    are updated instead."""
+    it bit for bit."""
+    config = model.config
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     corr1 = 1.0 - b1**state.t
@@ -296,16 +296,17 @@ def _adam(model: MlpModel, ws: _Workspace, state: AdamState, config: MlpConfig, 
     np.sqrt(denom, out=denom)
     denom += config.epsilon
     step /= denom
-    if in_params:
-        model.params -= step
-    else:
-        step_w, step_b = _views(step, [w.shape for w in model.weights])
-        for layer, delta in zip([*model.weights, *model.biases], [*step_w, *step_b]):
-            layer -= delta
+    model.params -= step
 
 
-def _layers_in_params(model: MlpModel) -> bool:
-    return all(a.base is model.params for a in [*model.weights, *model.biases])
+def _check_layers(model: MlpModel) -> None:
+    """Refuse a model whose layers are not the views of model.params,
+    which adam updates: an array put in place of a view would not be."""
+    if not all(a.base is model.params for a in [*model.weights, *model.biases]):
+        raise ConfigurationError(
+            "model layers are not views of model.params; write into them in place "
+            "(model.weights[l][...] = ...) instead of replacing them"
+        )
 
 
 def _batch_sums(res: np.ndarray, batch: int) -> List[float]:
@@ -322,29 +323,19 @@ def _batch_sums(res: np.ndarray, batch: int) -> List[float]:
     return sums
 
 
-def train(model: MlpModel, train_set: FeatureSet, config: Optional[MlpConfig] = None) -> TrainReport:
-    """Mini-batch adam with early stopping on the epoch training loss.
+def train(model: MlpModel, train_set: FeatureSet) -> TrainReport:
+    """Mini-batch adam with early stopping on the epoch training loss,
+    as model.config sets them.
 
     The model's bound normalizer maps features and labels into training
     space; the per-epoch loss is the batch-size weighted mean of batch
     losses. An epoch that fails to beat the best loss by min_delta
     burns one unit of patience; running out of patience stops training
-    with the last (not best) weights kept. A `config` other than the
-    model's may change the optimizer, batching, stopping and shuffle
-    fields, not the network: its hidden_layers and activation must be
-    the model's.
+    with the last (not best) weights kept.
     """
-    config = config or model.config
+    config = model.config
     validate_mlp_config(config)
-    if tuple(config.hidden_layers) != tuple(model.config.hidden_layers):
-        raise ConfigurationError(
-            f"training config hidden_layers {tuple(config.hidden_layers)} differ from the model's "
-            f"{tuple(model.config.hidden_layers)}"
-        )
-    if config.activation != model.config.activation:
-        raise ConfigurationError(
-            f"training config activation {config.activation!r} differs from the model's {model.config.activation!r}"
-        )
+    _check_layers(model)
     if model.normalizer is None:
         raise ConfigurationError("model needs a bound normalizer before training")
     if len(train_set) < 1:
@@ -356,7 +347,6 @@ def train(model: MlpModel, train_set: FeatureSet, config: Optional[MlpConfig] = 
     batch = config.batch_size
     rng = np.random.default_rng(config.rng_seed)
     state = init_adam(model)
-    in_params = _layers_in_params(model)
 
     x_epoch = np.empty_like(x)
     y_epoch = np.empty_like(y)
@@ -381,7 +371,7 @@ def train(model: MlpModel, train_set: FeatureSet, config: Optional[MlpConfig] = 
         np.take(y, perm, axis=0, out=y_epoch, mode="clip")
         for xb, yb, rb, ws in steps:
             _backprop(model, ws, xb, yb, rb)
-            _adam(model, ws, state, config, in_params)
+            _adam(model, ws, state)
         # each batch's mean squared error, weighted by its rows, in batch order
         epoch_loss = 0.0
         for total, (xb, _, _, _) in zip(_batch_sums(res, batch), steps):

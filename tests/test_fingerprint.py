@@ -20,6 +20,7 @@ from beamprint.fingerprint import (
     los_rows,
     partition_by_cell,
     save_dataset,
+    sweep_blocks,
 )
 from beamprint.radio import rsrp_cube
 from beamprint.scenario import (
@@ -170,6 +171,20 @@ def same_datasets(got, want):
     assert got == want
 
 
+def los_only_build(scenario, seed=None):
+    """The line-of-sight-only sweep run_experiment streams, its blocks
+    stacked into a Dataset."""
+    seed = scenario.config.rng_seed if seed is None else seed
+    blocks = list(sweep_blocks(scenario, seed, los_only=True))
+    return Dataset(
+        *(np.concatenate(column) for column in zip(*blocks)),
+        cells=scenario.cell_ids,
+        n_beams=len(scenario.codebook.beams),
+        scenario_hash=scenario.fingerprint_hash,
+        seed=seed,
+    )
+
+
 # (scenario config, seed) of each sweep the LOS-only build is checked on
 LOS_ONLY_CASES = {
     "small": (small_scenario_config(), None),
@@ -194,7 +209,7 @@ def test_los_only_build_matches_los_filter(case):
     assert np.array_equal(full.los, los)
     # line-of-sight records in several build blocks
     assert np.unique(np.flatnonzero(full.los) // _BUILD_ROWS).size > 1
-    same_datasets(build_dataset(sc, seed, los_only=True), los_filter(full))
+    same_datasets(los_only_build(sc, seed), los_filter(full))
 
 
 def test_los_only_build_past_a_block_without_los_records(small_scenario, small_dataset, monkeypatch):
@@ -205,13 +220,13 @@ def test_los_only_build_past_a_block_without_los_records(small_scenario, small_d
     monkeypatch.setattr(fingerprint, "los_mask", lambda sc, tx, pts: los_mask(sc, tx, pts) & (pts[:, 1] > last_y))
     full = build_dataset(small_scenario)
     assert not full.los[:_BUILD_ROWS].any() and full.los.any()
-    same_datasets(build_dataset(small_scenario, los_only=True), los_filter(full))
+    same_datasets(los_only_build(small_scenario), los_filter(full))
 
 
 def test_los_only_build_without_los_records_raises(small_scenario, monkeypatch):
     monkeypatch.setattr(fingerprint, "los_mask", lambda sc, tx, pts: np.zeros(len(pts), dtype=bool))
     with pytest.raises(DataError, match="line-of-sight filter removed every record"):
-        build_dataset(small_scenario, los_only=True)
+        los_only_build(small_scenario)
 
 
 def test_los_and_cell_rows_select_what_the_filters_keep(small_dataset):

@@ -94,12 +94,12 @@ def test_init_rejects_a_negative_seed():
 
 
 def hand_model(activation="tanh"):
-    # fixed tiny net: 2 -> 2 -> 2, hand-pickable numbers
+    # fixed tiny net: 2 -> 2 -> 2, hand-pickable numbers, written in place
     model = init_model(MlpConfig(hidden_layers=(2,), activation=activation), input_width=2)
-    model.weights[0] = np.array([[1.0, 0.0], [0.0, -1.0]])
-    model.biases[0] = np.array([0.5, 0.0])
-    model.weights[1] = np.array([[2.0, 1.0], [0.0, 1.0]])
-    model.biases[1] = np.array([0.0, -1.0])
+    model.weights[0][...] = [[1.0, 0.0], [0.0, -1.0]]
+    model.biases[0][...] = [0.5, 0.0]
+    model.weights[1][...] = [[2.0, 1.0], [0.0, 1.0]]
+    model.biases[1][...] = [0.0, -1.0]
     return model
 
 
@@ -215,7 +215,7 @@ def test_adam_first_step_direction_and_size():
     state = init_adam(model)
     gw = [np.full_like(w, 0.5) for w in model.weights]
     gb = [np.full_like(b, -2.0) for b in model.biases]
-    adam_step(model, gw, gb, state, model.config)
+    adam_step(model, gw, gb, state)
     for before, after in zip(w0, model.weights):
         assert np.allclose(before - after, 1e-3, atol=1e-9)
     for b in model.biases:
@@ -229,7 +229,7 @@ def test_adam_zero_gradient_keeps_weights():
     state = init_adam(model)
     gw = [np.zeros_like(w) for w in model.weights]
     gb = [np.zeros_like(b) for b in model.biases]
-    adam_step(model, gw, gb, state, model.config)
+    adam_step(model, gw, gb, state)
     assert all(np.array_equal(a, b) for a, b in zip(w0, model.weights))
 
 
@@ -296,7 +296,7 @@ def test_adam_step_matches_per_layer_oracle(hidden):
         gw = [rng.normal(size=w.shape) * 10.0 ** rng.integers(-6, 3) for w in weights]
         gb = [rng.normal(size=b.shape) * (rng.random(b.shape) < 0.7) for b in biases]
         oracle_adam_step(weights, biases, gw, gb, moments, t, config)
-        adam_step(model, gw, gb, state, config)
+        adam_step(model, gw, gb, state)
         assert state.t == t
         for got, want in zip(model.weights + model.biases, weights + biases):
             assert np.array_equal(got, want)
@@ -392,24 +392,6 @@ def test_train_steps_match_oracle_loop(run, hidden, activation):
     assert np.array_equal(model.params.view(np.uint64), ref.params.view(np.uint64))
 
 
-def test_train_refuses_a_config_for_another_network():
-    # the step runs the model's layers and activation and the bundle
-    # records the model's config, so a config naming another net is refused
-    ts = toy_training_set()
-    model = init_model(MlpConfig(hidden_layers=(6,), max_epochs=3), input_width=3)
-    model.normalizer = fit_normalizer(ts)
-    params = model.params.copy()
-    for change in ({"activation": "relu"}, {"hidden_layers": (8,)}, {"hidden_layers": (6, 6)}):
-        (name,) = change
-        with pytest.raises(ConfigurationError, match=name):
-            train(model, ts, replace(model.config, **change))
-    assert np.array_equal(model.params, params)
-    assert model.loss_history == []
-    # the same net in a list, with other optimizer and stopping fields, trains
-    report = train(model, ts, replace(model.config, hidden_layers=[6], max_epochs=2, rng_seed=5))
-    assert report.epochs_run == 2
-
-
 def test_parameters_share_one_flat_buffer():
     model = init_model(MlpConfig(hidden_layers=(4, 3)), input_width=5)
     assert model.params.shape == (5 * 4 + 4 + 4 * 3 + 3 + 3 * 2 + 2,)
@@ -420,22 +402,24 @@ def test_parameters_share_one_flat_buffer():
     assert gw[0].base.shape == model.params.shape
 
 
-def test_adam_updates_swapped_in_layers():
-    # hand_model replaces list entries with its own arrays; adam must
-    # still update the arrays the model holds, as the per-layer form did
-    model = hand_model()
-    held = model.weights[0]
-    weights = [w.copy() for w in model.weights]
-    biases = [b.copy() for b in model.biases]
-    moments = tuple([np.zeros_like(a) for a in arrays] for arrays in (weights, weights, biases, biases))
+def test_train_and_adam_step_refuse_swapped_layers():
+    # adam updates model.params, so an array put in place of a layer view
+    # would be left behind; both entry points refuse it and change nothing
+    ts = toy_training_set()
+    model = init_model(MlpConfig(hidden_layers=(6,), max_epochs=3), input_width=3)
+    model.normalizer = fit_normalizer(ts)
+    model.weights[0] = model.weights[0].copy()
+    params = model.params.copy()
     state = init_adam(model)
-    gw = [np.full_like(w, 0.25) for w in weights]
-    gb = [np.full_like(b, -1.5) for b in biases]
-    adam_step(model, gw, gb, state, model.config)
-    oracle_adam_step(weights, biases, gw, gb, moments, 1, model.config)
-    assert model.weights[0] is held
-    for got, want in zip(model.weights + model.biases, weights + biases):
-        assert np.array_equal(got, want)
+    gw = [np.full_like(w, 0.25) for w in model.weights]
+    gb = [np.full_like(b, -1.5) for b in model.biases]
+    with pytest.raises(ConfigurationError, match="in place"):
+        adam_step(model, gw, gb, state)
+    with pytest.raises(ConfigurationError, match="in place"):
+        train(model, ts)
+    assert np.array_equal(model.params.view(np.uint64), params.view(np.uint64))
+    assert state.t == 0 and not state.m.any()
+    assert model.loss_history == []
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +466,12 @@ def test_train_bit_for_bit_deterministic():
 def test_train_shuffle_seed_changes_path():
     ts = toy_training_set()
     losses = []
+    init = init_model(MlpConfig(max_epochs=5, rng_seed=0), input_width=3)
     for seed in (0, 1):
-        model = init_model(MlpConfig(max_epochs=5, rng_seed=0), input_width=3)
-        # same init, different shuffle: rebuild with same init seed then
-        # swap the config used for training
-        cfg = MlpConfig(max_epochs=5, rng_seed=seed)
+        # same init, different shuffle
+        model = MlpModel(init.weights, init.biases, MlpConfig(max_epochs=5, rng_seed=seed))
         model.normalizer = fit_normalizer(ts)
-        train(model, ts, cfg)
+        train(model, ts)
         losses.append(model.loss_history)
     assert losses[0] != losses[1]
 

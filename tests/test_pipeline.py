@@ -25,7 +25,6 @@ from beamprint.features import (
 )
 from beamprint.fingerprint import (
     _BUILD_ROWS,
-    build_dataset,
     cell_rows,
     los_filter,
     los_rows,
@@ -59,7 +58,7 @@ from beamprint.scenario import build_scenario, default_scenario_config, save_sce
 
 from conftest import record_of, row_of, small_scenario_config, triples
 from test_features import oracle_record, same_feature_sets
-from test_fingerprint import _overhead_growth, _traced_overhead
+from test_fingerprint import _overhead_growth, _traced_overhead, los_only_build
 from test_mlp import GOLDEN_FLOAT_KERNELS, float_kernels_digest, radio_kernels_as_pinned
 
 
@@ -361,6 +360,23 @@ def test_load_bundle_keeps_mlp_weights_exact(tmp_path, mlp_bundle):
         assert got.dtype == np.float64 and np.array_equal(got, want)
     for layer in loaded.mlp_model.weights + loaded.mlp_model.biases:
         assert layer.base is loaded.mlp_model.params
+
+
+def test_saved_bundles_load_back_equal(tmp_path, tree_bundle, mlp_bundle):
+    for bundle in (tree_bundle, mlp_bundle):
+        path = tmp_path / f"{bundle.model_type}.json"
+        save_model_bundle(bundle, path)
+        assert load_model_bundle(path) == bundle
+    # one weight, loss or normalizer entry apart makes the nets unequal
+    edits = [
+        lambda net: net.params.__setitem__(0, net.params[0] + 1.0),
+        lambda net: net.loss_history.append(0.0),
+        lambda net: setattr(net, "normalizer", replace(net.normalizer, label_std=2.0 * net.normalizer.label_std)),
+    ]
+    for edit in edits:
+        net = load_model_bundle(path).mlp_model
+        edit(net)
+        assert net != mlp_bundle.mlp_model
 
 
 def _pinned_bundles():
@@ -765,7 +781,7 @@ def test_run_experiment_arms_equal_extract_features_on_the_los_build(
     result = run_experiment(spec, tmp_path)
     monkeypatch.undo()
 
-    los = build_dataset(small_scenario, los_only=True)
+    los = los_only_build(small_scenario)
     # the small grid is three sweep blocks, each extracted once per config
     per_block = np.bincount(np.flatnonzero(small_dataset.los) // _BUILD_ROWS, minlength=3)
     assert extract_calls == [n for n in per_block.tolist() for _ in ORACLE_FEATURES]
@@ -806,7 +822,7 @@ def test_run_experiment_memory_does_not_grow_with_the_los_columns(tmp_path):
         config = replace(default_scenario_config(0), grid_resolution_m=res)
         d = _spec_dict(scenario=scenario_config_to_dict(config), model_configs=[{"type": "tree", "max_depth": 4}])
         _, peak = _traced_overhead(run_experiment, experiment_spec_from_dict(d), tmp_path / str(res), held=lambda r: 0)
-        runs.append((build_dataset(build_scenario(config), los_only=True), peak))
+        runs.append((los_only_build(build_scenario(config)), peak))
     assert _overhead_growth(runs) < 0.25
 
 
