@@ -19,8 +19,8 @@ from .errors import BeamprintError, ConfigurationError, DataError, TrainingDiver
 from .evaluate import compare, summarize, write_cdf_csv, write_report
 from .features import extract_features, feature_config_from_dict
 from .fingerprint import build_dataset, load_dataset, los_rows, save_dataset
-from .mlp import _ACTIVATIONS, MlpConfig, validate_mlp_config
-from .dtree import TreeConfig, validate_tree_config
+from .mlp import _ACTIVATIONS, MlpConfig
+from .dtree import TreeConfig
 from .evaluate import euclidean_errors
 from .pipeline import (
     MODEL_MLP,
@@ -173,7 +173,6 @@ def _cmd_train(args) -> int:
                 rng_seed=args.seed,
             ),
         )
-        validate_mlp_config(spec.mlp_config)
     else:
         spec = ModelSpec(
             model_type=MODEL_TREE,
@@ -183,7 +182,6 @@ def _cmd_train(args) -> int:
                 min_impurity_decrease=args.min_impurity_decrease,
             ),
         )
-        validate_tree_config(spec.tree_config)
     fc = feature_config_from_dict(load_object(args.features, "feature config"))
     dataset = load_dataset(args.dataset)
     feats = extract_features(dataset, fc, None if args.no_los_filter else los_rows(dataset))

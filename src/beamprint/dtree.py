@@ -31,16 +31,15 @@ class TreeConfig:
     min_samples_leaf: int = 2
     min_impurity_decrease: float = 0.0
 
-
-def validate_tree_config(config: TreeConfig) -> None:
-    if config.max_depth < 1:
-        raise ConfigurationError("max depth must be at least 1")
-    if config.min_samples_leaf < 1:
-        raise ConfigurationError("min samples per leaf must be at least 1")
-    # the range leaves out NaN and infinity, which CLI flags and the API
-    # bring past the file codec's finite-number rule
-    if not 0 <= config.min_impurity_decrease < np.inf:
-        raise ConfigurationError("min_impurity_decrease must be a finite non-negative number")
+    def __post_init__(self) -> None:
+        if self.max_depth < 1:
+            raise ConfigurationError("max depth must be at least 1")
+        if self.min_samples_leaf < 1:
+            raise ConfigurationError("min samples per leaf must be at least 1")
+        # the range leaves out NaN and infinity, which CLI flags and the API
+        # bring past the file codec's finite-number rule
+        if not 0 <= self.min_impurity_decrease < np.inf:
+            raise ConfigurationError("min_impurity_decrease must be a finite non-negative number")
 
 
 @dataclass(eq=False)
@@ -222,7 +221,6 @@ def fit(values: np.ndarray, labels: np.ndarray, config: Optional[TreeConfig] = N
     its split nodes, left first, are the next depth in order, and the
     depths laid end to end are the model's node arrays."""
     config = config or TreeConfig()
-    validate_tree_config(config)
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] == 0:
@@ -308,7 +306,6 @@ def tree_from_dict(d: dict) -> TreeModel:
     if d.get("version") != _TREE_VERSION:
         raise ConfigurationError(f"unsupported tree blob version {d.get('version')}")
     config = from_dict(TreeConfig, d.get("config", {}), "tree config")
-    validate_tree_config(config)
     if "root" not in d or "n_features" not in d:
         raise ConfigurationError("tree blob needs 'root' and 'n_features'")
     n_features = decode(int, d["n_features"], "tree n_features")

@@ -54,18 +54,17 @@ class FeatureConfig:
     cell_id_vocab: Optional[int] = None  # required when one_hot_ids
     beam_id_vocab: Optional[int] = None
 
-
-def validate_feature_config(config: FeatureConfig) -> None:
-    if config.n_serving_beams < 1:
-        raise ConfigurationError("need at least one serving beam feature")
-    if not 0 <= config.n_neighbor_beams <= 3:
-        raise ConfigurationError("neighbor beam count must lie in 0..3")
-    if config.topology not in (TOPOLOGY_NETWORK, TOPOLOGY_CELL):
-        raise ConfigurationError(f"unknown topology {config.topology!r}")
-    if config.topology == TOPOLOGY_CELL and config.include_serving_cell_id:
-        raise ConfigurationError("cell-specific features must not include the serving cell id")
-    if config.one_hot_ids and (config.cell_id_vocab is None or config.beam_id_vocab is None):
-        raise ConfigurationError("one-hot encoding needs cell_id_vocab and beam_id_vocab")
+    def __post_init__(self) -> None:
+        if self.n_serving_beams < 1:
+            raise ConfigurationError("need at least one serving beam feature")
+        if not 0 <= self.n_neighbor_beams <= 3:
+            raise ConfigurationError("neighbor beam count must lie in 0..3")
+        if self.topology not in (TOPOLOGY_NETWORK, TOPOLOGY_CELL):
+            raise ConfigurationError(f"unknown topology {self.topology!r}")
+        if self.topology == TOPOLOGY_CELL and self.include_serving_cell_id:
+            raise ConfigurationError("cell-specific features must not include the serving cell id")
+        if self.one_hot_ids and (self.cell_id_vocab is None or self.beam_id_vocab is None):
+            raise ConfigurationError("one-hot encoding needs cell_id_vocab and beam_id_vocab")
 
 
 def _layout(config: FeatureConfig) -> Tuple[str, ...]:
@@ -85,7 +84,6 @@ def _widths(config: FeatureConfig) -> List[int]:
 
 
 def feature_length(config: FeatureConfig) -> int:
-    validate_feature_config(config)
     return sum(_widths(config))
 
 
@@ -233,7 +231,6 @@ class FeatureAccumulator:
     their extraction."""
 
     def __init__(self, config: FeatureConfig) -> None:
-        validate_feature_config(config)
         self.config = config
         self._blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self._rows = 0
@@ -376,6 +373,4 @@ def invert_labels(stats: NormalizationStats, normalized: np.ndarray) -> np.ndarr
 
 
 def feature_config_from_dict(d, where: str = "feature config") -> FeatureConfig:
-    config = from_dict(FeatureConfig, d, where)
-    validate_feature_config(config)
-    return config
+    return from_dict(FeatureConfig, d, where)

@@ -36,30 +36,29 @@ class MlpConfig:
     min_delta: float = 1e-4
     rng_seed: int = 0
 
-
-def validate_mlp_config(config: MlpConfig) -> None:
-    # the ranges leave out NaN and infinity, which CLI flags and the API
-    # bring past the file codec's finite-number rule
-    if not config.hidden_layers or any(w < 1 for w in config.hidden_layers):
-        raise ConfigurationError("hidden layer widths must be positive")
-    if config.activation not in _ACTIVATIONS:
-        raise ConfigurationError(f"unknown activation {config.activation!r}")
-    if not 0 < config.learning_rate < np.inf:
-        raise ConfigurationError(f"learning_rate must be a finite positive number, got {config.learning_rate!r}")
-    if not 0 <= config.beta1 < 1 or not 0 <= config.beta2 < 1:
-        raise ConfigurationError("adam betas beta1 and beta2 must lie in [0, 1)")
-    if not 0 < config.epsilon < np.inf:
-        raise ConfigurationError(f"adam epsilon must be a finite positive number, got {config.epsilon!r}")
-    if config.batch_size < 1:
-        raise ConfigurationError("batch size must be positive")
-    if config.max_epochs < 1:
-        raise ConfigurationError("max epochs must be positive")
-    if config.patience < 1:
-        raise ConfigurationError("early-stopping patience must be positive")
-    if not 0 <= config.min_delta < np.inf:
-        raise ConfigurationError("early-stopping min_delta must be a finite non-negative number")
-    if config.rng_seed < 0:
-        raise ConfigurationError(f"rng_seed must be non-negative, got {config.rng_seed}")
+    def __post_init__(self) -> None:
+        # the ranges leave out NaN and infinity, which CLI flags and the API
+        # bring past the file codec's finite-number rule
+        if not self.hidden_layers or any(w < 1 for w in self.hidden_layers):
+            raise ConfigurationError("hidden layer widths must be positive")
+        if self.activation not in _ACTIVATIONS:
+            raise ConfigurationError(f"unknown activation {self.activation!r}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigurationError(f"learning_rate must be a finite positive number, got {self.learning_rate!r}")
+        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
+            raise ConfigurationError("adam betas beta1 and beta2 must lie in [0, 1)")
+        if not 0 < self.epsilon < np.inf:
+            raise ConfigurationError(f"adam epsilon must be a finite positive number, got {self.epsilon!r}")
+        if self.batch_size < 1:
+            raise ConfigurationError("batch size must be positive")
+        if self.max_epochs < 1:
+            raise ConfigurationError("max epochs must be positive")
+        if self.patience < 1:
+            raise ConfigurationError("early-stopping patience must be positive")
+        if not 0 <= self.min_delta < np.inf:
+            raise ConfigurationError("early-stopping min_delta must be a finite non-negative number")
+        if self.rng_seed < 0:
+            raise ConfigurationError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 def _views(flat: np.ndarray, shapes) -> Tuple[List[np.ndarray], List[np.ndarray]]:
@@ -126,7 +125,6 @@ class TrainReport:
 
 def init_model(config: MlpConfig, input_width: int) -> MlpModel:
     """Glorot-uniform weights, zero biases, deterministic in the seed."""
-    validate_mlp_config(config)
     if input_width < 1:
         raise ConfigurationError("input width must be positive")
     rng = np.random.default_rng(config.rng_seed)
@@ -334,7 +332,6 @@ def train(model: MlpModel, train_set: FeatureSet) -> TrainReport:
     with the last (not best) weights kept.
     """
     config = model.config
-    validate_mlp_config(config)
     _check_layers(model)
     if model.normalizer is None:
         raise ConfigurationError("model needs a bound normalizer before training")
@@ -484,7 +481,6 @@ def mlp_from_dict(d: dict) -> MlpModel:
         config = from_dict(MlpConfig, d["config"], "mlp config")
     except KeyError as e:
         raise ConfigurationError(f"mlp blob is missing key {e}") from e
-    validate_mlp_config(config)
     loss_history = list(decode(Tuple[float, ...], d.get("loss_history", []), "mlp loss_history"))
     if not isinstance(raw_w, list) or not isinstance(raw_b, list):
         raise ConfigurationError("mlp weights and biases must be lists of layers")

@@ -110,6 +110,17 @@ class ModelSpec:
     mlp_config: Optional[mlp.MlpConfig] = None
     tree_config: Optional[dtree.TreeConfig] = None
 
+    def __post_init__(self) -> None:
+        # a new model type's rule goes here, next to its config field
+        if self.model_type == MODEL_MLP:
+            ok = isinstance(self.mlp_config, mlp.MlpConfig)
+        elif self.model_type == MODEL_TREE:
+            ok = isinstance(self.tree_config, dtree.TreeConfig)
+        else:
+            raise ConfigurationError(f"unknown model type {self.model_type!r}")
+        if not ok:
+            raise ConfigurationError(f"a {self.model_type} model spec needs its {self.model_type}_config")
+
     @property
     def label(self) -> str:
         if self.model_type == MODEL_MLP:
@@ -129,11 +140,9 @@ def model_spec_from_dict(d, where: str = "model config") -> ModelSpec:
     rest = {k: v for k, v in d.items() if k != "type"}
     if kind == MODEL_MLP:
         config = from_dict(mlp.MlpConfig, rest, where)
-        mlp.validate_mlp_config(config)
         return ModelSpec(model_type=MODEL_MLP, mlp_config=config)
     if kind == MODEL_TREE:
         config = from_dict(dtree.TreeConfig, rest, where)
-        dtree.validate_tree_config(config)
         return ModelSpec(model_type=MODEL_TREE, tree_config=config)
     raise ConfigurationError(f"{where} has unknown model type {kind!r}")
 
@@ -211,6 +220,9 @@ def load_model_bundle(path) -> ModelBundle:
 
 @dataclass
 class ExperimentSpec:
+    """A sweep. Made from a file or in code, it checks itself, and the
+    experiment topology governs its feature configs' topology."""
+
     scenario: ScenarioConfig
     feature_configs: List[FeatureConfig]
     model_specs: List[ModelSpec]
@@ -220,6 +232,37 @@ class ExperimentSpec:
     split_seed: int = 7
     dataset_seed: Optional[int] = None
     min_cell_records: int = 50
+
+    def __post_init__(self) -> None:
+        if self.topology not in (TOPOLOGY_NETWORK, TOPOLOGY_CELL):
+            raise ConfigurationError(f"unknown topology {self.topology!r}")
+        # the split permutation's generator takes no negative seed
+        if self.split_seed < 0:
+            raise ConfigurationError(f"experiment spec.split_seed must be non-negative, got {self.split_seed}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigurationError("train fraction must lie strictly between 0 and 1")
+        if self.cells is not None and not (isinstance(self.cells, list) and all(type(c) is int for c in self.cells)):
+            raise ConfigurationError("'cells' must be \"all\" or a list of cell ids")
+        # a sweep that ignored its cells would write a manifest replay refuses
+        if self.cells == []:
+            raise ConfigurationError("'cells' lists no cell; give at least one cell id, or \"all\"")
+        if self.cells is not None and self.topology == TOPOLOGY_NETWORK:
+            raise ConfigurationError(
+                "'cells' picks the cells of a cell-specific sweep; a network-level sweep trains on every cell"
+            )
+        if not self.feature_configs:
+            raise ConfigurationError("experiment spec needs at least one feature config")
+        if not self.model_specs:
+            raise ConfigurationError("experiment spec needs at least one model config")
+        rule = {"topology": self.topology}
+        if self.topology == TOPOLOGY_CELL:
+            rule["include_serving_cell_id"] = False  # cell-specific models never see the serving cell id
+        self.feature_configs = [replace(fc, **rule) for fc in self.feature_configs]
+        # arms that share a label would write over each other's files
+        labels = [_arm_label(fc, ms) for fc in self.feature_configs for ms in self.model_specs]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConfigurationError(f"two arms of the sweep share the label {label!r}")
 
 
 # spec fields that the codec decodes as they are; the others have
@@ -232,17 +275,6 @@ def _object_list(d: dict, key: str) -> list:
     if not isinstance(items, list):
         raise ConfigurationError(f"experiment spec.{key} must be a list")
     return items
-
-
-def _check_cells(cells: Optional[List[int]], topology: str) -> None:
-    """Refuse a cells list a sweep cannot follow: an empty one, or any
-    at network level, which trains on every cell."""
-    if cells == []:
-        raise ConfigurationError("'cells' lists no cell; give at least one cell id, or \"all\"")
-    if cells is not None and topology == TOPOLOGY_NETWORK:
-        raise ConfigurationError(
-            "'cells' picks the cells of a cell-specific sweep; a network-level sweep trains on every cell"
-        )
 
 
 def experiment_spec_from_dict(d: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
@@ -266,44 +298,19 @@ def experiment_spec_from_dict(d: dict, base_dir: Optional[Path] = None) -> Exper
 
     hints = get_type_hints(ExperimentSpec)
     scalars = {k: decode(hints[k], d[k], f"experiment spec.{k}") for k in _SPEC_SCALARS if k in d}
-    topology = scalars.get("topology", TOPOLOGY_NETWORK)
-    if topology not in (TOPOLOGY_NETWORK, TOPOLOGY_CELL):
-        raise ConfigurationError(f"unknown topology {topology!r}")
-    # the split permutation's generator takes no negative seed
-    if scalars.get("split_seed", 0) < 0:
-        raise ConfigurationError(f"experiment spec.split_seed must be non-negative, got {scalars['split_seed']}")
-
-    fcs: List[FeatureConfig] = []
+    fcs = []
     for i, raw in enumerate(_object_list(d, "feature_configs")):
         if not isinstance(raw, dict):
             raise ConfigurationError(f"experiment spec.feature_configs[{i}] must be a JSON object")
         raw = {k: v for k, v in raw.items() if k != "topology"}  # the experiment topology governs
-        fc = feature_config_from_dict(raw, f"experiment spec.feature_configs[{i}]")
-        if topology == TOPOLOGY_CELL:
-            # cell-specific models never see the serving cell id
-            fc = replace(fc, topology=TOPOLOGY_CELL, include_serving_cell_id=False)
-        fcs.append(fc)
-    if not fcs:
-        raise ConfigurationError("experiment spec needs at least one feature config")
-
+        fcs.append(feature_config_from_dict(raw, f"experiment spec.feature_configs[{i}]"))
     specs = [
         model_spec_from_dict(m, f"experiment spec.model_configs[{i}]")
         for i, m in enumerate(_object_list(d, "model_configs"))
     ]
-    if not specs:
-        raise ConfigurationError("experiment spec needs at least one model config")
-
     cells = d.get("cells")
-    if cells in (None, "all"):
-        cells = None
-    elif isinstance(cells, list) and all(isinstance(c, int) and not isinstance(c, bool) for c in cells):
-        cells = list(cells)
-    else:
-        raise ConfigurationError("'cells' must be \"all\" or a list of cell ids")
-    _check_cells(cells, topology)
-
     return ExperimentSpec(
-        scenario=scenario, feature_configs=fcs, model_specs=specs, cells=cells, **scalars
+        scenario=scenario, feature_configs=fcs, model_specs=specs, cells=None if cells == "all" else cells, **scalars
     )
 
 
@@ -331,6 +338,11 @@ def _fc_label(fc: FeatureConfig) -> str:
     if fc.include_serving_cell_id:
         tag += "_id"
     return tag
+
+
+def _arm_label(fc: FeatureConfig, model_spec: ModelSpec) -> str:
+    """An arm's name without its part (`net` or `cell<id>`)."""
+    return f"{_fc_label(fc)}_{model_spec.label}"
 
 
 def train_model(
@@ -491,9 +503,6 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
     """Run every feature config x model config combination and write
     reports, CDF tables, models, and the replayable manifest. Arms run
     cell-major, then by feature config, then by model config."""
-    # a spec made in code has not been through experiment_spec_from_dict,
-    # and replay would refuse the manifest of one that ignores its cells
-    _check_cells(spec.cells, spec.topology)
     out = Path(output_dir)
     for sub in ("reports", "cdf", "models"):
         (out / sub).mkdir(parents=True, exist_ok=True)
@@ -523,9 +532,7 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
     t_data = time.perf_counter() - t_start
 
     parts, skipped_cells = _arm_rows(spec, serving)
-    combos = [
-        (table, ms, f"{_fc_label(table.features.config)}_{ms.label}") for table in tables for ms in spec.model_specs
-    ]
+    combos = [(table, ms, _arm_label(table.features.config, ms)) for table in tables for ms in spec.model_specs]
     outputs: List[RunOutput] = []
     for cell, rows in parts.items():
         train, test = _split_rows(len(rows), spec.train_fraction, spec.split_seed)

@@ -293,6 +293,34 @@ def test_sweep_refuses_negative_seeds(tmp_path, capsys, edit, key):
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        # exited 1 only once the sweep had made the out dir
+        ({"train_fraction": 1.5}, "train fraction"),
+        # both arms wrote the same report, CDF and model files
+        (
+            {"model_configs": [{"type": "tree", "max_depth": 4, "min_impurity_decrease": d} for d in (0.0, 0.5)]},
+            "s3n0_id_tree_d4_l2",
+        ),
+    ],
+    ids=["train-fraction", "shared-label"],
+)
+def test_sweep_refuses_a_bad_spec_before_its_out_dir(tmp_path, capsys, edit, message):
+    spec = {
+        "scenario": scenario_config_to_dict(small_scenario_config()),
+        "feature_configs": [{"serving_beams": 3}],
+        "model_configs": [{"type": "tree", "max_depth": 4}],
+        **edit,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="ascii")
+    assert main(["sweep", "--spec", str(path), "--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
     "edit",
     [
         # trained a network-level model on every cell at one time

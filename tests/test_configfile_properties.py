@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from beamprint.configfile import from_dict, to_dict
 from beamprint.dtree import TreeConfig
 from beamprint.errors import ConfigurationError
-from beamprint.features import FeatureConfig
-from beamprint.mlp import MlpConfig
+from beamprint.features import TOPOLOGY_CELL, TOPOLOGY_NETWORK, FeatureConfig
+from beamprint.mlp import _ACTIVATIONS, MlpConfig
 from beamprint.radio import AntennaElementParams, CodebookConfig, RadioConfig
 from beamprint.scenario import BuildingFootprint, ScenarioConfig, Sector, Site
 
@@ -64,8 +64,58 @@ def fuzz(tp):
     return JSON_VALUES
 
 
+@st.composite
+def _feature_configs(draw):
+    topology = draw(st.sampled_from((TOPOLOGY_NETWORK, TOPOLOGY_CELL)))
+    one_hot = draw(st.booleans())
+    vocab = st.integers() if one_hot else st.none() | st.integers()
+    return FeatureConfig(
+        n_serving_beams=draw(st.integers(min_value=1)),
+        n_neighbor_beams=draw(st.integers(0, 3)),
+        # a cell-specific config never carries the serving cell id
+        include_serving_cell_id=topology == TOPOLOGY_NETWORK and draw(st.booleans()),
+        topology=topology,
+        one_hot_ids=one_hot,
+        cell_id_vocab=draw(vocab),
+        beam_id_vocab=draw(vocab),
+    )
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+_BETA = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+# the configs that check their fields when made: drawn inside their
+# rules, edge values (0 neighbors, a beta or min_delta of 0) included
+RULED = {
+    FeatureConfig: _feature_configs(),
+    MlpConfig: st.builds(
+        MlpConfig,
+        hidden_layers=st.lists(st.integers(min_value=1), min_size=1, max_size=3).map(tuple),
+        activation=st.sampled_from(_ACTIVATIONS),
+        learning_rate=_POSITIVE,
+        beta1=_BETA,
+        beta2=_BETA,
+        epsilon=_POSITIVE,
+        batch_size=st.integers(min_value=1),
+        max_epochs=st.integers(min_value=1),
+        patience=st.integers(min_value=1),
+        min_delta=_NON_NEGATIVE,
+        rng_seed=st.integers(min_value=0),
+    ),
+    TreeConfig: st.builds(
+        TreeConfig,
+        max_depth=st.integers(min_value=1),
+        min_samples_leaf=st.integers(min_value=1),
+        min_impurity_decrease=_NON_NEGATIVE,
+    ),
+}
+
+
 def valid(tp):
     """Configs the codec must carry through JSON text unchanged."""
+    if tp in RULED:
+        return RULED[tp]
     if _inner(tp) is not None:
         return st.none() | valid(_inner(tp))
     if typing.get_origin(tp) is tuple:

@@ -22,7 +22,6 @@ from beamprint.features import (
     fit_normalizer,
     invert_labels,
     shortfall,
-    validate_feature_config,
 )
 from beamprint.configfile import to_dict
 from beamprint.mlp import normalizer_from_dict, normalizer_to_dict
@@ -88,7 +87,6 @@ def _oracle_one_hot(index, size, what):
 def oracle_extract(serving, measurements, config):
     """Walk (cell, beam, rsrp) triples in ranking order and build one
     feature vector; FeatureExtractionError when the config is not met."""
-    validate_feature_config(config)
     k = config.n_serving_beams
     n = config.n_neighbor_beams
 

@@ -486,13 +486,82 @@ def test_experiment_spec_dict_round_trip():
 
 @pytest.mark.parametrize("topology, cells", [(TOPOLOGY_NETWORK, [0]), (TOPOLOGY_CELL, [])])
 def test_run_experiment_refuses_a_cells_list_it_cannot_follow(tmp_path, topology, cells):
-    # a spec made in code skips experiment_spec_from_dict; a network-level
-    # one with cells once trained on every cell and wrote a manifest that
-    # replay refused
-    spec = replace(experiment_spec_from_dict(_spec_dict(topology=topology)), cells=cells)
+    # a network-level spec with cells, made in code, once trained on every
+    # cell and wrote a manifest that replay refused; replace checks again
+    spec = experiment_spec_from_dict(_spec_dict(topology=topology))
     with pytest.raises(ConfigurationError, match="'cells'"):
-        run_experiment(spec, tmp_path / "run")
+        run_experiment(replace(spec, cells=cells), tmp_path / "run")
     assert not (tmp_path / "run").exists()
+
+
+def _code_spec(**overrides):
+    """A small sweep made in code, not read from a file: one tree arm."""
+    kwargs = {
+        "scenario": small_scenario_config(),
+        "feature_configs": [FeatureConfig()],
+        "model_specs": [ModelSpec(MODEL_TREE, tree_config=TreeConfig(max_depth=4))],
+    }
+    return pipeline.ExperimentSpec(**{**kwargs, **overrides})
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        # ran cell by cell and wrote no pooled reports, so replay refused its manifest
+        (lambda: _code_spec(topology="cell"), "topology"),
+        # ended in numpy's raw ValueError
+        (lambda: _code_spec(split_seed=-1), "split_seed"),
+        # was refused only after the sweep, with its out dir made
+        (lambda: _code_spec(train_fraction=1.5), "train fraction"),
+        (lambda: _code_spec(feature_configs=[]), "feature config"),
+        (lambda: _code_spec(model_specs=[]), "model config"),
+        (lambda: _code_spec(cells=(0,), topology=TOPOLOGY_CELL), "'cells'"),
+        # its label raised AttributeError
+        (lambda: ModelSpec("knn"), "knn"),
+        (lambda: ModelSpec(MODEL_MLP), "mlp_config"),
+        (lambda: ModelSpec(MODEL_TREE, mlp_config=MlpConfig()), "tree_config"),
+        # was refused only after the sweep had built its features
+        (lambda: _code_spec(model_specs=[ModelSpec(MODEL_MLP, mlp_config=MlpConfig(hidden_layers=(0,)))]), "hidden"),
+    ],
+    ids=["topology", "split-seed", "train-fraction", "no-features", "no-models", "cells-tuple", "knn", "mlp-no-config",
+         "tree-with-mlp-config", "hidden-0"],
+)
+def test_specs_made_in_code_check_themselves(make, match):
+    with pytest.raises(ConfigurationError, match=match):
+        make()
+
+
+@pytest.mark.parametrize(
+    "edit, label",
+    [
+        ({"model_configs": [{"type": "tree", "max_depth": 4, "min_impurity_decrease": d} for d in (0.0, 0.5)]},
+         "s3n0_id_tree_d4_l2"),
+        ({"model_configs": [{"type": "mlp", "hidden_layers": [8], "learning_rate": r} for r in (1e-3, 1e-2)]},
+         "s3n0_id_mlp_h8_s0"),
+        ({"feature_configs": [{"neighbor_beams": 1}, {"neighbor_beams": 1, "one_hot_ids": True, "cell_id_vocab": 4,
+                                                      "beam_id_vocab": 32}]},
+         "s3n1_id_mlp_h8_s3"),
+        # the cell-specific rule drops the id feature, so s3n0_id becomes s3n0
+        ({"topology": TOPOLOGY_CELL, "feature_configs": [{"cell_id_feature": False}, {}]}, "s3n0_mlp_h8_s3"),
+    ],
+    ids=["tree-impurity", "mlp-learning-rate", "one-hot", "cell-specific-id"],
+)
+def test_experiment_spec_refuses_arms_that_share_a_label(edit, label):
+    # both arms wrote the same report, CDF and model files, and the
+    # comparison listed the label twice
+    with pytest.raises(ConfigurationError, match=f"label '{label}'"):
+        experiment_spec_from_dict(_spec_dict(**edit))
+
+
+def test_cell_specific_spec_made_in_code_replays(tmp_path):
+    # FeatureConfig() carries the serving cell id; the spec once ran it
+    # as given, but its manifest read back without it, and replay diverged
+    spec = _code_spec(topology=TOPOLOGY_CELL, min_cell_records=200)
+    assert spec.feature_configs == [FeatureConfig(topology=TOPOLOGY_CELL, include_serving_cell_id=False)]
+    assert experiment_spec_from_dict(experiment_spec_to_dict(spec)) == spec
+    first = run_experiment(spec, tmp_path / "run")
+    again = replay(first.manifest_path, tmp_path / "again")
+    assert again.manifest["artifact_sha256"] == first.manifest["artifact_sha256"]
 
 
 def test_load_experiment_spec_resolves_scenario_path(tmp_path):
