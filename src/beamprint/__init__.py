@@ -51,7 +51,6 @@ from .features import (
     FeatureAccumulator,
     FeatureConfig,
     FeatureSet,
-    FeatureTable,
     NormalizationStats,
     extract,
     extract_features,

@@ -190,7 +190,7 @@ def _cmd_train(args) -> int:
     bundle = train_model(feats, spec, fc)
     save_model_bundle(bundle, args.out)
     if bundle.model_type == MODEL_MLP:
-        hist = bundle.mlp_model.loss_history
+        hist = bundle.model.loss_history
         print(f"trained mlp for {len(hist)} epochs, final loss {hist[-1]:.6f}; model at {args.out}")
     else:
         print(f"trained tree on {len(feats)} records; model at {args.out}")

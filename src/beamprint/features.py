@@ -24,7 +24,7 @@ size of its vocabulary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -65,6 +65,11 @@ class FeatureConfig:
             raise ConfigurationError("cell-specific features must not include the serving cell id")
         if self.one_hot_ids and (self.cell_id_vocab is None or self.beam_id_vocab is None):
             raise ConfigurationError("one-hot encoding needs cell_id_vocab and beam_id_vocab")
+        if self.one_hot_ids and min(self.cell_id_vocab, self.beam_id_vocab) < 1:
+            raise ConfigurationError(
+                f"one-hot vocabulary sizes must be at least 1, got cell_id_vocab={self.cell_id_vocab}"
+                f" and beam_id_vocab={self.beam_id_vocab}"
+            )
 
 
 def _layout(config: FeatureConfig) -> Tuple[str, ...]:
@@ -89,16 +94,36 @@ def feature_length(config: FeatureConfig) -> int:
 
 @dataclass
 class FeatureSet:
-    """Stacked feature vectors plus labels and skip bookkeeping."""
+    """The feature vectors and labels of the kept records of a stream,
+    with every record's skip reason: 0 for a kept record, else 1 + the
+    reason's position in SKIP_REASONS."""
 
     values: np.ndarray  # (k, d)
     labels: np.ndarray  # (k, 2)
     config: FeatureConfig
-    skipped: Dict[str, int]
-    indices: np.ndarray  # (k,) row index into the source dataset
+    reasons: np.ndarray  # (n,) int8
 
     def __len__(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        """The kept records' positions in the stream, (k,) int64."""
+        return np.flatnonzero(self.reasons == 0).astype(np.int64, copy=False)
+
+    @property
+    def skipped(self) -> Dict[str, int]:
+        """How many records were skipped, by reason."""
+        counts = np.bincount(self.reasons, minlength=1 + len(SKIP_REASONS))[1:]
+        return {reason: int(c) for reason, c in zip(SKIP_REASONS, counts) if c}
+
+    def take(self, rows: np.ndarray) -> FeatureSet:
+        """The FeatureSet of the records `rows` of the stream, in the order
+        given: what extract_features gives on those records, gathered
+        from this set."""
+        reasons = self.reasons[rows]
+        at = np.searchsorted(self.indices, rows[reasons == 0])
+        return FeatureSet(self.values[at], self.labels[at], self.config, reasons)
 
 
 def _expand_one_hot(values: np.ndarray, config: FeatureConfig) -> np.ndarray:
@@ -196,35 +221,6 @@ def shortfall(config: FeatureConfig, n_serving: int, n_neighbors: int) -> Featur
     )
 
 
-class FeatureTable(NamedTuple):
-    """The FeatureSet of a stream of records, with each record's skip
-    reason: 0 for a kept record, else 1 + the reason's position in
-    SKIP_REASONS. `features.indices` count records in stream order."""
-
-    features: FeatureSet
-    reasons: np.ndarray  # (n,) int8
-
-    def take(self, rows: np.ndarray) -> FeatureSet:
-        """The FeatureSet of the records `rows` of the stream, in the order
-        given: what extract_features gives on those records, gathered
-        from the table, with `indices` into `rows`."""
-        reasons = self.reasons[rows]
-        keep = np.flatnonzero(reasons == 0)
-        at = np.searchsorted(self.features.indices, rows[keep])
-        return FeatureSet(
-            values=self.features.values[at],
-            labels=self.features.labels[at],
-            config=self.features.config,
-            skipped=_skip_counts(reasons),
-            indices=keep.astype(np.int64),
-        )
-
-
-def _skip_counts(reasons: np.ndarray) -> Dict[str, int]:
-    counts = np.bincount(reasons, minlength=1 + len(SKIP_REASONS))[1:]
-    return {reason: int(c) for reason, c in zip(SKIP_REASONS, counts) if c}
-
-
 class FeatureAccumulator:
     """Feature vectors of a stream of record blocks, collected as extract
     gives them, so that the blocks' measurement columns need not outlive
@@ -232,8 +228,7 @@ class FeatureAccumulator:
 
     def __init__(self, config: FeatureConfig) -> None:
         self.config = config
-        self._blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        self._rows = 0
+        self._blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def add(self, xs: np.ndarray, ys: np.ndarray, extracted: tuple) -> None:
         """One block's coordinates and what extract returned on its
@@ -243,20 +238,12 @@ class FeatureAccumulator:
         short = n_serving < self.config.n_serving_beams
         reasons = np.where(short, 1, np.where(n_neighbors < self.config.n_neighbor_beams, 2, 0))
         labels = np.column_stack([xs, ys])[kept]
-        self._blocks.append((values, labels, self._rows + kept, reasons.astype(np.int8)))
-        self._rows += len(n_serving)
+        self._blocks.append((values, labels, reasons.astype(np.int8)))
 
-    def result(self) -> FeatureTable:
-        """The table of every record added, after at least one block."""
-        values, labels, indices, reasons = map(np.concatenate, zip(*self._blocks))
-        features = FeatureSet(
-            values=values,
-            labels=labels,
-            config=self.config,
-            skipped=_skip_counts(reasons),
-            indices=indices.astype(np.int64),
-        )
-        return FeatureTable(features, reasons)
+    def result(self) -> FeatureSet:
+        """The FeatureSet of every record added, after at least one block."""
+        values, labels, reasons = map(np.concatenate, zip(*self._blocks))
+        return FeatureSet(values, labels, self.config, reasons)
 
 
 def extract_features(dataset: Dataset, config: FeatureConfig, rows: Optional[np.ndarray] = None) -> FeatureSet:
@@ -285,7 +272,7 @@ def extract_features(dataset: Dataset, config: FeatureConfig, rows: Optional[np.
             config,
         )
         accumulator.add(dataset.xs[block], dataset.ys[block], extracted)
-    return accumulator.result().features
+    return accumulator.result()
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .features import (
     FeatureAccumulator,
     FeatureConfig,
     FeatureSet,
-    FeatureTable,
     extract,
     # extract_features stays importable from here: perfbench's layer
     # table wraps it in this module
@@ -152,31 +151,38 @@ def model_spec_to_dict(spec: ModelSpec) -> dict:
     return {"type": spec.model_type, **to_dict(config)}
 
 
+_MODEL_TYPES = {mlp.MlpModel: MODEL_MLP, dtree.TreeModel: MODEL_TREE}
+
+
 @dataclass
 class ModelBundle:
     """A trained model plus the feature recipe it expects."""
 
-    model_type: str
     feature_config: FeatureConfig
-    mlp_model: Optional[mlp.MlpModel] = None
-    tree_model: Optional[dtree.TreeModel] = None
-    # how training went; set by train_model, never saved
-    train_report: Optional[mlp.TrainReport] = field(default=None, compare=False)
+    model: Union[mlp.MlpModel, dtree.TreeModel]
+    # how the fit went (MLP epochs and stop reason, tree depth and leaf
+    # count); set by train_model for the manifest, never saved
+    fit_stats: dict = field(default_factory=dict, compare=False)
+
+    @property
+    def model_type(self) -> str:
+        return _MODEL_TYPES[type(self.model)]
 
     def predict(self, values: np.ndarray) -> np.ndarray:
         if self.model_type == MODEL_MLP:
-            return mlp.predict(self.mlp_model, values)
-        return dtree.predict_tree(self.tree_model, values)
+            return mlp.predict(self.model, values)
+        return dtree.predict_tree(self.model, values)
 
 
 def save_model_bundle(bundle: ModelBundle, path) -> None:
+    kind = bundle.model_type
     blob = {
         "format": _MODEL_FORMAT,
         "version": _MODEL_VERSION,
-        "model_type": bundle.model_type,
+        "model_type": kind,
         "feature_config": to_dict(bundle.feature_config),
-        "mlp": None if bundle.mlp_model is None else mlp.mlp_to_dict(bundle.mlp_model),
-        "tree": None if bundle.tree_model is None else dtree.tree_to_dict(bundle.tree_model),
+        "mlp": mlp.mlp_to_dict(bundle.model) if kind == MODEL_MLP else None,
+        "tree": dtree.tree_to_dict(bundle.model) if kind == MODEL_TREE else None,
     }
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="ascii") as fh:
@@ -198,20 +204,19 @@ def load_model_bundle(path) -> ModelBundle:
         raise ConfigurationError(f"{path} has no feature_config object")
     if not isinstance(blob.get(kind), dict):
         raise ConfigurationError(f"{path} has no {kind} model")
-    bundle = ModelBundle(
-        model_type=kind,
-        feature_config=feature_config_from_dict(blob["feature_config"], f"{path}: feature_config"),
-        mlp_model=None if blob.get("mlp") is None else mlp.mlp_from_dict(blob["mlp"]),
-        tree_model=None if blob.get("tree") is None else dtree.tree_from_dict(blob["tree"]),
-    )
+    fc = feature_config_from_dict(blob["feature_config"], f"{path}: feature_config")
+    other = MODEL_TREE if kind == MODEL_MLP else MODEL_MLP
+    if blob.get(other) is not None:
+        raise ConfigurationError(f"{path}: a {kind} model file must have a null {other!r}")
+    model = mlp.mlp_from_dict(blob[kind]) if kind == MODEL_MLP else dtree.tree_from_dict(blob[kind])
     # a width mismatch would otherwise surface only at predict time
-    width = feature_length(bundle.feature_config)
-    got = bundle.mlp_model.input_width if kind == MODEL_MLP else bundle.tree_model.n_features
+    width = feature_length(fc)
+    got = model.input_width if kind == MODEL_MLP else model.n_features
     if got != width:
         raise ConfigurationError(
             f"{path}: the {kind} model takes {got} features, its feature config gives {width}"
         )
-    return bundle
+    return ModelBundle(fc, model)
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +357,14 @@ def train_model(
     if len(train_set) == 0:
         raise DataError("no trainable records after feature extraction")
     if model_spec.model_type == MODEL_MLP:
-        stats = fit_normalizer(train_set)
         model = mlp.init_model(model_spec.mlp_config, feature_length(feature_config))
-        model.normalizer = stats
+        model.normalizer = fit_normalizer(train_set)
         report = mlp.train(model, train_set)
-        return ModelBundle(
-            model_type=MODEL_MLP, feature_config=feature_config, mlp_model=model, train_report=report
-        )
-    tree = dtree.fit(train_set.values, train_set.labels, model_spec.tree_config)
-    return ModelBundle(model_type=MODEL_TREE, feature_config=feature_config, tree_model=tree)
+        fit_stats = {"epochs_run": report.epochs_run, "stop_reason": report.stop_reason}
+    else:
+        model = dtree.fit(train_set.values, train_set.labels, model_spec.tree_config)
+        fit_stats = {"tree_depth": model.depth, "leaf_count": model.leaf_count}
+    return ModelBundle(feature_config, model, fit_stats)
 
 
 @dataclass
@@ -372,9 +376,6 @@ class RunOutput:
     test_errors: np.ndarray
     train_errors: np.ndarray
     duration_s: float
-    # how the fit went (MLP epochs and stop reason, tree depth and leaf
-    # count); goes to the manifest, never into a hashed report
-    fit_stats: dict
 
 
 def _descriptor(
@@ -400,7 +401,7 @@ def _descriptor(
 
 
 def run_single(
-    table: FeatureTable,
+    features: FeatureSet,
     train_rows: np.ndarray,
     test_rows: np.ndarray,
     model_spec: ModelSpec,
@@ -408,12 +409,12 @@ def run_single(
     label: str,
     cell: Optional[int] = None,
 ) -> RunOutput:
-    """Train on the records `train_rows` of a feature table and score on
-    `test_rows`; their features are gathered from the table."""
+    """Train on the records `train_rows` of a feature set and score on
+    `test_rows`; their features are gathered from the set."""
     t0 = time.perf_counter()
-    fc = table.features.config
-    train_set = table.take(train_rows)
-    test_set = table.take(test_rows)
+    fc = features.config
+    train_set = features.take(train_rows)
+    test_set = features.take(test_rows)
     if len(train_set) == 0 or len(test_set) == 0:
         raise DataError(f"run {label}: feature extraction left an empty split")
     bundle = train_model(train_set, model_spec, fc)
@@ -425,14 +426,8 @@ def run_single(
         "skipped_train": dict(sorted(train_set.skipped.items())),
         "skipped_test": dict(sorted(test_set.skipped.items())),
     }
-    if bundle.model_type == MODEL_MLP:
-        extras["epochs_run"] = len(bundle.mlp_model.loss_history)
-        fit_stats = {
-            "epochs_run": bundle.train_report.epochs_run,
-            "stop_reason": bundle.train_report.stop_reason,
-        }
-    else:
-        fit_stats = {"tree_depth": bundle.tree_model.depth, "leaf_count": bundle.tree_model.leaf_count}
+    if "epochs_run" in bundle.fit_stats:  # an MLP's epoch count goes into its reports
+        extras["epochs_run"] = bundle.fit_stats["epochs_run"]
     desc = _descriptor(label, fc, model_spec, spec, cell, extras)
     return RunOutput(
         label=label,
@@ -442,7 +437,6 @@ def run_single(
         test_errors=test_err,
         train_errors=train_err,
         duration_s=time.perf_counter() - t0,
-        fit_stats=fit_stats,
     )
 
 
@@ -503,12 +497,11 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
     """Run every feature config x model config combination and write
     reports, CDF tables, models, and the replayable manifest. Arms run
     cell-major, then by feature config, then by model config."""
+    t_start = time.perf_counter()
+    scenario = build_scenario(spec.scenario)  # a scenario it refuses leaves no out dir
     out = Path(output_dir)
     for sub in ("reports", "cdf", "models"):
         (out / sub).mkdir(parents=True, exist_ok=True)
-
-    t_start = time.perf_counter()
-    scenario = build_scenario(spec.scenario)
     seed = scenario.config.rng_seed if spec.dataset_seed is None else spec.dataset_seed
     # the arms read only the LOS records' serving cells and features:
     # each block of the sweep is extracted for every feature config as it
@@ -521,7 +514,7 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
             acc.add(xs, ys, extract(serving, cells, beams, rsrp, acc.config))
         del cells, beams, rsrp  # or they would live on while the next block is made
     serving = np.concatenate(serving_blocks)
-    tables = [acc.result() for acc in accumulators]
+    feature_sets = [acc.result() for acc in accumulators]
     n_records = len(grid_xy(scenario))
     dataset_stats = {
         "seed": seed,
@@ -532,13 +525,13 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
     t_data = time.perf_counter() - t_start
 
     parts, skipped_cells = _arm_rows(spec, serving)
-    combos = [(table, ms, _arm_label(table.features.config, ms)) for table in tables for ms in spec.model_specs]
+    combos = [(fs, ms, _arm_label(fs.config, ms)) for fs in feature_sets for ms in spec.model_specs]
     outputs: List[RunOutput] = []
     for cell, rows in parts.items():
         train, test = _split_rows(len(rows), spec.train_fraction, spec.split_seed)
         prefix = "net" if cell is None else f"cell{cell}"
-        for table, ms, combo in combos:
-            outputs.append(run_single(table, rows[train], rows[test], ms, spec, f"{prefix}_{combo}", cell=cell))
+        for fs, ms, combo in combos:
+            outputs.append(run_single(fs, rows[train], rows[test], ms, spec, f"{prefix}_{combo}", cell=cell))
 
     reports: List[EvalReport] = []
     run_entries = []
@@ -552,15 +545,13 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
                 "model": str(model_path.relative_to(out)),
                 "artifacts": paths,
                 "duration_s": run.duration_s,
-                **run.fit_stats,
+                **run.bundle.fit_stats,
             }
         )
     if spec.topology == TOPOLOGY_CELL:
-        for i, (table, ms, combo) in enumerate(combos):
+        for i, (fs, ms, combo) in enumerate(combos):
             arms = outputs[i :: len(combos)]
-            desc = _descriptor(
-                f"cellpool_{combo}", table.features.config, ms, spec, None, {"pooled_cells": list(parts)}
-            )
+            desc = _descriptor(f"cellpool_{combo}", fs.config, ms, spec, None, {"pooled_cells": list(parts)})
             for split in ("test", "train"):
                 errors = np.concatenate([getattr(run, f"{split}_errors") for run in arms])
                 _emit(summarize(errors, split=split, config=desc), out, reports)
@@ -676,7 +667,8 @@ def infer_record(
 def _predict_reports(bundle: ModelBundle, reports: Sequence[tuple], linenos: Sequence[int], in_path) -> np.ndarray:
     """Positions for parsed reports: their columns stacked (NaN-padded to
     the longest), extracted in one kernel call and predicted in one
-    batch. A report that cannot fill the feature config is a
+    batch. The first report, in line order, that cannot fill the feature
+    config or has an id outside its one-hot vocabulary is a
     DatasetParseError naming its line."""
     n, m = len(reports), max(len(r[6]) for r in reports)
     # int32, as parsed reports and dataset columns hold ids
@@ -689,10 +681,20 @@ def _predict_reports(bundle: ModelBundle, reports: Sequence[tuple], linenos: Seq
         rsrp[i, : len(r)] = r
     serving = np.array([r[2] for r in reports], dtype=np.int32)
     config = bundle.feature_config
-    values, kept, n_serving, n_neighbors = extract(serving, cells, beams, rsrp, config)
-    if len(kept) < n:
-        i = int(np.setdiff1d(np.arange(n), kept)[0])
-        raise DatasetParseError(str(shortfall(config, n_serving[i], n_neighbors[i])), path=in_path, line=linenos[i])
+    try:
+        values, kept, _, _ = extract(serving, cells, beams, rsrp, config)
+    except ConfigurationError:
+        kept = ()  # an id outside the one-hot vocabulary
+    if len(kept) < n:  # rare: find the first bad report, a report at a time
+        for i, lineno in enumerate(linenos):
+            one = slice(i, i + 1)
+            try:
+                _, ok, n_serving, n_neighbors = extract(serving[one], cells[one], beams[one], rsrp[one], config)
+            except ConfigurationError as e:
+                raise DatasetParseError(str(e), path=in_path, line=lineno, field="meas") from None
+            if not len(ok):
+                why = shortfall(config, n_serving[0], n_neighbors[0])
+                raise DatasetParseError(str(why), path=in_path, line=lineno)
     return bundle.predict(values)
 
 
@@ -721,7 +723,8 @@ def infer_file(bundle: ModelBundle, in_path, out_path=None) -> List[dict]:
     memory holds one chunk of reports besides the predictions. A bad
     line anywhere fails the file before any output is written. Within a
     chunk, a line that does not parse is reported before one that
-    cannot fill the feature config.
+    cannot fill the feature config or has an id outside its one-hot
+    vocabulary.
     """
     pred: List[List[float]] = []
     try:

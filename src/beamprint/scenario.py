@@ -137,7 +137,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
     Raises ConfigurationError on: non-positive dimensions or resolution,
     duplicate site positions, duplicate or partially-assigned cell ids,
-    degenerate buildings, or a building footprint covering a site.
+    degenerate buildings, a building footprint covering a site, or a
+    site on a receiver grid point.
     """
     if config.area_width_m <= 0 or config.area_height_m <= 0:
         raise ConfigurationError("area dimensions must be positive")
@@ -175,6 +176,13 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
                     f"building {b} covers the site at ({site.x}, {site.y})"
                 )
 
+    # no direction, and so no beam gain, is defined from a site to a
+    # receiver at its own position
+    xs, ys = _grid_axes(config)
+    for site in sites:
+        if site.z == UE_HEIGHT_M and site.x in xs and site.y in ys:
+            raise ConfigurationError(f"the site at {site.position} stands on a receiver grid point")
+
     codebook = build_codebook(config.radio)
 
     frozen = replace(config, sites=sites, buildings=tuple(config.buildings))
@@ -209,12 +217,13 @@ def _assign_cell_ids(sites: Sequence[Site]) -> Tuple[Site, ...]:
 # UE grid
 
 
-def _axis_counts(config: ScenarioConfig) -> Tuple[int, int]:
+def _grid_axes(config: ScenarioConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """The grid's x and y coordinates."""
     res = config.grid_resolution_m
     # inclusive of both edges; the epsilon absorbs float division noise
     nx = int(math.floor(config.area_width_m / res + 1e-9)) + 1
     ny = int(math.floor(config.area_height_m / res + 1e-9)) + 1
-    return nx, ny
+    return np.arange(nx, dtype=np.float64) * res, np.arange(ny, dtype=np.float64) * res
 
 
 def grid_xy(scenario: Scenario) -> np.ndarray:
@@ -222,11 +231,7 @@ def grid_xy(scenario: Scenario) -> np.ndarray:
 
     Points inside any building footprint (walls included) are dropped.
     """
-    nx, ny = _axis_counts(scenario.config)
-    res = scenario.config.grid_resolution_m
-    xs = np.arange(nx, dtype=np.float64) * res
-    ys = np.arange(ny, dtype=np.float64) * res
-    gx, gy = np.meshgrid(xs, ys)  # row i holds constant y
+    gx, gy = np.meshgrid(*_grid_axes(scenario.config))  # row i holds constant y
     px = gx.ravel()
     py = gy.ravel()
     inside = np.zeros(px.shape, dtype=bool)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,13 @@ from beamprint.dtree import TreeConfig
 from beamprint.mlp import MlpConfig
 from beamprint.evaluate import load_report
 from beamprint.pipeline import load_model_bundle
-from beamprint.scenario import load_scenario_config, scenario_config_to_dict
+from beamprint.scenario import (
+    UE_HEIGHT_M,
+    load_scenario_config,
+    save_scenario_config,
+    scenario_config_to_dict,
+    single_site_config,
+)
 
 from conftest import small_scenario_config
 
@@ -77,7 +84,7 @@ def test_build_dataset_seed_override_changes_bytes(ws):
 def test_train_tree_model_loads(ws):
     bundle = load_model_bundle(ws.tree)
     assert bundle.model_type == "tree"
-    assert bundle.tree_model.config.max_depth == 8
+    assert bundle.model.config.max_depth == 8
 
 
 def test_train_mlp(ws, capsys):
@@ -103,7 +110,7 @@ def test_train_mlp(ws, capsys):
     assert "trained mlp for 3 epochs" in capsys.readouterr().out
     bundle = load_model_bundle(out)
     assert bundle.model_type == "mlp"
-    assert bundle.mlp_model.config.hidden_layers == (4,)
+    assert bundle.model.config.hidden_layers == (4,)
 
 
 def test_train_defaults_are_the_config_dataclasses(ws, tmp_path):
@@ -116,7 +123,7 @@ def test_train_defaults_are_the_config_dataclasses(ws, tmp_path):
         argv = ["train", "--model", model, "--dataset", str(small), "--features", str(ws.features)]
         assert main(argv + ["--out", str(out)]) == 0
         bundle = load_model_bundle(out)
-        assert (bundle.mlp_model or bundle.tree_model).config == want
+        assert bundle.model.config == want
 
 
 def test_evaluate(ws, capsys):
@@ -302,8 +309,13 @@ def test_sweep_refuses_negative_seeds(tmp_path, capsys, edit, key):
             {"model_configs": [{"type": "tree", "max_depth": 4, "min_impurity_decrease": d} for d in (0.0, 0.5)]},
             "s3n0_id_tree_d4_l2",
         ),
+        # exited 1 only at the sweep's first block
+        (
+            {"feature_configs": [{"serving_beams": 3, "one_hot_ids": True, "cell_id_vocab": 0, "beam_id_vocab": -2}]},
+            "one-hot vocabulary sizes must be at least 1",
+        ),
     ],
-    ids=["train-fraction", "shared-label"],
+    ids=["train-fraction", "shared-label", "one-hot-vocabulary"],
 )
 def test_sweep_refuses_a_bad_spec_before_its_out_dir(tmp_path, capsys, edit, message):
     spec = {
@@ -516,6 +528,78 @@ def test_infer_names_the_line_that_cannot_fill_the_features(ws, tmp_path, capsys
     assert "data error" in err
     assert "record has 2 serving-cell measurements, need 3" in err
     assert str(bad) in err and "line 4" in err
+
+
+@pytest.fixture(scope="module")
+def one_hot_tree(ws):
+    """A tree on one-hot ids of the single-site dataset: cell 0 and beams 0..31."""
+    features = ws.root / "one_hot.json"
+    fc = {"serving_beams": 2, "neighbor_beams": 0, "one_hot_ids": True, "cell_id_vocab": 1, "beam_id_vocab": 32}
+    features.write_text(json.dumps(fc), encoding="ascii")
+    tree = ws.root / "one_hot_tree.json"
+    argv = ["train", "--model", "tree", "--dataset", str(ws.dataset), "--features", str(features)]
+    assert main(argv + ["--out", str(tree), "--max-depth", "4"]) == 0
+    return tree
+
+
+_BAD_ID = '{"meas": [[0, 1, -60.0], [0, 40, -61.0]]}'
+_SHORT = '{"meas": [[0, 1, -60.0]]}'
+
+
+@pytest.mark.parametrize(
+    "after, message",
+    [
+        ([_BAD_ID], "beam id 40 outside one-hot vocabulary of size 32"),
+        ([_BAD_ID, _SHORT], "beam id 40 outside one-hot vocabulary of size 32"),
+        ([_SHORT, _BAD_ID], "record has 1 serving-cell measurements, need 2"),
+    ],
+    ids=["bad-id", "bad-id-first", "short-first"],
+)
+def test_infer_names_the_first_line_with_an_id_outside_the_one_hot_vocabulary(
+    ws, one_hot_tree, tmp_path, capsys, after, message
+):
+    # was a configuration error (exit 1) that named no line
+    good = ws.dataset.read_text(encoding="ascii").splitlines()[1]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([good, *after]) + "\n", encoding="ascii")
+    rc = main(["infer", "--model", str(one_hot_tree), "--input", str(bad), "--out", str(tmp_path / "p.jsonl")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and message in err
+    assert str(bad) in err and "line 2" in err
+    assert ("field 'meas'" in err) == ("beam id" in message)
+    assert not (tmp_path / "p.jsonl").exists()
+
+
+def test_train_with_a_one_hot_vocabulary_too_small_exits_1(ws, tmp_path, capsys):
+    features = tmp_path / "one_hot.json"
+    fc = {"serving_beams": 2, "one_hot_ids": True, "cell_id_vocab": 1, "beam_id_vocab": 8}
+    features.write_text(json.dumps(fc), encoding="ascii")
+    out = tmp_path / "tree.json"
+    argv = ["train", "--model", "tree", "--dataset", str(ws.dataset), "--features", str(features)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "outside one-hot vocabulary of size 8" in err
+    assert not out.exists()
+
+
+def test_a_site_on_a_grid_point_exits_1_before_the_sweep(tmp_path, capsys):
+    # the single-site preset's site, at (0, 25), moved down to UE height
+    # onto a grid point: build-dataset ended in a raw ValueError
+    config = single_site_config()
+    scenario = tmp_path / "scenario.json"
+    save_scenario_config(replace(config, sites=(replace(config.sites[0], z=UE_HEIGHT_M),)), scenario)
+    out = tmp_path / "dataset.jsonl"
+    assert main(["build-dataset", "--scenario", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "site at (0.0, 25.0, 1.5)" in err and "Traceback" not in err
+    assert not out.exists()
+    spec = tmp_path / "spec.json"
+    model = [{"type": "tree", "max_depth": 4}]
+    spec.write_text(json.dumps({"scenario": "scenario.json", "feature_configs": [{}], "model_configs": model}))
+    assert main(["sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "run")]) == 1
+    assert "site at (0.0, 25.0, 1.5)" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_divergent_training_exits_3(ws, tmp_path, capsys):

@@ -68,7 +68,7 @@ def fuzz(tp):
 def _feature_configs(draw):
     topology = draw(st.sampled_from((TOPOLOGY_NETWORK, TOPOLOGY_CELL)))
     one_hot = draw(st.booleans())
-    vocab = st.integers() if one_hot else st.none() | st.integers()
+    vocab = st.integers(min_value=1) if one_hot else st.none() | st.integers()
     return FeatureConfig(
         n_serving_beams=draw(st.integers(min_value=1)),
         n_neighbor_beams=draw(st.integers(0, 3)),

@@ -285,6 +285,16 @@ def test_config_validation():
         feature_length(FeatureConfig(one_hot_ids=True))
 
 
+@pytest.mark.parametrize("cell_vocab, beam_vocab", [(0, -2), (0, 32), (24, 0), (1, -1)])
+def test_one_hot_vocabulary_below_one_is_refused(cell_vocab, beam_vocab):
+    # was accepted; a sweep then failed at its first block
+    with pytest.raises(ConfigurationError, match="one-hot vocabulary sizes must be at least 1"):
+        FeatureConfig(one_hot_ids=True, cell_id_vocab=cell_vocab, beam_id_vocab=beam_vocab)
+    # without one-hot ids the sizes are unused
+    FeatureConfig(cell_id_vocab=cell_vocab, beam_id_vocab=beam_vocab)
+    assert feature_length(FeatureConfig(one_hot_ids=True, cell_id_vocab=1, beam_id_vocab=1)) == 7
+
+
 # ---------------------------------------------------------------------------
 # batch extraction
 
@@ -531,6 +541,8 @@ def same_feature_sets(got, want):
     assert got.indices.dtype == want.indices.dtype
     assert np.array_equal(got.indices, want.indices)
     assert got.skipped == want.skipped
+    assert got.reasons.dtype == want.reasons.dtype == np.int8
+    assert np.array_equal(got.reasons, want.reasons)
     assert got.config == want.config
 
 
@@ -597,7 +609,7 @@ def test_extract_features_on_rows_names_the_first_out_of_vocabulary_id(monkeypat
 @pytest.mark.parametrize("cfg", RANDOM_CONFIGS, ids=lambda c: f"s{c.n_serving_beams}n{c.n_neighbor_beams}")
 def test_accumulated_table_gives_what_extract_features_gives_on_its_rows(cfg):
     # NaN-padded reports, as infer reads them, fed in blocks of uneven
-    # size (an empty one among them): the table taken at any rows is
+    # size (an empty one among them): the set taken at any rows is
     # extract_features on those rows, skip counts included
     records = random_records(np.random.default_rng(99), 400)
     ds = dataset_of(records)
@@ -606,13 +618,13 @@ def test_accumulated_table_gives_what_extract_features_gives_on_its_rows(cfg):
         block = slice(start, stop)
         columns = (ds.serving[block], ds.meas_cells[block], ds.meas_beams[block], ds.meas_rsrp[block])
         acc.add(ds.xs[block], ds.ys[block], extract(*columns, cfg))
-    table = acc.result()
+    accumulated = acc.result()
     whole = extract_features(ds, cfg)
-    same_feature_sets(table.features, whole)
+    same_feature_sets(accumulated, whole)
     assert whole.skipped  # RANDOM_CONFIGS all meet short reports here
     rng = np.random.default_rng(4)
     for rows in (np.arange(len(ds)), rng.permutation(len(ds))[:250], rng.integers(0, len(ds), 500), np.arange(0)):
-        same_feature_sets(table.take(rows), extract_features(ds, cfg, rows))
+        same_feature_sets(accumulated.take(rows), extract_features(ds, cfg, rows))
     reasons = {SKIP_SERVING: 1, SKIP_NEIGHBORS: 2}
     for i, record in enumerate(records):
         try:
@@ -620,7 +632,21 @@ def test_accumulated_table_gives_what_extract_features_gives_on_its_rows(cfg):
             want = 0
         except FeatureExtractionError as e:
             want = reasons[e.reason]
-        assert table.reasons[i] == want, i
+        assert accumulated.reasons[i] == want, i
+
+
+@pytest.mark.parametrize("cfg", RANDOM_CONFIGS, ids=lambda c: f"s{c.n_serving_beams}n{c.n_neighbor_beams}")
+def test_take_of_a_taken_set_is_one_take_of_the_composed_rows(cfg):
+    ds = dataset_of(random_records(np.random.default_rng(17), 300))
+    whole = extract_features(ds, cfg)
+    rng = np.random.default_rng(8)
+    for outer in (rng.permutation(len(ds))[:200], rng.integers(0, len(ds), 400), np.arange(len(ds))):
+        taken = whole.take(outer)
+        assert taken.skipped  # RANDOM_CONFIGS all meet short reports here
+        for inner in (rng.permutation(len(outer))[:120], rng.integers(0, len(outer), 90), np.arange(0)):
+            again = taken.take(inner)
+            same_feature_sets(again, whole.take(outer[inner]))
+            same_feature_sets(again, extract_features(ds, cfg, outer[inner]))
 
 
 def test_extract_features_counts_skips(single_site_dataset):

@@ -32,8 +32,7 @@ def feature_set(values, labels):
         values=values,
         labels=labels,
         config=FeatureConfig(),
-        skipped={},
-        indices=np.arange(values.shape[0]),
+        reasons=np.zeros(values.shape[0], dtype=np.int8),
     )
 
 

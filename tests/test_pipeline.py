@@ -197,7 +197,7 @@ def test_train_model_mlp_binds_normalizer(small_splits):
     train_set = extract_features(train_ds, fc)
     spec = ModelSpec(MODEL_MLP, mlp_config=MlpConfig(hidden_layers=(4,), max_epochs=2))
     bundle = train_model(train_set, spec, fc)
-    assert bundle.mlp_model.normalizer is not None
+    assert bundle.model.normalizer is not None
     pred = bundle.predict(train_set.values[:5])
     assert pred.shape == (5, 2)
 
@@ -208,8 +208,7 @@ def test_train_model_rejects_empty():
         values=np.zeros((0, 7)),
         labels=np.zeros((0, 2)),
         config=fc,
-        skipped={},
-        indices=np.zeros(0, dtype=np.int64),
+        reasons=np.zeros(0, dtype=np.int8),
     )
     spec = ModelSpec(MODEL_TREE, tree_config=TreeConfig())
     with pytest.raises(DataError):
@@ -355,11 +354,11 @@ def test_load_bundle_rejects_broken_mlp_layers(tmp_path, mlp_bundle, case):
 
 def test_load_bundle_keeps_mlp_weights_exact(tmp_path, mlp_bundle):
     loaded = load_model_bundle(_rewrite(tmp_path, mlp_bundle, lambda blob: None))
-    for got, want in zip(loaded.mlp_model.weights + loaded.mlp_model.biases,
-                         mlp_bundle.mlp_model.weights + mlp_bundle.mlp_model.biases):
+    for got, want in zip(loaded.model.weights + loaded.model.biases,
+                         mlp_bundle.model.weights + mlp_bundle.model.biases):
         assert got.dtype == np.float64 and np.array_equal(got, want)
-    for layer in loaded.mlp_model.weights + loaded.mlp_model.biases:
-        assert layer.base is loaded.mlp_model.params
+    for layer in loaded.model.weights + loaded.model.biases:
+        assert layer.base is loaded.model.params
 
 
 def test_saved_bundles_load_back_equal(tmp_path, tree_bundle, mlp_bundle):
@@ -374,9 +373,9 @@ def test_saved_bundles_load_back_equal(tmp_path, tree_bundle, mlp_bundle):
         lambda net: setattr(net, "normalizer", replace(net.normalizer, label_std=2.0 * net.normalizer.label_std)),
     ]
     for edit in edits:
-        net = load_model_bundle(path).mlp_model
+        net = load_model_bundle(path).model
         edit(net)
-        assert net != mlp_bundle.mlp_model
+        assert net != mlp_bundle.model
 
 
 def _pinned_bundles():
@@ -394,9 +393,32 @@ def _pinned_bundles():
         label_std=np.array([5.5, 2.25]),
     )
     return {
-        MODEL_TREE: ModelBundle(MODEL_TREE, fc, tree_model=tree),
-        MODEL_MLP: ModelBundle(MODEL_MLP, fc, mlp_model=net),
+        MODEL_TREE: ModelBundle(fc, tree),
+        MODEL_MLP: ModelBundle(fc, net),
     }
+
+
+def test_bundle_model_type_follows_its_model():
+    bundles = _pinned_bundles()
+    for kind, bundle in bundles.items():
+        assert bundle.model_type == kind
+    bundle = bundles[MODEL_TREE]
+    bundle.model = bundles[MODEL_MLP].model
+    assert bundle.model_type == MODEL_MLP
+    assert np.array_equal(bundle.predict(np.ones((2, 2))), bundles[MODEL_MLP].predict(np.ones((2, 2))))
+
+
+@pytest.mark.parametrize("kind", [MODEL_TREE, MODEL_MLP])
+def test_load_bundle_refuses_a_second_model(tmp_path, kind):
+    # the other model's key was parsed and then ignored
+    bundles = _pinned_bundles()
+    other = MODEL_MLP if kind == MODEL_TREE else MODEL_TREE
+    saved = tmp_path / "other.json"
+    save_model_bundle(bundles[other], saved)
+    second = json.loads(saved.read_text())[other]
+    path = _rewrite(tmp_path, bundles[kind], lambda blob: blob.__setitem__(other, second))
+    with pytest.raises(ConfigurationError, match=f"must have a null '{other}'"):
+        load_model_bundle(path)
 
 
 def test_bundle_bytes_are_pinned(tmp_path):
@@ -578,8 +600,8 @@ def test_load_experiment_spec_resolves_scenario_path(tmp_path):
 # single runs
 
 
-def feature_table(dataset, fc):
-    """The FeatureTable of every record of a dataset, extracted in one block."""
+def feature_set_of(dataset, fc):
+    """The FeatureSet of every record of a dataset, extracted in one block."""
     acc = FeatureAccumulator(fc)
     columns = (dataset.serving, dataset.meas_cells, dataset.meas_beams, dataset.meas_rsrp)
     acc.add(dataset.xs, dataset.ys, extract(*columns, fc))
@@ -591,7 +613,7 @@ def test_run_single_output(small_dataset, small_split_rows):
     fc = FeatureConfig()
     spec = experiment_spec_from_dict(_spec_dict())
     ms = ModelSpec(MODEL_MLP, mlp_config=MlpConfig(hidden_layers=(4,), max_epochs=3))
-    run = run_single(feature_table(small_dataset, fc), train_rows, test_rows, ms, spec, "probe")
+    run = run_single(feature_set_of(small_dataset, fc), train_rows, test_rows, ms, spec, "probe")
     assert run.label == "probe"
     assert run.train_report.split == "train"
     assert run.test_report.split == "test"
@@ -608,7 +630,7 @@ def test_run_single_output(small_dataset, small_split_rows):
     assert desc["epochs_run"] == 3
     assert run.test_errors.shape == (len(test_rows),)
     assert run.duration_s > 0
-    assert run.fit_stats == {"epochs_run": 3, "stop_reason": "max_epochs"}
+    assert run.bundle.fit_stats == {"epochs_run": 3, "stop_reason": "max_epochs"}
     assert "stop_reason" not in desc
 
 
@@ -619,8 +641,8 @@ def test_run_single_records_a_patience_stop(small_dataset, small_split_rows):
     # one is refused)
     config = MlpConfig(hidden_layers=(4,), max_epochs=50, patience=1, min_delta=sys.float_info.max)
     ms = ModelSpec(MODEL_MLP, mlp_config=config)
-    run = run_single(feature_table(small_dataset, FeatureConfig()), train_rows, test_rows, ms, spec, "p")
-    assert run.fit_stats == {"epochs_run": 2, "stop_reason": "patience"}
+    run = run_single(feature_set_of(small_dataset, FeatureConfig()), train_rows, test_rows, ms, spec, "p")
+    assert run.bundle.fit_stats == {"epochs_run": 2, "stop_reason": "patience"}
 
 
 def test_run_single_tree_has_no_epoch_count(small_dataset, small_split_rows):
@@ -628,7 +650,7 @@ def test_run_single_tree_has_no_epoch_count(small_dataset, small_split_rows):
     fc = FeatureConfig()
     spec = experiment_spec_from_dict(_spec_dict())
     ms = ModelSpec(MODEL_TREE, tree_config=TreeConfig(max_depth=6))
-    run = run_single(feature_table(small_dataset, fc), train_rows, test_rows, ms, spec, "t")
+    run = run_single(feature_set_of(small_dataset, fc), train_rows, test_rows, ms, spec, "t")
     assert "epochs_run" not in run.test_report.config
 
 
@@ -681,7 +703,7 @@ def test_experiment_manifest_records_fit_stats(net_run):
     # patience (20) outlasts max_epochs (15)
     assert (net["epochs_run"], net["stop_reason"]) == (15, "max_epochs")
     tree = runs["net_s3n0_id_tree_d8_l2"]
-    model = load_model_bundle(out / tree["model"]).tree_model
+    model = load_model_bundle(out / tree["model"]).model
     assert tree["tree_depth"] == model.depth > 0
     assert tree["leaf_count"] == model.leaf_count > 1
     assert "tree_depth" not in net and "epochs_run" not in tree
@@ -782,7 +804,7 @@ def test_experiment_report_files_load(net_run):
     assert rep.cdf[-1][1] == 1.0
     bundle = load_model_bundle(out / "models" / "net_s3n0_id_tree_d8_l2.json")
     assert bundle.model_type == MODEL_TREE
-    assert bundle.tree_model.n_features == 7
+    assert bundle.model.n_features == 7
 
 
 def test_replay_reproduces_artifacts(net_run, tmp_path):
@@ -833,9 +855,9 @@ def test_run_experiment_arms_equal_extract_features_on_the_los_build(
         extract_calls.append(len(args[0]))
         return kernel(*args)
 
-    def recorded_run(table, train_rows, test_rows, model_spec, spec, label, cell=None):
-        arms.append((label, cell, table.take(train_rows), table.take(test_rows), train_rows, test_rows))
-        return single(table, train_rows, test_rows, model_spec, spec, label, cell)
+    def recorded_run(features, train_rows, test_rows, model_spec, spec, label, cell=None):
+        arms.append((label, cell, features.take(train_rows), features.take(test_rows), train_rows, test_rows))
+        return single(features, train_rows, test_rows, model_spec, spec, label, cell)
 
     def no_build(*args, **kwargs):
         raise AssertionError("run_experiment built a dataset")
@@ -881,7 +903,7 @@ def test_run_experiment_arms_equal_extract_features_on_the_los_build(
 
 
 def test_run_experiment_memory_does_not_grow_with_the_los_columns(tmp_path):
-    # the arms hold feature tables, not the LOS records' measurement
+    # the arms hold feature sets, not the LOS records' measurement
     # columns, so the traced peak of a sweep stays about the same from a
     # 4 m to a 2 m grid of the default scenario while those columns
     # would grow by about 28 MB (it grew by more than that while the
@@ -941,7 +963,7 @@ def test_cell_run_artifacts_match_golden_digests(cell_run):
 def test_cell_run_models_drop_cell_id_feature(cell_run):
     bundle = load_model_bundle(cell_run.output_dir / "models" / "cell0_s3n0_tree_d8_l2.json")
     assert bundle.feature_config.include_serving_cell_id is False
-    assert bundle.tree_model.n_features == 6
+    assert bundle.model.n_features == 6
 
 
 def test_cell_run_rejects_unknown_or_thin_cells(tmp_path):

@@ -139,6 +139,16 @@ def test_building_over_site_rejected():
         build_scenario(open_config(buildings=(b,)))
 
 
+def test_site_on_a_grid_point_rejected():
+    # a receiver there has no direction to the site
+    sector = (Sector(boresight_azimuth_deg=0.0, cell_id=0),)
+    with pytest.raises(ConfigurationError, match=r"site at \(2.5, 3.0, 1.5\) stands on a receiver grid point"):
+        build_scenario(open_config(res=0.5, sites=(Site(x=2.5, y=3.0, z=1.5, sectors=sector),)))
+    # at UE height between grid points, or above one, a site is fine
+    for x, z in ((2.25, 1.5), (2.5, 1.6)):
+        build_scenario(open_config(res=0.5, sites=(Site(x=x, y=3.0, z=z, sectors=sector),)))
+
+
 def test_nonpositive_dimensions_rejected():
     with pytest.raises(ConfigurationError):
         build_scenario(open_config(width=0.0))
