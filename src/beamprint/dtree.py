@@ -7,17 +7,23 @@ distinct feature values; the best split minimises the summed child
 impurity, with ties broken toward the lower feature index, then the
 lower threshold. No pruning.
 
-The tree grows level by level. The open nodes of one depth are grouped
-by row count, and each group is stacked into (B, n, d) features and
-(B, n, 2) labels, so one batch of numpy calls settles all its nodes.
-Each node keeps its rows in ascending order and nothing is padded, so
-every node gets the bits a node-by-node build would give it.
+The tree grows level by level on presorted rows (the presort variant
+of CART, Breiman et al. 1984; SLIQ's attribute lists, Mehta, Agrawal
+and Rissanen 1996). `fit` sorts each feature once. Every open node
+keeps its rows in each feature's order, and a split parts that order
+stably, so no node is sorted again. A depth's nodes are searched by
+size class, row counts in (2^(c-1), 2^c], each class's nodes padded to
+its longest, in one batch of numpy calls that scores only the legal
+candidates. Prefix sums start at each node's first row, and means and
+impurities are taken over each node's ascending rows with the nodes
+grouped by exact row count, so every node gets the bits a node-by-node
+build would give it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -122,18 +128,21 @@ def best_split(
     arrays: score, feature and threshold, with an inf score where a node
     has no legal split. A 2-D call is the B = 1 case of that search.
 
-    Scores every candidate of every feature at once: one stable sort of
-    each column, then centred prefix sums per label column, so each
-    candidate threshold costs O(1). Each node's (n - 1, d) score matrix
-    is searched feature-major, and argmin returns the first minimum, so
-    ties go to the lower feature, then the lower threshold. Nothing is
-    padded: each node's means and prefix sums see only its own rows, so
-    a node gets the same bits in any batch.
+    Sorts each node's columns once (stable, so ties keep row order) and
+    runs the search `fit` runs on its presorted rows.
     """
+    values, labels = np.asarray(values, dtype=np.float64), np.asarray(labels, dtype=np.float64)
     batched = values.ndim == 3
     if not batched:
         values, labels = values[None], labels[None]
-    found = _search(values, labels, min_samples_leaf)
+    nodes, n, d = values.shape
+    # each node's rows by each feature, as rows of the stacked (nodes * n) set
+    rows = np.argsort(values, axis=1, kind="stable").transpose(2, 0, 1) + n * np.arange(nodes)[:, None]
+    found = _search(
+        np.ascontiguousarray(values.reshape(nodes * n, d).T),
+        np.ascontiguousarray(labels.reshape(nodes * n, 2)),
+        labels.mean(axis=1), rows, np.full(nodes, n), min_samples_leaf,
+    )
     if batched:
         return found
     score, feature, threshold = found
@@ -143,105 +152,134 @@ def best_split(
 
 
 def _search(
-    values: np.ndarray, labels: np.ndarray, min_samples_leaf: int
+    columns: np.ndarray, labels: np.ndarray, mean: np.ndarray, rows: np.ndarray, sizes: np.ndarray,
+    min_samples_leaf: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """best_split over a (B, n, d) batch: (B,) score, feature and threshold."""
-    nodes, n, d = values.shape
-    if n < 2 or d == 0:
-        return np.full(nodes, np.inf), np.zeros(nodes, dtype=np.intp), np.zeros(nodes)
-    centred = labels - labels.mean(axis=1, keepdims=True)
-    order = np.argsort(values, axis=1, kind="stable")
-    b = np.arange(nodes)
-    v = values[b[:, None, None], order, np.arange(d)]
-    sizes_left = np.arange(1, n, dtype=np.float64)[:, None]
-    sizes_right = n - sizes_left
-    # per candidate: sum over outputs of the left SSE, likewise right
-    for k in range(labels.shape[2]):
-        y = centred[b[:, None, None], order, k]
-        cs = np.cumsum(y, axis=1)
-        cs2 = np.cumsum(y * y, axis=1)
-        left_sum = cs[:, :-1]
-        left_sq = cs2[:, :-1]
-        left = left_sq - left_sum**2 / sizes_left
-        right = (cs2[:, -1:] - left_sq) - (cs[:, -1:] - left_sum) ** 2 / sizes_right
-        if k == 0:
-            sse_left, sse_right = left, right
-        else:
-            sse_left += left
-            sse_right += right
-    sse = np.maximum(sse_left + sse_right, 0.0)
-    valid = (v[:, 1:] > v[:, :-1]) & (sizes_left >= min_samples_leaf) & (sizes_right >= min_samples_leaf)
-    sse[~valid] = np.inf
-    sse = sse.transpose(0, 2, 1).reshape(nodes, d * (n - 1))
-    best = np.argmin(sse, axis=1)
-    feature, i = np.divmod(best, n - 1)
-    return sse[b, best], feature, (v[b, i, feature] + v[b, i + 1, feature]) / 2.0
+    """best_split of B nodes: (B,) score, feature and threshold.
 
-
-def _grow(
-    ids: np.ndarray, rows: np.ndarray, values: np.ndarray, labels: np.ndarray, depth: int, config: TreeConfig,
-    out: tuple,
-) -> None:
-    """Make each of a batch of same-depth nodes a leaf or a split. ids
-    are the nodes' places in their depth's arrays, rows (B, n) their
-    training rows, ascending. Writes each node's split or leaf mean into
-    its depth's (feature, threshold, value, children) at its place, with
-    a split node's children as (left rows, right rows), each ascending."""
-    feature, threshold, value, children = out
-    n = rows.shape[1]
-    y = labels[rows]
-    mean = y.mean(axis=1)
-    split = np.zeros(0, dtype=np.intp)
-    if depth < config.max_depth and n >= 2 * config.min_samples_leaf:
-        impurity = node_impurity(y)
-        impure = np.flatnonzero(impurity > 0.0)
-        x = values[rows[impure]]
-        score, best_feature, best_threshold = best_split(x, y[impure], config.min_samples_leaf)
-        gain = np.flatnonzero(impurity[impure] - score > config.min_impurity_decrease)
-        split = impure[gain]
-        feature[ids[split]], threshold[ids[split]] = best_feature[gain], best_threshold[gain]
-        go_left = x[gain, :, best_feature[gain]] <= best_threshold[gain, None]
-    is_leaf = np.ones(len(ids), dtype=bool)
-    is_leaf[split] = False
-    value[ids[is_leaf]] = mean[is_leaf]
-    if not split.size:
-        return
-    # each split node's rows, left side first
-    parted = np.take_along_axis(rows[split], np.argsort(~go_left, axis=1, kind="stable"), axis=1)
-    n_left = np.count_nonzero(go_left, axis=1)
-    for i, part, k in zip(ids[split].tolist(), parted, n_left.tolist()):
-        children[i] = (part[:k], part[k:])
+    columns (d, N) holds the features of N rows, a line each, and labels
+    (N, 2) their labels. rows (d, B, w) holds node b's rows sorted by
+    feature j in rows[j, b, :sizes[b]]; the places after them may hold
+    any row. mean (B, 2) is each node's label mean. The candidate at
+    place i puts i + 1 rows on the left. It is legal where the value
+    rises and both sides keep min_samples_leaf rows, so no legal
+    candidate reads a place past its node's rows. Centred prefix sums
+    of the labels start at each node's first place, so each candidate
+    threshold costs O(1) and a node's scores have the bits of an
+    unpadded search. Only legal candidates are scored, node by node in
+    feature-major order, and each node takes its first minimum: ties go
+    to the lower feature, then the lower threshold.
+    """
+    d, nodes, w = rows.shape
+    v = columns.take(rows + (columns.shape[1] * np.arange(d))[:, None, None])
+    sizes_left = np.arange(1, w)
+    sizes_right = sizes[:, None] - sizes_left
+    legal = (v[:, :, 1:] > v[:, :, :-1]) & (np.minimum(sizes_left, sizes_right) >= min_samples_leaf)
+    b, j = np.divmod(np.flatnonzero(legal.transpose(1, 0, 2)), d * (w - 1))
+    j, i = np.divmod(j, w - 1)
+    at = (j * nodes + b) * w + i  # flat places in the (d, B, w) arrays
+    end = at - i + sizes[b] - 1
+    # each label pair as one complex number: a complex add is the two float
+    # adds, so one complex prefix sum gives both columns' prefix sums
+    y = labels.view(np.complex128)[:, 0].take(rows) - mean.view(np.complex128)
+    cs = np.cumsum(y, axis=2)
+    y = y.view(np.float64)
+    cs2 = np.cumsum((y * y).view(np.complex128), axis=2)
+    left_sum, left_sq, total, total_sq = (
+        a.take(place).view(np.float64).reshape(-1, 2) for a, place in ((cs, at), (cs2, at), (cs, end), (cs2, end))
+    )
+    n_left = i[:, None] + 1.0
+    left = left_sq - left_sum**2 / n_left
+    right = (total_sq - left_sq) - (total - left_sum) ** 2 / (sizes[b, None] - n_left)
+    # per candidate: the sum over outputs of the left SSE, likewise right
+    sse = np.maximum((left[:, 0] + left[:, 1]) + (right[:, 0] + right[:, 1]), 0.0)
+    score, feature, threshold = np.full(nodes, np.inf), np.zeros(nodes, dtype=np.intp), np.zeros(nodes)
+    first = np.flatnonzero(np.diff(b, prepend=-1))  # each node's first candidate
+    lowest = np.repeat(np.minimum.reduceat(sse, first), np.diff(first, append=len(b)))
+    # argmin's pick in each node: its first minimum, or its first NaN
+    hit = np.flatnonzero((sse == lowest) | np.isnan(sse))
+    hit = hit[np.diff(b[hit], prepend=-1) > 0]
+    node, at = b[hit], at[hit]
+    score[node], feature[node] = sse[hit], j[hit]
+    threshold[node] = (v.take(at) + v.take(at + 1)) / 2.0
+    return score, feature, threshold
 
 
 def fit(values: np.ndarray, labels: np.ndarray, config: Optional[TreeConfig] = None) -> TreeModel:
     """Grow a tree on raw features and raw metre labels, one depth at a
-    time: the cost goes by groups of same-size nodes, not by nodes.
+    time: the cost goes by size classes of nodes, not by nodes.
 
-    Each depth's nodes sit in breadth-first order, so the children of
-    its split nodes, left first, are the next depth in order, and the
-    depths laid end to end are the model's node arrays."""
+    Each feature is sorted once. Line j < d of `order` then holds every
+    open node's rows in the order of feature j (ties by row id), and its
+    last line holds them ascending, each node as one segment of every
+    line; slot[k] is segment k's place among its depth's nodes in
+    breadth-first order. The children of a depth's split nodes, left
+    first, are the next depth in that order, and the depths laid end to
+    end are the model's node arrays."""
     config = config or TreeConfig()
     values = np.asarray(values, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
+    labels = np.ascontiguousarray(labels, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] == 0:
         raise DataError("tree fitting needs a non-empty (n, d) feature array")
     if labels.shape != (values.shape[0], 2):
         raise DataError("tree fitting needs labels of shape (n, 2)")
     if not np.isfinite(values).all() or not np.isfinite(labels).all():
         raise DataError("tree fitting needs finite features and labels")
+    n, d = values.shape
+    columns = np.ascontiguousarray(values.T)
+    order = np.vstack((np.argsort(columns, axis=1, kind="stable"), np.arange(n)))
+    sizes, slot = np.array([n]), np.zeros(1, dtype=np.intp)  # each open node's row count and place
     depths = []
-    open_rows = [np.arange(values.shape[0])]  # each node's rows, one depth
-    while open_rows:
-        m = len(open_rows)
-        feature, threshold, value, children = np.full(m, -1, dtype=np.intp), np.zeros(m), np.zeros((m, 2)), [()] * m
-        groups: Dict[int, List[int]] = {}
-        for i, rows in enumerate(open_rows):
-            groups.setdefault(len(rows), []).append(i)
-        for ids in groups.values():
-            rows = np.stack([open_rows[i] for i in ids])
-            _grow(np.array(ids), rows, values, labels, len(depths), config, (feature, threshold, value, children))
-        depths.append((feature, threshold, value, np.array([len(rows) for rows in open_rows], dtype=np.intp)))
-        open_rows = [part for pair in children for part in pair]
+    while sizes.size:
+        m, starts = len(sizes), np.cumsum(sizes) - sizes
+        mean, impurity = np.zeros((m, 2)), np.zeros(m)
+        # over each node's ascending rows, nodes grouped by row count: each
+        # node gets the bits of a node-by-node build
+        row_counts, nodes = np.unique(sizes, return_counts=True)
+        for size, ids in zip(row_counts, np.split(np.argsort(sizes, kind="stable"), np.cumsum(nodes)[:-1])):
+            y = labels[order[d].take(starts[ids, None] + np.arange(size))]
+            mean[ids], impurity[ids] = y.mean(axis=1), node_impurity(y)
+        feature, threshold = np.full(m, -1, dtype=np.intp), np.zeros(m)
+        searched = np.flatnonzero(
+            (impurity > 0.0) & (sizes >= 2 * config.min_samples_leaf) & (len(depths) < config.max_depth)
+        )
+        size_class = np.ceil(np.log2(sizes[searched]))
+        for c in np.unique(size_class):
+            group = searched[size_class == c]
+            width = sizes[group].max()
+            # each node padded to the class's longest; no search bigger than the root's
+            per = max(1, n // width)
+            for ids in np.split(group, np.arange(per, len(group), per)):
+                places = np.minimum(starts[ids, None] + np.arange(width), order.shape[1] - 1)
+                score, best_feature, best_threshold = _search(
+                    columns, labels, mean[ids], np.take(order[:d], places, axis=1), sizes[ids],
+                    config.min_samples_leaf,
+                )
+                gain = impurity[ids] - score > config.min_impurity_decrease
+                feature[ids[gain]], threshold[ids[gain]] = best_feature[gain], best_threshold[gain]
+        split = feature >= 0
+        bfs = np.argsort(slot)
+        depths.append((feature[bfs], threshold[bfs], np.where(split[:, None], 0.0, mean)[bfs], sizes[bfs]))
+        # the next depth: on every line, the split nodes' left rows, then
+        # their right rows, each in line order. Split node k's children are
+        # the next depth's nodes 2p and 2p + 1, p its rank among this
+        # depth's split nodes in breadth-first order
+        rows = order[d, np.repeat(split, sizes)]
+        node = np.repeat(np.flatnonzero(split), sizes[split])
+        goes_right = values[rows, feature[node]] > threshold[node]
+        side = np.full(n, 2, dtype=np.int8)  # 0 left, 1 right, 2 on a leaf
+        side[rows] = goes_right
+        sides = side.take(order)
+        n_left = np.bincount(node[~goes_right], minlength=m)[split]
+        n_right = sizes[split] - n_left
+        order = np.hstack(
+            [
+                np.compress(sides.ravel() == k, order).reshape(d + 1, count.sum())
+                for k, count in enumerate((n_left, n_right))
+            ]
+        )
+        p = (np.cumsum(split[bfs]) - 1)[slot[split]]
+        sizes, slot = np.concatenate((n_left, n_right)), np.concatenate((2 * p, 2 * p + 1))
     feature, threshold, value, n_samples = (np.concatenate(column) for column in zip(*depths))
     return TreeModel(feature, threshold, value, n_samples, n_features=values.shape[1], config=config)
 
@@ -274,6 +312,7 @@ def predict_tree(model: TreeModel, values: np.ndarray) -> np.ndarray:
 # Serialization (versioned nested JSON blob)
 
 _TREE_VERSION = 1
+_INTP_MAX = int(np.iinfo(np.intp).max)
 _LEAF_KEYS = {"n", "value"}
 _SPLIT_KEYS = {"n", "feature", "threshold", "left", "right"}
 
@@ -299,6 +338,14 @@ def tree_to_dict(model: TreeModel) -> dict:
     }
 
 
+def _array_int(value, where: str) -> int:
+    """A JSON integer that the node arrays can hold."""
+    out = decode(int, value, where)
+    if abs(out) > _INTP_MAX:
+        raise ConfigurationError(f"{where} {out} is too large for the node arrays")
+    return out
+
+
 def tree_from_dict(d: dict) -> TreeModel:
     """Flatten the nested node objects breadth first, which is the node
     arrays' order; every field typed and finite, every sample count at
@@ -308,7 +355,7 @@ def tree_from_dict(d: dict) -> TreeModel:
     config = from_dict(TreeConfig, d.get("config", {}), "tree config")
     if "root" not in d or "n_features" not in d:
         raise ConfigurationError("tree blob needs 'root' and 'n_features'")
-    n_features = decode(int, d["n_features"], "tree n_features")
+    n_features = _array_int(d["n_features"], "tree n_features")
     nodes = []  # (n, feature, threshold, value) of each node
     queue = [(d["root"], "tree root")]
     for node, where in queue:
@@ -317,7 +364,7 @@ def tree_from_dict(d: dict) -> TreeModel:
             raise ConfigurationError(
                 f"{where} must be a leaf {sorted(_LEAF_KEYS)} or a split {sorted(_SPLIT_KEYS)} object"
             )
-        n = decode(int, node["n"], f"{where}.n")
+        n = _array_int(node["n"], f"{where}.n")
         if n < 1:
             raise ConfigurationError(f"{where}.n must be at least 1, got {n}")
         if keys == _LEAF_KEYS:

@@ -39,6 +39,14 @@ TOPOLOGY_CELL = "cell-specific"
 SKIP_SERVING = "insufficient_serving_beams"
 SKIP_NEIGHBORS = "insufficient_neighbor_cells"
 SKIP_REASONS = (SKIP_SERVING, SKIP_NEIGHBORS)
+# why infer_record refuses a report with an id outside the one-hot
+# vocabulary; a data error, never a counted skip
+OUTSIDE_VOCABULARY = "id_outside_one_hot_vocabulary"
+
+# the most serving-cell beams a feature vector takes: a 5G NR cell sweeps
+# at most 64 SSB beams (3GPP TS 38.213, 4.1), and the cap keeps the
+# feature layout a size that can be built
+MAX_SERVING_BEAMS = 64
 
 # records extract_features runs through the kernel at a time
 _EXTRACT_ROWS = 1024
@@ -57,6 +65,10 @@ class FeatureConfig:
     def __post_init__(self) -> None:
         if self.n_serving_beams < 1:
             raise ConfigurationError("need at least one serving beam feature")
+        if self.n_serving_beams > MAX_SERVING_BEAMS:
+            raise ConfigurationError(
+                f"serving beam count must be at most {MAX_SERVING_BEAMS}, got {self.n_serving_beams}"
+            )
         if not 0 <= self.n_neighbor_beams <= 3:
             raise ConfigurationError("neighbor beam count must lie in 0..3")
         if self.topology not in (TOPOLOGY_NETWORK, TOPOLOGY_CELL):

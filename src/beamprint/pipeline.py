@@ -22,9 +22,10 @@ import numpy as np
 
 from . import dtree, mlp
 from .configfile import decode, from_dict, load_object, to_dict
-from .errors import ConfigurationError, DataError, DatasetParseError
+from .errors import ConfigurationError, DataError, DatasetParseError, FeatureExtractionError
 from .evaluate import Comparison, EvalReport, compare, euclidean_errors, summarize, write_cdf_csv, write_report
 from .features import (
+    OUTSIDE_VOCABULARY,
     TOPOLOGY_CELL,
     TOPOLOGY_NETWORK,
     FeatureAccumulator,
@@ -655,9 +656,14 @@ def infer_record(
 ) -> Tuple[float, float]:
     """Position estimate in metres for one measurement report, given as
     1-d columns in ranking order. Raises FeatureExtractionError when the
-    report cannot fill the bundle's feature config."""
+    report cannot fill the bundle's feature config or has an id outside
+    its one-hot vocabulary."""
     config = bundle.feature_config
-    values, kept, n_serving, n_neighbors = extract(np.array([serving]), cells[None], beams[None], rsrp[None], config)
+    cells, beams, rsrp = (np.asarray(column)[None] for column in (cells, beams, rsrp))
+    try:
+        values, kept, n_serving, n_neighbors = extract(np.array([serving]), cells, beams, rsrp, config)
+    except ConfigurationError as e:  # an id outside the one-hot vocabulary
+        raise FeatureExtractionError(OUTSIDE_VOCABULARY, str(e)) from None
     if not len(kept):
         raise shortfall(config, n_serving[0], n_neighbors[0])
     pred = bundle.predict(values[0])

@@ -2,10 +2,12 @@
 `train`, `evaluate` and `infer` either succeed or exit 1-3, and never
 raise."""
 
+import contextlib
+import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamprint.cli import main
@@ -106,3 +108,82 @@ def test_cli_exits_0_to_3_on_any_input_file(bundle, command, header, lines):
         "infer": ["infer", "--model", str(model), "--input", str(path), "--out", out],
     }[command]
     assert main(argv) in (0, 1, 2, 3)
+
+
+# values a mutated tree bundle field may take: any JSON value, ids and
+# counts near the real ones, integers past 64 bits, and node objects
+BUNDLE_VALUES = (
+    st.integers(-3, 8)
+    | st.sampled_from([0.5, -0.0, 1e308, 2**31, 2**63 - 1, 2**63, 2**64, -(2**63) - 1, 10**30])
+    | JSON_VALUES
+    | st.builds(dict, n=st.integers(-1, 8), value=st.lists(st.floats(), max_size=3))
+    | st.builds(
+        dict, n=st.integers(-1, 8), feature=st.integers(-1, 3), threshold=st.floats(), left=st.none(), right=st.none()
+    )
+)
+
+# the keys of each object of a tree bundle, and one it does not have
+BUNDLE_KEYS = {
+    "node": ["n", "value", "feature", "threshold", "left", "right", "extra"],
+    "tree": ["version", "n_features", "root", "config", "extra"],
+    "config": ["max_depth", "min_samples_leaf", "min_impurity_decrease", "extra"],
+    "feature_config": [
+        "serving_beams", "neighbor_beams", "cell_id_feature", "one_hot_ids", "cell_id_vocab", "beam_id_vocab",
+        "topology", "extra",
+    ],
+}
+
+
+@st.composite
+def tree_bundle_edits(draw):
+    """(where, path, key, delete, value) edits of a saved tree bundle: a
+    node reached by a path from the root, the tree blob, its config, or
+    the bundle's feature config; delete removes the key."""
+    where = draw(st.sampled_from(sorted(BUNDLE_KEYS)))
+    path = draw(st.lists(st.sampled_from(["left", "right"]), max_size=4))
+    key = draw(st.sampled_from(BUNDLE_KEYS[where]))
+    delete = draw(st.booleans())
+    return where, path, key, delete, None if delete else draw(BUNDLE_VALUES)
+
+
+# counts and ids past 64 bits, which numpy's node arrays cannot hold
+@example(edits=[("node", ["left"], "n", False, 2**64)], command="infer")
+@example(edits=[("tree", [], "n_features", False, 2**65), ("node", [], "feature", False, 2**64)], command="evaluate")
+# a serving beam count whose feature layout cannot be built
+@example(edits=[("feature_config", [], "serving_beams", False, 2**63)], command="evaluate")
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(edits=st.lists(tree_bundle_edits(), min_size=1, max_size=3), command=st.sampled_from(["evaluate", "infer"]))
+def test_cli_exits_0_to_3_on_any_tree_bundle(bundle, edits, command):
+    root, _, model = bundle
+    blob = json.loads(model.read_text(encoding="ascii"))
+    for where, path, key, delete, value in edits:
+        tree = blob["tree"] if isinstance(blob.get("tree"), dict) else {}
+        target = {
+            "node": tree.get("root"),
+            "tree": tree,
+            "config": tree.get("config"),
+            "feature_config": blob.get("feature_config"),
+        }[where]
+        if where == "node":
+            for side in path:
+                if not isinstance(target, dict) or not isinstance(target.get(side), dict):
+                    break
+                target = target[side]
+        if not isinstance(target, dict):
+            continue
+        if delete:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    edited = root / "edited.json"
+    edited.write_text(json.dumps(blob), encoding="ascii")
+    dataset = str(root / "train.jsonl")
+    out = str(root / "out")
+    argv = {
+        "evaluate": ["evaluate", "--model", str(edited), "--dataset", dataset, "--out", out],
+        "infer": ["infer", "--model", str(edited), "--input", dataset, "--out", out],
+    }[command]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+        assert main(argv) in (0, 1, 2, 3)
+    assert "Traceback" not in printed.getvalue()

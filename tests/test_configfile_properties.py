@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from beamprint.configfile import from_dict, to_dict
 from beamprint.dtree import TreeConfig
 from beamprint.errors import ConfigurationError
-from beamprint.features import TOPOLOGY_CELL, TOPOLOGY_NETWORK, FeatureConfig
+from beamprint.features import MAX_SERVING_BEAMS, TOPOLOGY_CELL, TOPOLOGY_NETWORK, FeatureConfig
 from beamprint.mlp import _ACTIVATIONS, MlpConfig
 from beamprint.radio import AntennaElementParams, CodebookConfig, RadioConfig
 from beamprint.scenario import BuildingFootprint, ScenarioConfig, Sector, Site
@@ -70,7 +70,7 @@ def _feature_configs(draw):
     one_hot = draw(st.booleans())
     vocab = st.integers(min_value=1) if one_hot else st.none() | st.integers()
     return FeatureConfig(
-        n_serving_beams=draw(st.integers(min_value=1)),
+        n_serving_beams=draw(st.integers(1, MAX_SERVING_BEAMS)),
         n_neighbor_beams=draw(st.integers(0, 3)),
         # a cell-specific config never carries the serving cell id
         include_serving_cell_id=topology == TOPOLOGY_NETWORK and draw(st.booleans()),

@@ -638,6 +638,41 @@ def test_fit_matches_recursive_oracle():
     assert splits > 1000
 
 
+def large_oracle_case():
+    """2,000 rows of integer-valued features with a duplicated and a
+    constant column, and labels with -0.0: from the third level on, one
+    size class holds many nodes of different row counts."""
+    rng = np.random.default_rng(2000)
+    n = 2000
+    base = np.column_stack([rng.integers(0, k, n) for k in (40, 12, 5, 300)]).astype(np.float64)
+    values = np.column_stack((base[:, :2], base[:, 0], np.full(n, 7.0), base[:, 2:]))
+    labels = np.column_stack(
+        (3.0 * base[:, 0] + rng.integers(-4, 5, n), 2.0 * base[:, 1] - base[:, 2] + rng.integers(-2, 3, n))
+    )
+    labels[labels == 0] = -0.0
+    return values, labels
+
+
+def test_fit_matches_recursive_oracle_on_a_large_tie_heavy_set():
+    values, labels = large_oracle_case()
+    assert np.signbit(labels[labels == 0]).all() and (labels == 0).any()
+    for config in (TreeConfig(), TreeConfig(min_samples_leaf=1), TreeConfig(max_depth=6, min_samples_leaf=5)):
+        got = fit(values, labels, config)
+        want = flatten(oracle_fit(values, labels, config))
+        for name in ("feature", "threshold", "value", "left", "n_samples"):
+            bits = [np.ascontiguousarray(getattr(tree, name)).view(np.uint64) for tree in (got, want)]
+            assert np.array_equal(*bits), (config, name)
+        assert got.depth >= 6 and len(got.feature) > 100
+
+
+def test_fit_raises_no_floating_point_warning():
+    # the padded places of a size class must never divide by zero or make a NaN
+    cases = [oracle_case(seed) for seed in range(240)] + [(*large_oracle_case(), TreeConfig())]
+    with np.errstate(all="raise"):
+        for values, labels, config in cases:
+            fit(values, labels, config)
+
+
 def test_stacked_best_split_matches_per_node_calls(rng):
     for n, d in ((2, 1), (5, 3), (17, 4), (40, 6)):
         for min_leaf in (1, 2, 5):

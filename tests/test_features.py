@@ -275,6 +275,12 @@ def test_extract_one_hot_rejects_out_of_vocab():
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         feature_length(FeatureConfig(n_serving_beams=0))
+    # a count past 64 used to build its layout tuple: MemoryError or
+    # OverflowError for a bundle's serving_beams near 2**31 or 2**63
+    assert feature_length(FeatureConfig(n_serving_beams=64)) == 129
+    for count in (65, 2**31, 2**63):
+        with pytest.raises(ConfigurationError, match=f"serving beam count must be at most 64, got {count}"):
+            FeatureConfig(n_serving_beams=count)
     with pytest.raises(ConfigurationError):
         feature_length(FeatureConfig(n_neighbor_beams=4))
     with pytest.raises(ConfigurationError):

@@ -12,7 +12,9 @@ from beamprint.dtree import TreeConfig
 from beamprint.errors import ConfigurationError, DataError, DatasetParseError, FeatureExtractionError
 from beamprint.evaluate import load_report
 from beamprint.features import (
+    OUTSIDE_VOCABULARY,
     SKIP_NEIGHBORS,
+    SKIP_REASONS,
     SKIP_SERVING,
     TOPOLOGY_CELL,
     TOPOLOGY_NETWORK,
@@ -22,6 +24,7 @@ from beamprint.features import (
     NormalizationStats,
     extract,
     extract_features,
+    feature_length,
 )
 from beamprint.fingerprint import (
     _BUILD_ROWS,
@@ -1325,3 +1328,21 @@ def test_infer_record_and_infer_file_word_a_short_report_alike(
         infer_file(neighbor_bundle, in_path)
     assert (in_file.value.line, in_file.value.field) == (3, None)
     assert str(in_file.value) == f"{message} ({in_path}, line 3)"
+
+
+def test_infer_record_calls_an_id_outside_the_one_hot_vocabulary_a_data_error():
+    # was a ConfigurationError; infer_file already calls it a data error
+    config = FeatureConfig(n_serving_beams=2, one_hot_ids=True, cell_id_vocab=1, beam_id_vocab=32)
+    rng = np.random.default_rng(3)
+    tree = dtree.fit(rng.normal(size=(40, feature_length(config))), rng.normal(size=(40, 2)))
+    bundle = ModelBundle(config, tree)
+    with pytest.raises(FeatureExtractionError) as bad:
+        infer_record(bundle, 0, [0, 0], [1, 40], [-60.0, -61.0])
+    assert str(bad.value) == "beam id 40 outside one-hot vocabulary of size 32"
+    assert bad.value.reason == OUTSIDE_VOCABULARY and OUTSIDE_VOCABULARY not in SKIP_REASONS
+    # ids inside the vocabulary, as lists or as arrays, predict as extract's row does
+    columns = np.array([[0, 0]]), np.array([[1, 31]]), np.array([[-60.0, -61.0]])
+    values, _, _, _ = extract(np.array([0]), *columns, config)
+    want = tuple(float(v) for v in bundle.predict(values[0]))
+    assert infer_record(bundle, 0, [0, 0], [1, 31], [-60.0, -61.0]) == want
+    assert infer_record(bundle, 0, np.array([0, 0]), np.array([1, 31]), np.array([-60.0, -61.0])) == want
