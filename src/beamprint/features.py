@@ -47,6 +47,11 @@ OUTSIDE_VOCABULARY = "id_outside_one_hot_vocabulary"
 # at most 64 SSB beams (3GPP TS 38.213, 4.1), and the cap keeps the
 # feature layout a size that can be built
 MAX_SERVING_BEAMS = 64
+# the largest one-hot vocabularies: the 1008 physical cell identities of
+# 5G NR (3GPP TS 38.211, 7.4.2.1) and its 64 SSB beam indices; the caps
+# keep a one-hot feature vector a size that can be built
+MAX_CELL_ID_VOCAB = 1008
+MAX_BEAM_ID_VOCAB = MAX_SERVING_BEAMS
 
 # records extract_features runs through the kernel at a time
 _EXTRACT_ROWS = 1024
@@ -82,6 +87,9 @@ class FeatureConfig:
                 f"one-hot vocabulary sizes must be at least 1, got cell_id_vocab={self.cell_id_vocab}"
                 f" and beam_id_vocab={self.beam_id_vocab}"
             )
+        for name, cap in (("cell_id_vocab", MAX_CELL_ID_VOCAB), ("beam_id_vocab", MAX_BEAM_ID_VOCAB)):
+            if self.one_hot_ids and getattr(self, name) > cap:
+                raise ConfigurationError(f"one-hot {name} must be at most {cap}, got {getattr(self, name)}")
 
 
 def _layout(config: FeatureConfig) -> Tuple[str, ...]:

@@ -4,11 +4,21 @@ Architecture: configurable hidden stack with tanh or relu, linear output
 of width 2 (the x, y estimate in normalized label space). Training is
 mini-batch adam on mean squared error with early stopping on the
 training loss. Everything is deterministic given (seed, data, config).
+
+How a training step runs: before the first epoch, train builds each
+batch's step program, a flat tuple of (numpy function, args) calls
+whose args are fixed views (the batch's rows of the shuffled epoch
+buffers, the workspace buffers, the layer views and their transposes),
+and a step runs `for fn, args in program: fn(*args)` for the forward
+and backward pass. Adam then updates both moments as one stack, from
+the gradient and its square stacked in one buffer. loss_and_gradients
+and adam_step run the same program and update.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -169,8 +179,9 @@ def loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
 
     Returns (loss, weight_grads, bias_grads) where the gradient lists
     line up with model.weights and model.biases; they are views into one
-    flat buffer laid out like model.params. This runs train's step
-    kernel on a workspace made for the one batch.
+    flat row laid out like model.params (the first row of the workspace's
+    gradient stack). This runs train's step program once, on a workspace
+    made for the one batch.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -178,18 +189,27 @@ def loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
         raise DataError("loss needs x of shape (n, d) and y of shape (n, 2)")
     ws = _Workspace(model, x.shape[0])
     diff = np.empty(y.shape)
-    _backprop(model, ws, x, y, diff)
+    for fn, args in _step_program(model, ws, x, y, diff):
+        fn(*args)
     loss = _batch_sums(diff, x.shape[0])[0] / diff.size
     return loss, ws.grads_w, ws.grads_b
 
 
 @dataclass
 class AdamState:
-    """First and second moment estimates, flat in the layout of model.params."""
+    """First and second moment estimates, flat in the layout of
+    model.params. Construction copies them into the two rows of one
+    buffer, `moments`; `m` and `v` are then views of those rows, which
+    adam updates as one stack."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    moments: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.moments = np.array([self.m, self.v], dtype=np.float64)
+        self.m, self.v = self.moments
 
 
 def init_adam(model: MlpModel) -> AdamState:
@@ -198,7 +218,7 @@ def init_adam(model: MlpModel) -> AdamState:
 
 def adam_step(model: MlpModel, grads_w, grads_b, state: AdamState) -> None:
     """One adam update of every parameter from per-layer gradients, with
-    the model's config: the step kernel's update, run on a workspace the
+    the model's config: the step's update, run on a workspace the
     gradients are copied into."""
     _check_layers(model)
     ws = _Workspace(model, 0)
@@ -210,10 +230,12 @@ def adam_step(model: MlpModel, grads_w, grads_b, state: AdamState) -> None:
 class _Workspace:
     """Every buffer a training step on a batch of `rows` rows writes: per
     layer the pre-activation and the delta, per hidden layer the
-    activation and its derivative, one flat gradient buffer laid out like
-    model.params with its per-layer views, and adam's two scratch
-    buffers. train makes one per distinct batch row count (the full
-    batch and the short last one) and reuses it for every step."""
+    activation and its derivative, the flat gradient (laid out like
+    model.params, with its per-layer views) stacked over its square as
+    adam's moments are stacked, and adam's scratch, constants and
+    [b1, b2] and [1 - b1, 1 - b2] rows. train makes one per distinct
+    batch row count (the full batch and the short last one) and reuses
+    it for every step."""
 
     def __init__(self, model: MlpModel, rows: int) -> None:
         shapes = [w.shape for w in model.weights]
@@ -222,77 +244,81 @@ class _Workspace:
         self.delta = [np.empty((rows, w)) for w in widths]
         self.acts = [np.empty((rows, w)) for w in widths[:-1]]
         self.deriv = [np.empty((rows, w)) for w in widths[:-1]]
-        self.grad = np.empty_like(model.params)
+        self.grad_sq = np.empty((2, model.params.size))
+        self.grad, self.sq = self.grad_sq
         self.grads_w, self.grads_b = _views(self.grad, shapes)
-        self.step = np.empty_like(model.params)
-        self.denom = np.empty_like(model.params)
+        self.scratch = np.empty_like(self.grad_sq)
+        self.step, self.denom = self.scratch
+        config = model.config
+        b1, b2 = config.beta1, config.beta2
+        self.lr, self.eps = np.array(config.learning_rate), np.array(config.epsilon)
+        # full rows, not a (2, 1) column: numpy's fast path takes only
+        # operands of one shape
+        self.decay = np.repeat([[b1], [b2]], model.params.size, axis=1)
+        self.gain = np.repeat([[1 - b1], [1 - b2]], model.params.size, axis=1)
 
 
-def _backprop(model: MlpModel, ws: _Workspace, x: np.ndarray, y: np.ndarray, diff: np.ndarray) -> None:
-    """Forward and backward pass of the batch (x, y): the output residual
-    into `diff`, the gradient of the MSE into ws.grad.
+def _step_program(model: MlpModel, ws: _Workspace, x: np.ndarray, y: np.ndarray, diff: np.ndarray) -> tuple:
+    """Forward and backward pass of the batch (x, y) as a flat tuple of
+    (numpy function, args) calls on fixed views, which write the output
+    residual into `diff` and the gradient of the MSE into ws.grad: a step
+    is `for fn, args in program: fn(*args)`. train builds one per batch,
+    on views of its epoch buffers, and runs it every epoch.
 
     Every matmul is np.dot into a workspace buffer: on these small shapes
-    it gives the bits of `@` at about half the call cost.
+    it gives the bits of `@` at about half the call cost. The output
+    delta 2 * diff / diff.size is diff / (diff.size / 2) in one call: the
+    doubling is exact, so the bits are the same. Scalars are 0-d arrays:
+    numpy would convert a Python float on every call.
     """
     last = len(model.weights) - 1
     tanh = model.config.activation == "tanh"
+    zero, one, rows = np.array(0.0), np.array(1.0), np.array(diff.size / 2)
+    calls = []
     a = x
     for l in range(last + 1):
         z = ws.pre[l]
-        np.dot(a, model.weights[l], out=z)
-        z += model.biases[l]
+        calls += [(np.dot, (a, model.weights[l], z)), (np.add, (z, model.biases[l], z))]
         if l < last:
             a = ws.acts[l]
-            if tanh:
-                np.tanh(z, out=a)
-            else:
-                np.maximum(z, 0.0, out=a)
-    np.subtract(z, y, out=diff)
+            calls.append((np.tanh, (z, a)) if tanh else (partial(np.maximum, out=a), (z, zero)))
     delta = ws.delta[last]
-    np.multiply(2.0, diff, out=delta)
-    delta /= diff.size
+    calls += [(np.subtract, (z, y, diff)), (np.divide, (diff, rows, delta))]
     for l in range(last, -1, -1):
         a = ws.acts[l - 1] if l else x
-        np.dot(a.T, delta, out=ws.grads_w[l])
-        np.add.reduce(delta, axis=0, out=ws.grads_b[l])
+        calls += [(np.dot, (a.T, delta, ws.grads_w[l])), (np.add.reduce, (delta, 0, None, ws.grads_b[l]))]
         if l:
             d = ws.deriv[l - 1]
-            if tanh:
-                # a is tanh(pre[l - 1]): its derivative without a second tanh
-                np.multiply(a, a, out=d)
-                np.subtract(1.0, d, out=d)
+            if tanh:  # a is tanh(pre[l - 1]): its derivative without a second tanh
+                calls += [(np.multiply, (a, a, d)), (np.subtract, (one, d, d))]
             else:
-                np.greater(ws.pre[l - 1], 0.0, out=d)
-            np.dot(delta, model.weights[l].T, out=ws.delta[l - 1])
-            delta = ws.delta[l - 1]
-            delta *= d
+                calls.append((np.greater, (ws.pre[l - 1], zero, d)))
+            delta, below = ws.delta[l - 1], delta
+            calls += [(np.dot, (below, model.weights[l].T, delta)), (np.multiply, (delta, d, delta))]
+    return tuple(calls)
 
 
 def _adam(model: MlpModel, ws: _Workspace, state: AdamState) -> None:
     """One adam update of model.params from the flat gradient ws.grad,
-    element-wise over flat buffers. Every expression keeps the order of
-    the per-layer update m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
-    w -= (lr * (m / corr1)) / (sqrt(v / corr2) + eps), so results match
-    it bit for bit."""
+    element-wise over flat buffers, with both moments as one stack:
+    [m, v] = [b1, b2] * [m, v] + [1 - b1, 1 - b2] * [g, g**2]. Every
+    element keeps the order of the per-layer update m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g**2, w -= (lr * (m / corr1)) / (sqrt(v / corr2) + eps),
+    so results match it bit for bit."""
     config = model.config
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
-    corr1 = 1.0 - b1**state.t
-    corr2 = 1.0 - b2**state.t
-    g, m, v, step, denom = ws.grad, state.m, state.v, ws.step, ws.denom
-    np.multiply(g, 1 - b1, out=step)
-    m *= b1
-    m += step
-    np.square(g, out=step)
-    step *= 1 - b2
-    v *= b2
-    v += step
-    np.divide(m, corr1, out=step)
-    step *= config.learning_rate
-    np.divide(v, corr2, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += config.epsilon
+    corr1 = 1.0 - config.beta1**state.t
+    corr2 = 1.0 - config.beta2**state.t
+    step, denom, moments = ws.step, ws.denom, state.moments
+    np.square(ws.grad, ws.sq)
+    np.multiply(ws.grad_sq, ws.gain, ws.scratch)
+    moments *= ws.decay
+    moments += ws.scratch
+    np.divide(state.m, corr1, step)
+    step *= ws.lr
+    np.divide(state.v, corr2, denom)
+    np.sqrt(denom, denom)
+    denom += ws.eps
     step /= denom
     model.params -= step
 
@@ -354,7 +380,9 @@ def train(model: MlpModel, train_set: FeatureSet) -> TrainReport:
         stop = min(start + batch, n)
         if stop - start not in spaces:
             spaces[stop - start] = _Workspace(model, stop - start)
-        steps.append((x_epoch[start:stop], y_epoch[start:stop], res[start:stop], spaces[stop - start]))
+        ws = spaces[stop - start]
+        program = _step_program(model, ws, x_epoch[start:stop], y_epoch[start:stop], res[start:stop])
+        steps.append((program, ws, stop - start))
 
     history: List[float] = []
     best: Optional[float] = None
@@ -366,13 +394,14 @@ def train(model: MlpModel, train_set: FeatureSet) -> TrainReport:
         # "raise" gathers into a temporary first; a permutation is in range
         np.take(x, perm, axis=0, out=x_epoch, mode="clip")
         np.take(y, perm, axis=0, out=y_epoch, mode="clip")
-        for xb, yb, rb, ws in steps:
-            _backprop(model, ws, xb, yb, rb)
+        for program, ws, _ in steps:
+            for fn, args in program:
+                fn(*args)
             _adam(model, ws, state)
         # each batch's mean squared error, weighted by its rows, in batch order
         epoch_loss = 0.0
-        for total, (xb, _, _, _) in zip(_batch_sums(res, batch), steps):
-            epoch_loss += total / (len(xb) * OUTPUT_WIDTH) * len(xb)
+        for total, (_, _, rows) in zip(_batch_sums(res, batch), steps):
+            epoch_loss += total / (rows * OUTPUT_WIDTH) * rows
         epoch_loss /= n
         if not np.isfinite(epoch_loss):
             raise TrainingDivergenceError(

@@ -583,6 +583,24 @@ def test_train_with_a_one_hot_vocabulary_too_small_exits_1(ws, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "infer"])
+def test_a_bundle_with_a_huge_one_hot_vocabulary_exits_1(ws, tmp_path, capsys, command):
+    # feature_length 2**40 + 33, matched by the tree's n_features: loading
+    # passed, and extracting one report ended in a raw MemoryError
+    blob = json.loads(ws.tree.read_text(encoding="ascii"))
+    blob["feature_config"] = {"serving_beams": 1, "one_hot_ids": True, "cell_id_vocab": 2**40, "beam_id_vocab": 32}
+    blob["tree"]["n_features"] = 2**40 + 33
+    model = tmp_path / "huge.json"
+    model.write_text(json.dumps(blob), encoding="ascii")
+    out = tmp_path / "out"
+    flag = {"evaluate": "--dataset", "infer": "--input"}[command]
+    assert main([command, "--model", str(model), flag, str(ws.dataset), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "cell_id_vocab must be at most 1008" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_a_site_on_a_grid_point_exits_1_before_the_sweep(tmp_path, capsys):
     # the single-site preset's site, at (0, 25), moved down to UE height
     # onto a grid point: build-dataset ended in a raw ValueError

@@ -175,6 +175,12 @@ def test_cli_exits_0_to_3_on_any_tree_bundle(bundle, edits, command):
             target.pop(key, None)
         else:
             target[key] = value
+    assert_cli_exits_0_to_3_on_bundle(root, blob, command)
+
+
+def assert_cli_exits_0_to_3_on_bundle(root, blob, command):
+    """Run `evaluate` or `infer` with the bundle `blob` on the six
+    training records: the exit code is 0-3 and nothing prints a traceback."""
     edited = root / "edited.json"
     edited.write_text(json.dumps(blob), encoding="ascii")
     dataset = str(root / "train.jsonl")
@@ -187,3 +193,94 @@ def test_cli_exits_0_to_3_on_any_tree_bundle(bundle, edits, command):
     with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
         assert main(argv) in (0, 1, 2, 3)
     assert "Traceback" not in printed.getvalue()
+
+
+@pytest.fixture(scope="module")
+def mlp_bundle(bundle):
+    """An MLP (6 -> 3 -> 2 -> 2, two epochs) on the same six records."""
+    root, features, _ = bundle
+    model = root / "mlp.json"
+    argv = ["train", "--model", "mlp", "--dataset", str(root / "train.jsonl"), "--features", str(features)]
+    assert main(argv + ["--out", str(model), "--hidden", "3,2", "--max-epochs", "2"]) == 0
+    return root, model
+
+
+# what a mutated MLP bundle field may take: the tree fuzz's values, NaN
+# and the infinities, and flat and nested lists (layers, rows, arrays)
+MLP_VALUES = (
+    BUNDLE_VALUES
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), True, "1.0"])
+    | st.lists(st.floats() | st.integers(-2, 2) | st.booleans(), max_size=4)
+    | st.lists(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=3), max_size=7)
+)
+
+# the keys of each object of an MLP bundle, and one it does not have; a
+# layer is picked by its index, and an edit of a layer or a normalizer
+# array may go on into its rows and entries
+MLP_BUNDLE_KEYS = {
+    "mlp": ["config", "weights", "biases", "normalizer", "loss_history", "extra"],
+    "weights": [0, 1, 2, 3],
+    "biases": [0, 1, 2, 3],
+    "normalizer": ["feature_mean", "feature_std", "label_mean", "label_std", "fit_on_train", "extra"],
+    "config": [
+        "hidden_layers", "activation", "learning_rate", "beta1", "beta2", "epsilon", "batch_size", "max_epochs",
+        "patience", "min_delta", "rng_seed", "extra",
+    ],
+    "feature_config": BUNDLE_KEYS["feature_config"],
+}
+
+
+@st.composite
+def mlp_bundle_edits(draw):
+    """(where, steps, delete, value) edits of a saved MLP bundle: steps
+    lead from an object of the bundle to the entry set to value, or
+    removed when delete is true."""
+    where = draw(st.sampled_from(sorted(MLP_BUNDLE_KEYS)))
+    steps = [draw(st.sampled_from(MLP_BUNDLE_KEYS[where]))]
+    if where in ("weights", "biases", "normalizer", "mlp"):
+        steps += draw(st.lists(st.integers(0, 6), max_size=2))
+    delete = draw(st.booleans())
+    return where, steps, delete, None if delete else draw(MLP_VALUES)
+
+
+def _edit(target, steps, delete, value):
+    """Set or remove the entry `steps` leads to; no change where a step
+    does not lead into an object or a list."""
+    *path, last = steps
+    for step in path:
+        if isinstance(target, dict) and isinstance(step, str):
+            target = target.get(step)
+        elif isinstance(target, list) and isinstance(step, int) and step < len(target):
+            target = target[step]
+        else:
+            return
+    if isinstance(target, dict) and isinstance(last, str):
+        if delete:
+            target.pop(last, None)
+        else:
+            target[last] = value
+    elif isinstance(target, list) and isinstance(last, int) and last < len(target):
+        if delete:
+            del target[last]
+        else:
+            target[last] = value
+
+
+# NaN and infinite entries, a layer of the wrong shape, a bias list too
+# short, a feature std of 0 and a hidden layer count the layers do not have
+@example(edits=[("weights", [0, 1, 2], False, float("nan"))], command="evaluate")
+@example(edits=[("biases", [1, 0], False, float("inf"))], command="infer")
+@example(edits=[("weights", [1], False, [[1.0, 2.0]])], command="infer")
+@example(edits=[("biases", [2], True, None)], command="evaluate")
+@example(edits=[("normalizer", ["feature_std", 0], False, 0)], command="evaluate")
+@example(edits=[("config", ["hidden_layers"], False, [3])], command="infer")
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(edits=st.lists(mlp_bundle_edits(), min_size=1, max_size=3), command=st.sampled_from(["evaluate", "infer"]))
+def test_cli_exits_0_to_3_on_any_mlp_bundle(mlp_bundle, edits, command):
+    root, model = mlp_bundle
+    blob = json.loads(model.read_text(encoding="ascii"))
+    for where, steps, delete, value in edits:
+        net = blob["mlp"] if isinstance(blob.get("mlp"), dict) else {}
+        parent = {"mlp": blob, "feature_config": blob, "weights": net, "biases": net, "normalizer": net, "config": net}
+        _edit(parent[where], [where, *steps], delete, value)
+    assert_cli_exits_0_to_3_on_bundle(root, blob, command)

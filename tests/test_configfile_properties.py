@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from beamprint.configfile import from_dict, to_dict
 from beamprint.dtree import TreeConfig
 from beamprint.errors import ConfigurationError
-from beamprint.features import MAX_SERVING_BEAMS, TOPOLOGY_CELL, TOPOLOGY_NETWORK, FeatureConfig
+from beamprint.features import (
+    MAX_BEAM_ID_VOCAB,
+    MAX_CELL_ID_VOCAB,
+    MAX_SERVING_BEAMS,
+    TOPOLOGY_CELL,
+    TOPOLOGY_NETWORK,
+    FeatureConfig,
+)
 from beamprint.mlp import _ACTIVATIONS, MlpConfig
 from beamprint.radio import AntennaElementParams, CodebookConfig, RadioConfig
 from beamprint.scenario import BuildingFootprint, ScenarioConfig, Sector, Site
@@ -68,7 +75,9 @@ def fuzz(tp):
 def _feature_configs(draw):
     topology = draw(st.sampled_from((TOPOLOGY_NETWORK, TOPOLOGY_CELL)))
     one_hot = draw(st.booleans())
-    vocab = st.integers(min_value=1) if one_hot else st.none() | st.integers()
+    unused = st.none() | st.integers()
+    cell_vocab = st.integers(1, MAX_CELL_ID_VOCAB) if one_hot else unused
+    beam_vocab = st.integers(1, MAX_BEAM_ID_VOCAB) if one_hot else unused
     return FeatureConfig(
         n_serving_beams=draw(st.integers(1, MAX_SERVING_BEAMS)),
         n_neighbor_beams=draw(st.integers(0, 3)),
@@ -76,8 +85,8 @@ def _feature_configs(draw):
         include_serving_cell_id=topology == TOPOLOGY_NETWORK and draw(st.booleans()),
         topology=topology,
         one_hot_ids=one_hot,
-        cell_id_vocab=draw(vocab),
-        beam_id_vocab=draw(vocab),
+        cell_id_vocab=draw(cell_vocab),
+        beam_id_vocab=draw(beam_vocab),
     )
 
 

@@ -301,6 +301,19 @@ def test_one_hot_vocabulary_below_one_is_refused(cell_vocab, beam_vocab):
     assert feature_length(FeatureConfig(one_hot_ids=True, cell_id_vocab=1, beam_id_vocab=1)) == 7
 
 
+def test_one_hot_vocabulary_past_its_cap_is_refused():
+    # a bundle with cell_id_vocab 2**40 passed, and extracting one report
+    # then asked for an 8 TiB array: a raw MemoryError
+    largest = FeatureConfig(n_serving_beams=1, one_hot_ids=True, cell_id_vocab=1008, beam_id_vocab=64)
+    assert feature_length(largest) == 64 + 1 + 1008
+    for field, value in (("cell_id_vocab", 1009), ("cell_id_vocab", 2**40), ("beam_id_vocab", 65)):
+        with pytest.raises(ConfigurationError, match=f"one-hot {field} must be at most .*, got {value}"):
+            FeatureConfig(**{"n_serving_beams": 1, "one_hot_ids": True, "cell_id_vocab": 24, "beam_id_vocab": 32,
+                             field: value})
+    # without one-hot ids the sizes are unused
+    FeatureConfig(cell_id_vocab=2**40, beam_id_vocab=2**40)
+
+
 # ---------------------------------------------------------------------------
 # batch extraction
 

@@ -365,30 +365,72 @@ ORACLE_RUNS = {
 }
 
 
+def assert_train_matches_oracle(config, ts):
+    """train against the oracle loop on `ts`, as bits; returns whether
+    training stopped on patience."""
+    model = init_model(config, input_width=ts.values.shape[1])
+    model.normalizer = fit_normalizer(ts)
+    report = train(model, ts)
+    ref, history, stopped = oracle_train(config, ts)
+    assert report.stopped_early == stopped
+    assert np.array(model.loss_history).view(np.uint64).tolist() == np.array(history).view(np.uint64).tolist()
+    assert np.array_equal(model.params.view(np.uint64), ref.params.view(np.uint64))
+    return stopped
+
+
+def oracle_config(run, **kwargs):
+    """The training config of an ORACLE_RUNS case."""
+    rows, batch, max_epochs, patience, min_delta = ORACLE_RUNS[run]
+    return MlpConfig(
+        batch_size=batch, max_epochs=max_epochs, patience=patience, min_delta=min_delta, rng_seed=9, **kwargs
+    )
+
+
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 @pytest.mark.parametrize("hidden", [(6,), (6, 4), (1,)], ids=["h6", "h6x4", "h1"])
 @pytest.mark.parametrize("run", sorted(ORACLE_RUNS))
 def test_train_steps_match_oracle_loop(run, hidden, activation):
-    # the training loop (one workspace per batch row count, np.dot into
-    # its buffers, epoch loss summed once) against the oracle loop, as bits
-    rows, batch, max_epochs, patience, min_delta = ORACLE_RUNS[run]
-    ts = toy_training_set(n=rows, seed=4)
-    config = MlpConfig(
-        hidden_layers=hidden,
-        activation=activation,
-        batch_size=batch,
-        max_epochs=max_epochs,
-        patience=patience,
-        min_delta=min_delta,
-        rng_seed=9,
-    )
+    # the training loop (one step program per batch, np.dot into its
+    # workspace, the stacked adam update, epoch loss summed once) against
+    # the oracle loop, as bits
+    ts = toy_training_set(n=ORACLE_RUNS[run][0], seed=4)
+    stopped = assert_train_matches_oracle(oracle_config(run, hidden_layers=hidden, activation=activation), ts)
+    assert stopped == (run == "patience-stop")
+
+
+@pytest.mark.parametrize(
+    "hidden, activation, width",
+    [((6, 5, 4), "relu", 3), ((128, 128), "tanh", 13)],
+    ids=["relu-h6x5x4", "tanh-13-h128x128"],
+)
+@pytest.mark.parametrize("run", ["b32-tail12", "b32-tail1", "patience-stop"])
+def test_deeper_and_wider_train_steps_match_oracle_loop(run, hidden, activation, width):
+    # three hidden layers, and the 13 -> 128 -> 128 shape of a network
+    # sweep arm: more layers in each step program, matmuls past BLAS's
+    # small-matrix paths
+    rng = np.random.default_rng(21)
+    x = rng.uniform(-1.0, 1.0, size=(ORACLE_RUNS[run][0], width))
+    ts = feature_set(x, np.column_stack([x[:, 0] + 0.5 * x[:, 1], x[:, 2] - x[:, 0]]))
+    stopped = assert_train_matches_oracle(oracle_config(run, hidden_layers=hidden, activation=activation), ts)
+    assert stopped == (run == "patience-stop")
+
+
+def test_one_full_batch_epoch_is_loss_and_gradients_then_adam_step():
+    # train's step program and adam against the public calls it shares
+    # them with: a one-epoch fit whose one batch holds every row
+    ts = toy_training_set(n=50, seed=8)
+    config = MlpConfig(hidden_layers=(7, 3), batch_size=64, max_epochs=1, rng_seed=13)
+    fitted = init_model(config, input_width=3)
+    fitted.normalizer = fit_normalizer(ts)
+    train(fitted, ts)
     model = init_model(config, input_width=3)
-    model.normalizer = fit_normalizer(ts)
-    report = train(model, ts)
-    ref, history, stopped = oracle_train(config, ts)
-    assert report.stopped_early == stopped == (run == "patience-stop")
-    assert np.array(model.loss_history).view(np.uint64).tolist() == np.array(history).view(np.uint64).tolist()
-    assert np.array_equal(model.params.view(np.uint64), ref.params.view(np.uint64))
+    perm = np.random.default_rng(config.rng_seed).permutation(len(ts))
+    x = apply(fitted.normalizer, ts.values)[perm]
+    y = apply_labels(fitted.normalizer, ts.labels)[perm]
+    loss, gw, gb = loss_and_gradients(model, x, y)
+    adam_step(model, gw, gb, init_adam(model))
+    assert np.array_equal(model.params.view(np.uint64), fitted.params.view(np.uint64))
+    assert loss == pytest.approx(fitted.loss_history[0], rel=1e-15)
 
 
 def test_parameters_share_one_flat_buffer():
@@ -396,9 +438,21 @@ def test_parameters_share_one_flat_buffer():
     assert model.params.shape == (5 * 4 + 4 + 4 * 3 + 3 + 3 * 2 + 2,)
     for layer in model.weights + model.biases:
         assert layer.base is model.params
+
+    def offsets(arrays, base):
+        return [a.ctypes.data - base.ctypes.data for a in arrays]
+
+    # the gradients are laid out like model.params in the first row of one
+    # buffer, whose second row adam squares them into
     _, gw, gb = loss_and_gradients(model, np.ones((3, 5)), np.zeros((3, 2)))
-    assert all(g.base is gw[0].base for g in gw + gb)
-    assert gw[0].base.shape == model.params.shape
+    grad = gw[0].base
+    assert all(g.base is grad for g in gw + gb)
+    assert grad.shape == (2, model.params.size)
+    assert offsets(gw + gb, grad) == offsets(model.weights + model.biases, model.params)
+    # adam's two moments are the two rows of one buffer
+    state = init_adam(model)
+    assert state.m.base is state.v.base is state.moments
+    assert offsets([state.m, state.v], state.moments) == [0, model.params.nbytes]
 
 
 def test_train_and_adam_step_refuse_swapped_layers():
