@@ -15,6 +15,12 @@ serving cell, each at its first (strongest) entry. Whole datasets,
 single reports and `infer` files all go through one kernel, `extract`,
 over the sorted measurement columns.
 
+The kernel reads the ranked prefix first: it scans the first 64 columns
+of every row, and scans again over the full row only the rows that
+cannot fill the config within them. A row that fills within the prefix
+gets the same entries as over its full row, because both take the first
+entries in ranking order. A row of at most 64 columns takes one pass.
+
 Identifiers ride along as raw numerics and get z-scored with everything
 else. A one-hot encoding can be switched on for experiments; it is an
 expansion of the same vector, each id becoming an indicator block the
@@ -55,6 +61,8 @@ MAX_BEAM_ID_VOCAB = MAX_SERVING_BEAMS
 
 # records extract_features runs through the kernel at a time
 _EXTRACT_ROWS = 1024
+# the ranked columns extract scans first
+_PREFIX_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -172,22 +180,10 @@ def _expand_one_hot(values: np.ndarray, config: FeatureConfig) -> np.ndarray:
     return out
 
 
-def extract(
-    serving: np.ndarray,
-    cells: np.ndarray,
-    beams: np.ndarray,
-    rsrp: np.ndarray,
-    config: FeatureConfig,
+def _scan(
+    serving: np.ndarray, cells: np.ndarray, beams: np.ndarray, rsrp: np.ndarray, config: FeatureConfig
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The feature kernel over sorted measurement columns.
-
-    serving is (n,); cells, beams and rsrp are (n, m) rows in ranking
-    order. A NaN rsrp marks padding (not measured), so reports of
-    different lengths can share one call. Returns the feature vectors of
-    the rows that fill the config, those rows' indices, and per row the
-    serving beams and neighbor cells found, capped at the configured
-    counts.
-    """
+    """One pass of extract over every given column, before one-hot expansion."""
     k = config.n_serving_beams
     nb = config.n_neighbor_beams
     n = len(serving)
@@ -224,6 +220,40 @@ def extract(
     values[:, col::3] = cells[r, nb_pos]
     values[:, col + 1 :: 3] = beams[r, nb_pos]
     values[:, col + 2 :: 3] = rsrp[r, nb_pos]
+    return values, kept, n_serving, n_neighbors
+
+
+def extract(
+    serving: np.ndarray,
+    cells: np.ndarray,
+    beams: np.ndarray,
+    rsrp: np.ndarray,
+    config: FeatureConfig,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The feature kernel over sorted measurement columns.
+
+    serving is (n,); cells, beams and rsrp are (n, m) rows in ranking
+    order. A NaN rsrp marks padding (not measured), so reports of
+    different lengths can share one call. Returns the feature vectors of
+    the rows that fill the config, those rows' indices, and per row the
+    serving beams and neighbor cells found, capped at the configured
+    counts.
+
+    Only the rows that cannot fill the config within their first
+    _PREFIX_COLUMNS columns are scanned over their full width.
+    """
+    prefix = np.s_[:, :_PREFIX_COLUMNS]
+    values, kept, n_serving, n_neighbors = _scan(serving, cells[prefix], beams[prefix], rsrp[prefix], config)
+    if rsrp.shape[1] > _PREFIX_COLUMNS:
+        redo = np.flatnonzero((n_serving < config.n_serving_beams) | (n_neighbors < config.n_neighbor_beams))
+        if len(redo):
+            more, more_kept, n_serving[redo], n_neighbors[redo] = _scan(
+                serving[redo], cells[redo], beams[redo], rsrp[redo], config
+            )
+            # the rows kept by either scan, in row order
+            kept = np.concatenate((kept, redo[more_kept]))
+            order = np.argsort(kept)
+            kept, values = kept[order], np.concatenate((values, more))[order]
     if config.one_hot_ids:
         values = _expand_one_hot(values, config)
     return values, kept, n_serving, n_neighbors

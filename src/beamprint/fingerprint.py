@@ -422,6 +422,12 @@ _RSRP_TEXT = re.compile(r"(?:" + _JSON_FLOAT + r"\])*")
 # longer rsrp tokens take the per-line path; repr of a float has at most 24
 _MAX_FLOAT_CHARS = 32
 _PADDING = _MAX_FLOAT_CHARS + 8  # bytes
+# the id of each 2-byte word that starts a JSON int token of one or two
+# characters ("7," or "42" or "-3"); _NOT_ID for every other word ("05",
+# "-0", "-,", ...), which _json_ints then reads or refuses
+_NOT_ID = _INT32.min
+_ID_TABLE = np.full(1 << 16, _NOT_ID, dtype=np.int32)
+_ID_TABLE[[int.from_bytes(f"{i},".encode("ascii")[:2], "little") for i in range(-9, 100)]] = range(-9, 100)
 
 
 class Block(NamedTuple):
@@ -500,49 +506,52 @@ def _json_floats(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> Optiona
     return np.repeat(values, np.diff(firsts, append=len(start)))
 
 
-def _measurement_columns(spans: List[Tuple[str, int, int]]) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The (cells, beams, rsrp) matrices of `meas` list bodies, given as
-    (line, start, end) spans, one row per body, or None unless each is
-    exactly "[c,b,r],...,[c,b,r]" with _json_ints ids and _json_floats
-    rsrp, and every body holds as many measurements."""
+def _json_ids(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> Optional[np.ndarray]:
+    """_json_ints of tokens that each end at a comma. When every token is
+    one or two characters long, each is looked up in _ID_TABLE by the two
+    bytes at its start (a one-character token's second byte is its
+    comma), and _json_ints reads them only if the table lacks one."""
+    if (end - start).max() <= 2:
+        # the little-endian 2-byte word at every byte offset
+        pairs = np.ndarray(shape=(len(buf) - 1,), dtype="<u2", buffer=buf, strides=(1,))
+        ids = _ID_TABLE[pairs[start]]
+        if not (ids == _NOT_ID).any():
+            return ids
+    return _json_ints(buf, start, end)
+
+
+def _measurement_columns(bodies: List[str]) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The (cells, beams, rsrp) matrices of `meas` list bodies, one row
+    per body, or None unless each is exactly "[c,b,r],...,[c,b,r]" with
+    _json_ints ids and _json_floats rsrp, and every body holds as many
+    measurements."""
     # the bodies end to end, each with a comma after it, in one buffer;
     # zero padding keeps the words _json_floats reads inside it
-    size = [end - start + 1 for _, start, end in spans]
-    n = sum(size)
-    data = bytearray(n + _PADDING)
-    at = 0
-    for (raw, start, end), k in zip(spans, size):
-        data[at : at + k - 1] = raw[start:end].encode("ascii")
-        data[at + k - 1] = ord(",")
-        at += k
-    buf = np.frombuffer(data, dtype=np.uint8)
-    body = buf[:n]
-    # separator positions, int32 where they fit
-    pos = np.int32 if n < _INT32.max else np.intp
-    opens, commas, closes = (np.flatnonzero(body == ord(c)).astype(pos) for c in "[,]")
-    per_row, rest = divmod(len(opens), len(spans))
-    if per_row == 0 or rest or len(closes) != len(opens) or len(commas) != 3 * len(opens):
+    buf = np.frombuffer(",".join([*bodies, "\0" * _PADDING]).encode("ascii"), dtype=np.uint8)
+    # one separator pass, over the commas alone: a measurement has three,
+    # its "[" is the byte after the previous measurement's third comma (or
+    # the buffer start) and its "]" the byte before its own third comma.
+    # With those bytes checked, and each body's first "[" at its start,
+    # every other byte lies inside a token, which the token checks read
+    commas = np.flatnonzero(buf == ord(","))
+    per_row, rest = divmod(len(commas), 3 * len(bodies))
+    if per_row == 0 or rest:
         return None
-    commas = commas.reshape(-1, 3)
-    # every body starts with a "[" (so the buffer does), every "]" has a
-    # "," right after it and that "," the next "[": with three commas a
-    # measurement and all positions ascending, each measurement's
-    # separators then go "[,,]," and each body holds per_row of them
+    first, second, third = commas.reshape(-1, 3).T
+    opens, closes = np.concatenate(([0], third[:-1] + 1)), third - 1
+    body_starts = np.cumsum([0] + [len(body) + 1 for body in bodies[:-1]])
     if not (
-        (opens[::per_row] == np.cumsum([0] + size[:-1])).all()
-        and (commas[:, 2] - closes == 1).all()
-        and (opens[1:] - commas[:-1, 2] == 1).all()
+        (opens[::per_row] == body_starts).all()
+        and (buf[opens] == ord("[")).all()
+        and (buf[closes] == ord("]")).all()
     ):
         return None
-    # token bounds as intp: numpy gathers with them about 2.5x faster than with int32
-    cell_end, beam_end = commas[:, 0].astype(np.intp), commas[:, 1].astype(np.intp)
-    cells = _json_ints(buf, opens.astype(np.intp) + 1, cell_end)
-    beams = None if cells is None else _json_ints(buf, cell_end + 1, beam_end)
-    rsrp = None if beams is None else _json_floats(buf, beam_end + 1, closes.astype(np.intp))
+    ids = _json_ids(buf, np.concatenate((opens, first)) + 1, np.concatenate((first, second)))
+    rsrp = None if ids is None else _json_floats(buf, second + 1, closes)
     if rsrp is None:
         return None
-    shape = (len(spans), per_row)
-    return cells.reshape(shape), beams.reshape(shape), rsrp.reshape(shape)
+    shape = (len(bodies), per_row)
+    return ids[: len(third)].reshape(shape), ids[len(third) :].reshape(shape), rsrp.reshape(shape)
 
 
 def read_block(lines: Sequence[str]) -> Optional[Block]:
@@ -555,7 +564,7 @@ def read_block(lines: Sequence[str]) -> Optional[Block]:
     _MAX_FLOAT_CHARS characters or rows of different lengths. The other
     lines always take the per-line path, and on None so do these, so
     that results and errors never depend on it."""
-    rows, spans, tails = [], [], []
+    rows, bodies, tails = [], [], []
     for i, raw in enumerate(lines):
         los = raw.startswith(_HEADS[True])
         head = _HEADS[los]
@@ -565,11 +574,11 @@ def read_block(lines: Sequence[str]) -> Optional[Block]:
         tail = _TAIL.fullmatch(raw, cut) if cut >= len(head) else None
         if tail is not None:
             rows.append(i)
-            spans.append((raw, len(head), cut))
+            bodies.append(raw[len(head) : cut])
             tails.append((los, *tail.groups()))
     if not rows:
         return None
-    meas = _measurement_columns(spans)
+    meas = _measurement_columns(bodies)
     if meas is None:
         return None
     los, serving, xs, ys = zip(*tails)

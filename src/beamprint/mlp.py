@@ -211,6 +211,11 @@ class AdamState:
         self.moments = np.array([self.m, self.v], dtype=np.float64)
         self.m, self.v = self.moments
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AdamState):
+            return NotImplemented
+        return self.t == other.t and np.array_equal(self.m, other.m) and np.array_equal(self.v, other.v)
+
 
 def init_adam(model: MlpModel) -> AdamState:
     return AdamState(m=np.zeros_like(model.params), v=np.zeros_like(model.params))

@@ -674,8 +674,9 @@ def _predict_reports(bundle: ModelBundle, reports: Sequence[tuple], linenos: Seq
     """Positions for parsed reports: their columns stacked (NaN-padded to
     the longest), extracted in one kernel call and predicted in one
     batch. The first report, in line order, that cannot fill the feature
-    config or has an id outside its one-hot vocabulary is a
-    DatasetParseError naming its line."""
+    config or has an id outside its one-hot vocabulary, else the first
+    whose prediction is not finite, is a DatasetParseError naming its
+    line."""
     n, m = len(reports), max(len(r[6]) for r in reports)
     # int32, as parsed reports and dataset columns hold ids
     cells = np.zeros((n, m), dtype=np.int32)
@@ -701,7 +702,11 @@ def _predict_reports(bundle: ModelBundle, reports: Sequence[tuple], linenos: Seq
             if not len(ok):
                 why = shortfall(config, n_serving[0], n_neighbors[0])
                 raise DatasetParseError(str(why), path=in_path, line=lineno)
-    return bundle.predict(values)
+    pred = bundle.predict(values)
+    overflow = ~np.isfinite(pred).all(axis=1)
+    if overflow.any():
+        raise DatasetParseError("prediction is not finite", path=in_path, line=linenos[np.argmax(overflow)])
+    return pred
 
 
 def _servable(block: Block) -> bool:
@@ -730,7 +735,7 @@ def infer_file(bundle: ModelBundle, in_path, out_path=None) -> List[dict]:
     line anywhere fails the file before any output is written. Within a
     chunk, a line that does not parse is reported before one that
     cannot fill the feature config or has an id outside its one-hot
-    vocabulary.
+    vocabulary, and that before one whose prediction is not finite.
     """
     pred: List[List[float]] = []
     try:

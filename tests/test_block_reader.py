@@ -36,6 +36,14 @@ BAD_TOKENS = (
     "-2147483649", "-01", "1e", "0.0", "-0.0", "1E+5", "7",
 )
 TOKEN = re.compile(r"-?[0-9][0-9.eE+-]*|true|false")
+# id texts of one, two and more characters, negative ones, ones past int32,
+# and ones that are not JSON ints ("05", "00", "-05") or read as 0 ("-0")
+ID_TEXTS = (
+    "0", "7", "-1", "-9", "42", "99", "05", "00", "-0", "100", "-42", "-05", "123", "4096",
+    "2147483647", "-2147483648", "2147483648",
+)
+NOT_INT32 = {"05", "00", "-05", "2147483648"}
+ID = re.compile(r"\[(-?[0-9]+),(-?[0-9]+),")  # a measurement's cell and beam
 
 
 @st.composite
@@ -166,11 +174,52 @@ def test_every_bracket_or_comma_of_a_line_removed_reads_the_same_by_both_paths(t
         assert_edited_line_reads_the_same(path, lines, 2, lines[2][:at] + lines[2][at + 1 :])
 
 
+@pytest.mark.parametrize("char", ["5", "-", "[", "]", ","])
+def test_every_bracket_or_comma_of_a_line_replaced_reads_the_same_by_both_paths(tmp_path, char):
+    # a "]" read as part of the rsrp before it, or a "[" as part of the
+    # cell after it, would pass the token checks
+    path, lines = _small_file(tmp_path)
+    for at in [k for k, c in enumerate(lines[2]) if c in "[],"]:
+        assert_edited_line_reads_the_same(path, lines, 2, lines[2][:at] + char + lines[2][at + 1 :])
+
+
 @pytest.mark.parametrize("char", [" ", "7", "x"], ids=["space", "digit", "letter"])
 def test_a_character_inserted_anywhere_in_a_line_reads_the_same_by_both_paths(tmp_path, char):
     path, lines = _small_file(tmp_path)
     for at in range(len(lines[2]) + 1):
         assert_edited_line_reads_the_same(path, lines, 2, lines[2][:at] + char + lines[2][at:])
+
+
+@pytest.mark.parametrize("text", ID_TEXTS)
+def test_every_id_replaced_by_any_id_text_reads_the_same_by_both_paths(tmp_path, text):
+    # each cell and beam id of the first record and of the block's last,
+    # whose last measurement ends the block's buffer
+    path, lines = _small_file(tmp_path)
+    for i in (1, len(lines) - 1):
+        for m in ID.finditer(lines[i]):
+            for group in (1, 2):
+                edited = lines[i][: m.start(group)] + text + lines[i][m.end(group) :]
+                assert_edited_line_reads_the_same(path, lines, i, edited)
+
+
+@DIFFERENTIAL
+@given(data=st.data())
+def test_a_block_mixing_id_texts_of_every_length_reads_the_same_by_both_paths(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "ids.jsonl"
+    texts = st.sampled_from(ID_TEXTS)
+    per_row = data.draw(st.integers(1, 4))
+    lines, drawn = [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        ids = [data.draw(texts) for _ in range(2 * per_row)]
+        # descending rsrp, so that infer's reader keeps a block it parses
+        body = ",".join(f"[{c},{b},-{80 + j}.5]" for j, (c, b) in enumerate(zip(ids[::2], ids[1::2])))
+        lines.append(f'{{"los":true,"meas":[{body}],"serving":{ids[0]},"x":1.5,"y":2.5}}\n')
+        drawn += ids
+    assert_rows_match_per_line(lines)
+    if not NOT_INT32 & set(drawn):  # the block reader takes every line
+        assert read_block(lines).rows == list(range(len(lines)))
+    header = _small_file(tmp_path_factory.getbasetemp())[1][0]
+    assert_both_paths_agree(_write(path, [header] + [line.rstrip("\n") for line in lines]))
 
 
 @DIFFERENTIAL

@@ -461,6 +461,31 @@ def test_infer_with_truncated_normalizer_exits_1(ws, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_infer_refuses_a_prediction_that_overflows(ws, tmp_path, capsys):
+    # finite weights and biases of 1e308 load, but the last layer's sums
+    # overflow: infer used to write {"x_pred":Infinity,...} and exit 0
+    model = tmp_path / "mlp.json"
+    args = ["--dataset", str(ws.dataset), "--features", str(ws.features), "--out", str(model)]
+    assert main(["train", "--model", "mlp", *args, "--hidden", "4", "--max-epochs", "1"]) == 0
+    blob = json.loads(model.read_text(encoding="ascii"))
+    blob["mlp"]["weights"][-1] = [[1e308] * len(row) for row in blob["mlp"]["weights"][-1]]
+    blob["mlp"]["biases"][-1] = [1e308] * len(blob["mlp"]["biases"][-1])
+    model.write_text(json.dumps(blob), encoding="ascii")
+    head = tmp_path / "head.jsonl"
+    head.write_text("".join(ws.dataset.read_text(encoding="ascii").splitlines(keepends=True)[:4]))
+    out = tmp_path / "pred.jsonl"
+    capsys.readouterr()
+    rc = main(["infer", "--model", str(model), "--input", str(head), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "data error: prediction is not finite" in captured.err
+    assert f"({head}, line 2)" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_missing_infer_input_exits_2(ws, tmp_path, capsys):
     rc = main(["infer", "--model", str(ws.tree), "--input", str(tmp_path / "nope.jsonl")])
     assert rc == 2

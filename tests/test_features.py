@@ -549,6 +549,162 @@ def test_kernel_one_hot_vocabulary_error_matches_oracle():
 
 
 # ---------------------------------------------------------------------------
+# wide rows: the kernel scans a ranked prefix first, then the full width of
+# the rows that cannot fill the config within it
+
+
+def one_pass_extract(serving, cells, beams, rsrp, config):
+    """Oracle: the kernel as it was before the prefix scan, one pass over
+    every column of every row."""
+    k = config.n_serving_beams
+    nb = config.n_neighbor_beams
+    n = len(serving)
+    rows = np.arange(n)
+    measured = ~np.isnan(rsrp)
+    other_cell = cells != serving[:, None]
+    is_serving = measured & ~other_cell
+    n_serving = np.minimum(np.count_nonzero(is_serving, axis=1), k)
+    candidates = measured & other_cell
+    nb_pos = np.zeros((n, nb), dtype=np.intp)
+    n_neighbors = np.zeros(n, dtype=np.intp)
+    for j in range(nb if rsrp.size else 0):
+        pos = np.argmax(candidates, axis=1)
+        n_neighbors += candidates[rows, pos]
+        nb_pos[:, j] = pos
+        candidates &= cells != cells[rows, pos][:, None]
+    kept = np.flatnonzero((n_serving == k) & (n_neighbors == nb))
+    take = is_serving[kept]
+    take &= np.cumsum(take, axis=1, dtype=np.int32) <= k
+    serv_pos = np.nonzero(take)[1].reshape(len(kept), k)
+    nb_pos = nb_pos[kept]
+    r = kept[:, None]
+    values = np.empty((len(kept), len(features._layout(config))))
+    values[:, 0 : 2 * k : 2] = beams[r, serv_pos]
+    values[:, 1 : 2 * k : 2] = rsrp[r, serv_pos]
+    col = 2 * k
+    if config.include_serving_cell_id:
+        values[:, col] = serving[kept]
+        col += 1
+    values[:, col::3] = cells[r, nb_pos]
+    values[:, col + 1 :: 3] = beams[r, nb_pos]
+    values[:, col + 2 :: 3] = rsrp[r, nb_pos]
+    if config.one_hot_ids:
+        values = features._expand_one_hot(values, config)
+    return values, kept, n_serving, n_neighbors
+
+
+def same_extraction(got, want):
+    """Two extract results equal in shape, dtype and bits."""
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+WIDE_CELLS, WIDE_BEAMS = 12, 64  # 768 ranked columns, as the default scenario
+
+
+def ranked(meas, serving):
+    """A report of (cell, beam, rsrp) triples put in ranking order."""
+    return record_of(sorted(meas, key=lambda t: (-t[2], t[0], t[1])), serving=serving, x=0.5, y=1.5)
+
+
+def wide_records(rng, n):
+    """Reports of up to 12 cells x 64 beams in ranking order, RSRP on a
+    0.5 dB grid so that ties are common. A cell's beams sit within a
+    band whose offset from the other cells' varies, so the serving
+    cell's beams and the neighbors often lie past column 64. Some
+    reports are cut short (NaN padding once stacked), and some are
+    served by a cell they do not measure."""
+    records = []
+    for _ in range(n):
+        offset = rng.uniform(0, rng.choice([1.0, 10.0, 40.0]), size=WIDE_CELLS)
+        meas = [
+            (c, b, -50.0 - 0.5 * round(2 * offset[c] + int(rng.integers(0, 16))))
+            for c in range(WIDE_CELLS)
+            for b in range(WIDE_BEAMS)
+        ]
+        meas.sort(key=lambda t: (-t[2], t[0], t[1]))
+        if rng.random() < 0.3:
+            meas = meas[: rng.integers(1, len(meas))]
+        pick = rng.random()
+        serving = meas[0][0] if pick < 0.4 else 99 if pick < 0.45 else meas[rng.integers(len(meas))][0]
+        records.append(record_of(meas, serving=serving, x=float(rng.normal()), y=float(rng.normal())))
+    return records
+
+
+WIDE_CONFIGS = [
+    FeatureConfig(n_serving_beams=3, n_neighbor_beams=0),
+    FeatureConfig(n_serving_beams=3, n_neighbor_beams=2),
+    FeatureConfig(n_serving_beams=1, n_neighbor_beams=3),
+    FeatureConfig(n_serving_beams=2, n_neighbor_beams=1, include_serving_cell_id=False, topology=TOPOLOGY_CELL),
+    FeatureConfig(n_serving_beams=2, n_neighbor_beams=2, one_hot_ids=True, cell_id_vocab=12, beam_id_vocab=64),
+    FeatureConfig(n_serving_beams=64, n_neighbor_beams=0),
+    FeatureConfig(n_serving_beams=64, n_neighbor_beams=3, include_serving_cell_id=False, topology=TOPOLOGY_CELL),
+]
+
+
+@pytest.mark.parametrize("cfg", WIDE_CONFIGS, ids=lambda c: f"s{c.n_serving_beams}n{c.n_neighbor_beams}")
+def test_prefix_scan_matches_the_one_pass_kernel_and_the_oracle_on_wide_rows(cfg):
+    records = wide_records(np.random.default_rng(23), 240)
+    ds = dataset_of(records)
+    assert ds.meas_rsrp.shape[1] == WIDE_CELLS * WIDE_BEAMS
+    columns = (ds.serving, ds.meas_cells, ds.meas_beams, ds.meas_rsrp)
+    got = extract(*columns, cfg)
+    same_extraction(got, one_pass_extract(*columns, cfg))
+    values, kept, _, _ = got
+    for i, record in enumerate(records):
+        try:
+            want = oracle_record(record, cfg)
+        except FeatureExtractionError:
+            assert i not in kept
+            continue
+        assert np.array_equal(values[np.searchsorted(kept, i)].view(np.uint64), want.view(np.uint64))
+    # the sample meets rows kept within the prefix, rows kept only over
+    # their full width, and rows that cannot fill the config at all
+    width = features._PREFIX_COLUMNS
+    in_prefix = one_pass_extract(*(c[:, :width] if c.ndim == 2 else c for c in columns), cfg)[1]
+    assert len(np.setdiff1d(kept, in_prefix)) and len(kept) < len(records)
+    if cfg.n_serving_beams < WIDE_BEAMS:
+        assert len(in_prefix)
+
+
+def test_prefix_scan_of_rows_within_the_prefix_is_one_pass(monkeypatch):
+    # rows of at most 64 columns take one scan; wider ones take a second
+    # scan only for the rows that do not fill within the prefix
+    scans = []
+    scan = features._scan
+    monkeypatch.setattr(features, "_scan", lambda *a: scans.append(len(a[0])) or scan(*a))
+    cfg = FeatureConfig(n_serving_beams=3, n_neighbor_beams=2)
+    narrow = dataset_of(random_records(np.random.default_rng(99), 100))
+    assert narrow.meas_rsrp.shape[1] <= features._PREFIX_COLUMNS
+    extract(narrow.serving, narrow.meas_cells, narrow.meas_beams, narrow.meas_rsrp, cfg)
+    assert scans == [100]
+    scans.clear()
+    wide = dataset_of(wide_records(np.random.default_rng(23), 100))
+    extract(wide.serving, wide.meas_cells, wide.meas_beams, wide.meas_rsrp, cfg)
+    assert len(scans) == 2 and scans[0] == 100 and 0 < scans[1] < 100
+
+
+def test_prefix_scan_names_the_first_out_of_vocabulary_id_in_row_order():
+    # row 0 fills only past column 64, where its neighbor is cell 10; row 1
+    # fills within the prefix, its neighbor cell 9: both outside a cell
+    # vocabulary of 8, and the error names row 0's
+    far = [(0, b, -50.0 - 0.01 * b) for b in range(WIDE_BEAMS)] + [(10, b, -70.0 - 0.01 * b) for b in range(WIDE_BEAMS)]
+    near = [(0, 0, -50.0), (9, 0, -51.0)] + [(c, b, -80.0) for c in (1, 2) for b in range(WIDE_BEAMS)]
+    records = [ranked(far, 0), ranked(near, 0)]
+    ds = dataset_of(records)
+    columns = (ds.serving, ds.meas_cells, ds.meas_beams, ds.meas_rsrp)
+    cfg = FeatureConfig(n_serving_beams=1, n_neighbor_beams=1, one_hot_ids=True, cell_id_vocab=8, beam_id_vocab=64)
+    with pytest.raises(ConfigurationError) as want:
+        oracle_record(records[0], cfg)
+    with pytest.raises(ConfigurationError) as one_pass:
+        one_pass_extract(*columns, cfg)
+    with pytest.raises(ConfigurationError) as got:
+        extract(*columns, cfg)
+    assert str(got.value) == str(one_pass.value) == str(want.value) == "cell id 10 outside one-hot vocabulary of size 8"
+
+
+# ---------------------------------------------------------------------------
 # extraction over selected rows: the same result as over a copy of them
 
 

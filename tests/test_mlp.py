@@ -232,6 +232,19 @@ def test_adam_zero_gradient_keeps_weights():
     assert all(np.array_equal(a, b) for a, b in zip(w0, model.weights))
 
 
+def test_adam_states_compare_by_step_count_and_moments():
+    model = init_model(MlpConfig(), input_width=2)
+    assert init_adam(model) == init_adam(model)
+    stepped = init_adam(model)
+    stepped.t = 1
+    assert init_adam(model) != stepped
+    for moment in ("m", "v"):
+        changed = init_adam(model)
+        getattr(changed, moment)[-1] = 1e-12
+        assert changed != init_adam(model) and changed == changed
+    assert init_adam(model) != "state"
+
+
 def oracle_adam_step(weights, biases, grads_w, grads_b, moments, t, config):
     """Reference: the per-layer adam update on separate arrays, as it was
     before parameters moved into one flat buffer. `moments` holds m_w,
