@@ -12,19 +12,18 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .configfile import load_object
 from .errors import BeamprintError, ConfigurationError, DataError, TrainingDivergenceError
-from .evaluate import compare, summarize, write_cdf_csv, write_report
+from .evaluate import euclidean_errors, summarize, write_cdf_csv, write_report
 from .features import extract_features, feature_config_from_dict
 from .fingerprint import build_dataset, load_dataset, los_rows, save_dataset
 from .mlp import _ACTIVATIONS, MlpConfig
 from .dtree import TreeConfig
-from .evaluate import euclidean_errors
 from .pipeline import (
-    MODEL_MLP,
-    MODEL_TREE,
+    MODEL_TYPES,
     ModelSpec,
     infer_file,
     load_experiment_spec,
@@ -65,22 +64,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None, help="override the generation seed")
 
     p = sub.add_parser("train", help="train one model on a dataset")
-    p.add_argument("--model", choices=(MODEL_MLP, MODEL_TREE), required=True)
+    p.add_argument("--model", choices=tuple(MODEL_TYPES), required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--features", required=True, help="feature config JSON file")
     p.add_argument("--out", required=True, help="output model path")
     p.add_argument("--no-los-filter", action="store_true", help="train on blocked records too")
-    # the defaults are the config dataclasses' own
+    # each flag's dest and default are those of the config field it sets
     m, t = MlpConfig(), TreeConfig()
-    hidden = ",".join(map(str, m.hidden_layers))
-    p.add_argument("--hidden", default=hidden, help="hidden widths, comma separated (mlp)")
+    p.add_argument("--hidden", dest="hidden_layers", metavar="HIDDEN", default=",".join(map(str, m.hidden_layers)),
+                   help="hidden widths, comma separated (mlp)")
     p.add_argument("--activation", choices=_ACTIVATIONS, default=m.activation)
     p.add_argument("--learning-rate", type=float, default=m.learning_rate)
     p.add_argument("--batch-size", type=int, default=m.batch_size)
     p.add_argument("--max-epochs", type=int, default=m.max_epochs)
     p.add_argument("--patience", type=int, default=m.patience)
     p.add_argument("--min-delta", type=float, default=m.min_delta)
-    p.add_argument("--seed", type=int, default=m.rng_seed, help="weight init and shuffle seed (mlp)")
+    p.add_argument("--seed", dest="rng_seed", metavar="SEED", type=int, default=m.rng_seed,
+                   help="weight init and shuffle seed (mlp)")
     p.add_argument("--max-depth", type=int, default=t.max_depth, help="tree depth cap")
     p.add_argument("--min-samples-leaf", type=int, default=t.min_samples_leaf)
     p.add_argument("--min-impurity-decrease", type=float, default=t.min_impurity_decrease)
@@ -159,29 +159,11 @@ def _parse_hidden(text: str):
 def _cmd_train(args) -> int:
     _check_writable(args.out, make_parents=True)  # the bundle writer makes missing parents
     # check the flags first: reading a dataset can take seconds
-    if args.model == MODEL_MLP:
-        spec = ModelSpec(
-            model_type=MODEL_MLP,
-            mlp_config=MlpConfig(
-                hidden_layers=_parse_hidden(args.hidden),
-                activation=args.activation,
-                learning_rate=args.learning_rate,
-                batch_size=args.batch_size,
-                max_epochs=args.max_epochs,
-                patience=args.patience,
-                min_delta=args.min_delta,
-                rng_seed=args.seed,
-            ),
-        )
-    else:
-        spec = ModelSpec(
-            model_type=MODEL_TREE,
-            tree_config=TreeConfig(
-                max_depth=args.max_depth,
-                min_samples_leaf=args.min_samples_leaf,
-                min_impurity_decrease=args.min_impurity_decrease,
-            ),
-        )
+    config_class = MODEL_TYPES[args.model].config_class
+    given = {f.name: getattr(args, f.name) for f in fields(config_class) if hasattr(args, f.name)}
+    if "hidden_layers" in given:
+        given["hidden_layers"] = _parse_hidden(given["hidden_layers"])
+    spec = ModelSpec(args.model, **{f"{args.model}_config": config_class(**given)})
     fc = feature_config_from_dict(load_object(args.features, "feature config"))
     dataset = load_dataset(args.dataset)
     feats = extract_features(dataset, fc, None if args.no_los_filter else los_rows(dataset))
@@ -189,11 +171,9 @@ def _cmd_train(args) -> int:
         logger.warning("skipped %d records: %s", count, reason)
     bundle = train_model(feats, spec, fc)
     save_model_bundle(bundle, args.out)
-    if bundle.model_type == MODEL_MLP:
-        hist = bundle.model.loss_history
-        print(f"trained mlp for {len(hist)} epochs, final loss {hist[-1]:.6f}; model at {args.out}")
-    else:
-        print(f"trained tree on {len(feats)} records; model at {args.out}")
+    hist = getattr(bundle.model, "loss_history", None)  # a model trained in epochs
+    done = f"for {len(hist)} epochs, final loss {hist[-1]:.6f}" if hist else f"on {len(feats)} records"
+    print(f"trained {bundle.model_type} {done}; model at {args.out}")
     return 0
 
 

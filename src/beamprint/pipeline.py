@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union, get_type_hints
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union, get_type_hints
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from . import dtree, mlp
 from .configfile import decode, from_dict, load_object, to_dict
 from .errors import ConfigurationError, DataError, DatasetParseError, FeatureExtractionError
 from .evaluate import Comparison, EvalReport, compare, euclidean_errors, summarize, write_cdf_csv, write_report
+# extract_features, build_dataset, los_filter and partition_by_cell stay
+# importable from here: perfbench's layer table wraps them in this module
 from .features import (
     OUTSIDE_VOCABULARY,
     TOPOLOGY_CELL,
@@ -32,8 +34,6 @@ from .features import (
     FeatureConfig,
     FeatureSet,
     extract,
-    # extract_features stays importable from here: perfbench's layer
-    # table wraps it in this module
     extract_features,  # noqa: F401
     feature_config_from_dict,
     feature_length,
@@ -46,25 +46,15 @@ from .fingerprint import (
     _block_lines,
     _decode_line,
     _ranked,
-    # build_dataset stays importable from here: perfbench's layer table
-    # wraps it in this module
     build_dataset,  # noqa: F401
     cell_rows,
-    # los_filter and partition_by_cell stay importable from here:
-    # perfbench's layer table wraps them in this module
     los_filter,  # noqa: F401
     parse_coordinate,
     parse_measurements,
     partition_by_cell,  # noqa: F401
     sweep_blocks,
 )
-from .scenario import (
-    Scenario,
-    ScenarioConfig,
-    build_scenario,
-    grid_xy,
-    load_scenario_config,
-)
+from .scenario import ScenarioConfig, build_scenario, grid_xy, load_scenario_config
 
 logger = logging.getLogger(__name__)
 
@@ -104,6 +94,59 @@ def split_dataset(dataset: Dataset, fraction: float, seed: int) -> Tuple[Dataset
 # Model specs and bundles
 
 
+def _fit_mlp(train_set: FeatureSet, config: mlp.MlpConfig, feature_config: FeatureConfig):
+    model = mlp.init_model(config, feature_length(feature_config))
+    model.normalizer = fit_normalizer(train_set)
+    report = mlp.train(model, train_set)
+    return model, {"epochs_run": report.epochs_run, "stop_reason": report.stop_reason}
+
+
+def _fit_tree(train_set: FeatureSet, config: dtree.TreeConfig, feature_config: FeatureConfig):
+    model = dtree.fit(train_set.values, train_set.labels, config)
+    return model, {"tree_depth": model.depth, "leaf_count": model.leaf_count}
+
+
+def _mlp_label(c: mlp.MlpConfig) -> str:
+    name = f"mlp_h{'x'.join(str(w) for w in c.hidden_layers)}"
+    if c.activation != "tanh":
+        name += f"_{c.activation}"
+    return f"{name}_s{c.rng_seed}"
+
+
+class ModelType(NamedTuple):
+    """A row of MODEL_TYPES: all the pipeline knows of a model type."""
+
+    model_class: type
+    config_class: type  # a spec holds it in its field `<type>_config`
+    fit: Callable  # (train set, config, feature config) -> (model, fit stats)
+    predict: Callable  # (model, values) -> positions in metres
+    encode: Callable  # model -> the JSON object a bundle file holds under `<type>`
+    decode: Callable  # that JSON object -> model
+    width: str  # the model's input-width attribute
+    label: Callable  # config -> the model part of an arm label
+
+
+# the rows look up the functions perfbench's tracer wraps when called
+MODEL_TYPES = {
+    MODEL_MLP: ModelType(
+        mlp.MlpModel, mlp.MlpConfig, _fit_mlp, lambda model, values: mlp.predict(model, values),
+        mlp.mlp_to_dict, mlp.mlp_from_dict, "input_width", _mlp_label,
+    ),
+    MODEL_TREE: ModelType(
+        dtree.TreeModel, dtree.TreeConfig, _fit_tree, lambda model, values: dtree.predict_tree(model, values),
+        dtree.tree_to_dict, dtree.tree_from_dict, "n_features", lambda c: f"tree_d{c.max_depth}_l{c.min_samples_leaf}",
+    ),
+}
+_TYPE_OF_MODEL = {row.model_class: kind for kind, row in MODEL_TYPES.items()}
+
+
+def _model_type(kind, fault: str) -> ModelType:
+    """The row of model type `kind`; anything else, a JSON list or object too, raises `fault`."""
+    if isinstance(kind, str) and kind in MODEL_TYPES:
+        return MODEL_TYPES[kind]
+    raise ConfigurationError(fault)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     model_type: str
@@ -111,48 +154,33 @@ class ModelSpec:
     tree_config: Optional[dtree.TreeConfig] = None
 
     def __post_init__(self) -> None:
-        # a new model type's rule goes here, next to its config field
-        if self.model_type == MODEL_MLP:
-            ok = isinstance(self.mlp_config, mlp.MlpConfig)
-        elif self.model_type == MODEL_TREE:
-            ok = isinstance(self.tree_config, dtree.TreeConfig)
-        else:
-            raise ConfigurationError(f"unknown model type {self.model_type!r}")
-        if not ok:
-            raise ConfigurationError(f"a {self.model_type} model spec needs its {self.model_type}_config")
+        kind = self.model_type
+        if not isinstance(self.config, _model_type(kind, f"unknown model type {kind!r}").config_class):
+            raise ConfigurationError(f"a {kind} model spec needs its {kind}_config")
+        for other in MODEL_TYPES.keys() - {kind}:
+            if getattr(self, f"{other}_config") is not None:
+                raise ConfigurationError(f"a {kind} model spec takes no {other}_config")
+
+    @property
+    def config(self):
+        return getattr(self, f"{self.model_type}_config", None)
 
     @property
     def label(self) -> str:
-        if self.model_type == MODEL_MLP:
-            c = self.mlp_config
-            name = f"mlp_h{'x'.join(str(w) for w in c.hidden_layers)}"
-            if c.activation != "tanh":
-                name += f"_{c.activation}"
-            return f"{name}_s{c.rng_seed}"
-        c = self.tree_config
-        return f"tree_d{c.max_depth}_l{c.min_samples_leaf}"
+        return MODEL_TYPES[self.model_type].label(self.config)
 
 
 def model_spec_from_dict(d, where: str = "model config") -> ModelSpec:
     if not isinstance(d, dict) or "type" not in d:
-        raise ConfigurationError(f"{where} needs a 'type' of mlp or tree")
+        raise ConfigurationError(f"{where} needs a 'type' of {' or '.join(MODEL_TYPES)}")
     kind = d["type"]
-    rest = {k: v for k, v in d.items() if k != "type"}
-    if kind == MODEL_MLP:
-        config = from_dict(mlp.MlpConfig, rest, where)
-        return ModelSpec(model_type=MODEL_MLP, mlp_config=config)
-    if kind == MODEL_TREE:
-        config = from_dict(dtree.TreeConfig, rest, where)
-        return ModelSpec(model_type=MODEL_TREE, tree_config=config)
-    raise ConfigurationError(f"{where} has unknown model type {kind!r}")
+    row = _model_type(kind, f"{where} has unknown model type {kind!r}")
+    config = from_dict(row.config_class, {k: v for k, v in d.items() if k != "type"}, where)
+    return ModelSpec(kind, **{f"{kind}_config": config})
 
 
 def model_spec_to_dict(spec: ModelSpec) -> dict:
-    config = spec.mlp_config if spec.model_type == MODEL_MLP else spec.tree_config
-    return {"type": spec.model_type, **to_dict(config)}
-
-
-_MODEL_TYPES = {mlp.MlpModel: MODEL_MLP, dtree.TreeModel: MODEL_TREE}
+    return {"type": spec.model_type, **to_dict(spec.config)}
 
 
 @dataclass
@@ -167,12 +195,11 @@ class ModelBundle:
 
     @property
     def model_type(self) -> str:
-        return _MODEL_TYPES[type(self.model)]
+        return _TYPE_OF_MODEL[type(self.model)]
 
     def predict(self, values: np.ndarray) -> np.ndarray:
-        if self.model_type == MODEL_MLP:
-            return mlp.predict(self.model, values)
-        return dtree.predict_tree(self.model, values)
+        with np.errstate(all="ignore"):  # callers refuse a prediction that overflows
+            return MODEL_TYPES[self.model_type].predict(self.model, values)
 
 
 def save_model_bundle(bundle: ModelBundle, path) -> None:
@@ -182,8 +209,8 @@ def save_model_bundle(bundle: ModelBundle, path) -> None:
         "version": _MODEL_VERSION,
         "model_type": kind,
         "feature_config": to_dict(bundle.feature_config),
-        "mlp": mlp.mlp_to_dict(bundle.model) if kind == MODEL_MLP else None,
-        "tree": dtree.tree_to_dict(bundle.model) if kind == MODEL_TREE else None,
+        **dict.fromkeys(MODEL_TYPES),
+        kind: MODEL_TYPES[kind].encode(bundle.model),
     }
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="ascii") as fh:
@@ -199,24 +226,21 @@ def load_model_bundle(path) -> ModelBundle:
     if blob.get("version") != _MODEL_VERSION:
         raise ConfigurationError(f"unsupported model file version {blob.get('version')}")
     kind = blob.get("model_type")
-    if kind not in (MODEL_MLP, MODEL_TREE):
-        raise ConfigurationError(f"unknown model type {kind!r} in {path}")
+    row = _model_type(kind, f"unknown model type {kind!r} in {path}")
     if not isinstance(blob.get("feature_config"), dict):
         raise ConfigurationError(f"{path} has no feature_config object")
     if not isinstance(blob.get(kind), dict):
         raise ConfigurationError(f"{path} has no {kind} model")
     fc = feature_config_from_dict(blob["feature_config"], f"{path}: feature_config")
-    other = MODEL_TREE if kind == MODEL_MLP else MODEL_MLP
-    if blob.get(other) is not None:
-        raise ConfigurationError(f"{path}: a {kind} model file must have a null {other!r}")
-    model = mlp.mlp_from_dict(blob[kind]) if kind == MODEL_MLP else dtree.tree_from_dict(blob[kind])
+    for other in MODEL_TYPES.keys() - {kind}:
+        if blob.get(other) is not None:
+            raise ConfigurationError(f"{path}: a {kind} model file must have a null {other!r}")
+    model = row.decode(blob[kind])
     # a width mismatch would otherwise surface only at predict time
     width = feature_length(fc)
-    got = model.input_width if kind == MODEL_MLP else model.n_features
+    got = getattr(model, row.width)
     if got != width:
-        raise ConfigurationError(
-            f"{path}: the {kind} model takes {got} features, its feature config gives {width}"
-        )
+        raise ConfigurationError(f"{path}: the {kind} model takes {got} features, its feature config gives {width}")
     return ModelBundle(fc, model)
 
 
@@ -357,14 +381,7 @@ def train_model(
     """Fit one model on extracted training features."""
     if len(train_set) == 0:
         raise DataError("no trainable records after feature extraction")
-    if model_spec.model_type == MODEL_MLP:
-        model = mlp.init_model(model_spec.mlp_config, feature_length(feature_config))
-        model.normalizer = fit_normalizer(train_set)
-        report = mlp.train(model, train_set)
-        fit_stats = {"epochs_run": report.epochs_run, "stop_reason": report.stop_reason}
-    else:
-        model = dtree.fit(train_set.values, train_set.labels, model_spec.tree_config)
-        fit_stats = {"tree_depth": model.depth, "leaf_count": model.leaf_count}
+    model, fit_stats = MODEL_TYPES[model_spec.model_type].fit(train_set, model_spec.config, feature_config)
     return ModelBundle(feature_config, model, fit_stats)
 
 
@@ -667,6 +684,8 @@ def infer_record(
     if not len(kept):
         raise shortfall(config, n_serving[0], n_neighbors[0])
     pred = bundle.predict(values[0])
+    if not np.isfinite(pred).all():
+        raise DataError("prediction is not finite")
     return float(pred[0]), float(pred[1])
 
 

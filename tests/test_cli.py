@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -111,6 +113,27 @@ def test_train_mlp(ws, capsys):
     bundle = load_model_bundle(out)
     assert bundle.model_type == "mlp"
     assert bundle.model.config.hidden_layers == (4,)
+
+
+def test_train_reads_the_flags_of_its_own_model_type(ws, tmp_path, capsys):
+    args = ["--dataset", str(ws.dataset), "--features", str(ws.features)]
+    # a tree ignores the MLP's flags, a bad hidden layer list too
+    out = tmp_path / "tree.json"
+    capsys.readouterr()
+    assert main(["train", "--model", "tree", *args, "--out", str(out), "--hidden", "x", "--max-depth", "4"]) == 0
+    assert re.fullmatch(rf"trained tree on \d+ records; model at {re.escape(str(out))}\n", capsys.readouterr().out)
+    assert load_model_bundle(out).model.config == TreeConfig(max_depth=4)
+    # an MLP reads them
+    out = tmp_path / "mlp.json"
+    assert main(["train", "--model", "mlp", *args, "--out", str(out), "--hidden", "x"]) == 1
+    assert "configuration error: bad hidden layer list 'x'" in capsys.readouterr().err
+    assert main(["train", "--model", "mlp", *args, "--out", str(out), "--hidden", "3", "--max-epochs", "2"]) == 0
+    want = rf"trained mlp for 2 epochs, final loss \d+\.\d{{6}}; model at {re.escape(str(out))}\n"
+    assert re.fullmatch(want, capsys.readouterr().out)
+    assert load_model_bundle(out).model.config == MlpConfig(hidden_layers=(3,), max_epochs=2)
+    # and an output path it cannot write is reported before a bad list
+    assert main(["train", "--model", "mlp", *args, "--out", str(tmp_path), "--hidden", "x"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}")
 
 
 def test_train_defaults_are_the_config_dataclasses(ws, tmp_path):
@@ -461,10 +484,10 @@ def test_infer_with_truncated_normalizer_exits_1(ws, tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_infer_refuses_a_prediction_that_overflows(ws, tmp_path, capsys):
     # finite weights and biases of 1e308 load, but the last layer's sums
-    # overflow: infer used to write {"x_pred":Infinity,...} and exit 0
+    # overflow: infer used to write {"x_pred":Infinity,...} and exit 0, and
+    # infer and evaluate printed numpy's overflow warnings before the error
     model = tmp_path / "mlp.json"
     args = ["--dataset", str(ws.dataset), "--features", str(ws.features), "--out", str(model)]
     assert main(["train", "--model", "mlp", *args, "--hidden", "4", "--max-epochs", "1"]) == 0
@@ -476,14 +499,41 @@ def test_infer_refuses_a_prediction_that_overflows(ws, tmp_path, capsys):
     head.write_text("".join(ws.dataset.read_text(encoding="ascii").splitlines(keepends=True)[:4]))
     out = tmp_path / "pred.jsonl"
     capsys.readouterr()
-    rc = main(["infer", "--model", str(model), "--input", str(head), "--out", str(out)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["infer", "--model", str(model), "--input", str(head), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--dataset", str(head), "--out", str(tmp_path / "r.json")]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert rc == 2
-    captured = capsys.readouterr()
     assert "data error: prediction is not finite" in captured.err
     assert f"({head}, line 2)" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", [["mlp"], {}, 1, None], ids=["list", "object", "number", "null"])
+def test_a_model_type_that_is_no_name_exits_1(ws, tmp_path, capsys, kind):
+    # a lookup in the model type table must not end in TypeError: unhashable type
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "scenario": str(ws.scenario), "feature_configs": [{"serving_beams": 3}], "model_configs": [{"type": kind}]
+    }), encoding="ascii")
+    model = tmp_path / "model.json"
+    blob = json.loads(ws.tree.read_text(encoding="ascii"))
+    blob["model_type"] = kind
+    model.write_text(json.dumps(blob), encoding="ascii")
+    for argv in (
+        ["sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "run")],
+        ["infer", "--model", str(model), "--input", str(ws.dataset)],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err and "unknown model type" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_missing_infer_input_exits_2(ws, tmp_path, capsys):

@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -149,6 +151,17 @@ def test_model_spec_rejects_bad_type():
         model_spec_from_dict({"type": "mlp", "n_trees": 5})
 
 
+# a type name that is no string; a lookup in the model type table must
+# not end in TypeError: unhashable type
+NOT_A_TYPE_NAME = pytest.mark.parametrize("kind", [["mlp"], {}, 1, None], ids=["list", "object", "number", "null"])
+
+
+@NOT_A_TYPE_NAME
+def test_model_spec_refuses_a_type_that_is_no_name(kind):
+    with pytest.raises(ConfigurationError, match="unknown model type"):
+        model_spec_from_dict({"type": kind, "hidden_layers": [8]})
+
+
 # ---------------------------------------------------------------------------
 # training + bundles
 
@@ -273,6 +286,13 @@ def _rewrite(tmp_path, bundle, edit):
     edit(blob)
     path.write_text(json.dumps(blob))
     return path
+
+
+@NOT_A_TYPE_NAME
+def test_load_bundle_refuses_a_model_type_that_is_no_name(tmp_path, tree_bundle, kind):
+    path = _rewrite(tmp_path, tree_bundle, lambda blob: blob.__setitem__("model_type", kind))
+    with pytest.raises(ConfigurationError, match="unknown model type"):
+        load_model_bundle(path)
 
 
 def test_load_bundle_rejects_missing_feature_config_or_model(tmp_path, tree_bundle):
@@ -545,11 +565,13 @@ def _code_spec(**overrides):
         (lambda: ModelSpec("knn"), "knn"),
         (lambda: ModelSpec(MODEL_MLP), "mlp_config"),
         (lambda: ModelSpec(MODEL_TREE, mlp_config=MlpConfig()), "tree_config"),
+        # its tree config was dropped, and its dict round trip was not equal
+        (lambda: ModelSpec(MODEL_MLP, mlp_config=MlpConfig(), tree_config=TreeConfig()), "takes no tree_config"),
         # was refused only after the sweep had built its features
         (lambda: _code_spec(model_specs=[ModelSpec(MODEL_MLP, mlp_config=MlpConfig(hidden_layers=(0,)))]), "hidden"),
     ],
     ids=["topology", "split-seed", "train-fraction", "no-features", "no-models", "cells-tuple", "knn", "mlp-no-config",
-         "tree-with-mlp-config", "hidden-0"],
+         "tree-with-mlp-config", "mlp-with-tree-config", "hidden-0"],
 )
 def test_specs_made_in_code_check_themselves(make, match):
     with pytest.raises(ConfigurationError, match=match):
@@ -1151,6 +1173,19 @@ def test_infer_record_matches_predict(tree_bundle, small_splits):
     x_pred, y_pred = infer_record(tree_bundle, record[2], *record[4:])
     expect = tree_bundle.predict(oracle_record(record, tree_bundle.feature_config))
     assert (x_pred, y_pred) == (float(expect[0]), float(expect[1]))
+
+
+def test_infer_record_refuses_a_prediction_that_overflows(mlp_bundle, small_splits):
+    # finite weights and biases of 1e308 in the last layer: infer_record
+    # returned (inf, inf), where infer_file refuses the line
+    bundle = copy.deepcopy(mlp_bundle)
+    bundle.model.weights[-1][...] = 1e308
+    bundle.model.biases[-1][...] = 1e308
+    record = row_of(small_splits[1], 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nor does numpy warn of the overflow
+        with pytest.raises(DataError, match="prediction is not finite"):
+            infer_record(bundle, record[2], *record[4:])
 
 
 def test_infer_file_round_trip(tree_bundle, small_splits, tmp_path):
