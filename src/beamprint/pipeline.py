@@ -225,6 +225,9 @@ def load_model_bundle(path) -> ModelBundle:
         raise ConfigurationError(f"{path} is not a model file")
     if blob.get("version") != _MODEL_VERSION:
         raise ConfigurationError(f"unsupported model file version {blob.get('version')}")
+    unknown = blob.keys() - {"format", "version", "model_type", "feature_config", *MODEL_TYPES}
+    if unknown:
+        raise ConfigurationError(f"unknown model file keys in {path}: {sorted(unknown)}")
     kind = blob.get("model_type")
     row = _model_type(kind, f"unknown model type {kind!r} in {path}")
     if not isinstance(blob.get("feature_config"), dict):
@@ -246,6 +249,29 @@ def load_model_bundle(path) -> ModelBundle:
 
 # ---------------------------------------------------------------------------
 # Experiment spec
+
+
+@dataclass(frozen=True)
+class Arm:
+    """One run of a sweep: its part (a cell; None at network level, and
+    for a cell-specific sweep's pool over its cells), feature config and
+    model spec."""
+
+    cell: Optional[int]
+    feature_config: FeatureConfig
+    model_spec: ModelSpec
+
+    @property
+    def name(self) -> str:
+        """The label without its part, which the arms of every part share."""
+        fc = self.feature_config
+        tag = f"s{fc.n_serving_beams}n{fc.n_neighbor_beams}{'_id' if fc.include_serving_cell_id else ''}"
+        return f"{tag}_{self.model_spec.label}"
+
+    @property
+    def label(self) -> str:
+        pool = {TOPOLOGY_NETWORK: "net", TOPOLOGY_CELL: "cellpool"}[self.feature_config.topology]
+        return f"{pool if self.cell is None else f'cell{self.cell}'}_{self.name}"
 
 
 @dataclass
@@ -289,10 +315,15 @@ class ExperimentSpec:
             rule["include_serving_cell_id"] = False  # cell-specific models never see the serving cell id
         self.feature_configs = [replace(fc, **rule) for fc in self.feature_configs]
         # arms that share a label would write over each other's files
-        labels = [_arm_label(fc, ms) for fc in self.feature_configs for ms in self.model_specs]
-        for label in labels:
-            if labels.count(label) > 1:
-                raise ConfigurationError(f"two arms of the sweep share the label {label!r}")
+        names = [arm.name for arm in self.arms()]
+        for name in names:
+            if names.count(name) > 1:
+                raise ConfigurationError(f"two arms of the sweep share the label {name!r}")
+
+    def arms(self, cells: Sequence[Optional[int]] = (None,)) -> List[Arm]:
+        """The arms over the parts `cells`: part-major, then by feature
+        config, then by model spec."""
+        return [Arm(cell, fc, ms) for cell in cells for fc in self.feature_configs for ms in self.model_specs]
 
 
 # spec fields that the codec decodes as they are; the others have
@@ -363,18 +394,6 @@ def load_experiment_spec(path) -> ExperimentSpec:
 # Single training run
 
 
-def _fc_label(fc: FeatureConfig) -> str:
-    tag = f"s{fc.n_serving_beams}n{fc.n_neighbor_beams}"
-    if fc.include_serving_cell_id:
-        tag += "_id"
-    return tag
-
-
-def _arm_label(fc: FeatureConfig, model_spec: ModelSpec) -> str:
-    """An arm's name without its part (`net` or `cell<id>`)."""
-    return f"{_fc_label(fc)}_{model_spec.label}"
-
-
 def train_model(
     train_set: FeatureSet, model_spec: ModelSpec, feature_config: FeatureConfig
 ) -> ModelBundle:
@@ -396,22 +415,16 @@ class RunOutput:
     duration_s: float
 
 
-def _descriptor(
-    label: str,
-    fc: FeatureConfig,
-    model_spec: ModelSpec,
-    spec: ExperimentSpec,
-    cell: Optional[int],
-    extras: dict,
-) -> dict:
+def _descriptor(arm: Arm, spec: ExperimentSpec, extras: dict) -> dict:
+    fc = arm.feature_config
     return {
-        "label": label,
+        "label": arm.label,
         "topology": fc.topology,
-        "cell": cell,
+        "cell": arm.cell,
         "serving_beams": fc.n_serving_beams,
         "neighbor_beams": fc.n_neighbor_beams,
         "cell_id_feature": fc.include_serving_cell_id,
-        "model": model_spec_to_dict(model_spec),
+        "model": model_spec_to_dict(arm.model_spec),
         "train_fraction": spec.train_fraction,
         "split_seed": spec.split_seed,
         **extras,
@@ -419,23 +432,16 @@ def _descriptor(
 
 
 def run_single(
-    features: FeatureSet,
-    train_rows: np.ndarray,
-    test_rows: np.ndarray,
-    model_spec: ModelSpec,
-    spec: ExperimentSpec,
-    label: str,
-    cell: Optional[int] = None,
+    features: FeatureSet, train_rows: np.ndarray, test_rows: np.ndarray, arm: Arm, spec: ExperimentSpec
 ) -> RunOutput:
-    """Train on the records `train_rows` of a feature set and score on
-    `test_rows`; their features are gathered from the set."""
+    """Train an arm on the records `train_rows` of its feature set and
+    score on `test_rows`; their features are gathered from the set."""
     t0 = time.perf_counter()
-    fc = features.config
     train_set = features.take(train_rows)
     test_set = features.take(test_rows)
     if len(train_set) == 0 or len(test_set) == 0:
-        raise DataError(f"run {label}: feature extraction left an empty split")
-    bundle = train_model(train_set, model_spec, fc)
+        raise DataError(f"run {arm.label}: feature extraction left an empty split")
+    bundle = train_model(train_set, arm.model_spec, features.config)
     train_err = euclidean_errors(bundle.predict(train_set.values), train_set.labels)
     test_err = euclidean_errors(bundle.predict(test_set.values), test_set.labels)
     extras = {
@@ -446,9 +452,9 @@ def run_single(
     }
     if "epochs_run" in bundle.fit_stats:  # an MLP's epoch count goes into its reports
         extras["epochs_run"] = bundle.fit_stats["epochs_run"]
-    desc = _descriptor(label, fc, model_spec, spec, cell, extras)
+    desc = _descriptor(arm, spec, extras)
     return RunOutput(
-        label=label,
+        label=arm.label,
         bundle=bundle,
         train_report=summarize(train_err, split="train", config=desc),
         test_report=summarize(test_err, split="test", config=desc),
@@ -471,50 +477,44 @@ class RunResult:
     output_dir: Path
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _arm_rows(spec: ExperimentSpec, serving: np.ndarray) -> Tuple[Dict[Optional[int], tuple], Dict[int, int]]:
+    """Each part's (train rows, test rows), by cell in run order, given
+    the records' serving column, and the skipped cells. At network level
+    the one part is None, over every row."""
+    parts, skipped = {None: np.arange(len(serving))}, {}
+    if spec.topology == TOPOLOGY_CELL:
+        by_cell, parts = cell_rows(serving), {}
+        for cell in sorted(by_cell) if spec.cells is None else spec.cells:
+            if cell not in by_cell:
+                raise DataError(f"cell {cell} serves no line-of-sight records")
+            n = len(by_cell[cell])
+            if n < spec.min_cell_records:
+                logger.warning("skipping cell %d: only %d records, need %d", cell, n, spec.min_cell_records)
+                skipped[cell] = n
+            else:
+                parts[cell] = by_cell[cell]
+        if not parts:
+            raise DataError("no cell has enough records for cell-specific training")
+    split = {cell: _split_rows(len(rows), spec.train_fraction, spec.split_seed) for cell, rows in parts.items()}
+    return {cell: (rows[split[cell][0]], rows[split[cell][1]]) for cell, rows in parts.items()}, skipped
 
 
-def _arm_rows(spec: ExperimentSpec, serving: np.ndarray) -> Tuple[Dict[Optional[int], np.ndarray], Dict[int, int]]:
-    """The records the arms train on, as row indices by cell in run
-    order, given the records' serving column, and the skipped cells. At
-    network level that is {None: every row}."""
-    if spec.topology == TOPOLOGY_NETWORK:
-        return {None: np.arange(len(serving))}, {}
-    parts = cell_rows(serving)
-    eligible, skipped = {}, {}
-    for cell in sorted(parts) if spec.cells is None else spec.cells:
-        if cell not in parts:
-            raise DataError(f"cell {cell} serves no line-of-sight records")
-        n = len(parts[cell])
-        if n < spec.min_cell_records:
-            logger.warning("skipping cell %d: only %d records, need %d", cell, n, spec.min_cell_records)
-            skipped[cell] = n
-        else:
-            eligible[cell] = parts[cell]
-    if not eligible:
-        raise DataError("no cell has enough records for cell-specific training")
-    return eligible, skipped
-
-
-def _emit(rep: EvalReport, out: Path, reports: List[EvalReport]) -> dict:
-    """Write a report and its CDF table, append it to `reports`, return their paths."""
+def _emit(rep: EvalReport, out: Path, reports: List[EvalReport], hashes: Dict[str, str]) -> dict:
+    """Write a report and its CDF table, append it to `reports`, add the
+    files' SHA-256 to `hashes`, return their paths."""
     name = f"{rep.config['label']}_{rep.split}"
-    rp, cp = out / "reports" / f"{name}.json", out / "cdf" / f"{name}.csv"
-    write_report(rep, rp)
-    write_cdf_csv(rep, cp)
+    paths = {"report": str(Path("reports", f"{name}.json")), "cdf": str(Path("cdf", f"{name}.csv"))}
+    write_report(rep, out / paths["report"])
+    write_cdf_csv(rep, out / paths["cdf"])
     reports.append(rep)
-    return {"report": str(rp.relative_to(out)), "cdf": str(cp.relative_to(out))}
+    hashes.update({p: hashlib.sha256((out / p).read_bytes()).hexdigest() for p in paths.values()})
+    return paths
 
 
 def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
-    """Run every feature config x model config combination and write
-    reports, CDF tables, models, and the replayable manifest. Arms run
-    cell-major, then by feature config, then by model config."""
+    """Run every arm of `spec.arms` and write reports, CDF tables,
+    models, and the replayable manifest; the manifest hashes the report
+    and CDF files this run wrote."""
     t_start = time.perf_counter()
     scenario = build_scenario(spec.scenario)  # a scenario it refuses leaves no out dir
     out = Path(output_dir)
@@ -532,7 +532,7 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
             acc.add(xs, ys, extract(serving, cells, beams, rsrp, acc.config))
         del cells, beams, rsrp  # or they would live on while the next block is made
     serving = np.concatenate(serving_blocks)
-    feature_sets = [acc.result() for acc in accumulators]
+    feature_sets = {acc.config: acc.result() for acc in accumulators}
     n_records = len(grid_xy(scenario))
     dataset_stats = {
         "seed": seed,
@@ -543,20 +543,17 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
     t_data = time.perf_counter() - t_start
 
     parts, skipped_cells = _arm_rows(spec, serving)
-    combos = [(fs, ms, _arm_label(fs.config, ms)) for fs in feature_sets for ms in spec.model_specs]
-    outputs: List[RunOutput] = []
-    for cell, rows in parts.items():
-        train, test = _split_rows(len(rows), spec.train_fraction, spec.split_seed)
-        prefix = "net" if cell is None else f"cell{cell}"
-        for fs, ms, combo in combos:
-            outputs.append(run_single(fs, rows[train], rows[test], ms, spec, f"{prefix}_{combo}", cell=cell))
+    arms = spec.arms(list(parts))
+    outputs = [run_single(feature_sets[arm.feature_config], *parts[arm.cell], arm, spec) for arm in arms]
 
     reports: List[EvalReport] = []
+    hashes: Dict[str, str] = {}
     run_entries = []
-    for run in outputs:
+    pools: Dict[Arm, List[RunOutput]] = {}  # a cell-specific sweep pools each arm's runs over its cells
+    for arm, run in zip(arms, outputs):
         model_path = out / "models" / f"{run.label}.json"
         save_model_bundle(run.bundle, model_path)
-        paths = {rep.split: _emit(rep, out, reports) for rep in (run.train_report, run.test_report)}
+        paths = {rep.split: _emit(rep, out, reports, hashes) for rep in (run.train_report, run.test_report)}
         run_entries.append(
             {
                 "label": run.label,
@@ -566,21 +563,15 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
                 **run.bundle.fit_stats,
             }
         )
-    if spec.topology == TOPOLOGY_CELL:
-        for i, (fs, ms, combo) in enumerate(combos):
-            arms = outputs[i :: len(combos)]
-            desc = _descriptor(f"cellpool_{combo}", fs.config, ms, spec, None, {"pooled_cells": list(parts)})
-            for split in ("test", "train"):
-                errors = np.concatenate([getattr(run, f"{split}_errors") for run in arms])
-                _emit(summarize(errors, split=split, config=desc), out, reports)
+        if arm.cell is not None:
+            pools.setdefault(replace(arm, cell=None), []).append(run)
+    for pool, runs in pools.items():
+        desc = _descriptor(pool, spec, {"pooled_cells": list(parts)})
+        for split in ("test", "train"):
+            errors = np.concatenate([getattr(run, f"{split}_errors") for run in runs])
+            _emit(summarize(errors, split=split, config=desc), out, reports, hashes)
 
-    test_reports = [r for r in reports if r.split == "test"]
-    comparison = compare(test_reports)
-
-    report_hashes = {}
-    for sub in ("reports", "cdf"):
-        for p in sorted((out / sub).glob("*")):
-            report_hashes[str(p.relative_to(out))] = _sha256_file(p)
+    comparison = compare([r for r in reports if r.split == "test"])
 
     manifest = {
         "format": _MANIFEST_FORMAT,
@@ -590,7 +581,7 @@ def run_experiment(spec: ExperimentSpec, output_dir) -> RunResult:
         "dataset": dataset_stats,
         "skipped_cells": {str(c): n for c, n in sorted(skipped_cells.items())},
         "runs": run_entries,
-        "artifact_sha256": report_hashes,
+        "artifact_sha256": dict(sorted(hashes.items())),
         "durations_s": {
             "dataset": t_data,
             "total": time.perf_counter() - t_start,

@@ -536,6 +536,22 @@ def test_a_model_type_that_is_no_name_exits_1(ws, tmp_path, capsys, kind):
         assert "Traceback" not in captured.err and captured.out == ""
 
 
+def test_a_bundle_with_unknown_keys_exits_1(ws, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    blob = json.loads(ws.tree.read_text(encoding="ascii"))
+    blob.update(knn={"k": 3}, extra=1)
+    model.write_text(json.dumps(blob), encoding="ascii")
+    for argv in (
+        ["evaluate", "--model", str(model), "--dataset", str(ws.dataset), "--out", str(tmp_path / "report.json")],
+        ["infer", "--model", str(model), "--input", str(ws.dataset)],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err and "['extra', 'knn']" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_missing_infer_input_exits_2(ws, tmp_path, capsys):
     rc = main(["infer", "--model", str(ws.tree), "--input", str(tmp_path / "nope.jsonl")])
     assert rc == 2

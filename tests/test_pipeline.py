@@ -41,6 +41,7 @@ from beamprint.pipeline import (
     _INFER_REPORTS,
     MODEL_MLP,
     MODEL_TREE,
+    Arm,
     ModelBundle,
     ModelSpec,
     experiment_spec_from_dict,
@@ -292,6 +293,13 @@ def _rewrite(tmp_path, bundle, edit):
 def test_load_bundle_refuses_a_model_type_that_is_no_name(tmp_path, tree_bundle, kind):
     path = _rewrite(tmp_path, tree_bundle, lambda blob: blob.__setitem__("model_type", kind))
     with pytest.raises(ConfigurationError, match="unknown model type"):
+        load_model_bundle(path)
+
+
+def test_load_bundle_refuses_unknown_keys(tmp_path, tree_bundle):
+    # a tree bundle with another type's key, or a misspelt one, loaded as a tree
+    path = _rewrite(tmp_path, tree_bundle, lambda blob: blob.update(knn={"k": 3}, extra=1))
+    with pytest.raises(ConfigurationError, match=r"unknown model file keys in .*: \['extra', 'knn'\]"):
         load_model_bundle(path)
 
 
@@ -637,14 +645,14 @@ def test_run_single_output(small_dataset, small_split_rows):
     train_rows, test_rows = small_split_rows
     fc = FeatureConfig()
     spec = experiment_spec_from_dict(_spec_dict())
-    ms = ModelSpec(MODEL_MLP, mlp_config=MlpConfig(hidden_layers=(4,), max_epochs=3))
-    run = run_single(feature_set_of(small_dataset, fc), train_rows, test_rows, ms, spec, "probe")
-    assert run.label == "probe"
+    arm = Arm(None, fc, ModelSpec(MODEL_MLP, mlp_config=MlpConfig(hidden_layers=(4,), max_epochs=3)))
+    run = run_single(feature_set_of(small_dataset, fc), train_rows, test_rows, arm, spec)
+    assert run.label == arm.label == "net_s3n0_id_mlp_h4_s0"
     assert run.train_report.split == "train"
     assert run.test_report.split == "test"
     assert run.test_report.n_samples == len(test_rows)
     desc = run.test_report.config
-    assert desc["label"] == "probe"
+    assert desc["label"] == arm.label
     assert desc["topology"] == TOPOLOGY_NETWORK
     assert desc["cell"] is None
     assert desc["serving_beams"] == 3
@@ -665,8 +673,8 @@ def test_run_single_records_a_patience_stop(small_dataset, small_split_rows):
     # no epoch beats the first by the largest finite delta (an infinite
     # one is refused)
     config = MlpConfig(hidden_layers=(4,), max_epochs=50, patience=1, min_delta=sys.float_info.max)
-    ms = ModelSpec(MODEL_MLP, mlp_config=config)
-    run = run_single(feature_set_of(small_dataset, FeatureConfig()), train_rows, test_rows, ms, spec, "p")
+    arm = Arm(None, FeatureConfig(), ModelSpec(MODEL_MLP, mlp_config=config))
+    run = run_single(feature_set_of(small_dataset, arm.feature_config), train_rows, test_rows, arm, spec)
     assert run.bundle.fit_stats == {"epochs_run": 2, "stop_reason": "patience"}
 
 
@@ -674,8 +682,8 @@ def test_run_single_tree_has_no_epoch_count(small_dataset, small_split_rows):
     train_rows, test_rows = small_split_rows
     fc = FeatureConfig()
     spec = experiment_spec_from_dict(_spec_dict())
-    ms = ModelSpec(MODEL_TREE, tree_config=TreeConfig(max_depth=6))
-    run = run_single(feature_set_of(small_dataset, fc), train_rows, test_rows, ms, spec, "t")
+    arm = Arm(None, fc, ModelSpec(MODEL_TREE, tree_config=TreeConfig(max_depth=6)))
+    run = run_single(feature_set_of(small_dataset, fc), train_rows, test_rows, arm, spec)
     assert "epochs_run" not in run.test_report.config
 
 
@@ -847,6 +855,22 @@ def test_replay_detects_divergence(net_run, tmp_path):
         replay(tampered, tmp_path / "out")
 
 
+def test_sweep_into_a_reused_out_dir_hashes_only_its_own_files(tmp_path):
+    # the manifest hashed every file under reports/ and cdf/, the first
+    # sweep's too, so its own replay into a fresh dir diverged
+    out = tmp_path / "run"
+    for depth in (8, 4):
+        spec = experiment_spec_from_dict(_spec_dict(model_configs=[{"type": "tree", "max_depth": depth}]))
+        result = run_experiment(spec, out)
+    assert sorted(result.manifest["artifact_sha256"]) == [
+        f"{sub}/net_s3n0_id_tree_d4_l2_{split}.{ext}"
+        for sub, ext in (("cdf", "csv"), ("reports", "json"))
+        for split in ("test", "train")
+    ]
+    again = replay(result.manifest_path, tmp_path / "again")
+    assert again.manifest["artifact_sha256"] == result.manifest["artifact_sha256"]
+
+
 def test_replay_rejects_non_manifest(tmp_path):
     path = tmp_path / "nope.json"
     path.write_text(json.dumps({"format": "other"}), encoding="ascii")
@@ -880,9 +904,9 @@ def test_run_experiment_arms_equal_extract_features_on_the_los_build(
         extract_calls.append(len(args[0]))
         return kernel(*args)
 
-    def recorded_run(features, train_rows, test_rows, model_spec, spec, label, cell=None):
-        arms.append((label, cell, features.take(train_rows), features.take(test_rows), train_rows, test_rows))
-        return single(features, train_rows, test_rows, model_spec, spec, label, cell)
+    def recorded_run(features, train_rows, test_rows, arm, spec):
+        arms.append((arm.label, arm.cell, features.take(train_rows), features.take(test_rows), train_rows, test_rows))
+        return single(features, train_rows, test_rows, arm, spec)
 
     def no_build(*args, **kwargs):
         raise AssertionError("run_experiment built a dataset")
@@ -909,7 +933,7 @@ def test_run_experiment_arms_equal_extract_features_on_the_los_build(
     for cell, rows in parts.items():
         train, test = pipeline._split_rows(len(rows), spec.train_fraction, spec.split_seed)
         for fc in spec.feature_configs:
-            want_labels.append(f"{'net' if cell is None else f'cell{cell}'}_{pipeline._fc_label(fc)}_tree_d4_l2")
+            want_labels.append(Arm(cell, fc, spec.model_specs[0]).label)
             label, got_cell, train_set, test_set, train_rows, test_rows = arms[len(want_labels) - 1]
             assert (label, got_cell) == (want_labels[-1], cell)
             assert np.array_equal(train_rows, rows[train]) and np.array_equal(test_rows, rows[test])
