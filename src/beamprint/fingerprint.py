@@ -14,6 +14,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from itertools import chain, islice
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -402,6 +403,12 @@ def _ranked(cells: np.ndarray, beams: np.ndarray, rsrp: np.ndarray) -> np.ndarra
     return ((r0 > r1) | (r0 == r1) & tie_ok).all(axis=-1)
 
 
+def _servable(block: Block) -> bool:
+    """Whether parse_measurement_line would keep every row of a block as
+    it is, as a report: in ranking order, serving its strongest cell."""
+    return bool((block.serving == block.cells[:, 0]).all() and _ranked(block.cells, block.beams, block.rsrp).all())
+
+
 # ---------------------------------------------------------------------------
 # The block reader: save_dataset's record lines, parsed with numpy over a
 # block's bytes. Any other line, and any line whose values the per-line
@@ -622,13 +629,13 @@ def _lines_at_most(fh) -> int:
 
 
 def _block_lines(
-    fh, lineno: int, accept: Optional[Callable[[Block], bool]] = None
-) -> Iterator[Tuple[int, str, Optional[tuple]]]:
-    """(line number, line, its columns) for each line of an open file
-    from `lineno` on, read BLOCK_LINES at a time. The columns are
-    (x, y, serving, los, cells, beams, rsrp) where read_block parsed the
-    line and its block passes `accept`, else None: the caller parses
-    that line on its own."""
+    fh, lineno: int, parse: Callable[[str, int], Optional[tuple]], accept: Optional[Callable[[Block], bool]] = None
+) -> Iterator[Tuple[int, tuple]]:
+    """(line number, columns) for each line of an open file from
+    `lineno` on, read BLOCK_LINES at a time, blank lines skipped. The
+    columns are (x, y, serving, los, cells, beams, rsrp): read_block's
+    where it parsed the line and its block passes `accept`, else
+    `parse(line, line number)`'s; a line it gives None for is skipped."""
     while block := list(islice(fh, BLOCK_LINES)):
         parsed = read_block(block)
         if parsed is None or accept is not None and not accept(parsed):
@@ -637,26 +644,55 @@ def _block_lines(
             scalars = (parsed.xs.tolist(), parsed.ys.tolist(), parsed.serving.tolist(), parsed.los.tolist())
             rows = dict(zip(parsed.rows, zip(*scalars, parsed.cells, parsed.beams, parsed.rsrp)))
         for offset, raw in enumerate(block):
-            yield lineno + offset, raw, rows.get(offset)
+            columns = rows.get(offset)
+            if columns is None and raw.strip():
+                columns = parse(raw, lineno + offset)
+            if columns is not None:
+                yield lineno + offset, columns
         lineno += len(block)
 
 
-def _parse_record_line(raw: str, path, lineno: int) -> tuple:
-    """One dataset record line, by the per-line path, as the columns
-    _block_lines gives; a DatasetParseError names its first fault."""
-    row = _decode_line(raw, path, lineno)
-    x = _require(row, "x", path, lineno)
-    y = _require(row, "y", path, lineno)
-    sv = _require(row, "serving", path, lineno)
-    lo = _require(row, "los", path, lineno)
-    meas = _require(row, "meas", path, lineno)
-    x = parse_coordinate(x, "x", path, lineno)
-    y = parse_coordinate(y, "y", path, lineno)
-    if type(sv) is not int or not _INT32.min <= sv <= _INT32.max:
+def parse_measurement_line(raw: str, lineno: int, path=None, *, record: bool = False) -> Optional[tuple]:
+    """One line of a dataset or measurement file, by the per-line path,
+    as the columns _block_lines gives. A DatasetParseError names its
+    first fault; fields are checked in the order x, y, serving, los,
+    meas, and a field that is present is always checked.
+
+    With `record` the line is a dataset record: every field is required,
+    and the ranking is left to load_dataset's check over the whole file.
+    Otherwise it is a measurement report: x and y default to NaN,
+    serving to the strongest cell, which a given serving must be, and
+    los to true; the measurements are put in ranking order, so callers
+    may pass unsorted reports; and a dataset header line gives None.
+    """
+    d = _decode_line(raw, path, lineno)
+    if record:
+        for key in ("x", "y", "serving", "los", "meas"):
+            _require(d, key, path, lineno)
+    elif d.get("format") == _FORMAT_NAME:
+        return None  # the header of a dataset, as concatenated datasets hold
+    x = parse_coordinate(d["x"], "x", path, lineno) if "x" in d else float("nan")
+    y = parse_coordinate(d["y"], "y", path, lineno) if "y" in d else float("nan")
+    serving = d.get("serving")
+    if "serving" in d and (type(serving) is not int or not _INT32.min <= serving <= _INT32.max):
         raise DatasetParseError("serving must be a 32-bit int", path=path, line=lineno, field="serving")
-    if not isinstance(lo, bool):
+    los = d.get("los", True)
+    if not isinstance(los, bool):
         raise DatasetParseError("los must be a bool", path=path, line=lineno, field="los")
-    return (x, y, sv, lo, *parse_measurements(meas, path, lineno))
+    cells, beams, rsrp = parse_measurements(d.get("meas"), path, lineno)
+    if not record:
+        # dataset lines already come in ranking order (with many ties), so
+        # sort only otherwise
+        if not _ranked(cells, beams, rsrp):
+            order = np.lexsort((beams, cells, -rsrp))
+            cells, beams, rsrp = cells[order], beams[order], rsrp[order]
+        if serving is None:
+            serving = int(cells[0])
+        elif serving != cells[0]:
+            raise DatasetParseError(
+                "serving cell is not the strongest measurement", path=path, line=lineno, field="serving"
+            )
+    return x, y, serving, los, cells, beams, rsrp
 
 
 def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
@@ -728,12 +764,8 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
         meas_rsrp = np.empty((0, width))
         linenos: List[int] = []
 
-        for lineno, raw, record in _block_lines(fh, 2):
-            if record is None:
-                if not raw.strip():
-                    continue
-                record = _parse_record_line(raw, path, lineno)
-            x, y, sv, lo, mc, mb, mr = record
+        parse = partial(parse_measurement_line, path=path, record=True)
+        for lineno, (x, y, sv, lo, mc, mb, mr) in _block_lines(fh, 2, parse):
             i = len(xs)
             if i == 0:
                 meas_cells = np.empty((capacity, len(mr)), dtype=np.int32)

@@ -24,8 +24,9 @@ from . import dtree, mlp
 from .configfile import decode, from_dict, load_object, to_dict
 from .errors import ConfigurationError, DataError, DatasetParseError, FeatureExtractionError
 from .evaluate import Comparison, EvalReport, compare, euclidean_errors, summarize, write_cdf_csv, write_report
-# extract_features, build_dataset, los_filter and partition_by_cell stay
-# importable from here: perfbench's layer table wraps them in this module
+# extract_features, build_dataset, los_filter, partition_by_cell and
+# parse_measurement_line stay importable from here: perfbench's layer
+# table wraps them in this module
 from .features import (
     OUTSIDE_VOCABULARY,
     TOPOLOGY_CELL,
@@ -41,16 +42,13 @@ from .features import (
     shortfall,
 )
 from .fingerprint import (
-    Block,
     Dataset,
     _block_lines,
-    _decode_line,
-    _ranked,
+    _servable,
     build_dataset,  # noqa: F401
     cell_rows,
     los_filter,  # noqa: F401
-    parse_coordinate,
-    parse_measurements,
+    parse_measurement_line,
     partition_by_cell,  # noqa: F401
     sweep_blocks,
 )
@@ -624,41 +622,6 @@ def replay(manifest_path, output_dir) -> RunResult:
 _INFER_REPORTS = 1024
 
 
-def parse_measurement_line(raw: str, lineno: int, path=None) -> Optional[tuple]:
-    """One JSON measurement report -> the columns the block reader gives,
-    (x, y, serving, los, cells, beams, rsrp); None for header lines.
-
-    The measurements are put in ranking order locally, so callers may
-    pass unsorted reports. A 'serving' field, when present, must agree
-    with the strongest measurement.
-    """
-    d = _decode_line(raw, path, lineno)
-    if d.get("format"):
-        return None  # dataset header line
-    cells, beams, rsrp = parse_measurements(d.get("meas"), path, lineno)
-    # dataset lines already come in ranking order (with many ties), so
-    # sort only otherwise
-    if not _ranked(cells, beams, rsrp):
-        order = np.lexsort((beams, cells, -rsrp))
-        cells, beams, rsrp = cells[order], beams[order], rsrp[order]
-    serving = d.get("serving")
-    if serving is None:
-        serving = int(cells[0])
-    elif not isinstance(serving, int) or isinstance(serving, bool):
-        raise DatasetParseError("serving must be an int", path=path, line=lineno, field="serving")
-    elif serving != cells[0]:
-        raise DatasetParseError(
-            "serving cell is not the strongest measurement", path=path, line=lineno, field="serving"
-        )
-    # unlabelled unless given
-    x = parse_coordinate(d["x"], "x", path, lineno) if "x" in d else float("nan")
-    y = parse_coordinate(d["y"], "y", path, lineno) if "y" in d else float("nan")
-    los = d.get("los", True)
-    if not isinstance(los, bool):
-        raise DatasetParseError("los must be a bool", path=path, line=lineno, field="los")
-    return x, y, serving, los, cells, beams, rsrp
-
-
 def infer_record(
     bundle: ModelBundle, serving: int, cells: np.ndarray, beams: np.ndarray, rsrp: np.ndarray
 ) -> Tuple[float, float]:
@@ -719,21 +682,12 @@ def _predict_reports(bundle: ModelBundle, reports: Sequence[tuple], linenos: Seq
     return pred
 
 
-def _servable(block: Block) -> bool:
-    """Whether parse_measurement_line would keep every row of a block as
-    it is: in ranking order, serving its strongest cell."""
-    return bool((block.serving == block.cells[:, 0]).all() and _ranked(block.cells, block.beams, block.rsrp).all())
-
-
 def _reports(fh, path):
     """(line number, columns) for each measurement report in an open
-    file. Lines in save_dataset's form come from the block reader, the
-    others from parse_measurement_line; both give the same columns."""
-    for lineno, raw, columns in _block_lines(fh, 1, _servable):
-        if columns is None and raw.strip():
-            columns = parse_measurement_line(raw, lineno, path=path)
-        if columns is not None:
-            yield lineno, columns
+    file: a block the block reader parses is kept when it is servable,
+    the other lines go to parse_measurement_line, looked up here at each
+    call; both give the same columns."""
+    return _block_lines(fh, 1, lambda raw, lineno: parse_measurement_line(raw, lineno, path), _servable)
 
 
 def infer_file(bundle: ModelBundle, in_path, out_path=None) -> List[dict]:

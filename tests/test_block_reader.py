@@ -16,7 +16,7 @@ from beamprint import fingerprint, pipeline
 from beamprint.dtree import TreeConfig
 from beamprint.errors import DataError
 from beamprint.features import FeatureConfig, extract_features
-from beamprint.fingerprint import _parse_record_line, load_dataset, los_filter, read_block, save_dataset
+from beamprint.fingerprint import load_dataset, los_filter, parse_measurement_line, read_block, save_dataset
 from beamprint.pipeline import MODEL_TREE, ModelSpec, infer_file, train_model
 
 from test_fingerprint import GOLDEN_SAVE_SHA256, _hand_built, shadowed_small_dataset  # noqa: F401 (a fixture)
@@ -107,7 +107,7 @@ def assert_rows_match_per_line(lines):
     if block is None:
         return
     for j, i in enumerate(block.rows):
-        want = _parse_record_line(lines[i], None, i + 1)
+        want = parse_measurement_line(lines[i], i + 1, None, record=True)
         got = (
             block.xs.tolist()[j], block.ys.tolist()[j], block.serving.tolist()[j], block.los.tolist()[j],
             block.cells[j], block.beams[j], block.rsrp[j],
@@ -127,15 +127,52 @@ def assert_edited_line_reads_the_same(path, lines, i, text):
     assert_both_paths_agree(_write(path, edited))
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_SAVE_SHA256))
-def test_golden_datasets_read_the_same_by_both_paths(tmp_path, request, case):
+def _golden_file(tmp_path, request, case):
     fixture, rows, _ = GOLDEN_SAVE_SHA256[case]
     ds = request.getfixturevalue(fixture)
     if rows is not None:
         ds = ds.subset(np.array(rows, dtype=np.int64) % len(ds))
     path = tmp_path / "ds.jsonl"
     save_dataset(ds, path)
-    assert_both_paths_agree(path)
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SAVE_SHA256))
+def test_golden_datasets_read_the_same_by_both_paths(tmp_path, request, case):
+    assert_both_paths_agree(_golden_file(tmp_path, request, case))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SAVE_SHA256))
+def test_golden_record_lines_parse_to_the_same_bits_as_records_and_as_reports(tmp_path, request, case):
+    lines = _golden_file(tmp_path, request, case).read_text().splitlines()
+    for lineno, raw in enumerate(lines[1:], 2):
+        record = parse_measurement_line(raw, lineno, record=True)
+        assert list(map(_bits, parse_measurement_line(raw, lineno))) == list(map(_bits, record))
+
+
+# one fault each in a full record line (the first has its serving cell and
+# its only measurement's cell past int32): both modes name the same field
+# with the same message
+ONE_FAULT = {
+    "serving-and-cell-past-int32": ({"serving": 2**40, "meas": [[2**40, 0, -50.0]]}, "serving"),
+    "serving-bool": ({"serving": True}, "serving"),
+    "x-text": ({"x": "abc"}, "x"),
+    "los-int": ({"los": 1}, "los"),
+    "rsrp-text": ({"meas": [[4, 0, "-50.0"]]}, "meas"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_FAULT))
+def test_a_line_with_one_fault_is_refused_alike_as_a_record_and_as_a_report(case):
+    edit, field = ONE_FAULT[case]
+    raw = json.dumps({"x": 1.5, "y": 2.5, "serving": 4, "los": True, "meas": [[4, 0, -50.0]], **edit})
+    errors = []
+    for record in (True, False):
+        with pytest.raises(DataError) as err:
+            parse_measurement_line(raw, 7, "probe.jsonl", record=record)
+        errors.append(_error(err.value))
+    assert errors[0] == errors[1]
+    assert errors[0][2:] == (7, field)
 
 
 @DIFFERENTIAL

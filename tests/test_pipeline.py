@@ -1159,6 +1159,7 @@ def test_parse_measurement_rejections():
         ('{"meas": [[1.5, 2, -50.0]]}', "meas"),
         ('{"meas": [[1, 2, true]]}', "meas"),
         ('{"meas": [[1, 2, -50.0]], "serving": true}', "serving"),
+        ('{"meas": [[1, 2, -50.0]], "serving": null}', "serving"),
         ('{"meas": [[1, 2, -50.0], [0, 2, -40.0]], "serving": 1}', "serving"),
         ('{"meas": [[1, 2, NaN]]}', "meas"),
         ('{"meas": [[1, 2, -50.0], [1, 3, Infinity]]}', "meas"),
@@ -1214,7 +1215,7 @@ def test_infer_record_refuses_a_prediction_that_overflows(mlp_bundle, small_spli
 
 def test_infer_file_round_trip(tree_bundle, small_splits, tmp_path):
     _, test_ds = small_splits
-    lines = ['{"format": "header-line"}', ""]
+    lines = ['{"format": "beamprint-dataset", "version": 1}', ""]
     expected = []
     for i in range(3):
         record = row_of(test_ds, i)
@@ -1272,9 +1273,25 @@ def test_infer_file_mixed_reports_equal_oracle(tree_bundle, mlp_bundle, small_sp
             assert np.abs(got - want).max() <= 1e-9
 
 
+def test_infer_file_predicts_a_report_that_holds_a_format_key(tree_bundle, small_splits, tmp_path):
+    # only the dataset format makes a line a header: a report holding any
+    # other format is predicted, and a dataset header within the file
+    # (datasets concatenated) is still skipped
+    path = tmp_path / "ds.jsonl"
+    save_dataset(small_splits[1].subset(np.arange(4)), path)
+    want = infer_file(tree_bundle, path)
+    lines = path.read_text(encoding="ascii").splitlines()
+    row = json.loads(lines[2])
+    lines[2] = json.dumps({**row, "format": "anything"})
+    lines.insert(3, lines[0])
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    assert len(want) == 4
+    assert infer_file(tree_bundle, path) == want
+
+
 def test_infer_file_without_records(tree_bundle, tmp_path):
     in_path = tmp_path / "empty.jsonl"
-    in_path.write_text('{"format": "header-line"}\n\n', encoding="ascii")
+    in_path.write_text('{"format": "beamprint-dataset", "version": 1}\n\n', encoding="ascii")
     out_path = tmp_path / "pred.jsonl"
     assert infer_file(tree_bundle, in_path, out_path) == []
     assert out_path.read_text(encoding="ascii") == ""
