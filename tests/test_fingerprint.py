@@ -425,6 +425,17 @@ def test_load_holds_one_copy_of_the_columns(tmp_path):
     assert _overhead_growth(runs) < 0.25
 
 
+def test_save_holds_no_copy_of_the_columns(tmp_path):
+    # save_dataset formats a block of rows at a time, so its traced peak
+    # does not grow with the dataset it writes
+    runs = []
+    for res in (2.0, 1.0):
+        ds = build_dataset(build_scenario(replace(small_scenario_config(), grid_resolution_m=res)))
+        _, peak = _traced_overhead(save_dataset, ds, tmp_path / f"grid{res}.jsonl", held=lambda _: 0)
+        runs.append((ds, peak))
+    assert _overhead_growth(runs) < 0.25
+
+
 def _lines(tmp_path, small_dataset):
     path = tmp_path / "ds.jsonl"
     save_dataset(small_dataset, path)
@@ -810,7 +821,7 @@ def _hand_built(rng, cells, n_beams, n, pool):
     col_beams = np.tile(np.arange(n_beams, dtype=np.int32), len(cells))
     rsrp = rng.choice(np.asarray(pool, dtype=np.float64), size=(n, m))
     # ranking order: descending rsrp (-0.0 ties 0.0), then cell, then beam
-    order = np.array([np.lexsort((col_beams, col_cells, -row)) for row in rsrp]).reshape(n, m)
+    order = np.array([np.lexsort((col_beams, col_cells, -row)) for row in rsrp], dtype=np.intp).reshape(n, m)
     meas_cells = col_cells[order]
     return Dataset(
         xs=rng.choice(np.asarray(pool), size=n),
@@ -827,19 +838,30 @@ def _hand_built(rng, cells, n_beams, n, pool):
     )
 
 
+_WRITER_CASES = {
+    "extreme-ids": ((0, 2**31 - 1), 3, _AWKWARD_RSRP),
+    "unsorted-header": ((2**31 - 1, 5, 0), 4, (-80.0, -0.0, 0.0)),  # header cells out of order
+    "one-measurement": ((0,), 1, _AWKWARD_RSRP),  # one measurement per row
+    "many-ties": (tuple(range(24)), 32, (-80.0, -80.25, -81.0)),  # 768 measurements, 3 distinct values
+    "mostly-distinct": ((3, 9), 8, tuple(np.random.default_rng(5).uniform(-140.0, -40.0, 200))),
+    "one-value": ((1, 2), 4, (-80.5,)),  # every rsrp the same bits: one run spans each block's rows
+}
+
+
+# every case at 40 rows, and at the row counts around save_dataset's
+# blocks of _CHECK_ROWS (16): none, part of one, one, one and a row
+# more, two and a row more
 @pytest.mark.parametrize(
-    "cells, n_beams, pool",
-    [
-        ((0, 2**31 - 1), 3, _AWKWARD_RSRP),
-        ((2**31 - 1, 5, 0), 4, (-80.0, -0.0, 0.0)),  # header cells out of order
-        ((0,), 1, _AWKWARD_RSRP),  # one measurement per row
-        (tuple(range(24)), 32, (-80.0, -80.25, -81.0)),  # 768 measurements, 3 distinct values
-        ((3, 9), 8, tuple(np.random.default_rng(5).uniform(-140.0, -40.0, 200))),
+    "cells, n_beams, pool, n",
+    [pytest.param(*case, 40, id=name) for name, case in _WRITER_CASES.items()]
+    + [
+        pytest.param(*case, n, id=f"{name}-{n}-rows")
+        for name, case in _WRITER_CASES.items()
+        for n in (0, 1, 15, 16, 17, 33)
     ],
-    ids=["extreme-ids", "unsorted-header", "one-measurement", "many-ties", "mostly-distinct"],
 )
-def test_save_dataset_matches_json_writer(tmp_path, cells, n_beams, pool):
-    ds = _hand_built(np.random.default_rng(len(cells) * 100 + n_beams), cells, n_beams, 40, pool)
+def test_save_dataset_matches_json_writer(tmp_path, cells, n_beams, pool, n):
+    ds = _hand_built(np.random.default_rng(len(cells) * 100 + n_beams), cells, n_beams, n, pool)
     save_dataset(ds, tmp_path / "new.jsonl")
     oracle_save_dataset(ds, tmp_path / "oracle.jsonl")
     assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
@@ -954,6 +976,39 @@ def test_save_rejects_header_load_refuses(tmp_path, small_dataset, cells, n_beam
     with pytest.raises(DataError, match=needle):
         save_dataset(ds, path)
     assert not path.exists()
+
+
+def test_save_dataset_prefix_table_holds_only_the_pairs_present(tmp_path):
+    # one beam id of 3,000,000 under a header that allows it: the prefix
+    # table was sized cells x (largest beam id + 1), 6,000,002 strings
+    ds = Dataset(
+        xs=np.array([0.0, 1.5, -2.0]),
+        ys=np.array([3.0, 4.0, 5.25]),
+        serving=np.array([0, 1, 0], dtype=np.int32),
+        los=np.array([True, False, True]),
+        meas_cells=np.array([[0, 1], [1, 0], [0, 0]], dtype=np.int32),
+        meas_beams=np.array([[3_000_000, 0], [2, 7], [1, 5]], dtype=np.int32),
+        meas_rsrp=np.array([[-80.0, -81.5], [-70.0, -71.0], [-90.25, -90.25]]),
+        cells=(0, 1),
+        n_beams=4_000_000,
+        scenario_hash="cd" * 32,
+        seed=2,
+    )
+    save_dataset(ds, tmp_path / "new.jsonl")  # numpy imports modules on a first np.unique
+    _, peak = _traced_overhead(save_dataset, ds, tmp_path / "new.jsonl", held=lambda _: 0)
+    oracle_save_dataset(ds, tmp_path / "oracle.jsonl")
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+    assert peak < 1 << 20
+    assert load_dataset(tmp_path / "new.jsonl") == ds
+
+
+def test_save_dataset_with_spread_beam_ids_matches_json_writer(tmp_path, shadowed_small_dataset):
+    # beam ids 0, 1000, ... keep every row in ranking order; the table of
+    # the pairs present serves every block of the file
+    ds = replace(shadowed_small_dataset, meas_beams=shadowed_small_dataset.meas_beams * 1000, n_beams=2**31 - 1)
+    save_dataset(ds, tmp_path / "new.jsonl")
+    oracle_save_dataset(ds, tmp_path / "oracle.jsonl")
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
 
 
 def test_save_dataset_coerces_columns_like_json_writer(tmp_path):
