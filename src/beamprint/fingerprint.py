@@ -452,12 +452,26 @@ _RSRP_TEXT = re.compile(r"(?:" + _JSON_FLOAT + r"\])*")
 # longer rsrp tokens take the per-line path; repr of a float has at most 24
 _MAX_FLOAT_CHARS = 32
 _PADDING = _MAX_FLOAT_CHARS + 8  # bytes
+_FRONT = "\0" * 16  # bytes before a block's bodies, as _decimals reads 16 before a token's end
 # the id of each 2-byte word that starts a JSON int token of one or two
 # characters ("7," or "42" or "-3"); _NOT_ID for every other word ("05",
 # "-0", "-,", ...), which _json_ints then reads or refuses
 _NOT_ID = _INT32.min
 _ID_TABLE = np.full(1 << 16, _NOT_ID, dtype=np.int32)
 _ID_TABLE[[int.from_bytes(f"{i},".encode("ascii")[:2], "little") for i in range(-9, 100)]] = range(-9, 100)
+# _decimals computes in uint64 alone (numpy 1.24 casts uint64 with int64
+# to float64). _KEEP[n] keeps the last n bytes of a little-endian 8-byte
+# word, and _FILL[n] puts "0" bytes in the place of the others
+_ZEROS, _SIXES, _HIGH_NIBBLES = (np.uint64(b * 0x0101010101010101) for b in (0x30, 0x06, 0xF0))
+_KEEP = np.array([~0 << 8 * (8 - n) & (1 << 64) - 1 for n in range(9)], dtype=np.uint64)
+_FILL = _ZEROS & ~_KEEP
+# (multiplier, shift, mask) of each SWAR step: 8 digits to 4 pairs, to 2 quads, to one value
+_SWAR = [
+    (np.uint64(10**k), np.uint64(8 * k), np.uint64(mask))
+    for k, mask in ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0xFFFFFFFF))
+]
+_POW10 = np.array([10**k for k in range(17)], dtype=np.uint64)
+_DECIMAL_LIMIT = np.uint64(1 << 53)
 
 
 class Block(NamedTuple):
@@ -502,17 +516,58 @@ def _json_ints(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> Optional[
     return values.astype(np.int32)
 
 
+def _digits(words: np.ndarray, n: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The last n[i] (0 to 8) bytes of each little-endian 8-byte word read
+    as decimal digits, and whether they all are digits (SWAR: each step
+    folds neighbouring lanes of the word, most significant first)."""
+    w = words & _KEEP[n] | _FILL[n]
+    ok = (w & _HIGH_NIBBLES == _ZEROS) & (w + _SIXES & _HIGH_NIBBLES == _ZEROS)
+    w -= _ZEROS
+    for times, shift, mask in _SWAR:
+        w = w * times + (w >> shift) & mask
+    return w, ok
+
+
+def _decimals(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    r"""Which tokens buf[start:end] the decimal kernel reads, and their
+    float64 values (meaningless where it reads none): the tokens
+    -?(0|[1-9][0-9]{0,2})\.[0-9]{1,16} whose digits, without the dot, are
+    an integer M below 2**53. M and 10**k (k fraction digits) are exact
+    doubles, so M / 10**k, one IEEE division, is correctly rounded: the
+    bits float() gives (Clinger's fast path). The digits come from the
+    8-byte words that end at the dot, at the token's end and 8 bytes
+    before it, so buf needs 16 bytes before each token."""
+    words = np.ndarray(shape=(len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    neg = buf[start] == ord("-")
+    first = start + neg
+    # the dot after one, two or three integer digits
+    dot = np.where(buf[first + 1] == ord("."), first + 1, np.where(buf[first + 2] == ord("."), first + 2, first + 3))
+    n_frac = end - dot - 1
+    read = (buf[dot] == ord(".")) & (n_frac >= 1) & (n_frac <= 16)
+    read &= (buf[first] != ord("0")) | (dot == first + 1)  # no leading zero
+    n_frac = np.clip(n_frac, 0, 16)
+    whole, whole_ok = _digits(words[dot - 8], dot - first)
+    high, high_ok = _digits(words[end - 16], np.maximum(n_frac - 8, 0))
+    low, low_ok = _digits(words[end - 8], np.minimum(n_frac, 8))
+    scale = _POW10[n_frac]
+    mantissa = whole * scale + high * _POW10[8] + low
+    read &= whole_ok & high_ok & low_ok & (mantissa < _DECIMAL_LIMIT)
+    values = mantissa.astype(np.float64) / scale.astype(np.float64)
+    np.negative(values, out=values, where=neg)
+    return read, values
+
+
 def _json_floats(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> Optional[np.ndarray]:
     """The tokens buf[start:end] as float64, or None unless every one is
     a JSON number with a fraction or an exponent and a finite value.
 
     In a ranked row equal values are neighbours, so only the first token
-    of each run of equal text is checked (by regex) and read (by
-    float(), the conversion json makes). Neighbours of one length are
-    compared as the 8-byte words at start, start + 8, ... (the last one
-    ending at the token's end), which cover the token; a token shorter
-    than 8 bytes is compared with the bytes after it, which only splits
-    a run."""
+    of each run of equal text is read: by _decimals where it can, else
+    checked by regex and read by float(), the conversion json makes;
+    both give the same bits. Neighbours of one length are compared as
+    the 8-byte words at start, start + 8, ... (the last one ending at the
+    token's end), which cover the token; a token shorter than 8 bytes is
+    compared with the bytes after it, which only splits a run."""
     length = end - start
     if length.max() > _MAX_FLOAT_CHARS:
         return None
@@ -524,13 +579,15 @@ def _json_floats(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> Optiona
         w = words[np.maximum(np.minimum(start + k, end - 8), start)]
         same[1:] &= w[1:] == w[:-1]
     firsts = np.flatnonzero(~same)
-    # each run's text with the "]" after it, end to end
-    spans = length[firsts] + 1
+    read, values = _decimals(buf, start[firsts], end[firsts])
+    rest = firsts[~read]
+    # each other run's text with the "]" after it, end to end
+    spans = length[rest] + 1
     offsets = np.cumsum(spans) - spans
-    text = buf[np.arange(int(spans.sum())) + np.repeat(start[firsts] - offsets, spans)].tobytes().decode("ascii")
+    text = buf[np.arange(int(spans.sum())) + np.repeat(start[rest] - offsets, spans)].tobytes().decode("ascii")
     if not _RSRP_TEXT.fullmatch(text):
         return None
-    values = np.fromiter(map(float, text.split("]")[:-1]), dtype=np.float64, count=len(firsts))
+    values[~read] = np.fromiter(map(float, text.split("]")[:-1]), dtype=np.float64, count=len(rest))
     if not np.isfinite(values).all():
         return None
     return np.repeat(values, np.diff(firsts, append=len(start)))
@@ -550,47 +607,63 @@ def _json_ids(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> Optional[n
     return _json_ints(buf, start, end)
 
 
+def _id_ends(buf: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The comma that ends each id at `start`: one or two bytes on, else
+    the first at or after it (one follows each measurement's "]", and
+    `start` lies before it). The id checks refuse an id that is empty or holds a comma."""
+    end = start + 1
+    end += buf[end] != ord(",")
+    far = np.flatnonzero(buf[end] != ord(","))
+    if len(far):
+        commas = np.flatnonzero(buf == ord(","))
+        end[far] = commas[np.searchsorted(commas, start[far])]
+    return end
+
+
 def _measurement_columns(bodies: List[str]) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The (cells, beams, rsrp) matrices of `meas` list bodies, one row
     per body, or None unless each is exactly "[c,b,r],...,[c,b,r]" with
     _json_ints ids and _json_floats rsrp, and every body holds as many
-    measurements."""
-    # the bodies end to end, each with a comma after it, in one buffer;
-    # zero padding keeps the words _json_floats reads inside it
-    buf = np.frombuffer(",".join([*bodies, "\0" * _PADDING]).encode("ascii"), dtype=np.uint8)
-    # one separator pass, over the commas alone: a measurement has three,
-    # its "[" is the byte after the previous measurement's third comma (or
-    # the buffer start) and its "]" the byte before its own third comma.
-    # With those bytes checked, and each body's first "[" at its start,
-    # every other byte lies inside a token, which the token checks read
-    commas = np.flatnonzero(buf == ord(","))
-    per_row, rest = divmod(len(commas), 3 * len(bodies))
+    measurements. One pass finds each measurement's "]"; its "[" is at
+    its body's start or two bytes after the previous "]", past a comma,
+    and its commas are the first two after its "[" (_id_ends). With
+    those bytes checked, and each body's last "]" at its end, every
+    other byte lies inside a token, which the token checks read."""
+    # the bodies end to end after _FRONT, each with a comma after it, in
+    # one buffer; zero padding keeps the words _json_floats reads inside it
+    buf = np.frombuffer(",".join([_FRONT, *bodies, "\0" * _PADDING]).encode("ascii"), dtype=np.uint8)
+    closes = np.flatnonzero(buf == ord("]"))
+    per_row, rest = divmod(len(closes), len(bodies))
     if per_row == 0 or rest:
         return None
-    first, second, third = commas.reshape(-1, 3).T
-    opens, closes = np.concatenate(([0], third[:-1] + 1)), third - 1
-    body_starts = np.cumsum([0] + [len(body) + 1 for body in bodies[:-1]])
+    edges = np.cumsum([len(_FRONT) + 1] + [len(body) + 1 for body in bodies])
+    opens = np.concatenate((edges[:1], closes[:-1] + 2))
     if not (
-        (opens[::per_row] == body_starts).all()
+        (closes[per_row - 1 :: per_row] == edges[1:] - 2).all()
         and (buf[opens] == ord("[")).all()
-        and (buf[closes] == ord("]")).all()
+        and (buf[closes + 1] == ord(",")).all()
     ):
         return None
-    ids = _json_ids(buf, np.concatenate((opens, first)) + 1, np.concatenate((first, second)))
-    rsrp = None if ids is None else _json_floats(buf, second + 1, closes)
+    cell_ends = _id_ends(buf, opens + 1)
+    cells = _json_ids(buf, opens + 1, cell_ends)
+    beam_ends = None if cells is None else _id_ends(buf, cell_ends + 1)
+    beams = None if beam_ends is None else _json_ids(buf, cell_ends + 1, beam_ends)
+    rsrp = None if beams is None else _json_floats(buf, beam_ends + 1, closes)
     if rsrp is None:
         return None
     shape = (len(bodies), per_row)
-    return ids[: len(third)].reshape(shape), ids[len(third) :].reshape(shape), rsrp.reshape(shape)
+    return cells.reshape(shape), beams.reshape(shape), rsrp.reshape(shape)
 
 
 def read_block(lines: Sequence[str]) -> Optional[Block]:
     """The lines of `lines` that have save_dataset's exact record form
     ({"los":…,"meas":[[c,b,r],…],"serving":S,"x":X,"y":Y}, no spaces),
-    parsed together; None when there are none, or when any of them needs
-    the per-line path: a value that path refuses or reads differently
-    (an rsrp or coordinate without a fraction or exponent, a token past
-    JSON's grammar or int32, a non-finite value), an rsrp of more than
+    parsed together: a regex per line checks its head and tail, and
+    _measurement_columns reads all their `meas` bodies in one buffer.
+    None when there are none, or when any of them needs the per-line
+    path: a value that path refuses or reads differently (an rsrp or
+    coordinate without a fraction or exponent, a token past JSON's
+    grammar or int32, a non-finite value), an rsrp of more than
     _MAX_FLOAT_CHARS characters or rows of different lengths. The other
     lines always take the per-line path, and on None so do these, so
     that results and errors never depend on it."""

@@ -34,6 +34,7 @@ FLOATS = st.sampled_from(AWKWARD_FLOATS) | st.floats(allow_nan=False, allow_infi
 BAD_TOKENS = (
     "-0", "01", "1.", ".5", "+1", "1e400", "NaN", "Infinity", "true", " 1", "2147483648", "1_0",
     "-2147483649", "-01", "1e", "0.0", "-0.0", "1E+5", "7",
+    "00.5", "-00.5", "1..5", "9007199254740993.0", "1234.5", "0.10000000000000001",
 )
 TOKEN = re.compile(r"-?[0-9][0-9.eE+-]*|true|false")
 # id texts of one, two and more characters, negative ones, ones past int32,
@@ -220,7 +221,9 @@ def test_every_bracket_or_comma_of_a_line_replaced_reads_the_same_by_both_paths(
         assert_edited_line_reads_the_same(path, lines, 2, lines[2][:at] + char + lines[2][at + 1 :])
 
 
-@pytest.mark.parametrize("char", [" ", "7", "x"], ids=["space", "digit", "letter"])
+@pytest.mark.parametrize(
+    "char", [" ", "7", "x", ",", "[", "]", "."], ids=["space", "digit", "letter", "comma", "open", "close", "dot"]
+)
 def test_a_character_inserted_anywhere_in_a_line_reads_the_same_by_both_paths(tmp_path, char):
     path, lines = _small_file(tmp_path)
     for at in range(len(lines[2]) + 1):
@@ -237,6 +240,16 @@ def test_every_id_replaced_by_any_id_text_reads_the_same_by_both_paths(tmp_path,
             for group in (1, 2):
                 edited = lines[i][: m.start(group)] + text + lines[i][m.end(group) :]
                 assert_edited_line_reads_the_same(path, lines, i, edited)
+
+
+def test_ids_of_every_length_in_int32_take_the_block_path():
+    # each id's comma is found one or two bytes on, or by a search of the
+    # block's commas, up to "-2147483648" (11 characters)
+    texts = [text for text in ID_TEXTS if text not in NOT_INT32]
+    body = ",".join(f"[{c},{b},-{80 + j}.5]" for j, (c, b) in enumerate(zip(texts, texts[::-1])))
+    lines = [f'{{"los":true,"meas":[{body}],"serving":{texts[0]},"x":1.5,"y":2.5}}\n'] * 2
+    assert read_block(lines).rows == [0, 1]
+    assert_rows_match_per_line(lines)
 
 
 @DIFFERENTIAL
@@ -375,3 +388,62 @@ def test_infer_sends_a_block_it_would_change_to_the_per_line_path(tmp_path, smal
     lines[5] = json.dumps(row, sort_keys=True, separators=(",", ":"))
     assert read_block(lines[1:]) is not None  # the loader's reader takes it
     assert_both_paths_agree(_write(path, lines))
+
+
+# The decimal kernel (fingerprint._decimals) against float(): it reads a
+# token exactly when the token has its form and its digits, without the
+# dot, are below 2**53, and then gives float()'s bits.
+KERNEL_FORM = re.compile(r"-?(?:0|[1-9][0-9]{0,2})\.[0-9]{1,16}")
+KERNEL_BOUNDARY = (
+    "900.7199254740991", "900.7199254740992", "-900.7199254740991",  # mantissas 2**53 - 1 and 2**53
+    "0.1234567890123456", "0.12345678901234567", "-97.12345678901234", "-97.123456789012345",  # 16, 17 digits
+    "-0.0", "0.0", "0.5", "-1.5", "12.25", "-123.125", "1234.5", "-999.9999999999999", "5e-324",
+    "00.5", "-01.5", "1.", ".5", "1.2.3", "--5.5", "+5.5", "-.5", "1..5", "-", "",
+    "1e5", "-1.5e-7", "2.5E+10", "1.0e400", "0.1e5", "1.5e",
+)
+KERNEL_TOKENS = st.lists(
+    FLOATS.map(repr) | st.from_regex(r"-?(0|[1-9][0-9]{0,3})\.[0-9]{1,18}", fullmatch=True), min_size=1, max_size=20
+)
+
+
+def _kernel(tokens):
+    """_decimals over tokens laid end to end, each followed by "]", in a
+    buffer laid out as _measurement_columns lays out a block's: the first
+    token at the very start of its text, after _FRONT. The offsets are
+    int64, as read_block's are: numpy 1.24's value-based casting makes
+    uint64 combined with int64 a float64, which the kernel must not do."""
+    text = "".join(token + "]" for token in tokens)
+    buf = np.frombuffer((fingerprint._FRONT + text + "\0" * fingerprint._PADDING).encode("ascii"), dtype=np.uint8)
+    lengths = np.array([len(token) for token in tokens], dtype=np.int64)
+    end = len(fingerprint._FRONT) + np.cumsum(lengths + 1) - 1
+    return fingerprint._decimals(buf, end - lengths, end)
+
+
+def assert_kernel_reads_its_form_as_float_does(tokens):
+    read, values = _kernel(tokens)
+    assert read.dtype == bool and values.dtype == np.float64
+    for token, got in zip(tokens, read.tolist()):
+        in_form = KERNEL_FORM.fullmatch(token) is not None and int(token.lstrip("-").replace(".", "")) < 2**53
+        assert got == in_form, token
+        assert not got or re.fullmatch(fingerprint._JSON_FLOAT, token), token
+    want = np.array([float(token) for token, got in zip(tokens, read.tolist()) if got], dtype=np.float64)
+    assert values[read].view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    return read
+
+
+@pytest.mark.parametrize("token", KERNEL_BOUNDARY)
+def test_decimal_kernel_on_a_boundary_token_at_the_start_of_a_buffer(token):
+    assert_kernel_reads_its_form_as_float_does([token])
+
+
+def test_decimal_kernel_on_the_boundary_tokens_end_to_end():
+    assert_kernel_reads_its_form_as_float_does(KERNEL_BOUNDARY)
+    assert_kernel_reads_its_form_as_float_does(KERNEL_BOUNDARY[::-1])
+    read = assert_kernel_reads_its_form_as_float_does([repr(-x / 7) for x in range(600, 1400)])  # 2 to 17 digits
+    assert read.any() and not read.all()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(tokens=KERNEL_TOKENS)
+def test_decimal_kernel_on_float_reprs_and_near_form_decimals(tokens):
+    assert_kernel_reads_its_form_as_float_does(tokens)
