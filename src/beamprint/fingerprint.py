@@ -10,9 +10,16 @@ record is one row of those columns.
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import pickle
 import re
+import shutil
+import signal
 import sys
+import tempfile
+import threading
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import chain, islice
@@ -212,6 +219,100 @@ def partition_by_cell(dataset: Dataset) -> Dict[int, Dataset]:
 # Persistence: line-delimited JSON, header first
 
 
+# a part of a file (load) or of a dataset's record columns (save) is
+# never smaller than this. Timed on 2 CPUs of a shared host, one part
+# against two, best of 7 per size in several runs: a worker's fixed
+# costs (fork, pipe or append, exit) are about 5 ms. Loads of 1.5 to
+# 4.6 MB files were slower in two parts in 13 of 14 timings, up to twice
+# as long; from 6 to 25 MB two parts ranged from 50 % slower to 35 %
+# faster run to run, and from 49 MB on they were 15-37 % faster in every
+# run. Saves were faster in two parts in every timing from 3.8 MB of
+# columns on. So two parts start at 6 MiB, and more CPUs add parts only
+# while each stays as large: no count above 2 was timed
+_PART_BYTES = 3 << 20
+
+# the cgroup v2 CPU quota, "<quota> <period>" in microseconds or "max
+# <period>": the CPUs' worth of time this process may use, which can be
+# fewer than the CPUs it may run on
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (os.sched_getaffinity, else
+    os.cpu_count()), capped by a cgroup v2 CPU quota rounded up."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this host
+        cpus = os.cpu_count() or 1
+    try:
+        with open(_CPU_MAX, encoding="ascii") as fh:
+            quota, period = fh.read().split()
+        return max(1, min(cpus, -(-int(quota) // int(period))))
+    except (OSError, ValueError):  # no quota ("max"), no cgroup v2, or not Linux
+        return cpus
+
+
+def _part_count(size: int) -> int:
+    """How many contiguous parts save_dataset and load_dataset split a
+    dataset of `size` bytes into, each part but the first done by a
+    forked worker: one per usable CPU, but no more than leaves each part
+    _PART_BYTES, and 1 (this process alone) when this host cannot fork
+    or another thread is alive (a forked child of a threaded process
+    can deadlock on a lock that thread held)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(_usable_cpus(), size // _PART_BYTES))
+
+
+def _fork(work: Callable[[], None]) -> Optional[int]:
+    """The pid of a forked worker that runs `work`, or None when the host
+    refuses another process. The worker ends with os._exit, status 0 if
+    `work` returned and 1 if it raised: it never returns into its
+    caller's stack, runs atexit handlers or flushes inherited stdio."""
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            work()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+
+def _reap(pid: Optional[int], kill: bool = False) -> bool:
+    """Wait for a worker of _fork (with `kill`, ended first), and whether
+    it exited with status 0; False for None, a worker never started, and
+    for a worker whose status is lost."""
+    if pid is None:
+        return False
+    try:
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        return os.waitpid(pid, 0)[1] == 0
+    except (ProcessLookupError, ChildProcessError):  # reaped unseen: the caller ignores SIGCHLD
+        return False
+
+
+def _append(out, part) -> None:
+    """Copy the whole of the binary file `part` to the end of the binary
+    file `out`: in the kernel where it can, else through this process."""
+    done = 0
+    if hasattr(os, "copy_file_range"):
+        try:
+            while copied := os.copy_file_range(part.fileno(), out.fileno(), 1 << 30, done):
+                done += copied
+            return
+        except OSError:  # not between these files, e.g. across file systems
+            pass
+    part.seek(done)
+    shutil.copyfileobj(part, out)
+    out.flush()
+
+
 def _first_bad_record(dataset: Dataset, cell_ids: np.ndarray) -> Optional[Tuple[int, str, str]]:
     """The first record that breaks a record rule, as (row, field,
     message), or None. The rules, in the order a record is checked: x,
@@ -280,6 +381,13 @@ def save_dataset(dataset: Dataset, path) -> None:
     cell index * (largest beam id + 1) + beam id when those keys number
     no more than a row's measurements (a full sweep's), and otherwise
     only the (cell, beam) pairs present.
+
+    The blocks are split into contiguous parts, one per _part_count of
+    the record columns' bytes. Forked workers format every part but the
+    first into unnamed temporary files beside `path`, which this process
+    appends in order after writing the header and the first part; it
+    formats a part itself when its worker fails or cannot start. A line
+    depends on its row alone, so the bytes do not depend on the parts.
     """
     cell_ids = np.array(sorted(set(dataset.cells)), dtype=np.int64)
     if cell_ids.size and not (_INT32.min <= cell_ids[0] and cell_ids[-1] <= _INT32.max):
@@ -324,16 +432,11 @@ def save_dataset(dataset: Dataset, path) -> None:
     pieces = np.empty(2 * m, dtype=object)
     # float64 (no copy when it is already): the formatting below reads
     # float64 bit patterns and Python floats
-    records = zip(
-        np.asarray(dataset.xs, dtype=np.float64).tolist(),
-        np.asarray(dataset.ys, dtype=np.float64).tolist(),
-        dataset.serving.tolist(),
-        dataset.los.tolist(),
-    )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
-        for rows in blocks:
+    xs = np.asarray(dataset.xs, dtype=np.float64)
+    ys = np.asarray(dataset.ys, dtype=np.float64)
+
+    def write(fh, part: Sequence[slice]) -> None:
+        for rows in part:
             rsrp = np.asarray(dataset.meas_rsrp[rows], dtype=np.float64)
             # rows are in ranking order, so equal values are neighbours: each
             # run of one bit pattern (-0.0 and 0.0 stay apart) is formatted once
@@ -344,13 +447,50 @@ def save_dataset(dataset: Dataset, path) -> None:
             values = np.array(list(map(float.__repr__, rsrp.take(starts).tolist())), dtype=object)
             runs = np.repeat(values, np.diff(starts, append=bits.size))
             at = keys(rows) if dense else np.searchsorted(present, keys(rows))
-            for i, (x, y, serving, los) in enumerate(islice(records, len(rsrp))):
+            records = zip(xs[rows].tolist(), ys[rows].tolist(), dataset.serving[rows].tolist(), dataset.los[rows].tolist())
+            for i, (x, y, serving, los) in enumerate(records):
                 pieces[0::2] = prefixes[at[i]]
                 pieces[1::2] = runs[i * m : (i + 1) * m]
                 fh.write(
                     f'{{"los":{"true" if los else "false"},"meas":[{"".join(pieces.tolist())[2:]}]],'
                     f'"serving":{serving},"x":{x!r},"y":{y!r}}}\n'
                 )
+
+    def write_temporary(temporary, part: Sequence[slice]) -> None:
+        with open(temporary.fileno(), "w", encoding="ascii", closefd=False) as fh:
+            write(fh, part)
+
+    # contiguous runs of blocks; a line is a function of its row alone, so
+    # the bytes do not depend on how many there are
+    n = max(1, min(_part_count(sum(getattr(dataset, c).nbytes for c in _RECORD_COLUMNS)), len(blocks)))
+    parts = [blocks[len(blocks) * k // n : len(blocks) * (k + 1) // n] for k in range(n)]
+    workers = []  # (pid, temporary file) of each part but the first
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            for part in parts[1:]:
+                try:  # unnamed, and beside the output so that it appends in the kernel
+                    temporary = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
+                except OSError:  # no room there: this process formats the part
+                    workers.append((None, None))
+                else:
+                    workers.append((_fork(partial(write_temporary, temporary, part)), temporary))
+            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")))
+            fh.write("\n")
+            write(fh, parts[0])
+            for k, ((pid, temporary), part) in enumerate(zip(workers, parts[1:])):
+                ok = _reap(pid)
+                workers[k] = (None, temporary)
+                if ok:
+                    fh.flush()
+                    _append(fh.buffer, temporary)
+                    temporary.close()
+                else:  # a worker that failed or never started: its rows are formatted here
+                    write(fh, part)
+    finally:
+        for pid, temporary in workers:
+            _reap(pid, kill=True)
+            if temporary is not None:
+                temporary.close()
 
 
 def _decode_line(raw: str, path, line: int) -> dict:
@@ -709,19 +849,22 @@ def _require(obj: dict, key: str, path, line: int):
     return obj[key]
 
 
-def _lines_at_most(fh) -> int:
+def _lines_at_most(fh) -> Tuple[int, bool]:
     """At least the number of lines in a file opened for reading in text
-    mode: one more than its line-end bytes (text mode ends a line at
-    "\n", "\r" or "\r\n"). The position in the file is kept."""
+    mode, one more than its line-end bytes (text mode ends a line at
+    "\n", "\r" or "\r\n"), and whether it holds a "\r". The position in
+    the file is kept."""
     here = fh.tell()
     fh.buffer.seek(0)
     ends = 0
+    has_cr = False
     for chunk in iter(lambda: fh.buffer.read(1 << 20), b""):
         ends += chunk.count(b"\n")
         if b"\r" in chunk:  # rare, and the test costs far less than a count
             ends += chunk.count(b"\r")
+            has_cr = True
     fh.seek(here)
-    return ends + 1
+    return ends + 1, has_cr
 
 
 def _block_lines(
@@ -791,6 +934,176 @@ def parse_measurement_line(raw: str, lineno: int, path=None, *, record: bool = F
     return x, y, serving, los, cells, beams, rsrp
 
 
+class _Span(io.RawIOBase):
+    """Bytes `start` to `stop` of an open file, to its end when `stop` is
+    None, read with pread: the file's own position is left alone."""
+
+    def __init__(self, fd: int, start: int, stop: Optional[int]):
+        self.fd, self.at, self.stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = len(buffer) if self.stop is None else min(len(buffer), self.stop - self.at)
+        data = os.pread(self.fd, n, self.at)
+        buffer[: len(data)] = data
+        self.at += len(data)
+        return len(data)
+
+
+def _span_lines(fd: int, start: int, stop: Optional[int]):
+    """The lines of a _Span, in the text mode load_dataset opens files in."""
+    return io.TextIOWrapper(io.BufferedReader(_Span(fd, start, stop)), encoding="ascii", errors="surrogateescape")
+
+
+def _line_end(fd: int, at: int) -> int:
+    """The byte just past the first "\n" at or after byte `at` of an open
+    file, or -1 when there is none."""
+    while chunk := os.pread(fd, 1 << 16, at):
+        if (i := chunk.find(b"\n")) >= 0:
+            return at + i + 1
+        at += len(chunk)
+    return -1
+
+
+def _cuts(fh, start: int) -> List[int]:
+    """Where the parts of a dataset file whose records begin at byte
+    `start` begin: one part per _part_count of the file's size, each cut
+    just past the first "\n" from an equal byte share on, for a file
+    without "\r" (text mode ends a line there too, which would move the
+    cuts). Read with pread, not mmap: mapped pages would count in the
+    caller's peak RSS."""
+    fd = fh.fileno()
+    size = os.fstat(fd).st_size
+    n = _part_count(size)
+    if n == 1 or size <= start:
+        return [start]
+    shares = (start + (size - start) * k // n for k in range(1, n))
+    return sorted({start, *(end for end in map(partial(_line_end, fd), shares) if 0 < end < size)})
+
+
+def _read_records(lines, lineno: int, parse, path, capacity: int, width: int) -> Tuple[list, List[int]]:
+    """The records of `lines` from line number `lineno` on, as the
+    columns (xs, ys, serving, los, meas_cells, meas_beams, meas_rsrp) and
+    their line numbers. The measurement columns are made at the first
+    record with `capacity` rows, of which those read are filled (width
+    `width` when there is none); the other columns are lists."""
+    xs: List[float] = []
+    ys: List[float] = []
+    serving: List[int] = []
+    los: List[bool] = []
+    meas = _measurement_arrays(0, width)
+    linenos: List[int] = []
+    for lineno, (x, y, sv, lo, mc, mb, mr) in _block_lines(lines, lineno, parse):
+        i = len(xs)
+        if i == 0:
+            meas = _measurement_arrays(capacity, len(mr))
+        elif len(mr) != meas[2].shape[1]:
+            raise DatasetParseError("records disagree on measurement count", path=path, line=lineno, field="meas")
+        if i == capacity:
+            raise DataError(f"dataset {path} grew while it was read")
+        xs.append(x)
+        ys.append(y)
+        serving.append(sv)
+        los.append(lo)
+        for column, values in zip(meas, (mc, mb, mr)):
+            column[i] = values
+        linenos.append(lineno)
+    return [xs, ys, serving, los, *meas], linenos
+
+
+def _measurement_arrays(rows: int, width: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (
+        np.empty((rows, width), dtype=np.int32),
+        np.empty((rows, width), dtype=np.int32),
+        np.empty((rows, width)),
+    )
+
+
+def _dataset(columns: list, fixed: dict) -> Dataset:
+    """The Dataset of _read_records' columns and the header's `fixed`
+    fields: the measurement columns are views of their first rows, one
+    per record (the rows past them were never written, so their pages
+    were never touched)."""
+    n = len(columns[0])
+    return Dataset(
+        np.asarray(columns[0], dtype=np.float64),
+        np.asarray(columns[1], dtype=np.float64),
+        np.asarray(columns[2], dtype=np.int32),
+        np.asarray(columns[3], dtype=bool),
+        *(column[:n] for column in columns[4:]),
+        **fixed,
+    )
+
+
+def _send_part(pipe: int, fd: int, start: int, stop: Optional[int], read, fixed: dict, cell_ids) -> None:
+    """A worker's part of load_dataset: read the lines from byte `start`
+    to `stop` and send down `pipe` the pickled scalar columns and the
+    measurement width, then the bytes of the three measurement columns;
+    nothing when a record breaks a record rule. Its line numbers are
+    not the file's: a fault in the part sends the load back to one
+    process, which names the file's line."""
+    with _span_lines(fd, start, stop) as lines:
+        columns, _ = read(lines)
+    part = _dataset(columns, fixed)
+    with open(pipe, "wb") as out:
+        if _first_bad_record(part, cell_ids) is None:
+            head = pickle.dumps((columns[:4], part.meas_rsrp.shape[1]))
+            out.write(len(head).to_bytes(8, "little"))
+            out.write(head)
+            for column in (part.meas_cells, part.meas_beams, part.meas_rsrp):
+                out.write(column.data)
+
+
+def _read_parts(fd: int, cuts: List[int], read, fixed: dict, cell_ids, capacity: int) -> Optional[list]:
+    """The columns of every record of a file cut at `cuts` (see _cuts),
+    read by this process (the first part) and forked workers (the
+    others). A fault in the first part raises. None, for the caller to
+    read the whole file by one process, when a worker fails or finds a
+    fault, the parts disagree on the measurement count, the records
+    outgrow `capacity`, or any record breaks a record rule."""
+    workers = []
+    try:
+        for start, stop in zip(cuts[1:], [*cuts[2:], None]):
+            r, w = os.pipe()
+            pid = _fork(partial(_send_part, w, fd, start, stop, read, fixed, cell_ids))
+            os.close(w)
+            # buffered, so that a read or readinto waits for all it asks for
+            workers.append((pid, open(r, "rb")))
+        with _span_lines(fd, cuts[0], cuts[1]) as lines:
+            columns, _ = read(lines)
+        if _first_bad_record(_dataset(columns, fixed), cell_ids) is not None:
+            return None
+        n = len(columns[0])
+        for k, (pid, pipe) in enumerate(workers):
+            size = int.from_bytes(pipe.read(8), "little")
+            head = pipe.read(size)
+            if not head or len(head) < size:  # the worker sent nothing, or died
+                return None
+            scalars, width = pickle.loads(head)
+            rows = len(scalars[0])
+            if rows and n == 0:
+                columns[4:] = _measurement_arrays(capacity, width)
+            if rows and width != columns[6].shape[1] or n + rows > capacity:
+                return None
+            received = [column[n : n + rows] for column in columns[4:]]
+            if any(pipe.readinto(block) < block.nbytes for block in received):
+                return None
+            for column, values in zip(columns, scalars):
+                column.extend(values)
+            n += rows
+            ok = _reap(pid)
+            workers[k] = (None, pipe)
+            if not ok:
+                return None
+        return columns
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            _reap(pid, kill=True)
+
+
 def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
     """Read a dataset file back; the round trip is exact. Lines in
     save_dataset's form are parsed BLOCK_LINES at a time by read_block,
@@ -802,6 +1115,13 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
     check save_dataset makes. Raises DataError on a scenario hash
     mismatch when expected_scenario_hash is given; the hash is compared
     right after the header, before any record line is read.
+
+    The records are read in contiguous parts of the file (_cuts), the
+    first by this process and the others by forked workers, which send
+    their columns down pipes into this process's columns (_read_parts).
+    A fault in the first part raises there; after any other, the file is
+    read again by one process, which names the first fault in line
+    order. So columns and errors do not depend on the parts.
     """
     try:
         fh = open(path, "r", encoding="ascii", errors="surrogateescape")
@@ -846,59 +1166,27 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
         # first record, so they are held once; the line count that sizes
         # them is taken only now, so refusing a file costs one line
         try:
-            capacity = _lines_at_most(fh)
+            capacity, has_cr = _lines_at_most(fh)
         except OSError as e:  # a pipe cannot be read twice
             raise DataError(f"cannot count the lines of dataset {path}: {e}") from e
-        xs: List[float] = []
-        ys: List[float] = []
-        serving: List[int] = []
-        los: List[bool] = []
+        parse = partial(parse_measurement_line, path=path, record=True)
         # a file without records keeps the header's measurement count
         width = len(cells) * n_beams
-        meas_cells = np.empty((0, width), dtype=np.int32)
-        meas_beams = np.empty((0, width), dtype=np.int32)
-        meas_rsrp = np.empty((0, width))
-        linenos: List[int] = []
+        read = partial(_read_records, lineno=2, parse=parse, path=path, capacity=capacity, width=width)
+        fixed = dict(cells=cells, n_beams=n_beams, scenario_hash=scenario_hash_value, seed=seed)
+        cell_ids = np.array(sorted(set(cells)), dtype=np.int64)
+        # one part for a file with a "\r": _cuts counts bytes, text mode
+        # lines, which also end at a "\r" and read "\r\n" as one "\n"
+        cuts = [len(header_line)] if has_cr else _cuts(fh, len(header_line))
+        columns = _read_parts(fh.fileno(), cuts, read, fixed, cell_ids, capacity) if len(cuts) > 1 else None
+        if columns is not None:
+            return _dataset(columns, fixed)
+        # one process, also after the parts found a fault: it names the
+        # first one in line order
+        columns, linenos = read(fh)
 
-        parse = partial(parse_measurement_line, path=path, record=True)
-        for lineno, (x, y, sv, lo, mc, mb, mr) in _block_lines(fh, 2, parse):
-            i = len(xs)
-            if i == 0:
-                meas_cells = np.empty((capacity, len(mr)), dtype=np.int32)
-                meas_beams = np.empty((capacity, len(mr)), dtype=np.int32)
-                meas_rsrp = np.empty((capacity, len(mr)))
-            elif len(mr) != meas_rsrp.shape[1]:
-                raise DatasetParseError(
-                    "records disagree on measurement count", path=path, line=lineno, field="meas"
-                )
-            if i == capacity:
-                raise DataError(f"dataset {path} grew while it was read")
-            xs.append(x)
-            ys.append(y)
-            serving.append(sv)
-            los.append(lo)
-            meas_cells[i] = mc
-            meas_beams[i] = mb
-            meas_rsrp[i] = mr
-            linenos.append(lineno)
-
-    n = len(xs)
-    dataset = Dataset(
-        xs=np.asarray(xs, dtype=np.float64),
-        ys=np.asarray(ys, dtype=np.float64),
-        serving=np.asarray(serving, dtype=np.int32),
-        los=np.asarray(los, dtype=bool),
-        # views of the first n rows: the rows past them were never written,
-        # so their pages were never touched
-        meas_cells=meas_cells[:n],
-        meas_beams=meas_beams[:n],
-        meas_rsrp=meas_rsrp[:n],
-        cells=cells,
-        n_beams=n_beams,
-        scenario_hash=scenario_hash_value,
-        seed=seed,
-    )
-    bad = _first_bad_record(dataset, np.array(sorted(set(cells)), dtype=np.int64))
+    dataset = _dataset(columns, fixed)
+    bad = _first_bad_record(dataset, cell_ids)
     if bad is not None:
         row, field, what = bad
         raise DatasetParseError(what, path=path, line=linenos[row], field=field)

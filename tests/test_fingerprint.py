@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import signal
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -345,7 +347,7 @@ def test_load_refuses_on_the_header_before_counting_lines(tmp_path, small_datase
 def test_load_refuses_a_file_that_grew_past_its_line_count(tmp_path, small_dataset, monkeypatch):
     path = tmp_path / "ds.jsonl"
     save_dataset(small_dataset.subset(np.arange(3)), path)
-    monkeypatch.setattr(fingerprint, "_lines_at_most", lambda fh: 2)
+    monkeypatch.setattr(fingerprint, "_lines_at_most", lambda fh: (2, False))
     with pytest.raises(DataError, match="grew while it was read"):
         load_dataset(path)
 
@@ -413,27 +415,49 @@ def test_build_holds_one_copy_of_the_columns():
     assert _overhead_growth(runs) < 0.25
 
 
-def test_load_holds_one_copy_of_the_columns(tmp_path):
-    # each record is written into preallocated columns, so the traced
-    # peak less the output does not grow with the file (it grew by more
-    # than the output's size with a list of rows stacked at the end)
+def _load_overhead_growth(tmp_path):
     runs = []
     for res in (2.0, 1.0):
         path = tmp_path / f"grid{res}.jsonl"
         save_dataset(build_dataset(build_scenario(replace(small_scenario_config(), grid_resolution_m=res))), path)
         runs.append(_traced_overhead(load_dataset, path))
-    assert _overhead_growth(runs) < 0.25
+    return _overhead_growth(runs)
 
 
-def test_save_holds_no_copy_of_the_columns(tmp_path):
-    # save_dataset formats a block of rows at a time, so its traced peak
-    # does not grow with the dataset it writes
+def _save_overhead_growth(tmp_path):
     runs = []
     for res in (2.0, 1.0):
         ds = build_dataset(build_scenario(replace(small_scenario_config(), grid_resolution_m=res)))
         _, peak = _traced_overhead(save_dataset, ds, tmp_path / f"grid{res}.jsonl", held=lambda _: 0)
         runs.append((ds, peak))
-    assert _overhead_growth(runs) < 0.25
+    return _overhead_growth(runs)
+
+
+def test_load_holds_one_copy_of_the_columns(tmp_path):
+    # each record is written into preallocated columns, so the traced
+    # peak less the output does not grow with the file (it grew by more
+    # than the output's size with a list of rows stacked at the end)
+    assert _load_overhead_growth(tmp_path) < 0.25
+
+
+def test_save_holds_no_copy_of_the_columns(tmp_path):
+    # save_dataset formats a block of rows at a time, so its traced peak
+    # does not grow with the dataset it writes
+    assert _save_overhead_growth(tmp_path) < 0.25
+
+
+def test_load_in_two_parts_holds_one_copy_of_the_columns(tmp_path, forced_parts):
+    # a worker's measurement rows are read from its pipe straight into
+    # the rows of the columns, so they too are held once
+    workers = forced_parts(2)
+    assert _load_overhead_growth(tmp_path) < 0.25
+    assert workers == [True] * 4  # two saves and two loads, one worker each
+
+
+def test_save_in_two_parts_holds_no_copy_of_the_columns(tmp_path, forced_parts):
+    workers = forced_parts(2)
+    assert _save_overhead_growth(tmp_path) < 0.25
+    assert workers == [True] * 2
 
 
 def _lines(tmp_path, small_dataset):
@@ -1020,3 +1044,419 @@ def test_save_dataset_coerces_columns_like_json_writer(tmp_path):
     save_dataset(ds, tmp_path / "new.jsonl")
     oracle_save_dataset(ds, tmp_path / "oracle.jsonl")
     assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# save_dataset and load_dataset in parts: forked workers format or parse
+# every contiguous part of the rows or lines but the first
+
+
+@pytest.fixture
+def forced_parts(monkeypatch):
+    """force(k) makes every dataset and file go in k parts (k usable
+    CPUs, no CPU quota, parts of a byte or more), and returns the list
+    of the workers the parent waited for, True for each that exited
+    cleanly."""
+    reaped = []
+    reap = fingerprint._reap
+
+    def logged(pid, kill=False):
+        ok = reap(pid, kill)
+        if not kill:
+            reaped.append(ok)
+        return ok
+
+    def force(k):
+        monkeypatch.setattr(fingerprint, "_PART_BYTES", 1)
+        monkeypatch.setattr(fingerprint, "_CPU_MAX", os.devnull)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+        monkeypatch.setattr(fingerprint, "_reap", logged)
+        return reaped
+
+    return force
+
+
+@pytest.fixture
+def parent_reads(monkeypatch):
+    """The number of times this process ran the record loop: once for a
+    load in parts that needed no second read."""
+    calls = []
+    read = fingerprint._read_records
+
+    def counted(*args, **kwargs):
+        calls.append(os.getpid())
+        return read(*args, **kwargs)
+
+    monkeypatch.setattr(fingerprint, "_read_records", counted)
+    me = os.getpid()
+    return lambda: calls.count(me)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _one_process_error(path, monkeypatch):
+    """load_dataset's error on `path` by one process, as (line, field, message)."""
+    with monkeypatch.context() as m:
+        m.setattr(fingerprint, "_PART_BYTES", 1 << 62)
+        with pytest.raises(DatasetParseError) as e:
+            load_dataset(path)
+    return e.value.line, e.value.field, str(e.value)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "case",
+    [pytest.param(c, marks=radio_kernels_as_pinned) if c in RADIO_KERNEL_BITS else c for c in sorted(GOLDEN_SAVE_SHA256)],
+)
+def test_golden_bytes_and_load_do_not_depend_on_the_part_count(tmp_path, request, forced_parts, parent_reads, case, k):
+    fixture, rows, digest = GOLDEN_SAVE_SHA256[case]
+    ds = request.getfixturevalue(fixture)
+    if rows is not None:
+        ds = ds.subset(np.array(rows, dtype=np.int64) % len(ds))
+    workers = forced_parts(k)
+    save_dataset(ds, tmp_path / "new.jsonl")
+    assert _sha256(tmp_path / "new.jsonl") == digest
+    back = load_dataset(tmp_path / "new.jsonl")
+    assert back == ds
+    assert back.meas_rsrp.view(np.uint64).tolist() == ds.meas_rsrp.view(np.uint64).tolist()
+    assert parent_reads() == 1
+    # a part per CPU, but no more than the rows' blocks of 16 (save) or
+    # the records (load)
+    saved = min(k, -(-len(ds) // fingerprint._CHECK_ROWS)) - 1
+    assert workers == [True] * (max(saved, 0) + min(k, max(len(ds), 1)) - 1)
+    _no_child_left()
+    assert os.listdir(tmp_path) == ["new.jsonl"]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33])
+@pytest.mark.parametrize("name", ["extreme-ids", "many-ties"])
+def test_saves_in_parts_match_json_writer(tmp_path, forced_parts, parent_reads, name, n, k):
+    cells, n_beams, pool = _WRITER_CASES[name]
+    ds = _hand_built(np.random.default_rng(len(cells) * 100 + n_beams), cells, n_beams, n, pool)
+    forced_parts(k)
+    save_dataset(ds, tmp_path / "new.jsonl")
+    oracle_save_dataset(ds, tmp_path / "oracle.jsonl")
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+    back = load_dataset(tmp_path / "new.jsonl")
+    assert back == ds
+    assert back.meas_rsrp.view(np.uint64).tolist() == ds.meas_rsrp.view(np.uint64).tolist()
+    assert parent_reads() == 1
+    _no_child_left()
+
+
+def _in_parts(tmp_path, small_dataset):
+    """A dataset file of small_dataset, with its lines and the byte where
+    each of its parts begins."""
+    path, lines = _lines(tmp_path, small_dataset)
+    with open(path) as fh:
+        fh.readline()
+        return path, lines, fingerprint._cuts(fh, len(lines[0]) + 1)
+
+
+def test_load_with_a_blank_line_at_a_cut(tmp_path, small_dataset, forced_parts, parent_reads, monkeypatch):
+    forced_parts(2)
+    path, lines, cuts = _in_parts(tmp_path, small_dataset)
+    text = path.read_bytes()
+    cut = cuts[1]
+    path.write_bytes(text[:cut] + b"\n" + text[cut:])
+    with open(path) as fh:
+        fh.readline()
+        assert fingerprint._cuts(fh, len(lines[0]) + 1)[1] == cut  # the second part starts with the blank line
+    assert load_dataset(path) == small_dataset
+    assert parent_reads() == 1
+    # a record fault past the blank line names its line, as one process does
+    i = text[:cut].count(b"\n") + 1  # the index in `lines` of the record after the cut
+    lines.insert(i, "")
+    row = json.loads(lines[i + 1])
+    row["serving"] = 99
+    lines[i + 1] = json.dumps(row, separators=(",", ":"), sort_keys=True)
+    _write(path, lines)
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(path)
+    assert (e.value.line, e.value.field, str(e.value)) == _one_process_error(path, monkeypatch)
+    assert e.value.line == i + 2
+    _no_child_left()
+
+
+def test_load_in_parts_of_a_last_line_without_a_line_end(tmp_path, small_dataset, forced_parts, parent_reads):
+    forced_parts(3)
+    path = tmp_path / "ds.jsonl"
+    save_dataset(small_dataset, path)
+    path.write_bytes(path.read_bytes()[:-1])
+    assert load_dataset(path) == small_dataset
+    assert parent_reads() == 1
+
+
+@pytest.mark.parametrize("end", ["crlf", "cr", "last-crlf"])
+def test_load_of_a_file_with_carriage_returns_takes_one_process(tmp_path, small_dataset, forced_parts, monkeypatch, end):
+    # text mode ends a line at "\r" too and reads "\r\n" as one "\n",
+    # which would move the cuts and the line numbers. The line count
+    # finds a "\r" anywhere, here also on the last line only, past its
+    # first chunk
+    path = tmp_path / "ds.jsonl"
+    save_dataset(small_dataset, path)
+    text = path.read_bytes()
+    if end == "last-crlf":
+        path.write_bytes(text[:-1] + b"\r\n")
+    else:
+        path.write_bytes(text.replace(b"\n", b"\r\n" if end == "crlf" else b"\r"))
+    forced_parts(2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert load_dataset(path) == small_dataset
+
+
+def _no_fork():
+    raise AssertionError("forked")
+
+
+def _bad_json(lines, i):
+    lines[i] = lines[i][:-5]
+
+
+def _bad_field(lines, i):
+    row = json.loads(lines[i])
+    row["los"] = 1
+    lines[i] = json.dumps(row)
+
+
+def _record_rule(lines, i):
+    row = json.loads(lines[i])
+    row["meas"][0], row["meas"][1] = row["meas"][1], row["meas"][0]
+    lines[i] = json.dumps(row, separators=(",", ":"), sort_keys=True)
+
+
+def _count_differs(lines, i):
+    row = json.loads(lines[i])
+    row["meas"] = row["meas"][:-1]
+    lines[i] = json.dumps(row, separators=(",", ":"), sort_keys=True)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("where", ["first-part", "last-part", "last-line"])
+@pytest.mark.parametrize("fault", [_bad_json, _bad_field, _record_rule, _count_differs])
+def test_load_in_parts_refuses_with_the_error_of_one_process(
+    tmp_path, small_dataset, forced_parts, monkeypatch, fault, where, k
+):
+    # a fault in this process's part raises there; one in a worker's part
+    # sends the load back to one process, which names the first fault in
+    # line order. A measurement count that differs in the last part
+    # differs across a cut.
+    forced_parts(k)
+    path, lines, cuts = _in_parts(tmp_path, small_dataset)
+    assert len(cuts) == k
+    i = {"first-part": 3, "last-part": len(lines) - 20, "last-line": len(lines) - 1}[where]
+    start = sum(len(line) + 1 for line in lines[:i])  # the byte where line i + 1 begins
+    assert (start < cuts[1]) == (where == "first-part") and (start >= cuts[-1]) == (where != "first-part")
+    fault(lines, i)
+    _write(path, lines)
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(path)
+    assert (e.value.line, e.value.field, str(e.value)) == _one_process_error(path, monkeypatch)
+    assert e.value.line == i + 1
+    _no_child_left()
+
+
+def test_parts_leave_no_process_or_file_behind(tmp_path, small_dataset, forced_parts, monkeypatch):
+    workers = forced_parts(2)
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "ds.jsonl"
+    save_dataset(small_dataset, path)
+    assert workers == [True] and os.listdir(out) == ["ds.jsonl"]
+    _no_child_left()
+    assert load_dataset(path) == small_dataset
+    _no_child_left()
+    # a refused save leaves the file as it was, and starts no worker
+    bad = small_dataset.subset(np.arange(40))
+    bad.meas_cells[30, 5] = 99
+    before = path.read_bytes()
+    with pytest.raises(DataError, match="record 30"):
+        save_dataset(bad, path)
+    assert path.read_bytes() == before and os.listdir(out) == ["ds.jsonl"]
+    _no_child_left()
+    # refusals in this process's part and in a worker's
+    for i in (2, len(before.splitlines()) - 2):
+        lines = before.decode().splitlines()
+        _bad_json(lines, i)
+        _write(tmp_path / "bad.jsonl", lines)
+        with pytest.raises(DatasetParseError):
+            load_dataset(tmp_path / "bad.jsonl")
+        _no_child_left()
+
+
+@pytest.mark.parametrize("exception", [KeyboardInterrupt, MemoryError])
+def test_an_exception_in_this_process_reaps_the_workers(tmp_path, small_dataset, forced_parts, monkeypatch, exception):
+    forced_parts(3)
+    path = tmp_path / "ds.jsonl"
+    save_dataset(small_dataset, path)
+    me = os.getpid()
+    read_block = fingerprint.read_block
+
+    def interrupted(lines):
+        if os.getpid() == me:
+            raise exception()
+        return read_block(lines)
+
+    monkeypatch.setattr(fingerprint, "read_block", interrupted)
+    with pytest.raises(exception):
+        load_dataset(path)
+    _no_child_left()
+
+    def append(out, part):
+        raise exception()
+
+    monkeypatch.setattr(fingerprint, "_append", append)
+    with pytest.raises(exception):
+        save_dataset(small_dataset, tmp_path / "again.jsonl")
+    _no_child_left()
+    assert sorted(os.listdir(tmp_path)) == ["again.jsonl", "ds.jsonl"]
+
+
+@pytest.mark.parametrize("dying", [[True, True], [False, True]], ids=["every", "last"])
+def test_a_worker_that_dies_leaves_the_work_to_this_process(tmp_path, small_dataset, forced_parts, monkeypatch, dying):
+    # with only the last one dead, this process formats its part after
+    # appending the first worker's file
+    workers = forced_parts(3)
+    fork = fingerprint._fork
+    started = []
+
+    def forked(work):
+        dies = dying[len(started) % 2]
+        started.append(dies)
+        return fork(lambda: os._exit(1)) if dies else fork(work)
+
+    monkeypatch.setattr(fingerprint, "_fork", forked)
+    path = tmp_path / "ds.jsonl"
+    save_dataset(small_dataset, path)
+    assert workers == [not dies for dies in dying]
+    oracle_save_dataset(small_dataset, tmp_path / "oracle.jsonl")
+    assert path.read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+    _no_child_left()
+    assert load_dataset(path) == small_dataset
+    _no_child_left()
+    assert sorted(os.listdir(tmp_path)) == ["ds.jsonl", "oracle.jsonl"]
+
+
+@pytest.mark.parametrize("sent", [3, 20, -100], ids=["in-the-size", "in-the-head", "in-the-columns"])
+def test_a_worker_that_dies_while_it_sends_leaves_the_load_to_this_process(
+    tmp_path, small_dataset, forced_parts, parent_reads, monkeypatch, sent
+):
+    path = tmp_path / "ds.jsonl"
+    save_dataset(small_dataset, path)
+    workers = forced_parts(2)
+    send = fingerprint._send_part
+
+    def dies(pipe, *args):  # sends its first bytes only, then dies
+        r, w = os.pipe()
+        with open(r, "rb") as whole:
+            if not os.fork():
+                send(w, *args)
+                os._exit(0)
+            os.close(w)
+            data = whole.read()
+        os.wait()
+        os.write(pipe, data[:sent])
+        os._exit(1)
+
+    monkeypatch.setattr(fingerprint, "_send_part", dies)
+    assert load_dataset(path) == small_dataset
+    assert parent_reads() == 2  # its part, then the whole file
+    assert workers == []  # the parent stopped reading before it waited for the worker
+    _no_child_left()
+
+
+def _thread_alive():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    return lambda: (stop.set(), thread.join())
+
+
+@pytest.mark.parametrize("condition", ["no-fork", "one-cpu", "thread-alive", "small"])
+def test_one_process_conditions(tmp_path, small_dataset, forced_parts, monkeypatch, condition):
+    forced_parts(2)
+    stop = None
+    if condition == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", _no_fork)
+    if condition == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    elif condition == "thread-alive":
+        stop = _thread_alive()
+    elif condition == "small":  # just short of two parts: the dataset's columns, then the file
+        monkeypatch.setattr(fingerprint, "_PART_BYTES", _column_bytes(small_dataset) // 2 + 1)
+    try:
+        save_dataset(small_dataset, tmp_path / "new.jsonl")
+        if condition == "small":
+            monkeypatch.setattr(fingerprint, "_PART_BYTES", (tmp_path / "new.jsonl").stat().st_size // 2 + 1)
+        assert load_dataset(tmp_path / "new.jsonl") == small_dataset
+    finally:
+        if stop is not None:
+            stop()
+    oracle_save_dataset(small_dataset, tmp_path / "oracle.jsonl")
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+
+
+def test_parts_without_sched_getaffinity_count_the_cpus(forced_parts, monkeypatch):
+    forced_parts(1)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert fingerprint._part_count(1 << 20) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert fingerprint._part_count(1 << 20) == 1
+
+
+def test_parts_stay_at_least_a_part_floor_large(forced_parts, monkeypatch):
+    # the floor holds for each part: more CPUs add parts only while
+    # every part stays _PART_BYTES or more
+    forced_parts(4)
+    monkeypatch.setattr(fingerprint, "_PART_BYTES", 10)
+    assert [fingerprint._part_count(size) for size in (0, 19, 20, 29, 30, 39, 40, 10**9)] == [1, 1, 2, 2, 3, 3, 4, 4]
+
+
+@pytest.mark.parametrize(
+    "cpu_max, parts", [("max 100000\n", 4), ("150000 100000\n", 2), ("50000 100000\n", 1), ("800000 100000\n", 4)]
+)
+def test_parts_keep_to_a_cgroup_cpu_quota(tmp_path, forced_parts, monkeypatch, cpu_max, parts):
+    # affinity counts the CPUs a process may run on, a quota the CPUs'
+    # worth of time it may use; a part is made per CPU of the smaller
+    forced_parts(4)
+    (tmp_path / "cpu.max").write_text(cpu_max)
+    monkeypatch.setattr(fingerprint, "_CPU_MAX", str(tmp_path / "cpu.max"))
+    assert fingerprint._part_count(1 << 20) == parts
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_in_parts_refuses_a_pipe(tmp_path, small_dataset, forced_parts, monkeypatch):
+    forced_parts(2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    path = tmp_path / "ds.jsonl"
+    save_dataset(small_dataset.subset(np.arange(3)), path)
+    read_end, write_end = os.pipe()
+    try:
+        with os.fdopen(write_end, "wb") as w:
+            w.write(path.read_bytes())  # well under a pipe's buffer
+        with pytest.raises(DataError, match="cannot count the lines"):
+            load_dataset(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+
+
+def test_parts_where_the_caller_ignores_sigchld(tmp_path, small_dataset, forced_parts, monkeypatch):
+    # the kernel then reaps the workers itself and their status is lost:
+    # this process formats every part, and reads the file again
+    forced_parts(2)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        save_dataset(small_dataset, tmp_path / "new.jsonl")
+        assert load_dataset(tmp_path / "new.jsonl") == small_dataset
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    oracle_save_dataset(small_dataset, tmp_path / "oracle.jsonl")
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+    _no_child_left()
