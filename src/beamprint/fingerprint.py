@@ -13,13 +13,13 @@ from __future__ import annotations
 import io
 import json
 import os
-import pickle
 import re
 import shutil
 import signal
 import sys
 import tempfile
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import chain, islice
@@ -95,6 +95,13 @@ _RECORD_COLUMNS = ("xs", "ys", "serving", "los", "meas_cells", "meas_beams", "me
 _NO_LOS = "line-of-sight filter removed every record"
 
 
+def _empty_columns(rows: int, width: int) -> List[np.ndarray]:
+    """Unfilled record columns, in _RECORD_COLUMNS' order and types, for
+    `rows` records of `width` measurements each."""
+    scalars = [np.empty(rows, dtype=t) for t in (np.float64, np.float64, np.int32, bool)]
+    return scalars + [np.empty((rows, width), dtype=t) for t in (np.int32, np.int32, np.float64)]
+
+
 def sweep_blocks(scenario: Scenario, seed: int, *, los_only: bool = False) -> Iterator[tuple]:
     """Sweep the grid _BUILD_ROWS locations at a time, yielding each
     block's records as the columns (x, y, serving, los, cells, beams,
@@ -164,17 +171,7 @@ def build_dataset(scenario: Scenario, seed: Optional[int] = None) -> Dataset:
     """
     if seed is None:
         seed = scenario.config.rng_seed
-    n = len(grid_xy(scenario))
-    m = len(scenario.cell_ids) * len(scenario.codebook.beams)
-    columns = (
-        np.empty(n),
-        np.empty(n),
-        np.empty(n, dtype=np.int32),
-        np.empty(n, dtype=bool),
-        np.empty((n, m), dtype=np.int32),
-        np.empty((n, m), dtype=np.int32),
-        np.empty((n, m)),
-    )
+    columns = _empty_columns(len(grid_xy(scenario)), len(scenario.cell_ids) * len(scenario.codebook.beams))
     k = 0
     for block in sweep_blocks(scenario, seed):
         rows = slice(k, k + len(block[0]))
@@ -615,11 +612,12 @@ _DECIMAL_LIMIT = np.uint64(1 << 53)
 
 
 class Block(NamedTuple):
-    """The lines of a block that read_block parsed, as columns: `rows`
-    are their positions in the block, the others one entry (or row of
-    measurements) per line, typed as the per-line path types them."""
+    """Parsed lines as columns: `rows` are their positions in the block
+    (read_block's) or their line numbers (_block_lines'), the others one
+    entry (or row of measurements) per line, typed as the per-line path
+    types them."""
 
-    rows: List[int]
+    rows: Sequence[int]
     xs: np.ndarray
     ys: np.ndarray
     serving: np.ndarray
@@ -627,6 +625,10 @@ class Block(NamedTuple):
     cells: np.ndarray
     beams: np.ndarray
     rsrp: np.ndarray
+
+    def take(self, rows: slice) -> "Block":
+        """The lines `rows` of every column."""
+        return self._make(column[rows] for column in self)
 
 
 def _json_ints(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> Optional[np.ndarray]:
@@ -869,31 +871,42 @@ def _lines_at_most(fh) -> Tuple[int, bool]:
 
 def _block_lines(
     fh, lineno: int, parse: Callable[[str, int], Optional[tuple]], accept: Optional[Callable[[Block], bool]] = None
-) -> Iterator[Tuple[int, tuple]]:
-    """(line number, columns) for each line of an open file from
-    `lineno` on, read BLOCK_LINES at a time, blank lines skipped. The
-    columns are (x, y, serving, los, cells, beams, rsrp): read_block's
-    where it parsed the line and its block passes `accept`, else
-    `parse(line, line number)`'s; a line it gives None for is skipped."""
-    while block := list(islice(fh, BLOCK_LINES)):
-        parsed = read_block(block)
-        if parsed is None or accept is not None and not accept(parsed):
-            rows = {}
-        else:
-            scalars = (parsed.xs.tolist(), parsed.ys.tolist(), parsed.serving.tolist(), parsed.los.tolist())
-            rows = dict(zip(parsed.rows, zip(*scalars, parsed.cells, parsed.beams, parsed.rsrp)))
-        for offset, raw in enumerate(block):
-            columns = rows.get(offset)
-            if columns is None and raw.strip():
-                columns = parse(raw, lineno + offset)
+) -> Iterator[Block]:
+    """The lines of an open file from line number `lineno` on, read
+    BLOCK_LINES at a time, as Blocks in line order whose `rows` are line
+    numbers; blank lines are skipped. A block read_block parsed and
+    `accept` passes comes out whole, or in runs split at the lines it did
+    not parse. Each of those is parsed once, by `parse(line, line
+    number)`, after the rows before it have come out, and its columns
+    (x, y, serving, los, cells, beams, rsrp), unless None, come out as a
+    one-row Block typed as read_block's."""
+    while lines := list(islice(fh, BLOCK_LINES)):
+        block = read_block(lines)
+        rows = block.rows if block is not None and (accept is None or accept(block)) else []
+        if rows:
+            block = block._replace(rows=np.add(rows, lineno))
+        done = 0  # the block's rows that have come out
+        for offset, raw in enumerate(lines):
+            stop = bisect_left(rows, offset)  # the block's rows before this line
+            if stop < len(rows) and rows[stop] == offset or not raw.strip():
+                continue
+            if stop > done:
+                yield block.take(np.s_[done:stop])
+                done = stop
+            columns = parse(raw, lineno + offset)
             if columns is not None:
-                yield lineno + offset, columns
-        lineno += len(block)
+                x, y, serving, los, *meas = columns
+                scalars = (np.array([x]), np.array([y]), np.array([serving], dtype=np.int32), np.array([los]))
+                yield Block(np.array([lineno + offset]), *scalars, *(column[None] for column in meas))
+        if done < len(rows):
+            yield block.take(np.s_[done:])
+        lineno += len(lines)
 
 
 def parse_measurement_line(raw: str, lineno: int, path=None, *, record: bool = False) -> Optional[tuple]:
     """One line of a dataset or measurement file, by the per-line path,
-    as the columns _block_lines gives. A DatasetParseError names its
+    as the columns (x, y, serving, los, cells, beams, rsrp) of one row of
+    a Block of _block_lines. A DatasetParseError names its
     first fault; fields are checked in the order x, y, serving, los,
     meas, and a field that is present is always checked.
 
@@ -983,121 +996,86 @@ def _cuts(fh, start: int) -> List[int]:
     return sorted({start, *(end for end in map(partial(_line_end, fd), shares) if 0 < end < size)})
 
 
-def _read_records(lines, lineno: int, parse, path, capacity: int, width: int) -> Tuple[list, List[int]]:
+def _read_records(lines, lineno: int, parse, path, capacity: int, width: int) -> Tuple[List[np.ndarray], np.ndarray]:
     """The records of `lines` from line number `lineno` on, as the
-    columns (xs, ys, serving, los, meas_cells, meas_beams, meas_rsrp) and
-    their line numbers. The measurement columns are made at the first
-    record with `capacity` rows, of which those read are filled (width
-    `width` when there is none); the other columns are lists."""
-    xs: List[float] = []
-    ys: List[float] = []
-    serving: List[int] = []
-    los: List[bool] = []
-    meas = _measurement_arrays(0, width)
-    linenos: List[int] = []
-    for lineno, (x, y, sv, lo, mc, mb, mr) in _block_lines(lines, lineno, parse):
-        i = len(xs)
-        if i == 0:
-            meas = _measurement_arrays(capacity, len(mr))
-        elif len(mr) != meas[2].shape[1]:
-            raise DatasetParseError("records disagree on measurement count", path=path, line=lineno, field="meas")
-        if i == capacity:
+    columns of _RECORD_COLUMNS, and their line numbers. The columns are
+    made at the first record with `capacity` rows (with none, and width
+    `width`, when there is no record), and each block of _block_lines is
+    written into the next of their rows. Only the first len(line
+    numbers) rows are filled: the pages past them are never touched."""
+    columns = _empty_columns(0, width)
+    linenos = np.empty(capacity, dtype=np.int64)
+    n = 0
+    for block in _block_lines(lines, lineno, parse):
+        if n == 0:
+            columns = _empty_columns(capacity, block.rsrp.shape[1])
+        elif block.rsrp.shape[1] != columns[6].shape[1]:
+            line = int(block.rows[0])
+            raise DatasetParseError("records disagree on measurement count", path=path, line=line, field="meas")
+        rows = slice(n, n + len(block.rows))
+        if rows.stop > capacity:
             raise DataError(f"dataset {path} grew while it was read")
-        xs.append(x)
-        ys.append(y)
-        serving.append(sv)
-        los.append(lo)
-        for column, values in zip(meas, (mc, mb, mr)):
-            column[i] = values
-        linenos.append(lineno)
-    return [xs, ys, serving, los, *meas], linenos
-
-
-def _measurement_arrays(rows: int, width: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (
-        np.empty((rows, width), dtype=np.int32),
-        np.empty((rows, width), dtype=np.int32),
-        np.empty((rows, width)),
-    )
-
-
-def _dataset(columns: list, fixed: dict) -> Dataset:
-    """The Dataset of _read_records' columns and the header's `fixed`
-    fields: the measurement columns are views of their first rows, one
-    per record (the rows past them were never written, so their pages
-    were never touched)."""
-    n = len(columns[0])
-    return Dataset(
-        np.asarray(columns[0], dtype=np.float64),
-        np.asarray(columns[1], dtype=np.float64),
-        np.asarray(columns[2], dtype=np.int32),
-        np.asarray(columns[3], dtype=bool),
-        *(column[:n] for column in columns[4:]),
-        **fixed,
-    )
+        for column, values in zip([linenos, *columns], block):
+            column[rows] = values
+        n = rows.stop
+    return columns, linenos[:n]
 
 
 def _send_part(pipe: int, fd: int, start: int, stop: Optional[int], read, fixed: dict, cell_ids) -> None:
     """A worker's part of load_dataset: read the lines from byte `start`
-    to `stop` and send down `pipe` the pickled scalar columns and the
-    measurement width, then the bytes of the three measurement columns;
-    nothing when a record breaks a record rule. Its line numbers are
-    not the file's: a fault in the part sends the load back to one
-    process, which names the file's line."""
+    to `stop` and send down `pipe` its (records, measurement width) as
+    two int64, then the raw bytes of the seven record columns, in
+    _RECORD_COLUMNS' order; nothing when a record breaks a record rule.
+    Its line numbers are not the file's: a fault in the part sends the
+    load back to one process, which names the file's line."""
     with _span_lines(fd, start, stop) as lines:
-        columns, _ = read(lines)
-    part = _dataset(columns, fixed)
+        columns, linenos = read(lines)
+    part = Dataset(*(column[: len(linenos)] for column in columns), **fixed)
     with open(pipe, "wb") as out:
         if _first_bad_record(part, cell_ids) is None:
-            head = pickle.dumps((columns[:4], part.meas_rsrp.shape[1]))
-            out.write(len(head).to_bytes(8, "little"))
-            out.write(head)
-            for column in (part.meas_cells, part.meas_beams, part.meas_rsrp):
-                out.write(column.data)
+            out.write(np.array(part.meas_rsrp.shape, dtype=np.int64).data)
+            for name in _RECORD_COLUMNS:
+                out.write(getattr(part, name).data)
 
 
-def _read_parts(fd: int, cuts: List[int], read, fixed: dict, cell_ids, capacity: int) -> Optional[list]:
+def _read_parts(fd: int, cuts: List[int], read, fixed: dict, cell_ids, capacity: int) -> Optional[List[np.ndarray]]:
     """The columns of every record of a file cut at `cuts` (see _cuts),
     read by this process (the first part) and forked workers (the
-    others). A fault in the first part raises. None, for the caller to
-    read the whole file by one process, when a worker fails or finds a
-    fault, the parts disagree on the measurement count, the records
-    outgrow `capacity`, or any record breaks a record rule."""
+    others), whose parts are read from their pipes into the rows after
+    the parts before. A fault in the first part raises. None, for the
+    caller to read the whole file by one process, when a worker fails or
+    finds a fault, the parts disagree on the measurement count, the
+    records outgrow `capacity`, or any record breaks a record rule."""
     workers = []
     try:
         for start, stop in zip(cuts[1:], [*cuts[2:], None]):
             r, w = os.pipe()
             pid = _fork(partial(_send_part, w, fd, start, stop, read, fixed, cell_ids))
             os.close(w)
-            # buffered, so that a read or readinto waits for all it asks for
+            # buffered, so that a readinto waits for all it asks for
             workers.append((pid, open(r, "rb")))
         with _span_lines(fd, cuts[0], cuts[1]) as lines:
-            columns, _ = read(lines)
-        if _first_bad_record(_dataset(columns, fixed), cell_ids) is not None:
+            columns, linenos = read(lines)
+        n = len(linenos)
+        if _first_bad_record(Dataset(*(column[:n] for column in columns), **fixed), cell_ids) is not None:
             return None
-        n = len(columns[0])
+        head = np.empty(2, dtype=np.int64)  # a part's records and measurement width
         for k, (pid, pipe) in enumerate(workers):
-            size = int.from_bytes(pipe.read(8), "little")
-            head = pipe.read(size)
-            if not head or len(head) < size:  # the worker sent nothing, or died
+            if pipe.readinto(head) < head.nbytes:  # the worker sent nothing, or died
                 return None
-            scalars, width = pickle.loads(head)
-            rows = len(scalars[0])
+            rows, width = head.tolist()
             if rows and n == 0:
-                columns[4:] = _measurement_arrays(capacity, width)
+                columns = _empty_columns(capacity, width)
             if rows and width != columns[6].shape[1] or n + rows > capacity:
                 return None
-            received = [column[n : n + rows] for column in columns[4:]]
-            if any(pipe.readinto(block) < block.nbytes for block in received):
+            if any(pipe.readinto(part) < part.nbytes for part in (column[n : n + rows] for column in columns)):
                 return None
-            for column, values in zip(columns, scalars):
-                column.extend(values)
             n += rows
             ok = _reap(pid)
             workers[k] = (None, pipe)
             if not ok:
                 return None
-        return columns
+        return [column[:n] for column in columns]
     finally:
         for pid, pipe in workers:
             pipe.close()
@@ -1118,7 +1096,8 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
 
     The records are read in contiguous parts of the file (_cuts), the
     first by this process and the others by forked workers, which send
-    their columns down pipes into this process's columns (_read_parts).
+    a (records, width) head and their seven raw columns down pipes into
+    this process's columns (_read_parts).
     A fault in the first part raises there; after any other, the file is
     read again by one process, which names the first fault in line
     order. So columns and errors do not depend on the parts.
@@ -1180,14 +1159,14 @@ def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:
         cuts = [len(header_line)] if has_cr else _cuts(fh, len(header_line))
         columns = _read_parts(fh.fileno(), cuts, read, fixed, cell_ids, capacity) if len(cuts) > 1 else None
         if columns is not None:
-            return _dataset(columns, fixed)
+            return Dataset(*columns, **fixed)
         # one process, also after the parts found a fault: it names the
         # first one in line order
         columns, linenos = read(fh)
 
-    dataset = _dataset(columns, fixed)
+    dataset = Dataset(*(column[: len(linenos)] for column in columns), **fixed)
     bad = _first_bad_record(dataset, cell_ids)
     if bad is not None:
         row, field, what = bad
-        raise DatasetParseError(what, path=path, line=linenos[row], field=field)
+        raise DatasetParseError(what, path=path, line=int(linenos[row]), field=field)
     return dataset

@@ -13,10 +13,10 @@ import hashlib
 import json
 import logging
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union, get_type_hints
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union, get_type_hints
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .features import (
     shortfall,
 )
 from .fingerprint import (
+    Block,
     Dataset,
     _block_lines,
     _servable,
@@ -643,59 +644,70 @@ def infer_record(
     return float(pred[0]), float(pred[1])
 
 
-def _predict_reports(bundle: ModelBundle, reports: Sequence[tuple], linenos: Sequence[int], in_path) -> np.ndarray:
-    """Positions for parsed reports: their columns stacked (NaN-padded to
-    the longest), extracted in one kernel call and predicted in one
-    batch. The first report, in line order, that cannot fill the feature
-    config or has an id outside its one-hot vocabulary, else the first
-    whose prediction is not finite, is a DatasetParseError naming its
-    line."""
-    n, m = len(reports), max(len(r[6]) for r in reports)
-    # int32, as parsed reports and dataset columns hold ids
-    cells = np.zeros((n, m), dtype=np.int32)
-    beams = np.zeros((n, m), dtype=np.int32)
-    rsrp = np.full((n, m), np.nan)
-    for i, (_, _, _, _, c, b, r) in enumerate(reports):
-        cells[i, : len(r)] = c
-        beams[i, : len(r)] = b
-        rsrp[i, : len(r)] = r
-    serving = np.array([r[2] for r in reports], dtype=np.int32)
+def _predict_reports(bundle: ModelBundle, chunk: Block, in_path) -> np.ndarray:
+    """Positions for a chunk of reports stacked by _stack, extracted in
+    one kernel call and predicted in one batch. The first report, in
+    line order, that cannot fill the feature config or has an id outside
+    its one-hot vocabulary, else the first whose prediction is not
+    finite, is a DatasetParseError naming its line."""
+    columns = chunk.serving, chunk.cells, chunk.beams, chunk.rsrp
     config = bundle.feature_config
     try:
-        values, kept, _, _ = extract(serving, cells, beams, rsrp, config)
+        values, kept, _, _ = extract(*columns, config)
     except ConfigurationError:
         kept = ()  # an id outside the one-hot vocabulary
-    if len(kept) < n:  # rare: find the first bad report, a report at a time
-        for i, lineno in enumerate(linenos):
-            one = slice(i, i + 1)
+    if len(kept) < len(chunk.rows):  # rare: the first bad report ends the longest prefix that extracts
+
+        def fails(i: int) -> bool:
             try:
-                _, ok, n_serving, n_neighbors = extract(serving[one], cells[one], beams[one], rsrp[one], config)
-            except ConfigurationError as e:
-                raise DatasetParseError(str(e), path=in_path, line=lineno, field="meas") from None
-            if not len(ok):
-                why = shortfall(config, n_serving[0], n_neighbors[0])
-                raise DatasetParseError(str(why), path=in_path, line=lineno)
+                return len(extract(*(column[: i + 1] for column in columns), config)[1]) <= i
+            except ConfigurationError:
+                return True
+
+        i = bisect_left(range(len(chunk.rows)), True, key=fails)
+        line = int(chunk.rows[i])
+        try:
+            _, _, n_serving, n_neighbors = extract(*(column[i : i + 1] for column in columns), config)
+        except ConfigurationError as e:
+            raise DatasetParseError(str(e), path=in_path, line=line, field="meas") from None
+        raise DatasetParseError(str(shortfall(config, n_serving[0], n_neighbors[0])), path=in_path, line=line)
     pred = bundle.predict(values)
     overflow = ~np.isfinite(pred).all(axis=1)
     if overflow.any():
-        raise DatasetParseError("prediction is not finite", path=in_path, line=linenos[np.argmax(overflow)])
+        raise DatasetParseError("prediction is not finite", path=in_path, line=int(chunk.rows[np.argmax(overflow)]))
     return pred
 
 
-def _reports(fh, path):
-    """(line number, columns) for each measurement report in an open
-    file: a block the block reader parses is kept when it is servable,
-    the other lines go to parse_measurement_line, looked up here at each
-    call; both give the same columns."""
+def _stack(parts: List[Block]) -> Block:
+    """The reports of `parts` as one Block, measurement columns padded
+    to the widest with cell and beam 0 and a NaN rsrp, which extract
+    reads as not measured."""
+    n, width = sum(len(part.rows) for part in parts), max(part.rsrp.shape[1] for part in parts)
+    # int32, as parsed reports and dataset columns hold ids
+    meas = np.zeros((n, width), dtype=np.int32), np.zeros((n, width), dtype=np.int32), np.full((n, width), np.nan)
+    start = 0
+    for part in parts:
+        for column, values in zip(meas, part[5:]):
+            column[start : start + len(values), : values.shape[1]] = values
+        start += len(part.rows)
+    return Block(*(np.concatenate(column) for column in list(zip(*parts))[:5]), *meas)
+
+
+def _reports(fh, path) -> Iterator[Block]:
+    """The measurement reports of an open file, as Blocks of line
+    numbers and columns: a block the block reader parses is kept when it
+    is servable, the other lines go to parse_measurement_line, looked up
+    here at each call; both give the same columns."""
     return _block_lines(fh, 1, lambda raw, lineno: parse_measurement_line(raw, lineno, path), _servable)
 
 
 def infer_file(bundle: ModelBundle, in_path, out_path=None) -> List[dict]:
     """Predict for every record in a line-delimited measurement file.
 
-    Reports are parsed _INFER_REPORTS at a time (lines in save_dataset's
-    form by the block reader), then predicted by _predict_reports, so
-    memory holds one chunk of reports besides the predictions. A bad
+    The Blocks of _reports are stacked into chunks of _INFER_REPORTS
+    reports (a block that straddles a chunk's end is sliced there), each
+    predicted by _predict_reports before the lines after it are parsed,
+    so memory holds one chunk of reports besides the predictions. A bad
     line anywhere fails the file before any output is written. Within a
     chunk, a line that does not parse is reported before one that
     cannot fill the feature config or has an id outside its one-hot
@@ -707,10 +719,17 @@ def infer_file(bundle: ModelBundle, in_path, out_path=None) -> List[dict]:
     except OSError as e:
         raise DataError(f"cannot read measurement file {in_path}: {e}") from e
     with fh:
-        reports = _reports(fh, in_path)
-        while chunk := list(islice(reports, _INFER_REPORTS)):
-            linenos, parsed = zip(*chunk)
-            pred.extend(_predict_reports(bundle, parsed, linenos, in_path).tolist())
+        parts, n = [], 0
+        for block in _reports(fh, in_path):
+            while n + len(block.rows) >= _INFER_REPORTS:  # the block fills the chunk
+                cut = _INFER_REPORTS - n
+                pred.extend(_predict_reports(bundle, _stack([*parts, block.take(np.s_[:cut])]), in_path).tolist())
+                parts, n, block = [], 0, block.take(np.s_[cut:])
+            if len(block.rows):
+                parts.append(block)
+                n += len(block.rows)
+        if parts:
+            pred.extend(_predict_reports(bundle, _stack(parts), in_path).tolist())
     results = [{"x_pred": x, "y_pred": y} for x, y in pred]
     if out_path is not None:
         with open(out_path, "w", encoding="ascii") as fh:

@@ -4,7 +4,9 @@ against the per-line path (`_decode_line`, the field checks and
 same bits, and a measurement file infers to the same records, or both
 fail with the same error, line and field."""
 
+import hashlib
 import json
+import os
 import re
 
 import numpy as np
@@ -77,12 +79,15 @@ def _load(path):
 
 
 def _reports(path):
+    """infer's reports, a row of its Blocks at a time: where the blocks
+    split does not matter, only the rows they give."""
     try:
         with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-            return [
-                (lineno, *r[:4], *map(_bits, r[4:]))
-                for lineno, r in pipeline._reports(fh, path)
-            ]
+            reports = []
+            for block in pipeline._reports(fh, path):
+                for j, scalars in enumerate(zip(*(column.tolist() for column in block[:5]))):
+                    reports.append((*scalars, *(_bits(column[j]) for column in block[5:])))
+            return reports
     except DataError as e:
         return _error(e)
 
@@ -367,6 +372,51 @@ def test_infer_on_a_saved_dataset_parses_only_the_header_line_alone(tmp_path, sm
     assert infer_file(bundle, path) == per_line
     assert len(per_line) == len(small_dataset)
     assert parsed == [1]
+
+
+def test_a_block_mixing_both_paths_parses_each_line_once(tmp_path, small_dataset, monkeypatch):
+    # every 5th line re-dumped with json's default separators (spaces):
+    # each block of both readers' alignments (load from line 2, infer from
+    # line 1) holds lines of both paths, and only the spaced ones and the
+    # header are decoded, once each. The decoded lines' digests are
+    # appended to a file, so that a load in parts counts its workers' too
+    # (whose line numbers start at their part)
+    fc = FeatureConfig()
+    bundle = train_model(
+        extract_features(los_filter(small_dataset), fc), ModelSpec(MODEL_TREE, tree_config=TreeConfig(max_depth=6)), fc
+    )
+    path = tmp_path / "ds.jsonl"
+    save_dataset(small_dataset, path)
+    want = infer_file(bundle, path)
+    lines = path.read_text().splitlines()
+    spaced = list(range(5, len(lines) + 1, 5))
+    for lineno in spaced:
+        lines[lineno - 1] = json.dumps(json.loads(lines[lineno - 1]))
+    _write(path, lines)
+    assert_both_paths_agree(path)
+    log = tmp_path / "decoded"
+    decode = fingerprint._decode_line
+
+    def digest(raw):
+        return hashlib.sha256(raw.rstrip("\n").encode("ascii", errors="surrogateescape")).hexdigest()
+
+    def logged(raw, p, line):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, f"{digest(raw)}\n".encode())
+        os.close(fd)
+        return decode(raw, p, line)
+
+    def decoded():
+        digests = sorted(log.read_text().split())
+        log.unlink()
+        return digests
+
+    monkeypatch.setattr(fingerprint, "_decode_line", logged)
+    want_decoded = sorted(digest(lines[lineno - 1]) for lineno in [1, *spaced])
+    assert load_dataset(path) == small_dataset
+    assert decoded() == want_decoded
+    assert infer_file(bundle, path) == want
+    assert decoded() == want_decoded
 
 
 @pytest.mark.parametrize(

@@ -662,6 +662,27 @@ def test_infer_names_the_first_line_with_an_id_outside_the_one_hot_vocabulary(
     assert not (tmp_path / "p.jsonl").exists()
 
 
+@pytest.mark.parametrize("first, second", [(_SHORT, _BAD_ID), (_BAD_ID, _SHORT)], ids=["short-first", "bad-id-first"])
+@pytest.mark.parametrize("at", [0, 1, 511, 700, 1022, 1023])
+def test_infer_names_the_first_bad_line_anywhere_in_a_full_chunk(ws, one_hot_tree, tmp_path, capsys, first, second, at):
+    # a chunk of 1,024 reports whose first bad one is found among the
+    # prefixes of the chunk: the later bad line, of the other kind, is
+    # not the one named, nor is one in the next chunk
+    good = ws.dataset.read_text(encoding="ascii").splitlines()[1]
+    lines = [good] * 1100
+    lines[at] = first
+    for later in {(at + 1024) // 2, 1050} - {at}:
+        lines[later] = second
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="ascii")
+    rc = main(["infer", "--model", str(one_hot_tree), "--input", str(bad), "--out", str(tmp_path / "p.jsonl")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    message = "beam id 40 outside one-hot vocabulary" if first == _BAD_ID else "record has 1 serving-cell measurements"
+    assert message in err and re.search(rf"line {at + 1}\b", err)
+    assert not (tmp_path / "p.jsonl").exists()
+
+
 def test_train_with_a_one_hot_vocabulary_too_small_exits_1(ws, tmp_path, capsys):
     features = tmp_path / "one_hot.json"
     fc = {"serving_beams": 2, "one_hot_ids": True, "cell_id_vocab": 1, "beam_id_vocab": 8}

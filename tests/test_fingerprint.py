@@ -1341,9 +1341,23 @@ def test_a_worker_that_dies_leaves_the_work_to_this_process(tmp_path, small_data
     assert sorted(os.listdir(tmp_path)) == ["ds.jsonl", "oracle.jsonl"]
 
 
-@pytest.mark.parametrize("sent", [3, 20, -100], ids=["in-the-size", "in-the-head", "in-the-columns"])
+# a worker sends its part's (records, measurement width) as two int64,
+# then the raw bytes of the record columns, the float64 xs first and the
+# float64 meas_rsrp last
+_HEAD_BYTES = 2 * np.dtype(np.int64).itemsize
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [
+        lambda rows, width, size: _HEAD_BYTES // 2,
+        lambda rows, width, size: _HEAD_BYTES + rows * 8 // 2,
+        lambda rows, width, size: size - rows * width * 8 // 2,
+    ],
+    ids=["in-the-head", "in-the-first-column", "in-the-last-column"],
+)
 def test_a_worker_that_dies_while_it_sends_leaves_the_load_to_this_process(
-    tmp_path, small_dataset, forced_parts, parent_reads, monkeypatch, sent
+    tmp_path, small_dataset, forced_parts, parent_reads, monkeypatch, cut
 ):
     path = tmp_path / "ds.jsonl"
     save_dataset(small_dataset, path)
@@ -1359,13 +1373,35 @@ def test_a_worker_that_dies_while_it_sends_leaves_the_load_to_this_process(
             os.close(w)
             data = whole.read()
         os.wait()
-        os.write(pipe, data[:sent])
+        rows, width = np.frombuffer(data[:_HEAD_BYTES], dtype=np.int64).tolist()
+        assert rows > 0 and len(data) == _HEAD_BYTES + rows * (8 + 8 + 4 + 1) + rows * width * (4 + 4 + 8)
+        os.write(pipe, data[: cut(rows, width, len(data))])
         os._exit(1)
 
     monkeypatch.setattr(fingerprint, "_send_part", dies)
     assert load_dataset(path) == small_dataset
     assert parent_reads() == 2  # its part, then the whole file
     assert workers == []  # the parent stopped reading before it waited for the worker
+    _no_child_left()
+
+
+def test_load_in_parts_whose_first_part_holds_no_record(tmp_path, small_dataset, forced_parts, parent_reads):
+    # blank lines past the first cut: this process reads no record, and
+    # makes its columns at the worker's measurement width
+    path = tmp_path / "ds.jsonl"
+    save_dataset(small_dataset, path)
+    header, records = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b"\n" + b"\n" * (len(records) + 100) + records)
+    workers = forced_parts(2)
+    with open(path) as fh:
+        fh.readline()
+        cuts = fingerprint._cuts(fh, len(header) + 1)
+    assert len(cuts) == 2 and path.read_bytes()[cuts[0] : cuts[1]].strip() == b""
+    back = load_dataset(path)
+    assert back == small_dataset
+    assert back.meas_rsrp.view(np.uint64).tolist() == small_dataset.meas_rsrp.view(np.uint64).tolist()
+    assert parent_reads() == 1
+    assert workers == [True]
     _no_child_left()
 
 
