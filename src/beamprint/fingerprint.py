@@ -15,10 +15,8 @@ import json
 import os
 import re
 import shutil
-import signal
 import sys
 import tempfile
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -27,6 +25,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
+from . import procs
 from .errors import DataError, DatasetParseError
 # beam_gain_db, path_loss_db, sector_frame_offsets and shadowing_db stay
 # importable from here: perfbench's layer table wraps them in this module
@@ -216,84 +215,6 @@ def partition_by_cell(dataset: Dataset) -> Dict[int, Dataset]:
 # Persistence: line-delimited JSON, header first
 
 
-# a part of a file (load) or of a dataset's record columns (save) is
-# never smaller than this. Timed on 2 CPUs of a shared host, one part
-# against two, best of 7 per size in several runs: a worker's fixed
-# costs (fork, pipe or append, exit) are about 5 ms. Loads of 1.5 to
-# 4.6 MB files were slower in two parts in 13 of 14 timings, up to twice
-# as long; from 6 to 25 MB two parts ranged from 50 % slower to 35 %
-# faster run to run, and from 49 MB on they were 15-37 % faster in every
-# run. Saves were faster in two parts in every timing from 3.8 MB of
-# columns on. So two parts start at 6 MiB, and more CPUs add parts only
-# while each stays as large: no count above 2 was timed
-_PART_BYTES = 3 << 20
-
-# the cgroup v2 CPU quota, "<quota> <period>" in microseconds or "max
-# <period>": the CPUs' worth of time this process may use, which can be
-# fewer than the CPUs it may run on
-_CPU_MAX = "/sys/fs/cgroup/cpu.max"
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (os.sched_getaffinity, else
-    os.cpu_count()), capped by a cgroup v2 CPU quota rounded up."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this host
-        cpus = os.cpu_count() or 1
-    try:
-        with open(_CPU_MAX, encoding="ascii") as fh:
-            quota, period = fh.read().split()
-        return max(1, min(cpus, -(-int(quota) // int(period))))
-    except (OSError, ValueError):  # no quota ("max"), no cgroup v2, or not Linux
-        return cpus
-
-
-def _part_count(size: int) -> int:
-    """How many contiguous parts save_dataset and load_dataset split a
-    dataset of `size` bytes into, each part but the first done by a
-    forked worker: one per usable CPU, but no more than leaves each part
-    _PART_BYTES, and 1 (this process alone) when this host cannot fork
-    or another thread is alive (a forked child of a threaded process
-    can deadlock on a lock that thread held)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return max(1, min(_usable_cpus(), size // _PART_BYTES))
-
-
-def _fork(work: Callable[[], None]) -> Optional[int]:
-    """The pid of a forked worker that runs `work`, or None when the host
-    refuses another process. The worker ends with os._exit, status 0 if
-    `work` returned and 1 if it raised: it never returns into its
-    caller's stack, runs atexit handlers or flushes inherited stdio."""
-    try:
-        pid = os.fork()
-    except OSError:
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            work()
-            status = 0
-        finally:
-            os._exit(status)
-    return pid
-
-
-def _reap(pid: Optional[int], kill: bool = False) -> bool:
-    """Wait for a worker of _fork (with `kill`, ended first), and whether
-    it exited with status 0; False for None, a worker never started, and
-    for a worker whose status is lost."""
-    if pid is None:
-        return False
-    try:
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        return os.waitpid(pid, 0)[1] == 0
-    except (ProcessLookupError, ChildProcessError):  # reaped unseen: the caller ignores SIGCHLD
-        return False
-
-
 def _append(out, part) -> None:
     """Copy the whole of the binary file `part` to the end of the binary
     file `out`: in the kernel where it can, else through this process."""
@@ -379,11 +300,12 @@ def save_dataset(dataset: Dataset, path) -> None:
     no more than a row's measurements (a full sweep's), and otherwise
     only the (cell, beam) pairs present.
 
-    The blocks are split into contiguous parts, one per _part_count of
-    the record columns' bytes. Forked workers format every part but the
-    first into unnamed temporary files beside `path`, which this process
-    appends in order after writing the header and the first part; it
-    formats a part itself when its worker fails or cannot start. A line
+    The blocks are split into contiguous parts, one per
+    procs._part_count of the record columns' bytes. Forked workers
+    format every part but the first into unnamed temporary files beside
+    `path`, which this process appends in order after writing the header
+    and the first part; it formats a part itself when its worker fails
+    or cannot start. A line
     depends on its row alone, so the bytes do not depend on the parts.
     """
     cell_ids = np.array(sorted(set(dataset.cells)), dtype=np.int64)
@@ -459,7 +381,7 @@ def save_dataset(dataset: Dataset, path) -> None:
 
     # contiguous runs of blocks; a line is a function of its row alone, so
     # the bytes do not depend on how many there are
-    n = max(1, min(_part_count(sum(getattr(dataset, c).nbytes for c in _RECORD_COLUMNS)), len(blocks)))
+    n = max(1, min(procs._part_count(sum(getattr(dataset, c).nbytes for c in _RECORD_COLUMNS)), len(blocks)))
     parts = [blocks[len(blocks) * k // n : len(blocks) * (k + 1) // n] for k in range(n)]
     workers = []  # (pid, temporary file) of each part but the first
     try:
@@ -470,12 +392,12 @@ def save_dataset(dataset: Dataset, path) -> None:
                 except OSError:  # no room there: this process formats the part
                     workers.append((None, None))
                 else:
-                    workers.append((_fork(partial(write_temporary, temporary, part)), temporary))
+                    workers.append((procs._fork(partial(write_temporary, temporary, part)), temporary))
             fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")))
             fh.write("\n")
             write(fh, parts[0])
             for k, ((pid, temporary), part) in enumerate(zip(workers, parts[1:])):
-                ok = _reap(pid)
+                ok = procs._reap(pid)
                 workers[k] = (None, temporary)
                 if ok:
                     fh.flush()
@@ -485,7 +407,7 @@ def save_dataset(dataset: Dataset, path) -> None:
                     write(fh, part)
     finally:
         for pid, temporary in workers:
-            _reap(pid, kill=True)
+            procs._reap(pid, kill=True)
             if temporary is not None:
                 temporary.close()
 
@@ -869,6 +791,17 @@ def _lines_at_most(fh) -> Tuple[int, bool]:
     return ends + 1, has_cr
 
 
+def _per_line_block(linenos: List[int], rows: List[tuple]) -> Block:
+    """Rows of the per-line path, each (x, y, serving, los, cells, beams,
+    rsrp) with measurements of one width, as one Block typed as
+    read_block's."""
+    xs, ys, serving, los, *meas = zip(*rows)
+    scalars = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64), np.array(serving, dtype=np.int32)
+    shape = len(rows), len(rows[0][6])
+    meas = (np.concatenate(column).reshape(shape) for column in meas)
+    return Block(np.array(linenos), *scalars, np.array(los, dtype=bool), *meas)
+
+
 def _block_lines(
     fh, lineno: int, parse: Callable[[str, int], Optional[tuple]], accept: Optional[Callable[[Block], bool]] = None
 ) -> Iterator[Block]:
@@ -877,27 +810,43 @@ def _block_lines(
     numbers; blank lines are skipped. A block read_block parsed and
     `accept` passes comes out whole, or in runs split at the lines it did
     not parse. Each of those is parsed once, by `parse(line, line
-    number)`, after the rows before it have come out, and its columns
-    (x, y, serving, los, cells, beams, rsrp), unless None, come out as a
-    one-row Block typed as read_block's."""
+    number)`, into the columns (x, y, serving, los, cells, beams, rsrp)
+    of one row, or None; each run of such rows of one width, unbroken by
+    the block's rows, comes out as one Block typed as read_block's. A
+    line that raises raises after the rows before it have come out."""
     while lines := list(islice(fh, BLOCK_LINES)):
         block = read_block(lines)
         rows = block.rows if block is not None and (accept is None or accept(block)) else []
         if rows:
             block = block._replace(rows=np.add(rows, lineno))
         done = 0  # the block's rows that have come out
+        run: List[tuple] = []  # the per-line rows not yet out, and their line numbers
+        linenos: List[int] = []
         for offset, raw in enumerate(lines):
             stop = bisect_left(rows, offset)  # the block's rows before this line
             if stop < len(rows) and rows[stop] == offset or not raw.strip():
                 continue
             if stop > done:
+                if run:
+                    yield _per_line_block(linenos, run)
+                    run, linenos = [], []
                 yield block.take(np.s_[done:stop])
                 done = stop
-            columns = parse(raw, lineno + offset)
-            if columns is not None:
-                x, y, serving, los, *meas = columns
-                scalars = (np.array([x]), np.array([y]), np.array([serving], dtype=np.int32), np.array([los]))
-                yield Block(np.array([lineno + offset]), *scalars, *(column[None] for column in meas))
+            try:
+                columns = parse(raw, lineno + offset)
+            except DatasetParseError:
+                if run:  # the rows before this line come out first
+                    yield _per_line_block(linenos, run)
+                raise
+            if columns is None:
+                continue
+            if run and len(columns[6]) != len(run[0][6]):
+                yield _per_line_block(linenos, run)
+                run, linenos = [], []
+            run.append(columns)
+            linenos.append(lineno + offset)
+        if run:
+            yield _per_line_block(linenos, run)
         if done < len(rows):
             yield block.take(np.s_[done:])
         lineno += len(lines)
@@ -949,10 +898,12 @@ def parse_measurement_line(raw: str, lineno: int, path=None, *, record: bool = F
 
 class _Span(io.RawIOBase):
     """Bytes `start` to `stop` of an open file, to its end when `stop` is
-    None, read with pread: the file's own position is left alone."""
+    None, read with pread: the file's own position is left alone. `cr`
+    tells whether the bytes read so far hold a "\r"."""
 
     def __init__(self, fd: int, start: int, stop: Optional[int]):
         self.fd, self.at, self.stop = fd, start, stop
+        self.cr = False
 
     def readable(self) -> bool:
         return True
@@ -962,11 +913,13 @@ class _Span(io.RawIOBase):
         data = os.pread(self.fd, n, self.at)
         buffer[: len(data)] = data
         self.at += len(data)
+        self.cr = self.cr or b"\r" in data
         return len(data)
 
 
 def _span_lines(fd: int, start: int, stop: Optional[int]):
-    """The lines of a _Span, in the text mode load_dataset opens files in."""
+    """The lines of a _Span (their `.buffer.raw`), in the text mode
+    load_dataset and infer_file open files in."""
     return io.TextIOWrapper(io.BufferedReader(_Span(fd, start, stop)), encoding="ascii", errors="surrogateescape")
 
 
@@ -981,15 +934,15 @@ def _line_end(fd: int, at: int) -> int:
 
 
 def _cuts(fh, start: int) -> List[int]:
-    """Where the parts of a dataset file whose records begin at byte
-    `start` begin: one part per _part_count of the file's size, each cut
-    just past the first "\n" from an equal byte share on, for a file
-    without "\r" (text mode ends a line there too, which would move the
-    cuts). Read with pread, not mmap: mapped pages would count in the
-    caller's peak RSS."""
+    """Where the parts of a file whose lines begin at byte `start` begin:
+    one part per procs._part_count of the file's size (one fstat decides
+    a file too small for two), each cut just past the first "\n" from an
+    equal byte share on, for a file without "\r" (text mode ends a line
+    there too, which would move the cuts). Read with pread, not mmap:
+    mapped pages would count in the caller's peak RSS."""
     fd = fh.fileno()
     size = os.fstat(fd).st_size
-    n = _part_count(size)
+    n = procs._part_count(size)
     if n == 1 or size <= start:
         return [start]
     shares = (start + (size - start) * k // n for k in range(1, n))
@@ -1050,7 +1003,7 @@ def _read_parts(fd: int, cuts: List[int], read, fixed: dict, cell_ids, capacity:
     try:
         for start, stop in zip(cuts[1:], [*cuts[2:], None]):
             r, w = os.pipe()
-            pid = _fork(partial(_send_part, w, fd, start, stop, read, fixed, cell_ids))
+            pid = procs._fork(partial(_send_part, w, fd, start, stop, read, fixed, cell_ids))
             os.close(w)
             # buffered, so that a readinto waits for all it asks for
             workers.append((pid, open(r, "rb")))
@@ -1071,7 +1024,7 @@ def _read_parts(fd: int, cuts: List[int], read, fixed: dict, cell_ids, capacity:
             if any(pipe.readinto(part) < part.nbytes for part in (column[n : n + rows] for column in columns)):
                 return None
             n += rows
-            ok = _reap(pid)
+            ok = procs._reap(pid)
             workers[k] = (None, pipe)
             if not ok:
                 return None
@@ -1079,7 +1032,7 @@ def _read_parts(fd: int, cuts: List[int], read, fixed: dict, cell_ids, capacity:
     finally:
         for pid, pipe in workers:
             pipe.close()
-            _reap(pid, kill=True)
+            procs._reap(pid, kill=True)
 
 
 def load_dataset(path, expected_scenario_hash: Optional[str] = None) -> Dataset:

@@ -12,15 +12,17 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import tempfile
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union, get_type_hints
 
 import numpy as np
 
-from . import dtree, mlp
+from . import dtree, mlp, procs
 from .configfile import decode, from_dict, load_object, to_dict
 from .errors import ConfigurationError, DataError, DatasetParseError, FeatureExtractionError
 from .evaluate import Comparison, EvalReport, compare, euclidean_errors, summarize, write_cdf_csv, write_report
@@ -45,7 +47,9 @@ from .fingerprint import (
     Block,
     Dataset,
     _block_lines,
+    _cuts,
     _servable,
+    _span_lines,
     build_dataset,  # noqa: F401
     cell_rows,
     los_filter,  # noqa: F401
@@ -701,36 +705,151 @@ def _reports(fh, path) -> Iterator[Block]:
     return _block_lines(fh, 1, lambda raw, lineno: parse_measurement_line(raw, lineno, path), _servable)
 
 
+def _chunks(blocks: Iterator[Block]) -> Iterator[Block]:
+    """The reports of `blocks` stacked by _stack into chunks of
+    _INFER_REPORTS (a block that straddles a chunk's end is sliced
+    there), then the rest; each chunk comes out before the blocks after
+    it are read."""
+    parts, n = [], 0
+    for block in blocks:
+        while n + len(block.rows) >= _INFER_REPORTS:  # the block fills the chunk
+            cut = _INFER_REPORTS - n
+            chunk = _stack([*parts, block.take(np.s_[:cut])])
+            parts, n, block = [], 0, block.take(np.s_[cut:])
+            yield chunk
+            del chunk  # or it would live on while the next chunk is made
+        if len(block.rows):
+            parts.append(block)
+            n += len(block.rows)
+    if parts:
+        yield _stack(parts)
+
+
+def _positions(pred: np.ndarray) -> Iterator[dict]:
+    return ({"x_pred": x, "y_pred": y} for x, y in pred.tolist())
+
+
+def _spill(config: FeatureConfig, spill, chunk: Block) -> Optional[int]:
+    """Write the feature rows of a chunk of reports to the binary file
+    `spill` as raw float64, extracted through the module's extract, and
+    return their number; None, writing nothing, when a report cannot
+    fill `config`."""
+    values, kept, _, _ = extract(chunk.serving, chunk.cells, chunk.beams, chunk.rsrp, config)
+    if len(kept) < len(chunk.rows):
+        return None
+    spill.write(np.ascontiguousarray(values, dtype=np.float64).data)
+    return len(kept)
+
+
+def _part_features(bundle: ModelBundle, fd: int, part: tuple) -> Optional[int]:
+    """A part (start byte, stop byte or None for the end, spill file) of
+    infer_file's file: its reports' feature rows, spilled a chunk at a
+    time (_spill). Their number, or None when a line does not parse, a
+    report cannot fill the feature config or has an id outside its
+    one-hot vocabulary, the part holds a "\r", or the spill file cannot
+    be written."""
+    start, stop, spill = part
+    n = 0
+    try:
+        spill.seek(0)
+        spill.truncate()  # a worker may have died after writing
+        with _span_lines(fd, start, stop) as lines:
+            # map holds no chunk while the next one is made
+            for rows in map(partial(_spill, bundle.feature_config, spill), _chunks(_reports(lines, None))):
+                if rows is None:
+                    return None
+                n += rows
+            if lines.buffer.raw.cr:  # text mode also ends a line at "\r", which the cuts ignore
+                return None
+        spill.flush()  # a worker ends without flushing
+    except (DatasetParseError, ConfigurationError, OSError):
+        return None
+    return n
+
+
+def _spilled_chunks(spills: list, counts: List[int], width: int) -> Iterator[np.ndarray]:
+    """The feature rows of the spill files, `counts` of each in turn,
+    _INFER_REPORTS at a time in one buffer (the rest last): a chunk is
+    overwritten by the next."""
+    chunk = np.empty((_INFER_REPORTS, width))
+    n = 0
+    for spill, count in zip(spills, counts):
+        spill.seek(0)
+        while count:
+            take = min(count, _INFER_REPORTS - n)
+            spill.readinto(chunk[n : n + take])
+            n, count = n + take, count - take
+            if n == _INFER_REPORTS:
+                yield chunk
+                n = 0
+    if n:
+        yield chunk[:n]
+
+
+def _infer_parts(bundle: ModelBundle, fh) -> Optional[List[dict]]:
+    """infer_file's results for an open file of two parts or more
+    (fingerprint._cuts), or None for one process to read it: when the
+    file is too small, or any part finds a fault (_part_features) or a
+    prediction is not finite. Each part's feature rows go through a
+    spill file: procs.forked_map runs the first part here and the
+    others in workers, and this process predicts the rows in
+    _INFER_REPORTS chunks in file order, the chunks of the one-process
+    loop, as a batch's MLP bits depend on the batch."""
+    cuts = _cuts(fh, 0)
+    if len(cuts) == 1:
+        return None
+    spills = []
+    try:
+        for _ in cuts:
+            spills.append(tempfile.TemporaryFile())  # unnamed: it goes when it is closed
+        parts = list(zip(cuts, [*cuts[1:], None], spills))
+        counts = procs.forked_map(partial(_part_features, bundle, fh.fileno()), parts)
+        if None in counts:
+            return None
+        results = []
+        for values in _spilled_chunks(spills, counts, feature_length(bundle.feature_config)):
+            pred = bundle.predict(values)
+            if not np.isfinite(pred).all():
+                return None
+            results.extend(_positions(pred))
+        return results
+    except OSError:  # no spill file: one process reads the file
+        return None
+    finally:
+        for spill in spills:
+            spill.close()
+
+
 def infer_file(bundle: ModelBundle, in_path, out_path=None) -> List[dict]:
     """Predict for every record in a line-delimited measurement file.
 
     The Blocks of _reports are stacked into chunks of _INFER_REPORTS
-    reports (a block that straddles a chunk's end is sliced there), each
-    predicted by _predict_reports before the lines after it are parsed,
-    so memory holds one chunk of reports besides the predictions. A bad
-    line anywhere fails the file before any output is written. Within a
-    chunk, a line that does not parse is reported before one that
-    cannot fill the feature config or has an id outside its one-hot
-    vocabulary, and that before one whose prediction is not finite.
+    reports (_chunks), each predicted by _predict_reports before the
+    lines after it are parsed, so memory holds one chunk of reports
+    besides the predictions. A bad line anywhere fails the file before
+    any output is written. Within a chunk, a line that does not parse is
+    reported before one that cannot fill the feature config or has an id
+    outside its one-hot vocabulary, and that before one whose prediction
+    is not finite.
+
+    A file of two parts or more (fingerprint._cuts) is first read and
+    extracted in parts, the first by this process and the others by
+    forked workers (_infer_parts), and this process predicts their
+    feature rows in the same chunks; after any fault there, the file is
+    read again by one process, which names the first fault in line
+    order. So results and errors do not depend on the parts.
     """
-    pred: List[List[float]] = []
     try:
         fh = open(in_path, "r", encoding="ascii", errors="surrogateescape")
     except OSError as e:
         raise DataError(f"cannot read measurement file {in_path}: {e}") from e
     with fh:
-        parts, n = [], 0
-        for block in _reports(fh, in_path):
-            while n + len(block.rows) >= _INFER_REPORTS:  # the block fills the chunk
-                cut = _INFER_REPORTS - n
-                pred.extend(_predict_reports(bundle, _stack([*parts, block.take(np.s_[:cut])]), in_path).tolist())
-                parts, n, block = [], 0, block.take(np.s_[cut:])
-            if len(block.rows):
-                parts.append(block)
-                n += len(block.rows)
-        if parts:
-            pred.extend(_predict_reports(bundle, _stack(parts), in_path).tolist())
-    results = [{"x_pred": x, "y_pred": y} for x, y in pred]
+        results = _infer_parts(bundle, fh)
+        if results is None:
+            results = []
+            # map holds no chunk while the next one is made
+            for pred in map(lambda chunk: _predict_reports(bundle, chunk, in_path), _chunks(_reports(fh, in_path))):
+                results.extend(_positions(pred))
     if out_path is not None:
         with open(out_path, "w", encoding="ascii") as fh:
             for row in results:

@@ -1,5 +1,9 @@
+import os
+
 import numpy as np
 import pytest
+
+from beamprint import procs
 
 from beamprint.scenario import (
     BuildingFootprint,
@@ -124,3 +128,34 @@ def record_of(triple_seq, serving=None, x=float("nan"), y=float("nan"), los=True
         np.array(beams, dtype=np.int32),
         np.array(rsrp, dtype=np.float64),
     )
+
+
+@pytest.fixture
+def forced_parts(monkeypatch):
+    """force(k) makes every dataset and file go in k parts and every
+    procs.forked_map in up to k slices (k usable CPUs, no CPU quota,
+    parts of a byte or more), and returns the list of the workers this
+    process waited for, True for each that exited cleanly."""
+    reaped = []
+    reap = procs._reap
+
+    def logged(pid, kill=False):
+        ok = reap(pid, kill)
+        if not kill:
+            reaped.append(ok)
+        return ok
+
+    def force(k):
+        monkeypatch.setattr(procs, "_PART_BYTES", 1)
+        monkeypatch.setattr(procs, "_CPU_MAX", os.devnull)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+        monkeypatch.setattr(procs, "_reap", logged)
+        return reaped
+
+    return force
+
+
+def no_child_left():
+    """Every worker this process started has been waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

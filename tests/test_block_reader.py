@@ -419,6 +419,35 @@ def test_a_block_mixing_both_paths_parses_each_line_once(tmp_path, small_dataset
     assert decoded() == want_decoded
 
 
+def test_a_line_that_fails_raises_after_the_per_line_records_before_it(tmp_path, small_dataset):
+    # per-line records of one width come out of a block as one run, but a
+    # line that fails in the run's block raises only after the run has
+    # come out, so a fault the consumer finds in the run is named first.
+    # Load: a record one measurement short (line 5), then bad JSON
+    path = tmp_path / "ds.jsonl"
+    save_dataset(small_dataset.subset(np.arange(10)), path)
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[4])
+    lines[4] = json.dumps({**row, "meas": row["meas"][:-1]})
+    lines[5] = lines[5][:-5]
+    with pytest.raises(DataError) as e:
+        load_dataset(_write(path, lines))
+    assert (e.value.line, e.value.field) == (5, "meas") and "records disagree on measurement count" in str(e.value)
+    # infer: the report that fills the first chunk cannot fill the
+    # features (line 1025, after the header), then bad JSON
+    fc = FeatureConfig()
+    bundle = train_model(
+        extract_features(los_filter(small_dataset), fc), ModelSpec(MODEL_TREE, tree_config=TreeConfig(max_depth=2)), fc
+    )
+    save_dataset(small_dataset.subset(np.arange(pipeline._INFER_REPORTS)), path)
+    lines = path.read_text().splitlines()
+    lines[-1] = json.dumps({"meas": json.loads(lines[-1])["meas"][:1]})
+    lines.append(lines[1][:-5])
+    with pytest.raises(DataError) as e:
+        infer_file(bundle, _write(path, lines))
+    assert e.value.line == pipeline._INFER_REPORTS + 1 and "serving-cell measurements" in str(e.value)
+
+
 @pytest.mark.parametrize(
     "edit",
     [

@@ -20,7 +20,7 @@ from beamprint.scenario import (
     single_site_config,
 )
 
-from conftest import small_scenario_config
+from conftest import no_child_left, small_scenario_config
 
 
 @pytest.fixture(scope="module")
@@ -558,9 +558,10 @@ def test_missing_infer_input_exits_2(ws, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "field, value", [("x", "abc"), ("y", "abc"), ("los", "yes"), ("meas", [[0, 1, float("nan")]])]
-)
+_MALFORMED = [("x", "abc"), ("y", "abc"), ("los", "yes"), ("meas", [[0, 1, float("nan")]])]
+
+
+@pytest.mark.parametrize("field, value", _MALFORMED)
 def test_malformed_infer_line_exits_2(ws, tmp_path, capsys, field, value):
     record = json.loads(ws.dataset.read_text(encoding="ascii").splitlines()[1])
     record[field] = value
@@ -637,7 +638,7 @@ _BAD_ID = '{"meas": [[0, 1, -60.0], [0, 40, -61.0]]}'
 _SHORT = '{"meas": [[0, 1, -60.0]]}'
 
 
-@pytest.mark.parametrize(
+_AFTER_A_GOOD_LINE = pytest.mark.parametrize(
     "after, message",
     [
         ([_BAD_ID], "beam id 40 outside one-hot vocabulary of size 32"),
@@ -646,6 +647,9 @@ _SHORT = '{"meas": [[0, 1, -60.0]]}'
     ],
     ids=["bad-id", "bad-id-first", "short-first"],
 )
+
+
+@_AFTER_A_GOOD_LINE
 def test_infer_names_the_first_line_with_an_id_outside_the_one_hot_vocabulary(
     ws, one_hot_tree, tmp_path, capsys, after, message
 ):
@@ -662,8 +666,16 @@ def test_infer_names_the_first_line_with_an_id_outside_the_one_hot_vocabulary(
     assert not (tmp_path / "p.jsonl").exists()
 
 
-@pytest.mark.parametrize("first, second", [(_SHORT, _BAD_ID), (_BAD_ID, _SHORT)], ids=["short-first", "bad-id-first"])
-@pytest.mark.parametrize("at", [0, 1, 511, 700, 1022, 1023])
+_FIRST_BAD_LINE = [
+    pytest.mark.parametrize(
+        "first, second", [(_SHORT, _BAD_ID), (_BAD_ID, _SHORT)], ids=["short-first", "bad-id-first"]
+    ),
+    pytest.mark.parametrize("at", [0, 1, 511, 700, 1022, 1023]),
+]
+
+
+@_FIRST_BAD_LINE[0]
+@_FIRST_BAD_LINE[1]
 def test_infer_names_the_first_bad_line_anywhere_in_a_full_chunk(ws, one_hot_tree, tmp_path, capsys, first, second, at):
     # a chunk of 1,024 reports whose first bad one is found among the
     # prefixes of the chunk: the later bad line, of the other kind, is
@@ -681,6 +693,57 @@ def test_infer_names_the_first_bad_line_anywhere_in_a_full_chunk(ws, one_hot_tre
     message = "beam id 40 outside one-hot vocabulary" if first == _BAD_ID else "record has 1 serving-cell measurements"
     assert message in err and re.search(rf"line {at + 1}\b", err)
     assert not (tmp_path / "p.jsonl").exists()
+
+
+# ---------------------------------------------------------------------------
+# the infer error tests above with every file in two parts: a worker
+# reads and extracts the lines after the cut (the last line of a 4-line
+# file, from about line 550 of the 1,100-line one), and a fault in either
+# part sends the file back to one process, which names the same line,
+# field and message. A file of one line stays one part
+
+
+def test_in_two_parts_infer_refuses_a_prediction_that_overflows(ws, tmp_path, capsys, forced_parts):
+    forced_parts(2)
+    test_infer_refuses_a_prediction_that_overflows(ws, tmp_path, capsys)
+    no_child_left()
+
+
+@pytest.mark.parametrize("field, value", _MALFORMED)
+def test_in_two_parts_malformed_infer_line_exits_2(ws, tmp_path, capsys, forced_parts, field, value):
+    forced_parts(2)
+    test_malformed_infer_line_exits_2(ws, tmp_path, capsys, field, value)
+    no_child_left()
+
+
+def test_in_two_parts_infer_names_the_line_that_cannot_fill_the_features(ws, tmp_path, capsys, forced_parts):
+    workers = forced_parts(2)
+    test_infer_names_the_line_that_cannot_fill_the_features(ws, tmp_path, capsys)
+    assert workers == [True]
+    no_child_left()
+
+
+@_AFTER_A_GOOD_LINE
+def test_in_two_parts_infer_names_the_first_line_with_an_id_outside_the_one_hot_vocabulary(
+    ws, one_hot_tree, tmp_path, capsys, forced_parts, after, message
+):
+    workers = forced_parts(2)
+    test_infer_names_the_first_line_with_an_id_outside_the_one_hot_vocabulary(
+        ws, one_hot_tree, tmp_path, capsys, after, message
+    )
+    assert workers == [True]
+    no_child_left()
+
+
+@_FIRST_BAD_LINE[0]
+@_FIRST_BAD_LINE[1]
+def test_in_two_parts_infer_names_the_first_bad_line_anywhere_in_a_full_chunk(
+    ws, one_hot_tree, tmp_path, capsys, forced_parts, first, second, at
+):
+    workers = forced_parts(2)
+    test_infer_names_the_first_bad_line_anywhere_in_a_full_chunk(ws, one_hot_tree, tmp_path, capsys, first, second, at)
+    assert workers == [True]
+    no_child_left()
 
 
 def test_train_with_a_one_hot_vocabulary_too_small_exits_1(ws, tmp_path, capsys):

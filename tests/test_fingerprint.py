@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from beamprint import fingerprint
+from beamprint import fingerprint, procs
 from beamprint.errors import DataError, DatasetParseError
 from beamprint.fingerprint import (
     _BUILD_ROWS,
@@ -34,7 +34,7 @@ from beamprint.scenario import (
     single_site_config,
 )
 
-from conftest import row_of, small_scenario_config, triples
+from conftest import no_child_left, row_of, small_scenario_config, triples
 from test_mlp import radio_kernels_as_pinned
 from test_scenario import segment_clear
 
@@ -1052,31 +1052,6 @@ def test_save_dataset_coerces_columns_like_json_writer(tmp_path):
 
 
 @pytest.fixture
-def forced_parts(monkeypatch):
-    """force(k) makes every dataset and file go in k parts (k usable
-    CPUs, no CPU quota, parts of a byte or more), and returns the list
-    of the workers the parent waited for, True for each that exited
-    cleanly."""
-    reaped = []
-    reap = fingerprint._reap
-
-    def logged(pid, kill=False):
-        ok = reap(pid, kill)
-        if not kill:
-            reaped.append(ok)
-        return ok
-
-    def force(k):
-        monkeypatch.setattr(fingerprint, "_PART_BYTES", 1)
-        monkeypatch.setattr(fingerprint, "_CPU_MAX", os.devnull)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
-        monkeypatch.setattr(fingerprint, "_reap", logged)
-        return reaped
-
-    return force
-
-
-@pytest.fixture
 def parent_reads(monkeypatch):
     """The number of times this process ran the record loop: once for a
     load in parts that needed no second read."""
@@ -1092,15 +1067,10 @@ def parent_reads(monkeypatch):
     return lambda: calls.count(me)
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _one_process_error(path, monkeypatch):
     """load_dataset's error on `path` by one process, as (line, field, message)."""
     with monkeypatch.context() as m:
-        m.setattr(fingerprint, "_PART_BYTES", 1 << 62)
+        m.setattr(procs, "_PART_BYTES", 1 << 62)
         with pytest.raises(DatasetParseError) as e:
             load_dataset(path)
     return e.value.line, e.value.field, str(e.value)
@@ -1127,7 +1097,7 @@ def test_golden_bytes_and_load_do_not_depend_on_the_part_count(tmp_path, request
     # the records (load)
     saved = min(k, -(-len(ds) // fingerprint._CHECK_ROWS)) - 1
     assert workers == [True] * (max(saved, 0) + min(k, max(len(ds), 1)) - 1)
-    _no_child_left()
+    no_child_left()
     assert os.listdir(tmp_path) == ["new.jsonl"]
 
 
@@ -1145,7 +1115,7 @@ def test_saves_in_parts_match_json_writer(tmp_path, forced_parts, parent_reads, 
     assert back == ds
     assert back.meas_rsrp.view(np.uint64).tolist() == ds.meas_rsrp.view(np.uint64).tolist()
     assert parent_reads() == 1
-    _no_child_left()
+    no_child_left()
 
 
 def _in_parts(tmp_path, small_dataset):
@@ -1179,7 +1149,7 @@ def test_load_with_a_blank_line_at_a_cut(tmp_path, small_dataset, forced_parts, 
         load_dataset(path)
     assert (e.value.line, e.value.field, str(e.value)) == _one_process_error(path, monkeypatch)
     assert e.value.line == i + 2
-    _no_child_left()
+    no_child_left()
 
 
 def test_load_in_parts_of_a_last_line_without_a_line_end(tmp_path, small_dataset, forced_parts, parent_reads):
@@ -1257,7 +1227,7 @@ def test_load_in_parts_refuses_with_the_error_of_one_process(
         load_dataset(path)
     assert (e.value.line, e.value.field, str(e.value)) == _one_process_error(path, monkeypatch)
     assert e.value.line == i + 1
-    _no_child_left()
+    no_child_left()
 
 
 def test_parts_leave_no_process_or_file_behind(tmp_path, small_dataset, forced_parts, monkeypatch):
@@ -1267,9 +1237,9 @@ def test_parts_leave_no_process_or_file_behind(tmp_path, small_dataset, forced_p
     path = out / "ds.jsonl"
     save_dataset(small_dataset, path)
     assert workers == [True] and os.listdir(out) == ["ds.jsonl"]
-    _no_child_left()
+    no_child_left()
     assert load_dataset(path) == small_dataset
-    _no_child_left()
+    no_child_left()
     # a refused save leaves the file as it was, and starts no worker
     bad = small_dataset.subset(np.arange(40))
     bad.meas_cells[30, 5] = 99
@@ -1277,7 +1247,7 @@ def test_parts_leave_no_process_or_file_behind(tmp_path, small_dataset, forced_p
     with pytest.raises(DataError, match="record 30"):
         save_dataset(bad, path)
     assert path.read_bytes() == before and os.listdir(out) == ["ds.jsonl"]
-    _no_child_left()
+    no_child_left()
     # refusals in this process's part and in a worker's
     for i in (2, len(before.splitlines()) - 2):
         lines = before.decode().splitlines()
@@ -1285,7 +1255,7 @@ def test_parts_leave_no_process_or_file_behind(tmp_path, small_dataset, forced_p
         _write(tmp_path / "bad.jsonl", lines)
         with pytest.raises(DatasetParseError):
             load_dataset(tmp_path / "bad.jsonl")
-        _no_child_left()
+        no_child_left()
 
 
 @pytest.mark.parametrize("exception", [KeyboardInterrupt, MemoryError])
@@ -1304,7 +1274,7 @@ def test_an_exception_in_this_process_reaps_the_workers(tmp_path, small_dataset,
     monkeypatch.setattr(fingerprint, "read_block", interrupted)
     with pytest.raises(exception):
         load_dataset(path)
-    _no_child_left()
+    no_child_left()
 
     def append(out, part):
         raise exception()
@@ -1312,7 +1282,7 @@ def test_an_exception_in_this_process_reaps_the_workers(tmp_path, small_dataset,
     monkeypatch.setattr(fingerprint, "_append", append)
     with pytest.raises(exception):
         save_dataset(small_dataset, tmp_path / "again.jsonl")
-    _no_child_left()
+    no_child_left()
     assert sorted(os.listdir(tmp_path)) == ["again.jsonl", "ds.jsonl"]
 
 
@@ -1321,7 +1291,7 @@ def test_a_worker_that_dies_leaves_the_work_to_this_process(tmp_path, small_data
     # with only the last one dead, this process formats its part after
     # appending the first worker's file
     workers = forced_parts(3)
-    fork = fingerprint._fork
+    fork = procs._fork
     started = []
 
     def forked(work):
@@ -1329,15 +1299,15 @@ def test_a_worker_that_dies_leaves_the_work_to_this_process(tmp_path, small_data
         started.append(dies)
         return fork(lambda: os._exit(1)) if dies else fork(work)
 
-    monkeypatch.setattr(fingerprint, "_fork", forked)
+    monkeypatch.setattr(procs, "_fork", forked)
     path = tmp_path / "ds.jsonl"
     save_dataset(small_dataset, path)
     assert workers == [not dies for dies in dying]
     oracle_save_dataset(small_dataset, tmp_path / "oracle.jsonl")
     assert path.read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
-    _no_child_left()
+    no_child_left()
     assert load_dataset(path) == small_dataset
-    _no_child_left()
+    no_child_left()
     assert sorted(os.listdir(tmp_path)) == ["ds.jsonl", "oracle.jsonl"]
 
 
@@ -1382,7 +1352,7 @@ def test_a_worker_that_dies_while_it_sends_leaves_the_load_to_this_process(
     assert load_dataset(path) == small_dataset
     assert parent_reads() == 2  # its part, then the whole file
     assert workers == []  # the parent stopped reading before it waited for the worker
-    _no_child_left()
+    no_child_left()
 
 
 def test_load_in_parts_whose_first_part_holds_no_record(tmp_path, small_dataset, forced_parts, parent_reads):
@@ -1402,7 +1372,7 @@ def test_load_in_parts_whose_first_part_holds_no_record(tmp_path, small_dataset,
     assert back.meas_rsrp.view(np.uint64).tolist() == small_dataset.meas_rsrp.view(np.uint64).tolist()
     assert parent_reads() == 1
     assert workers == [True]
-    _no_child_left()
+    no_child_left()
 
 
 def _thread_alive():
@@ -1425,11 +1395,11 @@ def test_one_process_conditions(tmp_path, small_dataset, forced_parts, monkeypat
     elif condition == "thread-alive":
         stop = _thread_alive()
     elif condition == "small":  # just short of two parts: the dataset's columns, then the file
-        monkeypatch.setattr(fingerprint, "_PART_BYTES", _column_bytes(small_dataset) // 2 + 1)
+        monkeypatch.setattr(procs, "_PART_BYTES", _column_bytes(small_dataset) // 2 + 1)
     try:
         save_dataset(small_dataset, tmp_path / "new.jsonl")
         if condition == "small":
-            monkeypatch.setattr(fingerprint, "_PART_BYTES", (tmp_path / "new.jsonl").stat().st_size // 2 + 1)
+            monkeypatch.setattr(procs, "_PART_BYTES", (tmp_path / "new.jsonl").stat().st_size // 2 + 1)
         assert load_dataset(tmp_path / "new.jsonl") == small_dataset
     finally:
         if stop is not None:
@@ -1442,17 +1412,17 @@ def test_parts_without_sched_getaffinity_count_the_cpus(forced_parts, monkeypatc
     forced_parts(1)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert fingerprint._part_count(1 << 20) == 3
+    assert procs._part_count(1 << 20) == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert fingerprint._part_count(1 << 20) == 1
+    assert procs._part_count(1 << 20) == 1
 
 
 def test_parts_stay_at_least_a_part_floor_large(forced_parts, monkeypatch):
     # the floor holds for each part: more CPUs add parts only while
     # every part stays _PART_BYTES or more
     forced_parts(4)
-    monkeypatch.setattr(fingerprint, "_PART_BYTES", 10)
-    assert [fingerprint._part_count(size) for size in (0, 19, 20, 29, 30, 39, 40, 10**9)] == [1, 1, 2, 2, 3, 3, 4, 4]
+    monkeypatch.setattr(procs, "_PART_BYTES", 10)
+    assert [procs._part_count(size) for size in (0, 19, 20, 29, 30, 39, 40, 10**9)] == [1, 1, 2, 2, 3, 3, 4, 4]
 
 
 @pytest.mark.parametrize(
@@ -1463,8 +1433,8 @@ def test_parts_keep_to_a_cgroup_cpu_quota(tmp_path, forced_parts, monkeypatch, c
     # worth of time it may use; a part is made per CPU of the smaller
     forced_parts(4)
     (tmp_path / "cpu.max").write_text(cpu_max)
-    monkeypatch.setattr(fingerprint, "_CPU_MAX", str(tmp_path / "cpu.max"))
-    assert fingerprint._part_count(1 << 20) == parts
+    monkeypatch.setattr(procs, "_CPU_MAX", str(tmp_path / "cpu.max"))
+    assert procs._part_count(1 << 20) == parts
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -1495,4 +1465,4 @@ def test_parts_where_the_caller_ignores_sigchld(tmp_path, small_dataset, forced_
         signal.signal(signal.SIGCHLD, previous)
     oracle_save_dataset(small_dataset, tmp_path / "oracle.jsonl")
     assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
-    _no_child_left()
+    no_child_left()

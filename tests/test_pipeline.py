@@ -2,14 +2,16 @@ import copy
 import hashlib
 import json
 import math
+import os
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from beamprint import dtree, mlp, pipeline
+from beamprint import dtree, fingerprint, mlp, pipeline, procs
 from beamprint.dtree import TreeConfig
 from beamprint.errors import ConfigurationError, DataError, DatasetParseError, FeatureExtractionError
 from beamprint.evaluate import load_report
@@ -62,7 +64,7 @@ from beamprint.pipeline import (
 )
 from beamprint.scenario import build_scenario, default_scenario_config, save_scenario_config, scenario_config_to_dict
 
-from conftest import record_of, row_of, small_scenario_config, triples
+from conftest import no_child_left, record_of, row_of, small_scenario_config, triples
 from test_features import oracle_record, same_feature_sets
 from test_fingerprint import _overhead_growth, _traced_overhead, los_only_build
 from test_mlp import GOLDEN_FLOAT_KERNELS, float_kernels_digest, radio_kernels_as_pinned
@@ -1340,9 +1342,12 @@ def test_infer_file_bad_line_in_a_later_chunk(tree_bundle, small_splits, tmp_pat
     assert not out_path.exists()
 
 
-def test_infer_file_extracts_each_chunk_through_the_module_extract(tree_bundle, small_splits, tmp_path, monkeypatch):
+def test_infer_file_extracts_each_chunk_through_the_module_extract(
+    tree_bundle, small_splits, tmp_path, monkeypatch, forced_parts
+):
     # one kernel call per chunk, looked up as pipeline.extract, so that a
     # wrapper there (the benchmark's traced run) sees the infer path
+    forced_parts(1)
     _, test_ds = small_splits
     in_path = tmp_path / "reports.jsonl"
     save_dataset(test_ds.subset(np.resize(np.arange(len(test_ds)), 2100)), in_path)
@@ -1422,3 +1427,271 @@ def test_infer_record_calls_an_id_outside_the_one_hot_vocabulary_a_data_error():
     want = tuple(float(v) for v in bundle.predict(values[0]))
     assert infer_record(bundle, 0, [0, 0], [1, 31], [-60.0, -61.0]) == want
     assert infer_record(bundle, 0, np.array([0, 0]), np.array([1, 31]), np.array([-60.0, -61.0])) == want
+
+
+# ---------------------------------------------------------------------------
+# infer in parts: forked workers read and extract every part of a file
+# but the first, and this process predicts every part's feature rows in
+# the one-process loop's chunks
+
+
+@pytest.fixture(scope="module")
+def one_hot_mlp(small_splits):
+    """An h64 MLP on one-hot ids (177 features): a batch's bits depend
+    on the batch, so its predictions show chunks that differ."""
+    train_ds, _ = small_splits
+    fc = FeatureConfig(n_neighbor_beams=2, one_hot_ids=True, cell_id_vocab=4, beam_id_vocab=32)
+    spec = ModelSpec(MODEL_MLP, mlp_config=MlpConfig(hidden_layers=(64,), max_epochs=2))
+    return train_model(extract_features(train_ds, fc), spec, fc)
+
+
+_PARTS_REPORTS = _INFER_REPORTS + 76  # a chunk, and the rest
+
+
+def _reports_file(path, test_ds, form="canonical", n=_PARTS_REPORTS):
+    """A measurement file of test_ds's records cycled to n lines after
+    the header, in save_dataset's form, every line spaced, every 5th line
+    spaced, or every 3rd line a short report (its serving cell's three
+    strongest measurements and each other cell's strongest) among full
+    ones."""
+    save_dataset(test_ds.subset(np.resize(np.arange(len(test_ds)), n)), path)
+    lines = path.read_text(encoding="ascii").splitlines()
+    for i in range(1, len(lines)):
+        if form == "spaced" or form == "mixed" and i % 5 == 0:
+            lines[i] = json.dumps(json.loads(lines[i]))
+        elif form == "short" and i % 3 == 0:
+            meas = json.loads(lines[i])["meas"]
+            serving = [m for m in meas if m[0] == meas[0][0]][:3]
+            firsts = list({m[0]: m for m in reversed(meas)}.values())  # each cell's strongest
+            lines[i] = json.dumps({"meas": serving + [m for m in firsts if m[0] != meas[0][0]]})
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return lines
+
+
+def _one_process(bundle, path, out_path=None):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(procs, "_PART_BYTES", 1 << 62)
+        return infer_file(bundle, path, out_path)
+
+
+@pytest.fixture
+def serial_chunks(monkeypatch):
+    """The number of chunks this process predicted in the one-process
+    loop."""
+    calls = []
+    predict = pipeline._predict_reports
+
+    def counted(*args):
+        calls.append(os.getpid())
+        return predict(*args)
+
+    monkeypatch.setattr(pipeline, "_predict_reports", counted)
+    me = os.getpid()
+    return lambda: calls.count(me)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("form", ["canonical", "spaced", "mixed", "short"])
+def test_infer_in_parts_gives_the_bytes_of_one_process(
+    tree_bundle, one_hot_mlp, small_splits, tmp_path, forced_parts, serial_chunks, form, k
+):
+    path = tmp_path / "reports.jsonl"
+    _reports_file(path, small_splits[1], form)
+    for bundle in (tree_bundle, one_hot_mlp):
+        want = _one_process(bundle, path, tmp_path / "want.jsonl")
+        assert len(want) == _PARTS_REPORTS
+        workers = forced_parts(k)
+        assert infer_file(bundle, path, tmp_path / "got.jsonl") == want
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+        assert workers == [True] * (k - 1)
+        workers.clear()
+        no_child_left()
+    # the one-process runs predicted both chunks; at k > 1 the parts did
+    assert serial_chunks() == 2 * 2 * (1 + (k == 1))
+    assert sorted(os.listdir(tmp_path)) == ["got.jsonl", "reports.jsonl", "want.jsonl"]
+
+
+def test_infer_in_parts_with_a_dead_worker(one_hot_mlp, small_splits, tmp_path, forced_parts, monkeypatch):
+    # this process reads and extracts a dead worker's part itself
+    path = tmp_path / "reports.jsonl"
+    _reports_file(path, small_splits[1])
+    want = _one_process(one_hot_mlp, path)
+    workers = forced_parts(3)
+    fork = procs._fork
+    monkeypatch.setattr(procs, "_fork", lambda work: fork(lambda: os._exit(1)))
+    assert infer_file(one_hot_mlp, path) == want
+    assert workers == [False, False]
+    no_child_left()
+
+
+def _broken(lines, i, fault):
+    """lines with line i + 1 made to fail as `fault` says."""
+    row = json.loads(lines[i])
+    if fault == "bad-json":
+        lines[i] = lines[i][:-5]
+    elif fault == "bad-field":
+        lines[i] = json.dumps({**row, "los": 1})
+    elif fault == "short":
+        lines[i] = json.dumps({"meas": row["meas"][:1]})
+    elif fault == "bad-id":  # the strongest beam outside the one-hot vocabulary
+        row["meas"][0][1] = 40
+        lines[i] = json.dumps(row)
+    return lines
+
+
+def _infer_error(bundle, path):
+    out = path.with_suffix(".out")
+    with pytest.raises(DatasetParseError) as e:
+        infer_file(bundle, path, out)
+    assert not out.exists()
+    return e.value.line, e.value.field, str(e.value)
+
+
+@pytest.mark.parametrize("where", ["parent", "worker", "both"])
+@pytest.mark.parametrize("fault", ["bad-json", "bad-field", "short", "bad-id"])
+def test_infer_in_parts_refuses_with_the_error_of_one_process(
+    one_hot_mlp, small_splits, tmp_path, forced_parts, monkeypatch, fault, where
+):
+    # a fault in either part sends the file back to one process, which
+    # names the first in line order: with both, the parent's, of another
+    # kind than the worker's
+    path = tmp_path / "reports.jsonl"
+    lines = _reports_file(path, small_splits[1])
+    at = {"parent": [3], "worker": [len(lines) - 5], "both": [3, len(lines) - 5]}[where]
+    for i, kind in zip(at, [fault, "bad-json" if fault != "bad-json" else "short"]):
+        _broken(lines, i, kind)
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    workers = forced_parts(2)
+    with open(path) as fh:
+        cut = fingerprint._cuts(fh, 0)[1]
+    first_in_worker = path.read_bytes()[:cut].count(b"\n")  # the index in `lines` of the worker's first line
+    assert [i >= first_in_worker for i in at] == {"parent": [False], "worker": [True], "both": [False, True]}[where]
+    error = _infer_error(one_hot_mlp, path)
+    assert error[0] == at[0] + 1
+    assert workers == [True]  # the worker found the fault, or read its part cleanly
+    with monkeypatch.context() as m:
+        m.setattr(procs, "_PART_BYTES", 1 << 62)
+        assert error == _infer_error(one_hot_mlp, path)
+    no_child_left()
+
+
+def test_infer_in_parts_refuses_a_prediction_that_overflows(one_hot_mlp, small_splits, tmp_path, forced_parts):
+    bundle = copy.deepcopy(one_hot_mlp)
+    bundle.model.weights[-1][...] = 1e308
+    bundle.model.biases[-1][...] = 1e308
+    path = tmp_path / "reports.jsonl"
+    _reports_file(path, small_splits[1])
+    forced_parts(2)
+    assert _infer_error(bundle, path) == (2, None, f"prediction is not finite ({path}, line 2)")
+    no_child_left()
+
+
+@pytest.mark.parametrize("fault", ["bad-json", "too-few-beams"])
+def test_infer_file_in_two_parts_bad_line_in_a_later_chunk(tree_bundle, small_splits, tmp_path, forced_parts, fault):
+    forced_parts(2)
+    test_infer_file_bad_line_in_a_later_chunk(tree_bundle, small_splits, tmp_path, fault)
+    no_child_left()
+
+
+@pytest.mark.parametrize(
+    "shortfall, reason, message",
+    [
+        ("serving", SKIP_SERVING, "record has 2 serving-cell measurements, need 3"),
+        ("neighbors", SKIP_NEIGHBORS, "record has 1 distinct neighbor cells, need 2"),
+    ],
+    ids=["serving", "neighbors"],
+)
+def test_infer_file_in_two_parts_words_a_short_report_alike(
+    neighbor_bundle, small_splits, tmp_path, forced_parts, shortfall, reason, message
+):
+    # three lines: the short one, the last, is the worker's
+    forced_parts(2)
+    test_infer_record_and_infer_file_word_a_short_report_alike(
+        neighbor_bundle, small_splits, tmp_path, shortfall, reason, message
+    )
+    no_child_left()
+
+
+@pytest.mark.parametrize("end", ["crlf", "parent-cr", "last-crlf"])
+def test_infer_of_a_file_with_carriage_returns_goes_by_one_process(
+    one_hot_mlp, small_splits, tmp_path, forced_parts, serial_chunks, end
+):
+    # text mode ends a line at "\r" too, which the cuts do not see: a
+    # part that holds one, here also the parent's third line end alone
+    # or the worker's last, sends the file to the one-process loop
+    path = tmp_path / "reports.jsonl"
+    _reports_file(path, small_splits[1])
+    want = _one_process(one_hot_mlp, path)
+    text = path.read_bytes()
+    if end == "last-crlf":
+        path.write_bytes(text[:-1] + b"\r\n")
+    elif end == "parent-cr":
+        third = text.index(b"\n", text.index(b"\n", text.index(b"\n") + 1) + 1)
+        path.write_bytes(text[:third] + b"\r" + text[third + 1 :])
+    else:
+        path.write_bytes(text.replace(b"\n", b"\r\n"))
+    workers = forced_parts(2)
+    before = serial_chunks()
+    assert infer_file(one_hot_mlp, path) == want
+    assert serial_chunks() - before == 2 and workers == [True]
+    no_child_left()
+
+
+def test_infer_in_parts_holds_one_chunk_of_features(one_hot_mlp, small_splits, tmp_path, forced_parts):
+    # each part's feature rows go through a spill file, read back a chunk
+    # at a time: beyond its results, the parent's traced peak does not
+    # grow with the file (it would by the rows' size if a part's rows
+    # were held)
+    forced_parts(2)
+    runs = []
+    for n in (2 * _INFER_REPORTS, 4 * _INFER_REPORTS):
+        path = tmp_path / f"reports{n}.jsonl"
+        _reports_file(path, small_splits[1], n=n)
+        tracemalloc.start()
+        try:
+            got = infer_file(one_hot_mlp, path)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == n
+        runs.append(peak - current)
+    rows_bytes = 2 * _INFER_REPORTS * feature_length(one_hot_mlp.feature_config) * 8
+    assert (runs[1] - runs[0]) / rows_bytes < 0.25
+    no_child_left()
+
+
+def test_infer_in_parts_extracts_each_part_through_the_module_extract(
+    tree_bundle, small_splits, tmp_path, monkeypatch, forced_parts
+):
+    # each part a chunk at a time, through pipeline.extract, in the
+    # process that reads the part: this one's calls let the benchmark's
+    # traced run see the infer path. The calls are appended to a file,
+    # so that the worker's count too
+    path = tmp_path / "reports.jsonl"
+    _reports_file(path, small_splits[1], n=2100)
+    want = _one_process(tree_bundle, path)
+    forced_parts(2)
+    with open(path) as fh:
+        cut = fingerprint._cuts(fh, 0)[1]
+    mine = path.read_bytes()[:cut].count(b"\n") - 1  # the parent's reports, after the header
+    log = tmp_path / "extracted"
+    extract = pipeline.extract
+
+    def logged(serving, *args):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, f"{os.getpid()} {len(serving)}\n".encode())
+        os.close(fd)
+        return extract(serving, *args)
+
+    monkeypatch.setattr(pipeline, "extract", logged)
+    assert infer_file(tree_bundle, path) == want
+    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    me = os.getpid()
+
+    def chunks(n):
+        return [_INFER_REPORTS] * (n // _INFER_REPORTS) + [n % _INFER_REPORTS] * (n % _INFER_REPORTS > 0)
+
+    assert [n for pid, n in calls if pid == me] == chunks(mine)
+    assert [n for pid, n in calls if pid != me] == chunks(2100 - mine)
+    assert len({pid for pid, _ in calls}) == 2
+    no_child_left()
